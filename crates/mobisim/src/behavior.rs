@@ -19,7 +19,8 @@
 //!   cars still occupy a segment, thickening the occupancy floor the
 //!   correlation adversary weights against.
 //!
-//! Every moving behavior routes through [`roadnet::shortest_path`] and
+//! Every moving behavior routes through the simulation's
+//! [`roadnet::TripRouter`] (the routes of [`roadnet::shortest_path`]) and
 //! advances via the same per-`dt` budget walk as the legacy model, so
 //! two structural guarantees the movement adversary relies on hold *by
 //! construction* (and are property-tested in

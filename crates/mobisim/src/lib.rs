@@ -7,7 +7,9 @@
 //!
 //! * [`placement`] — Gaussian (or length-weighted uniform) car placement,
 //! * [`Simulation`] — discrete-time traffic with per-car shortest-path
-//!   trips and automatic re-tripping on arrival,
+//!   trips and automatic re-tripping on arrival, every trip planned by
+//!   one [`roadnet::TripRouter`] per simulation (exactly the routes of
+//!   [`roadnet::shortest_path`], found with a goal-directed search),
 //! * [`behavior`] — heterogeneous motion archetypes ([`BehaviorMix`]:
 //!   commuter home↔work cycles on a rush-hour tick schedule, taxi
 //!   random-destination hops, parked cars); the default mix reproduces

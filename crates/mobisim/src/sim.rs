@@ -3,14 +3,17 @@
 //! GTMobiSim semantics, per the paper: "Once a car is generated, the
 //! associated destination is also randomly chosen and the route selection
 //! is based on shortest path routing." Cars drive their route at a cruise
-//! speed; on arrival a fresh random destination is chosen.
+//! speed; on arrival a fresh random destination is chosen. One
+//! [`TripRouter`], built with the simulation, plans every trip: it returns
+//! the segments [`roadnet::shortest_path`] would, searching a fraction of
+//! the map per trip.
 
 use crate::behavior::{BehaviorKind, BehaviorMix, CarBehavior, CommutePhase, RushSchedule};
 use crate::car::{Car, CarId, RoadPosition};
 use crate::placement::{place_cars, PlacementModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use roadnet::{shortest_path, JunctionId, RoadNetwork, SegmentId, SegmentIndex};
+use roadnet::{JunctionId, RoadNetwork, SegmentId, SegmentIndex, TripRouter};
 
 /// Configuration of a [`Simulation`].
 #[derive(Debug, Clone)]
@@ -55,6 +58,8 @@ impl Default for SimConfig {
 #[derive(Debug)]
 pub struct Simulation {
     net: RoadNetwork,
+    /// Plans every trip: built once from `net`, reused by every query.
+    router: TripRouter,
     cars: Vec<Car>,
     rng: StdRng,
     clock: f64,
@@ -75,6 +80,7 @@ impl Simulation {
     /// Panics if the network has no segments.
     pub fn new(net: RoadNetwork, cfg: SimConfig) -> Self {
         let index = SegmentIndex::build(&net, suggested_cell(&net));
+        let mut router = TripRouter::new(&net);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let placements = place_cars(&net, &index, cfg.placement, cfg.cars, &mut rng);
         let mut cars = Vec::with_capacity(cfg.cars);
@@ -88,7 +94,7 @@ impl Simulation {
                 },
                 speed,
             );
-            let route = plan_trip(&net, &car, &mut rng);
+            let route = plan_trip(&mut router, &net, &car, &mut rng);
             car.assign_route(route);
             cars.push(car);
         }
@@ -109,7 +115,7 @@ impl Simulation {
                         car.assign_route(Vec::new());
                         let home = net.segment(car.segment()).b();
                         state.home = Some(home);
-                        state.work = pick_anchor(&net, home, &mut rng);
+                        state.work = pick_anchor(&mut router, &net, home, &mut rng);
                         state.phase = CommutePhase::AtHome;
                     }
                 }
@@ -118,6 +124,7 @@ impl Simulation {
         }
         Simulation {
             net,
+            router,
             cars,
             rng,
             clock: 0.0,
@@ -168,7 +175,8 @@ impl Simulation {
                 let finished = self.cars[i].advance(&self.net, dt);
                 if finished {
                     self.cars[i].finish_trip();
-                    let route = plan_trip(&self.net, &self.cars[i], &mut self.rng);
+                    let route =
+                        plan_trip(&mut self.router, &self.net, &self.cars[i], &mut self.rng);
                     self.cars[i].assign_route(route);
                 }
             }
@@ -183,7 +191,8 @@ impl Simulation {
                     let finished = self.cars[i].advance(&self.net, dt);
                     if finished {
                         self.cars[i].finish_trip();
-                        let route = plan_trip(&self.net, &self.cars[i], &mut self.rng);
+                        let route =
+                            plan_trip(&mut self.router, &self.net, &self.cars[i], &mut self.rng);
                         self.cars[i].assign_route(route);
                     }
                 }
@@ -210,7 +219,7 @@ impl Simulation {
                         _ => None,
                     };
                     if let Some(dest) = depart_to {
-                        let route = plan_trip_to(&self.net, &self.cars[i], dest);
+                        let route = plan_trip_to(&mut self.router, &self.net, &self.cars[i], dest);
                         if !route.is_empty() {
                             let state = &mut self.behaviors[i];
                             state.phase = match state.phase {
@@ -292,20 +301,23 @@ impl Simulation {
 /// from the far endpoint of its current segment — the same routing and
 /// advance machinery as the random trips, so behavior-model motion
 /// inherits the CSR-adjacency and speed-bound guarantees structurally.
-fn plan_trip_to(net: &RoadNetwork, car: &Car, dest: JunctionId) -> Vec<SegmentId> {
+fn plan_trip_to(
+    router: &mut TripRouter,
+    net: &RoadNetwork,
+    car: &Car,
+    dest: JunctionId,
+) -> Vec<SegmentId> {
     let start = net.segment(car.segment()).b();
     if dest == start {
         return Vec::new();
     }
-    match shortest_path(net, start, dest) {
-        Some(route) => route.segments,
-        None => Vec::new(),
-    }
+    router.route(start, dest).unwrap_or_default()
 }
 
 /// Picks a commuter's second anchor: a random junction provably
 /// reachable from `home` (8 attempts, like trip planning).
 fn pick_anchor<R: Rng + ?Sized>(
+    router: &mut TripRouter,
     net: &RoadNetwork,
     home: JunctionId,
     rng: &mut R,
@@ -315,10 +327,8 @@ fn pick_anchor<R: Rng + ?Sized>(
         if dest == home {
             continue;
         }
-        if let Some(route) = shortest_path(net, home, dest) {
-            if !route.segments.is_empty() {
-                return Some(dest);
-            }
+        if router.route(home, dest).is_some_and(|r| !r.is_empty()) {
+            return Some(dest);
         }
     }
     None
@@ -326,7 +336,12 @@ fn pick_anchor<R: Rng + ?Sized>(
 
 /// Picks a random reachable destination and returns the remaining route
 /// (segments after the car's current one).
-fn plan_trip<R: Rng + ?Sized>(net: &RoadNetwork, car: &Car, rng: &mut R) -> Vec<SegmentId> {
+fn plan_trip<R: Rng + ?Sized>(
+    router: &mut TripRouter,
+    net: &RoadNetwork,
+    car: &Car,
+    rng: &mut R,
+) -> Vec<SegmentId> {
     // Route from the far endpoint of the current segment.
     let seg = net.segment(car.segment());
     let start = seg.b();
@@ -335,9 +350,9 @@ fn plan_trip<R: Rng + ?Sized>(net: &RoadNetwork, car: &Car, rng: &mut R) -> Vec<
         if dest == start {
             continue;
         }
-        if let Some(route) = shortest_path(net, start, dest) {
-            if !route.segments.is_empty() {
-                return route.segments;
+        if let Some(route) = router.route(start, dest) {
+            if !route.is_empty() {
+                return route;
             }
         }
     }

@@ -1,12 +1,16 @@
 //! Shortest-path routing over the road network.
 //!
 //! GTMobiSim-style trip planning uses length-weighted Dijkstra between
-//! junctions; the cloaking algorithms additionally use unweighted
-//! segment-hop BFS distances for analysis.
+//! junctions: [`shortest_path`] is the one-shot form, and [`TripRouter`]
+//! answers repeated queries on one map with the same routes while
+//! searching a fraction of it. The cloaking algorithms additionally use
+//! unweighted segment-hop BFS distances for analysis.
 
+use crate::geometry::{BoundingBox, Point};
 use crate::graph::{JunctionId, RoadNetwork, SegmentId};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
+use std::fmt;
 
 /// A shortest route between two junctions.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,6 +127,285 @@ pub fn shortest_path(net: &RoadNetwork, src: JunctionId, dst: JunctionId) -> Opt
         segments,
         length: dist[dst.index()],
     })
+}
+
+/// Relative amount the bound scale is shrunk by, so rounding in chords
+/// and ratios cannot lift the bound above a road's length.
+const BOUND_MARGIN: f64 = 1e-9;
+
+/// Relative float slack on the target's distance in the stopping rule:
+/// it covers the rounding of distances summed along a route.
+const SETTLE_SLACK: f64 = 1e-9;
+
+/// Marks a label with no predecessor (the source, or not yet reached).
+const NO_PREV: u32 = u32::MAX;
+
+/// One direction of a segment in the router's packed adjacency.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    to: u32,
+    segment: u32,
+    length: f64,
+}
+
+/// A junction's search state. It belongs to the current query only when
+/// `generation` matches the router's; any other label reads as unreached.
+#[derive(Debug, Clone, Copy, Default)]
+struct Label {
+    generation: u32,
+    closed: bool,
+    prev: u32,
+    prev_edge: u32,
+    dist: f64,
+    bound: f64,
+}
+
+/// A reusable router that returns exactly the segments [`shortest_path`]
+/// returns, built once per map for many queries.
+///
+/// It searches goal-directed over a packed per-junction edge array
+/// (neighbour junction, segment, length). A query's heap entries are
+/// keyed by `(f64 bits, junction id)`: non-negative finite `f64`s order
+/// like their bits. Per-junction labels are generation-stamped and the
+/// heap is kept, so a query neither allocates nor clears per-junction
+/// state; only the returned route is allocated.
+///
+/// Three rules keep every route byte-identical to Dijkstra's, ties
+/// included:
+///
+/// * **Bound.** A junction's key is its distance plus `s` times its
+///   straight-line distance to the target, where `s` is the map's
+///   smallest segment length/chord ratio, capped at 1 and shrunk by a
+///   relative 1e-9, so `s · chord` never exceeds a road's length. The
+///   router falls back to plain Dijkstra, which stops at the target's
+///   first pop exactly as [`shortest_path`] does, when a coordinate or
+///   the map's extent is not finite, a segment has zero length, or a
+///   length is so small next to the map's total that adding it to a
+///   distance could round away. Without those, Dijkstra settles
+///   junctions in `(distance, id)` order, which the tie rule relies on.
+/// * **Stopping.** The search settles junctions until the smallest
+///   queued key exceeds the target's distance plus a relative 1e-9
+///   slack, not at the target's first pop. That settles every junction
+///   on every shortest path to a route junction, at its exact distance.
+/// * **Ties.** On an equal relaxation, the predecessor becomes the one
+///   Dijkstra keeps: the smaller (distance of `u`, junction id of `u`,
+///   position in `u`'s incidence list).
+///
+/// ```
+/// use roadnet::{city_map, path::shortest_path, JunctionId, TripRouter};
+/// let net = city_map(7, 2000);
+/// let mut router = TripRouter::new(&net);
+/// let (a, b) = (JunctionId(3), JunctionId(500));
+/// let route = router.route(a, b).unwrap();
+/// assert_eq!(route, shortest_path(&net, a, b).unwrap().segments);
+/// assert!(router.settled() < net.junction_count());
+/// ```
+#[derive(Clone)]
+pub struct TripRouter {
+    /// Edges leaving junction `j` are
+    /// `edges[offsets[j] .. offsets[j + 1]]`, in incidence order.
+    offsets: Vec<u32>,
+    edges: Vec<Edge>,
+    positions: Vec<Point>,
+    /// The bound scale `s`; 0 selects plain Dijkstra.
+    scale: f64,
+    labels: Vec<Label>,
+    generation: u32,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    settled: usize,
+}
+
+impl TripRouter {
+    /// Builds the router's packed adjacency and bound scale from `net`.
+    pub fn new(net: &RoadNetwork) -> TripRouter {
+        let n = net.junction_count();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut edges = Vec::with_capacity(2 * net.segment_count());
+        offsets.push(0u32);
+        for j in net.junction_ids() {
+            for &s in net.incident_segments(j) {
+                let seg = net.segment(s);
+                // A non-finite length never relaxes a junction in
+                // Dijkstra (`d + length` is never below a distance), so
+                // dropping it changes no route; order stays incidence
+                // order.
+                if seg.length().is_finite() {
+                    edges.push(Edge {
+                        to: seg.other_endpoint(j).expect("incident segment endpoint").0,
+                        segment: s.0,
+                        length: seg.length(),
+                    });
+                }
+            }
+            offsets.push(edges.len() as u32);
+        }
+        let positions: Vec<Point> = net.junctions().map(|j| j.position()).collect();
+        TripRouter {
+            scale: bound_scale(net, &positions),
+            offsets,
+            edges,
+            positions,
+            labels: vec![Label::default(); n],
+            generation: 0,
+            heap: BinaryHeap::new(),
+            settled: 0,
+        }
+    }
+
+    /// The segments of the route from `src` to `dst`: exactly
+    /// `shortest_path(net, src, dst).map(|r| r.segments)` on the map the
+    /// router was built from. `None` when `dst` is unreachable or an id
+    /// is out of range; empty when `src == dst`.
+    pub fn route(&mut self, src: JunctionId, dst: JunctionId) -> Option<Vec<SegmentId>> {
+        let n = self.labels.len();
+        self.settled = 0;
+        if src.index() >= n || dst.index() >= n {
+            return None;
+        }
+        if src == dst {
+            return Some(Vec::new());
+        }
+        if !self.search(src.0, dst.0) {
+            return None;
+        }
+        let mut segments = Vec::new();
+        let mut cur = dst.index();
+        while cur != src.index() {
+            let label = &self.labels[cur];
+            segments.push(SegmentId(self.edges[label.prev_edge as usize].segment));
+            cur = label.prev as usize;
+        }
+        segments.reverse();
+        Some(segments)
+    }
+
+    /// Junctions the last [`route`](Self::route) query settled.
+    pub fn settled(&self) -> usize {
+        self.settled
+    }
+
+    /// Runs one search from `src`; whether it reached `dst`.
+    fn search(&mut self, src: u32, dst: u32) -> bool {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: clear every label once so none reads as current.
+            self.labels.fill(Label::default());
+            self.generation = 1;
+        }
+        let generation = self.generation;
+        let goal = self.scale > 0.0;
+        let target = self.positions[dst as usize];
+        let bound = |p: Point| {
+            if goal {
+                self.scale * p.distance_sq(target).sqrt()
+            } else {
+                0.0
+            }
+        };
+        let unreached = |bound: f64| Label {
+            generation,
+            closed: false,
+            prev: NO_PREV,
+            prev_edge: NO_PREV,
+            dist: f64::INFINITY,
+            bound,
+        };
+        let src_bound = bound(self.positions[src as usize]);
+        self.labels[dst as usize] = unreached(0.0);
+        self.labels[src as usize] = Label {
+            dist: 0.0,
+            ..unreached(src_bound)
+        };
+        self.heap.clear();
+        self.heap.push(Reverse((src_bound.to_bits(), src)));
+        while let Some(Reverse((key, v))) = self.heap.pop() {
+            if goal {
+                let target_dist = self.labels[dst as usize].dist;
+                if f64::from_bits(key) > target_dist + target_dist * SETTLE_SLACK {
+                    break;
+                }
+            }
+            let label = &mut self.labels[v as usize];
+            if label.closed {
+                continue;
+            }
+            if !goal && v == dst {
+                break;
+            }
+            label.closed = true;
+            let dist = label.dist;
+            self.settled += 1;
+            for e in self.offsets[v as usize]..self.offsets[v as usize + 1] {
+                let edge = self.edges[e as usize];
+                let next = dist + edge.length;
+                let w = edge.to as usize;
+                if self.labels[w].generation != generation {
+                    self.labels[w] = unreached(bound(self.positions[w]));
+                }
+                let label = &mut self.labels[w];
+                if next < label.dist {
+                    label.dist = next;
+                    label.prev = v;
+                    label.prev_edge = e;
+                    label.closed = false;
+                    self.heap
+                        .push(Reverse(((next + label.bound).to_bits(), edge.to)));
+                } else if goal && next == label.dist {
+                    // Only reached junctions tie: lengths are positive
+                    // and never round away in goal mode.
+                    let (p, pe) = (label.prev, label.prev_edge);
+                    if (dist, v, e) < (self.labels[p as usize].dist, p, pe) {
+                        let label = &mut self.labels[w];
+                        label.prev = v;
+                        label.prev_edge = e;
+                    }
+                }
+            }
+        }
+        self.labels[dst as usize].dist.is_finite()
+    }
+}
+
+impl fmt::Debug for TripRouter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TripRouter")
+            .field("junctions", &self.labels.len())
+            .field("edges", &self.edges.len())
+            .field("scale", &self.scale)
+            .finish()
+    }
+}
+
+/// The router's bound scale `s` (see [`TripRouter`]), or 0 when no bound
+/// keeps the goal-directed search exact on this map.
+fn bound_scale(net: &RoadNetwork, positions: &[Point]) -> f64 {
+    let finite = positions.iter().all(|p| p.x.is_finite() && p.y.is_finite());
+    let extent = BoundingBox::around(positions.iter().copied());
+    if !finite || !extent.min.distance_sq(extent.max).is_finite() {
+        return 0.0;
+    }
+    let mut ratio = 1.0f64;
+    let mut total = 0.0f64;
+    let mut shortest = f64::INFINITY;
+    for seg in net.segments().filter(|s| !s.length().is_infinite()) {
+        let length = seg.length();
+        total += length;
+        shortest = shortest.min(length);
+        let chord = positions[seg.a().index()]
+            .distance_sq(positions[seg.b().index()])
+            .sqrt();
+        if chord > 0.0 {
+            ratio = ratio.min(length / chord);
+        }
+    }
+    // Distances stay below twice the total length, where one ulp is
+    // under `total · 2^-51`: a length above `total · 2^-50` never rounds
+    // away when added, so Dijkstra settles junctions in `(distance, id)`
+    // order. A zero length fails this too.
+    if !(4.0 * total).is_finite() || shortest <= total * 4.0 * f64::EPSILON {
+        return 0.0;
+    }
+    ratio * (1.0 - BOUND_MARGIN)
 }
 
 /// Unweighted hop distance between two segments under the shared-junction
@@ -282,6 +565,27 @@ mod tests {
     }
 
     #[test]
+    fn router_forgets_old_labels_when_generations_wrap() {
+        let net = grid_city(5, 5, 100.0);
+        let mut router = TripRouter::new(&net);
+        let check = |router: &mut TripRouter, a: u32, b: u32| {
+            let (a, b) = (JunctionId(a), JunctionId(b));
+            assert_eq!(
+                router.route(a, b),
+                shortest_path(&net, a, b).map(|r| r.segments)
+            );
+        };
+        // The first query stamps its labels with generation 1; after the
+        // wrap, generation 1 comes round again and must not see them.
+        check(&mut router, 0, 24);
+        router.generation = u32::MAX;
+        for (a, b) in [(24, 0), (3, 21), (20, 4)] {
+            check(&mut router, a, b);
+        }
+        assert_eq!(router.generation, 3);
+    }
+
+    #[test]
     fn within_hops_matches_hop_distance() {
         let net = grid_city(4, 4, 100.0);
         let center = SegmentId(5);
@@ -290,128 +594,5 @@ mod tests {
             let d = segment_hop_distance(&net, center, s).unwrap();
             assert_eq!(ball.contains(&s), d <= 2, "segment {s} distance {d}");
         }
-    }
-}
-
-/// A* shortest path with the straight-line-distance heuristic.
-///
-/// Returns the same routes as [`shortest_path`] (the heuristic is
-/// admissible because segment lengths are at least the Euclidean distance
-/// between their endpoints) while expanding fewer junctions on large
-/// maps.
-///
-/// ```
-/// use roadnet::{generate::grid_city, path::{astar, shortest_path}, JunctionId};
-/// let net = grid_city(6, 6, 100.0);
-/// let a = astar(&net, JunctionId(0), JunctionId(35)).unwrap();
-/// let d = shortest_path(&net, JunctionId(0), JunctionId(35)).unwrap();
-/// assert!((a.length - d.length).abs() < 1e-9);
-/// ```
-pub fn astar(net: &RoadNetwork, src: JunctionId, dst: JunctionId) -> Option<Route> {
-    let n = net.junction_count();
-    if src.index() >= n || dst.index() >= n {
-        return None;
-    }
-    let goal = net.junction(dst).position();
-    let h = |j: JunctionId| net.junction(j).position().distance(goal);
-    let mut g = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<(JunctionId, SegmentId)>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    g[src.index()] = 0.0;
-    heap.push(HeapEntry {
-        dist: h(src),
-        junction: src.0,
-    });
-    while let Some(HeapEntry { dist: f, junction }) = heap.pop() {
-        let j = JunctionId(junction);
-        if j == dst {
-            break;
-        }
-        // Stale entry: the recorded g plus heuristic is smaller than the
-        // popped f only when this entry was superseded.
-        if f > g[j.index()] + h(j) + 1e-9 {
-            continue;
-        }
-        for &s in net.incident_segments(j) {
-            let seg = net.segment(s);
-            let other = seg.other_endpoint(j).expect("incident segment endpoint");
-            let ng = g[j.index()] + seg.length();
-            if ng < g[other.index()] {
-                g[other.index()] = ng;
-                prev[other.index()] = Some((j, s));
-                heap.push(HeapEntry {
-                    dist: ng + h(other),
-                    junction: other.0,
-                });
-            }
-        }
-    }
-    if g[dst.index()].is_infinite() {
-        return None;
-    }
-    let mut junctions = vec![dst];
-    let mut segments = Vec::new();
-    let mut cur = dst;
-    while cur != src {
-        let (p, s) = prev[cur.index()].expect("path predecessor");
-        junctions.push(p);
-        segments.push(s);
-        cur = p;
-    }
-    junctions.reverse();
-    segments.reverse();
-    Some(Route {
-        junctions,
-        segments,
-        length: g[dst.index()],
-    })
-}
-
-#[cfg(test)]
-mod astar_tests {
-    use super::*;
-    use crate::generate::{grid_city, irregular_city, IrregularConfig};
-
-    #[test]
-    fn astar_matches_dijkstra_on_grid() {
-        let net = grid_city(7, 7, 100.0);
-        for (a, b) in [(0u32, 48u32), (3, 45), (10, 38), (0, 0)] {
-            let d = shortest_path(&net, JunctionId(a), JunctionId(b)).unwrap();
-            let s = astar(&net, JunctionId(a), JunctionId(b)).unwrap();
-            assert!(
-                (d.length - s.length).abs() < 1e-9,
-                "{a}->{b}: dijkstra {} vs astar {}",
-                d.length,
-                s.length
-            );
-        }
-    }
-
-    #[test]
-    fn astar_matches_dijkstra_on_irregular_maps() {
-        for seed in 0..5 {
-            let net = irregular_city(&IrregularConfig {
-                junctions: 150,
-                segments: 200,
-                seed,
-                ..Default::default()
-            });
-            for pair in [(0u32, 149u32), (10, 90), (77, 3)] {
-                let d = shortest_path(&net, JunctionId(pair.0), JunctionId(pair.1)).unwrap();
-                let s = astar(&net, JunctionId(pair.0), JunctionId(pair.1)).unwrap();
-                assert!(
-                    (d.length - s.length).abs() < 1e-6,
-                    "seed {seed} {pair:?}: {} vs {}",
-                    d.length,
-                    s.length
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn astar_unreachable_and_out_of_range() {
-        let net = grid_city(3, 3, 100.0);
-        assert!(astar(&net, JunctionId(0), JunctionId(99)).is_none());
     }
 }
