@@ -9,7 +9,10 @@
 //! ```
 //!
 //! Ids must be dense and in order (the builder assigns them that way); the
-//! parser enforces this so files round-trip exactly.
+//! parser enforces this so files round-trip exactly. Coordinates must be
+//! finite and lengths finite and non-negative: the builder would clamp a
+//! `nan` or negative length to 0, and a non-finite coordinate would give
+//! a default-length road a length of 0 or infinity.
 
 use crate::builder::{BuildError, RoadNetworkBuilder};
 use crate::geometry::Point;
@@ -117,8 +120,8 @@ pub fn read_map<R: BufRead>(r: R) -> Result<RoadNetwork, MapFormatError> {
         match kind {
             "junction" => {
                 let id: u32 = next_field(&mut parts, lineno, "junction id")?;
-                let x: f64 = next_field(&mut parts, lineno, "x")?;
-                let y: f64 = next_field(&mut parts, lineno, "y")?;
+                let x = finite(next_field(&mut parts, lineno, "x")?, lineno, "x")?;
+                let y = finite(next_field(&mut parts, lineno, "y")?, lineno, "y")?;
                 let assigned = b.add_junction(Point::new(x, y));
                 if assigned.0 != id {
                     return Err(MapFormatError::Parse(
@@ -144,9 +147,15 @@ pub fn read_map<R: BufRead>(r: R) -> Result<RoadNetwork, MapFormatError> {
                 }
                 expected_segment += 1;
                 let length: Option<f64> = match parts.next() {
-                    Some(tok) => Some(tok.parse().map_err(|_| {
-                        MapFormatError::Parse(lineno, format!("invalid length `{tok}`"))
-                    })?),
+                    Some(tok) => match tok.parse::<f64>() {
+                        Ok(len) if len.is_finite() && len >= 0.0 => Some(len),
+                        _ => {
+                            return Err(MapFormatError::Parse(
+                                lineno,
+                                format!("invalid length `{tok}`: must be finite and non-negative"),
+                            ))
+                        }
+                    },
                     None => None,
                 };
                 match length {
@@ -167,6 +176,18 @@ pub fn read_map<R: BufRead>(r: R) -> Result<RoadNetwork, MapFormatError> {
         }
     }
     Ok(b.build()?)
+}
+
+/// `value` if it is finite, else a parse error naming the field.
+fn finite(value: f64, lineno: usize, what: &str) -> Result<f64, MapFormatError> {
+    if value.is_finite() {
+        Ok(value)
+    } else {
+        Err(MapFormatError::Parse(
+            lineno,
+            format!("invalid {what} `{value}`: must be finite"),
+        ))
+    }
 }
 
 fn next_field<T: std::str::FromStr>(
@@ -245,6 +266,28 @@ mod tests {
         assert!(
             read_map("junction 0 0 0\njunction 1 1 0\nsegment 0 0 1 banana\n".as_bytes()).is_err()
         );
+    }
+
+    #[test]
+    fn rejects_non_finite_coordinates_and_bad_lengths() {
+        for (text, line) in [
+            ("junction 0 0 0\njunction 1 nan 0\nsegment 0 0 1\n", 2),
+            ("junction 0 0 0\njunction 1 inf 0\nsegment 0 0 1\n", 2),
+            ("junction 0 0 -inf\n", 1),
+            ("junction 0 0 0\njunction 1 1 0\nsegment 0 0 1 inf\n", 3),
+            ("junction 0 0 0\njunction 1 1 0\nsegment 0 0 1 nan\n", 3),
+            ("junction 0 0 0\njunction 1 1 0\nsegment 0 0 1 -5\n", 3),
+            ("junction 0 0 0\njunction 1 1 0\nsegment 0 0 1 1e309\n", 3),
+        ] {
+            let err = read_map(text.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, MapFormatError::Parse(l, _) if l == line),
+                "{text:?}: {err}"
+            );
+        }
+        // Zero stays a valid explicit length.
+        let net = read_map("junction 0 0 0\njunction 1 1 0\nsegment 0 0 1 0\n".as_bytes()).unwrap();
+        assert_eq!(net.segment(crate::SegmentId(0)).length(), 0.0);
     }
 
     #[test]
