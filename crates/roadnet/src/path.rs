@@ -141,7 +141,7 @@ const SETTLE_SLACK: f64 = 1e-9;
 const NO_PREV: u32 = u32::MAX;
 
 /// One direction of a segment in the router's packed adjacency.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 struct Edge {
     to: u32,
     segment: u32,
@@ -150,7 +150,7 @@ struct Edge {
 
 /// A junction's search state. It belongs to the current query only when
 /// `generation` matches the router's; any other label reads as unreached.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Clone, Copy, Default)]
 struct Label {
     generation: u32,
     closed: bool,
@@ -200,7 +200,6 @@ struct Label {
 /// assert_eq!(route, shortest_path(&net, a, b).unwrap().segments);
 /// assert!(router.settled() < net.junction_count());
 /// ```
-#[derive(Clone)]
 pub struct TripRouter {
     /// Edges leaving junction `j` are
     /// `edges[offsets[j] .. offsets[j + 1]]`, in incidence order.

@@ -52,15 +52,13 @@ fn lattice_map(seed: u64, rows: usize, cols: usize, jitter: f64, factors: &[f64]
     let mut ids = Vec::new();
     for r in 0..rows {
         for c in 0..cols {
-            let dx = if jitter > 0.0 {
-                rng.gen_range(-jitter..jitter)
+            let (dx, dy) = if jitter > 0.0 {
+                (
+                    rng.gen_range(-jitter..jitter),
+                    rng.gen_range(-jitter..jitter),
+                )
             } else {
-                0.0
-            };
-            let dy = if jitter > 0.0 {
-                rng.gen_range(-jitter..jitter)
-            } else {
-                0.0
+                (0.0, 0.0)
             };
             ids.push(b.add_junction(Point::new(c as f64 * 100.0 + dx, r as f64 * 100.0 + dy)));
         }
