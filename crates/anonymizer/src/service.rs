@@ -640,7 +640,7 @@ impl AnonymizerService {
     /// [`anonymize_batch`](Self::anonymize_batch): cloaks a run of
     /// requests against **one** snapshot handle through
     /// [`cloak::anonymize_batch_with_scratch`], so the whole run shares
-    /// the region bitset, the transition-table rows/columns, and the
+    /// one cloaking region, the transition-table rows/columns, and the
     /// structure-of-arrays round/hint arenas. `keyed` is the run's slice
     /// of the [`derive_batch_keys`](Self::derive_batch_keys) pre-pass, so
     /// receipts are bit-identical to the sequential path.
@@ -732,7 +732,10 @@ impl AnonymizerService {
     /// Each worker drives its chunks through the owner-batched core
     /// ([`cloak::anonymize_batch_with_scratch`]) with one
     /// [`BatchCloakScratch`]: the chunk shares one snapshot handle, one
-    /// region bitset, and the structure-of-arrays round/hint arenas.
+    /// cloaking region, and the structure-of-arrays round/hint arenas.
+    /// The scratch is built per worker per call, so every call allocates
+    /// one full-map region bitset per worker; owners within the call
+    /// reset it in O(previous region).
     ///
     /// Parallelism comes from
     /// [`AnonymizerConfig::batch_parallelism`] (`0` = all available

@@ -16,7 +16,9 @@
 //!   captures the global simulation *masked to its partition* and swaps
 //!   it into its own service. A receipt is k-anonymous and reversible
 //!   against the snapshot of the shard that issued it, and later swaps
-//!   on any shard never retroactively invalidate it;
+//!   on any shard never retroactively invalidate it. Each refresh
+//!   allocates and fills one full-map count vector per shard, so it
+//!   costs O(shards × segments), not O(partition);
 //! * **owner handoff at tick boundaries** — when a car crosses a
 //!   partition boundary, its owner's live state (forward-secret chain,
 //!   stored record with its captured grants) migrates through
@@ -640,8 +642,9 @@ impl std::fmt::Debug for ShardedPipeline {
 impl MultiShard {
     /// Captures the simulation once and swaps each shard's service to a
     /// fresh snapshot masked to its partition: occupancy outside the
-    /// shard is invisible to it, so capture-and-swap cost scales with
-    /// the partition, not the city.
+    /// shard is invisible to it. The masked snapshot is a full-map
+    /// vector built anew for every shard, so a refresh allocates and
+    /// scans O(shards × segments), however small each partition is.
     fn refresh_snapshots(&mut self) {
         self.sim.occupancy_into(&mut self.counts);
         for (p, shard) in self.shards.iter().enumerate() {

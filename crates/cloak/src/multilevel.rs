@@ -324,7 +324,8 @@ pub struct BatchCloakItem<'a> {
 /// single pass over shared scratch state — the owner-batched form of
 /// [`anonymize_with_retry_scratch`].
 ///
-/// All owners share one region bitset, one engine [`StepScratch`]
+/// All owners share one [`RegionState`] (reset per owner, which clears
+/// only the previous owner's members), one engine [`StepScratch`]
 /// (the table rows/columns every expansion walks over), and one pair of
 /// structure-of-arrays metadata arenas: each owner's per-level round and
 /// hint words land in a contiguous lane of a shared row-major `u32`

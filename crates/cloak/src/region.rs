@@ -8,10 +8,20 @@ use roadnet::{BoundingBox, RoadNetwork, SegmentId};
 /// (forward step `t` starts from the same state backward step `t` ends
 /// at), so all derived quantities — sorted orders, frontier, totals — are
 /// pure functions of the member set.
+///
+/// Membership is held twice: a dense bitset for `O(1)` [`contains`]
+/// and an ascending member list that every walk over the region reads,
+/// so a step costs `O(region)`, not `O(segments)`. Only
+/// [`reset_for`](RegionState::reset_for) on a network of a different
+/// size touches the whole bitset. The list stays in ascending id order
+/// because the payload's segment order, the deanonymizer's bootstrap
+/// tag search and the bounding box's expansion order all follow it.
+///
+/// [`contains`]: RegionState::contains
 #[derive(Debug, Clone)]
 pub struct RegionState {
     members: Vec<bool>,
-    count: usize,
+    ids: Vec<SegmentId>,
     total_length: f64,
     bbox: BoundingBox,
 }
@@ -22,7 +32,7 @@ impl Default for RegionState {
     fn default() -> Self {
         RegionState {
             members: Vec::new(),
-            count: 0,
+            ids: Vec::new(),
             total_length: 0.0,
             bbox: BoundingBox::empty(),
         }
@@ -38,12 +48,20 @@ impl RegionState {
     }
 
     /// Empties the region and (re)sizes it for `net`, reusing the
-    /// membership buffer — the scratch-pool path that avoids the
-    /// per-request `vec![false; n]` of [`new`](RegionState::new).
+    /// membership buffers — the scratch-pool path that avoids the
+    /// per-request `vec![false; n]` of [`new`](RegionState::new). Clears
+    /// only the current members' bits; the full `O(segments)` resize
+    /// happens only when `net`'s segment count differs from the last.
     pub fn reset_for(&mut self, net: &RoadNetwork) {
-        self.members.clear();
-        self.members.resize(net.segment_count(), false);
-        self.count = 0;
+        if self.members.len() == net.segment_count() {
+            for s in &self.ids {
+                self.members[s.index()] = false;
+            }
+        } else {
+            self.members.clear();
+            self.members.resize(net.segment_count(), false);
+        }
+        self.ids.clear();
         self.total_length = 0.0;
         self.bbox = BoundingBox::empty();
     }
@@ -68,12 +86,12 @@ impl RegionState {
 
     /// Number of segments in the region (`δl` check).
     pub fn len(&self) -> usize {
-        self.count
+        self.ids.len()
     }
 
     /// Whether the region is empty.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.ids.is_empty()
     }
 
     /// Total road length of the region in meters.
@@ -100,7 +118,8 @@ impl RegionState {
             return false;
         }
         self.members[s.index()] = true;
-        self.count += 1;
+        let at = self.ids.partition_point(|&m| m < s);
+        self.ids.insert(at, s);
         let seg = net.segment(s);
         self.total_length += seg.length();
         self.bbox.expand(net.junction(seg.a()).position());
@@ -117,7 +136,8 @@ impl RegionState {
             return false;
         }
         self.members[s.index()] = false;
-        self.count -= 1;
+        let at = self.ids.partition_point(|&m| m < s);
+        self.ids.remove(at);
         self.total_length -= net.segment(s).length();
         if self.total_length < 0.0 {
             self.total_length = 0.0;
@@ -129,16 +149,12 @@ impl RegionState {
     /// Member ids in ascending id order (the public, chain-order-free view
     /// that goes into the payload).
     pub fn iter_ids(&self) -> impl Iterator<Item = SegmentId> + '_ {
-        self.members
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m)
-            .map(|(i, _)| SegmentId(i as u32))
+        self.ids.iter().copied()
     }
 
     /// Member ids collected in ascending id order.
     pub fn to_sorted_ids(&self) -> Vec<SegmentId> {
-        self.iter_ids().collect()
+        self.ids.clone()
     }
 
     /// Members sorted by `(length, id)` — the row order of the RGE
@@ -155,7 +171,7 @@ impl RegionState {
     /// path engine steps use.
     pub fn sorted_by_length_into(&self, net: &RoadNetwork, out: &mut Vec<SegmentId>) {
         out.clear();
-        out.extend(self.iter_ids());
+        out.extend_from_slice(&self.ids);
         out.sort_by(|&a, &b| {
             net.segment(a)
                 .length()

@@ -94,8 +94,8 @@ impl StepScratch {
     }
 }
 
-/// Per-worker buffers for whole (de)anonymization runs: the region
-/// membership bitset, the engine [`StepScratch`], the keyed-stream
+/// Per-worker buffers for whole (de)anonymization runs: the cloaking
+/// region, the engine [`StepScratch`], the keyed-stream
 /// context byte buffer, and the per-level round/hint buffers.
 ///
 /// One `CloakScratch` per worker thread makes the anonymize → verify
@@ -103,7 +103,8 @@ impl StepScratch {
 /// [module docs](self) for the reuse contract.
 #[derive(Debug, Clone, Default)]
 pub struct CloakScratch {
-    /// The evolving cloaking region (membership bitset + cached totals).
+    /// The evolving cloaking region (membership bitset, ascending member
+    /// list, cached totals).
     pub(crate) region: RegionState,
     /// Engine per-step buffers.
     pub(crate) step: StepScratch,
@@ -126,7 +127,7 @@ impl CloakScratch {
 /// snapshot** in a single pass
 /// ([`crate::multilevel::anonymize_batch_with_scratch`]).
 ///
-/// The shared per-step state (region bitset, table rows/columns, dedup
+/// The shared per-step state (region, table rows/columns, dedup
 /// stamps) is reused across every owner in the batch, and the per-level
 /// round/hint metadata is laid out structure-of-arrays: one contiguous
 /// row-major `u32` arena per kind, with `lanes` recording each owner's
@@ -138,8 +139,10 @@ impl CloakScratch {
 /// yields bit-identical results, one scratch per worker thread.
 #[derive(Debug, Clone, Default)]
 pub struct BatchCloakScratch {
-    /// The evolving cloaking region, shared across the batch (reset per
-    /// owner; the membership bitset is sized once per network).
+    /// The evolving cloaking region, shared across the batch. It is
+    /// reset per owner, which clears only the previous owner's members;
+    /// the full-map bitset is allocated once per scratch (and again if
+    /// the network's segment count changes).
     pub(crate) region: RegionState,
     /// Engine per-step buffers — the shared table rows/columns every
     /// owner's expansion walks over.
