@@ -141,8 +141,8 @@ impl CloakScratch {
 pub struct BatchCloakScratch {
     /// The evolving cloaking region, shared across the batch. It is
     /// reset per owner, which clears only the previous owner's members;
-    /// the full-map bitset is allocated once per scratch (and again if
-    /// the network's segment count changes).
+    /// the full-map bitset is allocated once per scratch and resized
+    /// only when the network's segment count changes.
     pub(crate) region: RegionState,
     /// Engine per-step buffers — the shared table rows/columns every
     /// owner's expansion walks over.

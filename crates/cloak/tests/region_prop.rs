@@ -11,10 +11,10 @@
 //!
 //! One `RegionState` is reused across maps: a 3×3 grid, a 2,000-segment
 //! city, a different city with the same segment count (so `reset_for`
-//! keeps the bitset and must clear it member by member), back to the
-//! first city, back to the grid, and a small map whose coordinates
-//! carry signed zeros and a NaN. Deterministic per `PROPTEST_SEED`; CI
-//! sweeps several seeds in its `fuzz-smoke` job.
+//! resizes nothing and only its member-by-member clear empties the
+//! bitset), back to the first city, back to the grid, and a small map
+//! whose coordinates carry signed zeros and a NaN. Deterministic per
+//! `PROPTEST_SEED`; CI sweeps several seeds in its `fuzz-smoke` job.
 
 use cloak::frontier::{candidates, sort_by_length};
 use cloak::RegionState;
