@@ -209,8 +209,11 @@ fn load_map(opts: &Opts) -> Result<RoadNetwork, String> {
             .split_once(':')
             .and_then(|(s, n)| Some((s.parse().ok()?, n.parse().ok()?)))
             .ok_or("--map city: expects city:SEED:SEGMENTS, e.g. city:7:100000")?;
-        if segments < 2 {
-            return Err(format!("--map {path}: need at least 2 segments"));
+        if segments < roadnet::citygen::MIN_CITY_SEGMENTS {
+            return Err(format!(
+                "--map {path}: a generated city needs at least {} segments",
+                roadnet::citygen::MIN_CITY_SEGMENTS
+            ));
         }
         return Ok(roadnet::city_map(seed, segments));
     }
@@ -366,7 +369,7 @@ fn traffic_snapshot(opts: &Opts, net: RoadNetwork) -> (RoadNetwork, OccupancySna
     );
     sim.run(3, 10.0);
     let snapshot = OccupancySnapshot::capture(&sim);
-    (sim.network().clone(), snapshot)
+    (sim.network().share_index(), snapshot)
 }
 
 /// Cumulative level regions from an outcome (seed + per-level spans).

@@ -470,7 +470,8 @@ impl ContinuousPipeline {
         store: Arc<dyn ChainStore>,
     ) -> Result<Self, JournalError> {
         let top_simulated_speed = sim_cfg.speed_range.1;
-        let sim = Simulation::new(net.clone(), sim_cfg);
+        // One graph index for the simulation's trip router and the service.
+        let sim = Simulation::new(net.share_index(), sim_cfg);
         let injector = cfg
             .fault
             .clone()
@@ -1103,6 +1104,15 @@ mod tests {
             },
             cfg,
         )
+    }
+
+    #[test]
+    fn simulation_and_service_share_one_graph_index() {
+        let p = pipeline(EngineChoice::Rge, PipelineConfig::default());
+        assert!(std::ptr::eq(
+            p.sim().network().graph_index(),
+            p.service().network().graph_index()
+        ));
     }
 
     #[test]

@@ -184,6 +184,31 @@ fn cli_rejects_bad_input() {
 }
 
 #[test]
+fn cli_rejects_generated_cities_below_the_generator_minimum() {
+    let min = roadnet::citygen::MIN_CITY_SEGMENTS;
+    let out = rcloak()
+        .args(["simulate", "--ticks", "1", "--cars", "20"])
+        .args(["--map", &format!("city:7:{}", min - 1)])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("error:") && stderr.contains(&min.to_string()));
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    // The minimum itself generates and simulates.
+    let out = rcloak()
+        .args(["simulate", "--ticks", "1", "--cars", "20"])
+        .args(["--map", &format!("city:7:{min}")])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
 fn cli_batch_anonymizes_a_csv_of_requests() {
     let map = tmp("batch.map");
     let input = tmp("batch-requests.csv");

@@ -56,7 +56,7 @@ impl World {
         let snapshot = OccupancySnapshot::capture(&sim);
         let occupied = snapshot.occupied_segments().collect();
         World {
-            net: sim.network().clone(),
+            net: sim.network().share_index(),
             snapshot,
             occupied,
         }

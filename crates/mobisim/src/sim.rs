@@ -6,7 +6,12 @@
 //! speed; on arrival a fresh random destination is chosen. One
 //! [`TripRouter`], built with the simulation, plans every trip: it returns
 //! the segments [`roadnet::shortest_path`] would, searching a fraction of
-//! the map per trip.
+//! the map per trip. The router reads the landmark table of the network's
+//! [`roadnet::GraphIndex`]. On a network with no index yet,
+//! [`Simulation::new`] builds one, spreading its landmark rows over one
+//! scoped thread per core. A caller that already holds an indexed
+//! network hands the simulation a [`RoadNetwork::share_index`] copy
+//! rather than a plain clone, which would build a second index.
 
 use crate::behavior::{BehaviorKind, BehaviorMix, CarBehavior, CommutePhase, RushSchedule};
 use crate::car::{Car, CarId, RoadPosition};

@@ -58,6 +58,10 @@ const SPINES: usize = 2;
 /// degree lands near the OSM-typical ≈2.6.
 const SEGMENTS_PER_JUNCTION: f64 = 1.32;
 
+/// The fewest segments [`city`] accepts: below it the backbone alone
+/// does not fit.
+pub const MIN_CITY_SEGMENTS: usize = 256;
+
 /// Configuration for [`city`].
 #[derive(Debug, Clone)]
 pub struct CityConfig {
@@ -94,8 +98,8 @@ pub fn city_map(seed: u64, segments: usize) -> RoadNetwork {
 ///
 /// # Panics
 ///
-/// Panics if `cfg.segments < 256` (the backbone alone needs room) or
-/// `cfg.spacing` is not strictly positive.
+/// Panics if `cfg.segments` is below [`MIN_CITY_SEGMENTS`] (the
+/// backbone alone needs room) or `cfg.spacing` is not strictly positive.
 ///
 /// ```
 /// use roadnet::citygen::city_map;
@@ -104,7 +108,10 @@ pub fn city_map(seed: u64, segments: usize) -> RoadNetwork {
 /// assert!(net.is_connected());
 /// ```
 pub fn city(cfg: &CityConfig) -> RoadNetwork {
-    assert!(cfg.segments >= 256, "city generator needs >= 256 segments");
+    assert!(
+        cfg.segments >= MIN_CITY_SEGMENTS,
+        "city generator needs >= {MIN_CITY_SEGMENTS} segments"
+    );
     assert!(cfg.spacing > 0.0, "spacing must be positive");
     let s = cfg.spacing;
     let mut rng = StdRng::seed_from_u64(cfg.seed);

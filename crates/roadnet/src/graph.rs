@@ -265,8 +265,9 @@ impl RoadNetwork {
     /// every subsequent caller.
     ///
     /// The index is read-only derived state: it accelerates queries
-    /// (goal-directed LBS search, adversary movement pruning) without
-    /// influencing any cloaking draw, so receipt streams are
+    /// (goal-directed LBS search, the [`TripRouter`](crate::TripRouter)'s
+    /// landmark bound, adversary movement pruning) without influencing
+    /// any cloaking draw or any route, so receipt streams are
     /// byte-identical with or without it.
     ///
     /// ```
@@ -280,7 +281,7 @@ impl RoadNetwork {
         self.graph_index_arc()
     }
 
-    fn graph_index_arc(&self) -> &Arc<GraphIndex> {
+    pub(crate) fn graph_index_arc(&self) -> &Arc<GraphIndex> {
         self.graph_index
             .0
             .get_or_init(|| Arc::new(GraphIndex::build(self)))

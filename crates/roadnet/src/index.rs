@@ -9,8 +9,9 @@
 //!   ALT-style [`LandmarkTable`] of exact road distances from a handful
 //!   of far-apart junctions, and word-packed bounded-hop
 //!   [`ReachIndex`] reachability masks. Query-time consumers (the LBS
-//!   candidate search, the temporal adversary's movement model) trade
-//!   per-query graph traversals for lookups into these tables — the
+//!   candidate search, the trip router's landmark bound, the temporal
+//!   adversary's movement model) trade per-query graph traversals for
+//!   lookups into these tables — the
 //!   amortize-the-setup pattern the ROADMAP's hardware-speed goal calls
 //!   for. The index is derived state: it never feeds the cloaking
 //!   draws, so receipts are byte-identical with or without it.
@@ -385,6 +386,12 @@ impl LandmarkTable {
         &self.dist[l * self.junctions..(l + 1) * self.junctions]
     }
 
+    /// Every row of [`distances`](Self::distances), landmark-major, in
+    /// one slice.
+    pub(crate) fn rows(&self) -> &[f64] {
+        &self.dist
+    }
+
     /// A lower bound on the road distance between two junctions:
     /// `max_l |d(l,a) − d(l,b)|`. Returns `f64::INFINITY` exactly when
     /// some landmark proves the junctions lie in different components.
@@ -652,6 +659,11 @@ fn dilate_rows(
 /// plus a per-hop-budget cache of [`ReachIndex`]es. Obtain one through
 /// [`RoadNetwork::graph_index`] (built lazily, shared by every reader)
 /// or build standalone with [`GraphIndex::build`].
+///
+/// Every [`TripRouter`](crate::TripRouter), and so every
+/// `mobisim::Simulation`, reads the landmark table through
+/// [`RoadNetwork::graph_index`]; [`RoadNetwork::share_index`] lets a
+/// simulation and the services beside it use one index.
 #[derive(Debug)]
 pub struct GraphIndex {
     landmarks: LandmarkTable,

@@ -8,9 +8,11 @@
 
 use crate::geometry::{BoundingBox, Point};
 use crate::graph::{JunctionId, RoadNetwork, SegmentId};
+use crate::index::GraphIndex;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A shortest route between two junctions.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,8 +131,9 @@ pub fn shortest_path(net: &RoadNetwork, src: JunctionId, dst: JunctionId) -> Opt
     })
 }
 
-/// Relative amount the bound scale is shrunk by, so rounding in chords
-/// and ratios cannot lift the bound above a road's length.
+/// Relative amount both bounds are shrunk by (`m` in [`TripRouter`]'s
+/// Bound rule), so rounding in chords, ratios and landmark rows cannot
+/// make a bound change across a road by more than the road's length.
 const BOUND_MARGIN: f64 = 1e-9;
 
 /// Relative float slack on the target's distance in the stopping rule:
@@ -173,15 +176,43 @@ struct Label {
 /// Three rules keep every route byte-identical to Dijkstra's, ties
 /// included:
 ///
-/// * **Bound.** A junction's key is its distance plus `s` times its
-///   straight-line distance to the target, where `s` is the map's
-///   smallest segment length/chord ratio, capped at 1 and shrunk by a
-///   relative 1e-9, so `s · chord` never exceeds a road's length. The
-///   router falls back to plain Dijkstra, which stops at the target's
-///   first pop exactly as [`shortest_path`] does, when a coordinate or
-///   the map's extent is not finite, a segment has zero length, or a
-///   length is so small next to the map's total that adding it to a
-///   distance could round away. Without those, Dijkstra settles
+/// * **Bound.** A junction's key is its distance plus the larger of two
+///   lower bounds on its road distance to the target `t`. Each is
+///   consistent: across a road of length `ℓ` it changes by at most `ℓ`,
+///   and it is 0 at `t`. The larger of two consistent bounds is
+///   consistent too. Both are computed once per junction per query.
+///   - *Euclidean:* `s` times the straight-line distance to `t`, where
+///     `s` is the map's smallest segment length/chord ratio, capped at 1
+///     and shrunk by a relative `m` = 1e-9, so `s · chord` never exceeds
+///     a road's length.
+///   - *Landmark* (ALT; Goldberg & Harrelson, SODA 2005):
+///     `(1 − m) · max_l |D_l(v) − D_l(t)|` over the rows `D_l` of the
+///     map's [`GraphIndex`] landmark table ([`RoadNetwork::graph_index`],
+///     built on first use), read in place: the router holds the map's
+///     shared index and copies no row.
+///     The rows carry float rounding, so consistency needs an argument.
+///     With `u` = 2⁻⁵³ the unit roundoff and `D` the largest landmark
+///     distance: the index's Dijkstra expands each junction once, at its
+///     final float distance, and relaxes every road from it, so across a
+///     road `(x, y)` each row keeps `|D_l(x) − D_l(y)| ≤ ℓ(1 + u) + u·D`.
+///     The subtraction and the `1 − m` scaling round once more each, so
+///     the term changes across the road by at most
+///     `ℓ(1 − m + 3u) + 6u·D`. That is at most `ℓ` whenever
+///     `m·ℓ ≥ 3u·ℓ + 6u·D`, and because `3u < m / 2`, the check
+///     `m·ℓ_min ≥ 12u·D` on the map's shortest road implies it for every
+///     road.
+///   - The landmark term is off, leaving the Euclidean bound alone, when
+///     the router runs plain Dijkstra (below), the index has no
+///     landmarks, a row is not finite everywhere (a disconnected map), a
+///     row's length is not the map's junction count (an index installed
+///     from another map), or the shortest road fails the check above.
+///     Nothing else selects it: no setting and no map size.
+///
+///   The router falls back to plain Dijkstra, which stops at the
+///   target's first pop exactly as [`shortest_path`] does, when a
+///   coordinate or the map's extent is not finite, a segment has zero
+///   length, or a length is so small next to the map's total that adding
+///   it to a distance could round away. Without those, Dijkstra settles
 ///   junctions in `(distance, id)` order, which the tie rule relies on.
 /// * **Stopping.** The search settles junctions until the smallest
 ///   queued key exceeds the target's distance plus a relative 1e-9
@@ -208,6 +239,9 @@ pub struct TripRouter {
     positions: Vec<Point>,
     /// The bound scale `s`; 0 selects plain Dijkstra.
     scale: f64,
+    /// The map's index, read for the landmark term; `None` turns the
+    /// term off.
+    index: Option<Arc<GraphIndex>>,
     labels: Vec<Label>,
     generation: u32,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
@@ -215,7 +249,9 @@ pub struct TripRouter {
 }
 
 impl TripRouter {
-    /// Builds the router's packed adjacency and bound scale from `net`.
+    /// Builds the router's packed adjacency and bound scale from `net`,
+    /// and takes a share of the map's [`GraphIndex`], building it on
+    /// first use, unless the map runs plain Dijkstra.
     pub fn new(net: &RoadNetwork) -> TripRouter {
         let n = net.junction_count();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -239,8 +275,15 @@ impl TripRouter {
             offsets.push(edges.len() as u32);
         }
         let positions: Vec<Point> = net.junctions().map(|j| j.position()).collect();
+        let scale = bound_scale(net, &positions);
+        let index = if scale > 0.0 {
+            landmark_index(net, &edges)
+        } else {
+            None
+        };
         TripRouter {
-            scale: bound_scale(net, &positions),
+            scale,
+            index,
             offsets,
             edges,
             positions,
@@ -294,12 +337,24 @@ impl TripRouter {
         let generation = self.generation;
         let goal = self.scale > 0.0;
         let target = self.positions[dst as usize];
-        let bound = |p: Point| {
-            if goal {
-                self.scale * p.distance_sq(target).sqrt()
-            } else {
-                0.0
+        let n = self.labels.len();
+        let rows = self
+            .index
+            .as_deref()
+            .map_or(&[][..], |i| i.landmarks().rows());
+        let bound = |v: usize| {
+            if !goal {
+                return 0.0;
             }
+            let mut alt = 0.0f64;
+            for row in rows.chunks_exact(n) {
+                let gap = (row[v] - row[dst as usize]).abs();
+                if gap > alt {
+                    alt = gap;
+                }
+            }
+            (self.scale * self.positions[v].distance_sq(target).sqrt())
+                .max(alt * (1.0 - BOUND_MARGIN))
         };
         let unreached = |bound: f64| Label {
             generation,
@@ -309,7 +364,7 @@ impl TripRouter {
             dist: f64::INFINITY,
             bound,
         };
-        let src_bound = bound(self.positions[src as usize]);
+        let src_bound = bound(src as usize);
         self.labels[dst as usize] = unreached(0.0);
         self.labels[src as usize] = Label {
             dist: 0.0,
@@ -339,7 +394,7 @@ impl TripRouter {
                 let next = dist + edge.length;
                 let w = edge.to as usize;
                 if self.labels[w].generation != generation {
-                    self.labels[w] = unreached(bound(self.positions[w]));
+                    self.labels[w] = unreached(bound(w));
                 }
                 let label = &mut self.labels[w];
                 if next < label.dist {
@@ -371,6 +426,10 @@ impl fmt::Debug for TripRouter {
             .field("junctions", &self.labels.len())
             .field("edges", &self.edges.len())
             .field("scale", &self.scale)
+            .field(
+                "landmarks",
+                &self.index.as_ref().map_or(0, |i| i.landmarks().count()),
+            )
             .finish()
     }
 }
@@ -405,6 +464,27 @@ fn bound_scale(net: &RoadNetwork, positions: &[Point]) -> f64 {
         return 0.0;
     }
     ratio * (1.0 - BOUND_MARGIN)
+}
+
+/// A share of `net`'s index when its landmark term can be shown exact
+/// (see [`TripRouter`]), or `None`. `edges` are the roads the router
+/// relaxes.
+fn landmark_index(net: &RoadNetwork, edges: &[Edge]) -> Option<Arc<GraphIndex>> {
+    let index = Arc::clone(net.graph_index_arc());
+    let table = index.landmarks();
+    let rows = table.rows();
+    let n = net.junction_count();
+    if table.count() == 0 || rows.len() != table.count() * n {
+        return None;
+    }
+    // `D`: infinite where a junction is unreachable from a landmark.
+    let farthest = rows.iter().copied().fold(0.0, f64::max);
+    let shortest = edges.iter().map(|e| e.length).fold(f64::INFINITY, f64::min);
+    // `m·ℓ_min ≥ 12u·D`, with `f64::EPSILON` = 2u.
+    if !farthest.is_finite() || BOUND_MARGIN * shortest < 6.0 * f64::EPSILON * farthest {
+        return None;
+    }
+    Some(index)
 }
 
 /// Unweighted hop distance between two segments under the shared-junction
@@ -582,6 +662,69 @@ mod tests {
             check(&mut router, a, b);
         }
         assert_eq!(router.generation, 3);
+    }
+
+    #[test]
+    fn landmark_term_is_off_where_it_cannot_be_shown_exact() {
+        use crate::citygen::city_map;
+        use crate::index::{GraphIndex, IndexBudget};
+        let term = |net: &RoadNetwork| {
+            let router = TripRouter::new(net);
+            assert!(router.scale > 0.0, "the Euclidean bound stays on");
+            router.index.map_or(0, |i| i.landmarks().count())
+        };
+        let index = |net: &RoadNetwork, landmarks: usize| {
+            let budget = IndexBudget {
+                landmarks,
+                reach_hop_cap: 0,
+            };
+            GraphIndex::build_with(net, &budget, 1)
+        };
+
+        // Disconnected: two 3 × 3 grids side by side.
+        let mut b = RoadNetworkBuilder::new();
+        for island in [0.0, 1_000.0] {
+            let base = grid_city(3, 3, 100.0);
+            let first = b.junction_count() as u32;
+            for j in base.junctions() {
+                let p = j.position();
+                b.add_junction(Point::new(p.x + island, p.y));
+            }
+            for seg in base.segments() {
+                let (a, c) = (JunctionId(seg.a().0 + first), JunctionId(seg.b().0 + first));
+                b.add_segment(a, c).unwrap();
+            }
+        }
+        assert_eq!(term(&b.build().unwrap()), 0);
+
+        // An index built with no landmarks.
+        let net = grid_city(5, 5, 100.0);
+        assert!(net.install_graph_index(index(&net, 0)));
+        assert_eq!(term(&net), 0);
+
+        // An index from a map with another junction count.
+        let net = grid_city(5, 5, 100.0);
+        assert!(net.install_graph_index(index(&grid_city(6, 6, 100.0), 4)));
+        assert_eq!(term(&net), 0);
+
+        // A 1 mm road at the end of a 10 km street: `m·ℓ` = 1e-12 is
+        // below `12u·D` ≈ 1.3e-11.
+        let mut b = RoadNetworkBuilder::new();
+        let mut prev = b.add_junction(Point::new(0.0, 0.0));
+        for i in 1..=100 {
+            let next = b.add_junction(Point::new(i as f64 * 100.0, 0.0));
+            b.add_segment(prev, next).unwrap();
+            prev = next;
+        }
+        let end = b.add_junction(Point::new(10_000.001, 0.0));
+        b.add_segment_with_length(prev, end, 0.001).unwrap();
+        assert_eq!(term(&b.build().unwrap()), 0);
+
+        // The same street without it keeps every landmark.
+        let net = grid_city(1, 101, 100.0);
+        assert!(term(&net) > 0);
+        let net = city_map(7, 2_000);
+        assert_eq!(term(&net), crate::index::DEFAULT_LANDMARKS);
     }
 
     #[test]

@@ -6,14 +6,17 @@
 //! The maps cover the router's exactness rules: square grids (equal-length
 //! ties everywhere), generated irregular and city maps, builder maps with
 //! lengths below the chord, a zero-length segment, coincident junctions,
-//! non-finite coordinates, and a disconnected map.
+//! non-finite coordinates, and a disconnected map. The landmark term gets
+//! its own maps: indexes installed with 1, 2 and 16 landmarks, maps whose
+//! roads are much longer than their chords (so landmarks, not chords,
+//! order the keys), and a map whose millimetre road turns the term off.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use roadnet::{
-    city_map, grid_city, irregular_city, path::shortest_path, IrregularConfig, JunctionId, Point,
-    RoadNetwork, RoadNetworkBuilder, TripRouter,
+    city_map, grid_city, irregular_city, path::shortest_path, GraphIndex, IndexBudget,
+    IrregularConfig, JunctionId, Point, RoadNetwork, RoadNetworkBuilder, TripRouter,
 };
 
 /// Checks `pairs` random pairs (plus every pair on maps of up to 40
@@ -107,10 +110,11 @@ fn city_maps_route_like_dijkstra_and_search_less() {
     for seed in [1, 7, 23] {
         let net = city_map(seed, 1_500);
         let settled = assert_router_matches_dijkstra(&net, 400, seed);
-        // Dijkstra settles about half the map per random trip; the bound
-        // must keep the router well under that.
+        // Dijkstra settles about half the map per random trip. With the
+        // landmark term the router settles 3.4-4.0 % of it; with the
+        // Euclidean bound alone, 11-13 %.
         assert!(
-            settled < 0.3 * net.junction_count() as f64,
+            settled < 0.07 * net.junction_count() as f64,
             "city {seed}: {settled:.0} of {} junctions settled per route",
             net.junction_count()
         );
@@ -285,6 +289,82 @@ fn hand_built_tie_traps_route_like_dijkstra() {
     assert_eq!(expected.junctions, [0, 5, 10].map(JunctionId));
     let expected = shortest_path(&stopping, JunctionId(3), JunctionId(0)).unwrap();
     assert_eq!(expected.junctions, [3, 1, 0].map(JunctionId));
+}
+
+/// `net` with an index of `landmarks` landmarks installed in place of
+/// the default one.
+fn with_landmarks(net: RoadNetwork, landmarks: usize) -> RoadNetwork {
+    let index = GraphIndex::build_with(
+        &net,
+        &IndexBudget {
+            landmarks,
+            reach_hop_cap: 0,
+        },
+        1,
+    );
+    assert!(net.install_graph_index(index));
+    net
+}
+
+#[test]
+fn installed_landmark_counts_route_like_dijkstra() {
+    for landmarks in [1, 2, 16] {
+        for seed in [3, 11] {
+            let net = with_landmarks(city_map(seed, 900), landmarks);
+            assert_router_matches_dijkstra(&net, 300, seed);
+            let net = with_landmarks(lattice_map(seed, 8, 9, 25.0, &[0.6, 1.0, 2.5]), landmarks);
+            assert_router_matches_dijkstra(&net, 400, seed);
+        }
+        let net = with_landmarks(grid_city(9, 7, 50.0), landmarks);
+        assert_router_matches_dijkstra(&net, 400, landmarks as u64);
+    }
+}
+
+/// Roads three to eight times longer than their chords: the Euclidean
+/// bound sees a fraction of each distance, so the landmark term orders
+/// the keys, and the whole-number lengths tie often. The router settles
+/// fewer junctions than it does with the landmarks taken away.
+#[test]
+fn long_roads_route_like_dijkstra_with_landmarks_ordering_the_keys() {
+    for seed in 0..4 {
+        for (jitter, factors) in [(0.0, &[5.0][..]), (30.0, &[3.0, 5.0, 8.0][..])] {
+            let net = lattice_map(seed, 9, 10, jitter, factors);
+            let with = assert_router_matches_dijkstra(&net, 600, seed);
+            let net = with_landmarks(lattice_map(seed, 9, 10, jitter, factors), 0);
+            let without = assert_router_matches_dijkstra(&net, 600, seed);
+            assert!(
+                with < without,
+                "seed {seed}: {with:.1} settled with landmarks, {without:.1} without"
+            );
+        }
+    }
+}
+
+/// A 2 × 120 ladder of 100 m roads whose lower rail has one 1 mm road.
+/// That road is too short for the landmark rows' rounding, so the
+/// router keeps only the Euclidean bound there.
+#[test]
+fn a_millimetre_road_routes_like_dijkstra() {
+    let mut b = RoadNetworkBuilder::new();
+    let lower: Vec<JunctionId> = (0..120)
+        .map(|i| b.add_junction(Point::new(i as f64 * 100.0, 0.0)))
+        .collect();
+    let upper: Vec<JunctionId> = (0..120)
+        .map(|i| b.add_junction(Point::new(i as f64 * 100.0, 100.0)))
+        .collect();
+    let short = b.add_junction(Point::new(6_000.001, 0.0));
+    for i in 0..120 {
+        b.add_segment(lower[i], upper[i]).unwrap();
+        if i + 1 < 120 {
+            b.add_segment(upper[i], upper[i + 1]).unwrap();
+            if i != 60 {
+                b.add_segment(lower[i], lower[i + 1]).unwrap();
+            }
+        }
+    }
+    b.add_segment_with_length(lower[60], short, 0.001).unwrap();
+    b.add_segment_with_length(short, lower[61], 99.999).unwrap();
+    assert_router_matches_dijkstra(&b.build().unwrap(), 2_000, 13);
 }
 
 proptest! {
