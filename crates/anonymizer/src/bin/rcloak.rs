@@ -45,15 +45,13 @@
 //! reuse). Everywhere a `--map FILE` is accepted, the spec
 //! `city:SEED:SEGMENTS` (e.g. `city:7:100000`) generates a synthetic
 //! city of about that many segments in memory instead; with
-//! `--shards N` (> 1) the simulation runs the sharded pipeline — the
-//! map is partitioned N ways, each shard anonymizes the owners driving
-//! inside it against its own masked snapshot, and owners migrate
-//! between shards at tick boundaries (`--attack`/`--lbs` stay
-//! single-shard instruments). Per-tick metrics go to `--out`
-//! as CSV; with `--attack MODE` the attack leg runs alongside and the
-//! CSV gains its per-tick rollup columns (engine stream and NRE
-//! control — `--no-baseline` disables the control and leaves its cells
-//! empty).
+//! `--shards N` the map is partitioned N ways, each shard anonymizes the
+//! owners driving inside it against its own masked snapshot, and owners
+//! migrate between shards at tick boundaries. Per-tick metrics go to
+//! `--out` as CSV (with a `handoffs` column); with `--attack MODE` the
+//! attack leg runs alongside and the CSV gains its per-tick rollup
+//! columns (engine stream and NRE control — `--no-baseline` disables
+//! the control and leaves its cells empty).
 //!
 //! `attack` runs the same pipeline with the continuous adversarial
 //! evaluation on: a keyless temporal adversary subscribes to the receipt
@@ -644,11 +642,6 @@ fn cmd_simulate(opts: &Opts) -> Result<(), CmdError> {
             format!("unknown adversary `{s}` (peel|correlate|move|all|adaptive)")
         })?),
     };
-    if shards > 1 && (attack_mode.is_some() || opts.contains_key("lbs")) {
-        return Err(CmdError::Usage(
-            "--attack and --lbs are single-shard instruments; drop --shards to use them".into(),
-        ));
-    }
     // A durable chain store journals every ratchet advance before its
     // receipt is issued; re-running over the same path resumes every
     // owner's chain at its journaled epoch. An unopenable path is a data
@@ -658,81 +651,7 @@ fn cmd_simulate(opts: &Opts) -> Result<(), CmdError> {
         Some(path) => Arc::new(FileStore::open(path).map_err(|e| CmdError::Data(e.to_string()))?),
         None => Arc::new(MemStore::new()),
     };
-    if shards > 1 {
-        use anonymizer::ShardedPipeline;
-        let mut pipeline = ShardedPipeline::with_store(
-            net,
-            SimConfig {
-                cars,
-                seed,
-                ..Default::default()
-            },
-            config,
-            PipelineConfig {
-                dt,
-                snapshot_cadence: cadence,
-                tracked_owners: owners,
-                seed: seed ^ 0x51e_71c4,
-                verify,
-                lbs_probes: 0,
-                ..Default::default()
-            },
-            shards,
-            store,
-        )
-        .map_err(|e| CmdError::Data(e.to_string()))?;
-        let quality = pipeline
-            .partition()
-            .expect("shards > 1 builds a partition")
-            .quality(pipeline.services()[0].network());
-        println!(
-            "simulating {ticks} ticks × {dt}s: {cars} cars on {} segments, {owners} tracked \
-             owners, partition [{quality}], snapshot cadence {} (verification {})",
-            pipeline.services()[0].network().segment_count(),
-            cadence.max(1),
-            if verify { "on" } else { "off" },
-        );
-        if let Some(path) = chain_store_path {
-            println!("journaling owner chains to {path} (one journal shared by all shards)");
-        }
-        let t0 = std::time::Instant::now();
-        let mut reports = Vec::with_capacity(ticks);
-        for _ in 0..ticks {
-            reports.push(pipeline.tick().map_err(|e| CmdError::Data(e.to_string()))?);
-        }
-        let elapsed = t0.elapsed().as_secs_f64();
-        let issued: usize = reports.iter().map(|r| r.issued).sum();
-        let failed: usize = reports.iter().map(|r| r.failed).sum();
-        let verified: usize = reports.iter().map(|r| r.verified).sum();
-        let mut quality = cloak::QualitySummary::new();
-        for r in &reports {
-            quality.merge(&r.quality);
-        }
-        println!(
-            "issued {issued} receipts ({failed} failed) in {:.1} ms — {:.1} ticks/s, \
-             {:.0} receipts/s, {} cross-shard handoffs",
-            elapsed * 1e3,
-            ticks as f64 / elapsed.max(1e-9),
-            issued as f64 / elapsed.max(1e-9),
-            pipeline.handoffs_total(),
-        );
-        println!("regions: {quality}");
-        if verify {
-            println!("verified {verified}/{issued} against each receipt's issuing shard snapshot");
-        }
-        if let Some(path) = opts.get("out") {
-            let mut csv = String::from(anonymizer::ShardTickReport::CSV_HEADER);
-            csv.push('\n');
-            for r in &reports {
-                csv.push_str(&r.csv_row());
-                csv.push('\n');
-            }
-            std::fs::write(path, csv).map_err(|e| CmdError::Data(format!("write {path}: {e}")))?;
-            println!("wrote per-tick metrics to {path}");
-        }
-        return Ok(());
-    }
-    let mut pipeline = ContinuousPipeline::with_store(
+    let mut pipeline = ContinuousPipeline::sharded(
         net,
         SimConfig {
             cars,
@@ -757,6 +676,7 @@ fn cmd_simulate(opts: &Opts) -> Result<(), CmdError> {
             }),
             ..Default::default()
         },
+        shards,
         store,
     )
     .map_err(|e| CmdError::Data(e.to_string()))?;
@@ -770,6 +690,12 @@ fn cmd_simulate(opts: &Opts) -> Result<(), CmdError> {
         if verify { "on" } else { "off" },
         attack_mode.map_or("off".to_string(), |m| format!("`{}`", m.name())),
     );
+    if pipeline.shard_count() > 1 {
+        println!(
+            "partition: {} (owners hand off between shards at tick boundaries)",
+            pipeline.partition().quality(pipeline.sim().network())
+        );
+    }
     if let Some(path) = chain_store_path {
         println!("journaling owner chains to {path} (crash-safe; reruns resume epochs)");
     }
@@ -791,10 +717,12 @@ fn cmd_simulate(opts: &Opts) -> Result<(), CmdError> {
         lbs_stats.merge(&r.lbs);
     }
     println!(
-        "issued {issued} receipts ({failed} failed) in {:.1} ms — {:.1} ticks/s, {:.0} receipts/s",
+        "issued {issued} receipts ({failed} failed) in {:.1} ms — {:.1} ticks/s, \
+         {:.0} receipts/s, {} cross-shard handoffs",
         elapsed * 1e3,
         ticks as f64 / elapsed.max(1e-9),
         issued as f64 / elapsed.max(1e-9),
+        pipeline.handoffs_total(),
     );
     println!("regions: {quality}");
     if lbs_probes > 0 {

@@ -16,7 +16,9 @@
 //!   snapshot swaps, batched re-anonymization, LBS probes, per-tick
 //!   invariant verification, and an optional continuous attack leg
 //!   ([`AttackConfig`]) that scores a keyless temporal adversary
-//!   against the receipt stream (see the `pipeline` module docs),
+//!   against the receipt stream, over one map partition or N
+//!   ([`Partition`], owner handoff between shards; see the `pipeline`
+//!   module docs),
 //! * [`tournament`] — the scenario tournament: every engine × every
 //!   adversary (including the adaptive Bayesian tracker) × every
 //!   behavior mix, with per-cell entropy trajectories
@@ -132,5 +134,5 @@ pub use server::AnonymizerServer;
 pub use service::{
     AnonymizeReceipt, AnonymizeRequest, AnonymizerService, Engine, OwnerHandoff, OwnerRecord,
 };
-pub use shard::{Partition, PartitionQuality, ShardTickReport, ShardedPipeline};
+pub use shard::{Partition, PartitionQuality, ShardedPipeline};
 pub use tournament::{TournamentCell, TournamentProfile, TournamentReport, TrajectoryPoint};

@@ -31,6 +31,30 @@
 //!   regardless of batch parallelism (compare [`TickReport::digest`]) —
 //!   determinism is per *service history*, not per request.
 //!
+//! **Shards.** The tick loop is the same for any shard count. The map is
+//! cut into connected parts ([`Partition`]; one part when unsharded,
+//! N with [`ContinuousPipeline::sharded`]), and each part has its own
+//! service, request buffer and snapshot, all journaling through one
+//! shared [`ChainStore`]:
+//!
+//! * **masked snapshots** — a refresh captures the simulation once and
+//!   copies each part's occupancy into that shard's reclaimed snapshot
+//!   buffer, which is zero outside the part: a shard sees no user
+//!   outside its partition, and the refresh writes each segment once,
+//!   O(segments) for all shards together;
+//! * **owner handoff** — when a tracked car crosses into another part,
+//!   its owner's chain and record (with its captured grants) migrate
+//!   through [`AnonymizerService::export_owner`] /
+//!   [`AnonymizerService::import_owner`] before any request of the tick
+//!   is issued, so epochs stay strictly monotone and grants keep
+//!   working;
+//! * **per-shard stages** — issue with the journal retry ladder and
+//!   fault injection, digest, quality, LBS, verification and the attack
+//!   leg all run shard by shard against that shard's issuing snapshot.
+//!   A lone shard's digest is its own receipt-stream digest; several
+//!   shards fold theirs in shard order, so sharded digests are their
+//!   own (masked snapshots change occupancy near partition borders).
+//!
 //! An optional **attack leg** ([`AttackConfig`], like the LBS leg)
 //! subscribes a keyless [`TemporalAdversary`] to the receipt stream and
 //! mounts the longitudinal correlation attacks — multi-tick peel
@@ -73,7 +97,8 @@
 use crate::config::AnonymizerConfig;
 use crate::deanonymizer::Deanonymizer;
 use crate::fault::{FaultInjector, FaultPlan, FaultPolicy, FaultyStore, TickHealth};
-use crate::service::{AnonymizeRequest, AnonymizerService, Engine};
+use crate::service::{AnonymizeReceipt, AnonymizeRequest, AnonymizerService, Engine};
+use crate::shard::Partition;
 use cloak::attack::temporal::{
     AdversaryConfig, AdversaryMode, AttackObservation, AttackSummary, Observation, ReplayProbe,
     TemporalAdversary,
@@ -87,8 +112,7 @@ use lbs::{nearest_query_with, PoiCategory, PoiStore, QueryStats, SearchScratch};
 use mobisim::{CarId, OccupancySnapshot, SimConfig, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use roadnet::RoadNetwork;
-use std::collections::HashSet;
+use roadnet::{RoadNetwork, SegmentId};
 use std::sync::Arc;
 
 /// The requester identity the pipeline registers with every tracked
@@ -276,9 +300,16 @@ pub struct TickReport {
     /// Receipts that passed the full invariant check (equals `issued`
     /// when [`PipelineConfig::verify`] is on).
     pub verified: usize,
-    /// Order-sensitive FNV digest over (owner, payload) of every issued
-    /// receipt — equal digests mean bit-identical receipt streams.
+    /// Owners migrated across a partition boundary at this tick's
+    /// boundary, before any request was issued (always 0 unsharded).
+    pub handoffs: usize,
+    /// The receipt-stream digest: a lone shard's own digest, otherwise
+    /// the FNV fold of [`shard_digests`](Self::shard_digests) in shard
+    /// order. Equal digests mean bit-identical receipt streams.
     pub digest: u64,
+    /// Order-sensitive FNV digest over (owner, payload) of every receipt
+    /// each shard issued, in shard order.
+    pub shard_digests: Vec<u64>,
     /// Region-quality rollup over this tick's receipts, measured against
     /// the snapshot they were issued under.
     pub quality: QualitySummary,
@@ -298,19 +329,20 @@ pub struct TickReport {
 impl TickReport {
     /// Header line matching [`TickReport::csv_row`].
     pub const CSV_HEADER: &'static str = "tick,clock_s,snapshot_refreshed,issued,failed,verified,\
-         digest,mean_region_segments,mean_users,mean_rel_anonymity,min_rel_anonymity,\
+         handoffs,digest,mean_region_segments,mean_users,mean_rel_anonymity,min_rel_anonymity,\
          mean_length_m,lbs_queries,lbs_mean_candidates,lbs_mean_visited";
 
     /// The report as one CSV row (no trailing newline).
     pub fn csv_row(&self) -> String {
         format!(
-            "{},{:.1},{},{},{},{},{:016x},{:.2},{:.2},{:.3},{:.3},{:.1},{},{:.2},{:.2}",
+            "{},{:.1},{},{},{},{},{},{:016x},{:.2},{:.2},{:.3},{:.3},{:.1},{},{:.2},{:.2}",
             self.tick,
             self.clock,
             self.snapshot_refreshed,
             self.issued,
             self.failed,
             self.verified,
+            self.handoffs,
             self.digest,
             self.quality.mean_segments(),
             self.quality.mean_users(),
@@ -364,24 +396,24 @@ impl TickReport {
     }
 }
 
-/// Drives a simulation, a shared [`AnonymizerService`] and the LBS query
-/// layer as one continuously-running system. See the module docs for the
-/// invariants each tick enforces.
+/// Drives a simulation, one [`AnonymizerService`] per map partition and
+/// the LBS query layer as one continuously-running system. See the
+/// module docs for the invariants each tick enforces and for how shards
+/// split the work.
 pub struct ContinuousPipeline {
     sim: Simulation,
-    service: Arc<AnonymizerService>,
+    partition: Partition,
+    shards: Vec<Shard>,
     dean: Deanonymizer,
     profile: PrivacyProfile,
     pois: Option<PoiStore>,
     cfg: PipelineConfig,
-    tracked: Vec<(CarId, String)>,
-    /// Persistent request buffer: owner strings are cloned once at
-    /// construction; each tick only rewrites segment and seed in place.
-    requests: Vec<AnonymizeRequest>,
-    registered: HashSet<usize>,
-    /// Snapshot buffer reclaimed from the previous cadence swap
-    /// (`Arc::try_unwrap`), recaptured into instead of reallocating.
-    spare_snapshot: Option<OccupancySnapshot>,
+    tracked: Vec<TrackedOwner>,
+    /// Whether each tracked owner's auditor grant is registered (the
+    /// grant migrates with the owner's record).
+    registered: Vec<bool>,
+    /// The full-map capture every refresh copies the shards' parts from.
+    capture: OccupancySnapshot,
     /// Scratch for per-receipt verification peels.
     verify_scratch: CloakScratch,
     /// Scratch for the per-tick LBS query loop.
@@ -396,7 +428,57 @@ pub struct ContinuousPipeline {
     ///
     /// [`tick`]: ContinuousPipeline::tick
     crashed: bool,
+    handoffs_total: u64,
     tick: u64,
+}
+
+/// One partition's slice of the pipeline.
+struct Shard {
+    service: Arc<AnonymizerService>,
+    /// Requests of the owners this shard holds, in tracked order. Owner
+    /// strings are cloned only when a handoff changes the shard's
+    /// owners; every other tick rewrites segment and seed in place.
+    requests: Vec<AnonymizeRequest>,
+    /// The tracked-owner index behind each request.
+    owners: Vec<usize>,
+    /// Snapshot buffer reclaimed from the previous swap
+    /// (`Arc::try_unwrap`). It is zero outside the shard's part, so a
+    /// refresh writes only the part's members into it.
+    spare_snapshot: Option<OccupancySnapshot>,
+}
+
+/// One tracked owner: a simulated car and the shard holding its chain.
+struct TrackedOwner {
+    car: CarId,
+    owner: String,
+    /// Shard currently holding the owner's chain and record.
+    shard: usize,
+    /// The car's segment as of the current tick boundary.
+    segment: SegmentId,
+}
+
+/// One shard's batch of a tick: the shard's requests and their
+/// tracked-owner indices (taken from the shard for the tick), what they
+/// returned, and the snapshot they were issued under.
+struct ShardBatch {
+    requests: Vec<AnonymizeRequest>,
+    owners: Vec<usize>,
+    results: Vec<Issued>,
+    issuing: Arc<OccupancySnapshot>,
+}
+
+/// What the service returned for one request.
+type Issued = Result<AnonymizeReceipt, CloakError>;
+
+impl ShardBatch {
+    /// `(tracked-owner index, request, result)`, in request order.
+    fn entries(&self) -> impl Iterator<Item = (usize, &AnonymizeRequest, &Issued)> {
+        self.owners
+            .iter()
+            .zip(&self.requests)
+            .zip(&self.results)
+            .map(|((&i, request), result)| (i, request, result))
+    }
 }
 
 /// State of the pipeline's attack leg: one adversary per observed
@@ -426,6 +508,9 @@ struct AttackLeg {
     /// serves every owner of every tick).
     nre_scratch: ExpansionScratch,
 }
+
+/// Seed mask of the map partition, mixed into [`PipelineConfig::seed`].
+const PARTITION_SEED_MASK: u64 = 0x5aa5_c17e;
 
 impl ContinuousPipeline {
     /// Builds the pipeline: starts the traffic simulation, creates the
@@ -469,8 +554,38 @@ impl ContinuousPipeline {
         cfg: PipelineConfig,
         store: Arc<dyn ChainStore>,
     ) -> Result<Self, JournalError> {
+        Self::sharded(net, sim_cfg, anon_cfg, cfg, 1, store)
+    }
+
+    /// Builds the pipeline over `shards` partitions of the map
+    /// ([`Partition::grow`], clamped to `[1, segments]`), each with its
+    /// own service; every service journals through `store`, keyed by
+    /// owner, so a migrating owner's chain stays one continuous journal
+    /// entry. Each service replays the whole journal, so construction
+    /// then leaves each tracked owner's chain on the one shard its car is
+    /// in. With one shard this is [`with_store`](Self::with_store).
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`JournalError`] if recovering the store's journaled
+    /// chains fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network has no segments, as [`ContinuousPipeline::new`]
+    /// does.
+    pub fn sharded(
+        net: RoadNetwork,
+        sim_cfg: SimConfig,
+        anon_cfg: AnonymizerConfig,
+        cfg: PipelineConfig,
+        shards: usize,
+        store: Arc<dyn ChainStore>,
+    ) -> Result<Self, JournalError> {
+        let partition = Partition::grow(&net, shards, cfg.seed ^ PARTITION_SEED_MASK);
         let top_simulated_speed = sim_cfg.speed_range.1;
-        // One graph index for the simulation's trip router and the service.
+        // One graph index for the simulation's trip router and every
+        // service.
         let sim = Simulation::new(net.share_index(), sim_cfg);
         let injector = cfg
             .fault
@@ -480,8 +595,22 @@ impl ContinuousPipeline {
             Some(inj) => Arc::new(FaultyStore::new(store, Arc::clone(inj))),
             None => store,
         };
-        let service = AnonymizerService::with_store(net, anon_cfg, store)?;
-        service.update_snapshot(OccupancySnapshot::capture(&sim));
+        let shards = (0..partition.shards())
+            .map(|_| {
+                let service = AnonymizerService::with_store(
+                    net.share_index(),
+                    anon_cfg.clone(),
+                    Arc::clone(&store),
+                )?;
+                Ok(Shard {
+                    service: Arc::new(service),
+                    requests: Vec::new(),
+                    owners: Vec::new(),
+                    spare_snapshot: None,
+                })
+            })
+            .collect::<Result<Vec<_>, JournalError>>()?;
+        let service = &shards[0].service;
         let dean = Deanonymizer::new(
             service.network_arc(),
             Engine::build(service.network(), service.config().engine),
@@ -491,13 +620,30 @@ impl ContinuousPipeline {
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x1b5_0001);
             PoiStore::generate(service.network(), cfg.poi_count.max(1), &mut rng)
         });
-        let tracked: Vec<(CarId, String)> = (0..cfg.tracked_owners.min(sim.cars().len()))
-            .map(|i| (CarId(i as u32), format!("car-{i}")))
+        let tracked: Vec<TrackedOwner> = (0..cfg.tracked_owners.min(sim.cars().len()))
+            .map(|i| {
+                let car = CarId(i as u32);
+                let segment = sim
+                    .car_segment(car)
+                    .expect("tracked cars exist for the simulation's lifetime");
+                TrackedOwner {
+                    car,
+                    owner: format!("car-{i}"),
+                    shard: partition.shard_of(segment),
+                    segment,
+                }
+            })
             .collect();
-        let requests = tracked
-            .iter()
-            .map(|(_, owner)| AnonymizeRequest::new(owner.clone(), roadnet::SegmentId(0), 0))
-            .collect();
+        // Every service replayed the whole journal: keep each tracked
+        // owner's chain only where the owner lives, or a stale copy left
+        // on another shard would still derive every later epoch's keys.
+        for t in &tracked {
+            for (p, shard) in shards.iter().enumerate() {
+                if p != t.shard {
+                    shard.service.export_owner(&t.owner);
+                }
+            }
+        }
         let attack = cfg.attack.clone().map(|mut attack_cfg| {
             attack_cfg.owners = attack_cfg.owners.min(tracked.len());
             let adversary_cfg = AdversaryConfig {
@@ -534,29 +680,49 @@ impl ContinuousPipeline {
                 cfg: attack_cfg,
             }
         });
-        Ok(ContinuousPipeline {
+        let mut pipeline = ContinuousPipeline {
+            registered: vec![false; tracked.len()],
             sim,
-            service: Arc::new(service),
+            partition,
+            shards,
             dean,
             profile,
             pois,
             cfg,
             tracked,
-            requests,
-            registered: HashSet::new(),
-            spare_snapshot: None,
+            capture: OccupancySnapshot::from_counts(Vec::new()),
             verify_scratch: CloakScratch::new(),
             lbs_scratch: SearchScratch::new(),
             attack,
             injector,
             crashed: false,
+            handoffs_total: 0,
             tick: 0,
-        })
+        };
+        pipeline.route_requests();
+        pipeline.refresh_snapshots();
+        Ok(pipeline)
     }
 
-    /// The shared service (snapshot swaps and key fetches are `&self`).
+    /// The first shard's service — the only one when unsharded
+    /// (snapshot swaps and key fetches are `&self`).
     pub fn service(&self) -> Arc<AnonymizerService> {
-        Arc::clone(&self.service)
+        Arc::clone(&self.shards[0].service)
+    }
+
+    /// Every shard's service, in shard order.
+    pub fn services(&self) -> Vec<Arc<AnonymizerService>> {
+        self.shards.iter().map(|s| Arc::clone(&s.service)).collect()
+    }
+
+    /// Number of shards (1 when unsharded).
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The map partition the shards serve (one part when unsharded).
+    pub fn partition(&self) -> &Partition {
+        &self.partition
     }
 
     /// The traffic simulation being driven.
@@ -574,9 +740,32 @@ impl ContinuousPipeline {
         self.tracked.len()
     }
 
-    /// Advances one tick: step traffic, swap the snapshot on cadence,
-    /// re-anonymize the tracked owners as a batch, probe the LBS, and
-    /// (when configured) verify every receipt's invariants.
+    /// Owners migrated across partition boundaries so far.
+    pub fn handoffs_total(&self) -> u64 {
+        self.handoffs_total
+    }
+
+    /// The shard currently holding tracked owner `owner` (`None` when
+    /// untracked).
+    pub fn owner_shard(&self, owner: &str) -> Option<usize> {
+        self.tracked
+            .iter()
+            .find(|t| t.owner == owner)
+            .map(|t| t.shard)
+    }
+
+    /// Tracked owner `owner`'s current chain epoch, read on the shard
+    /// that holds the owner (`None` when untracked or never anonymized).
+    pub fn owner_epoch(&self, owner: &str) -> Option<u64> {
+        self.owner_shard(owner)
+            .and_then(|p| self.shards[p].service.owner_epoch(owner))
+    }
+
+    /// Advances one tick: step traffic, hand boundary-crossing owners to
+    /// their new shard, swap the snapshots on cadence, re-anonymize each
+    /// shard's owners as a batch, probe the LBS, and (when configured)
+    /// verify every receipt's invariants against its issuing shard's
+    /// snapshot.
     ///
     /// # Errors
     ///
@@ -594,12 +783,13 @@ impl ContinuousPipeline {
         }
         self.tick += 1;
         self.sim.step(self.cfg.dt);
+        let handoffs = self.hand_off_owners();
 
         let mut health = TickHealth::default();
         let cadence = self.cfg.snapshot_cadence.max(1) as u64;
         let mut snapshot_refreshed = self.tick.is_multiple_of(cadence);
         if snapshot_refreshed && self.injector.as_ref().is_some_and(|i| i.snapshot_fault()) {
-            // Injected capture failure: keep serving the stale snapshot
+            // Injected capture failure: keep serving the stale snapshots
             // and count the degradation — receipts stay correct because
             // every per-tick invariant is checked against the snapshot
             // actually in service at issue time.
@@ -607,42 +797,51 @@ impl ContinuousPipeline {
             health.snapshot_faults += 1;
         }
         if snapshot_refreshed {
-            // Recapture into the buffer reclaimed from the previous swap
-            // when no in-flight reader still holds it; the steady-state
-            // cadence loop then rotates two snapshot buffers instead of
-            // allocating a fresh one each refresh.
-            let mut snap = self
-                .spare_snapshot
-                .take()
-                .unwrap_or_else(|| OccupancySnapshot::from_counts(Vec::new()));
-            self.sim.capture_into(&mut snap);
-            let previous = self.service.swap_snapshot(snap);
-            self.spare_snapshot = Arc::try_unwrap(previous).ok();
+            self.refresh_snapshots();
         }
-        // The snapshot every receipt of this tick is issued under; later
-        // swaps must never retroactively invalidate these receipts.
-        let issuing = self.service.snapshot();
 
-        for (i, ((car, _), request)) in self
-            .tracked
-            .iter()
-            .zip(self.requests.iter_mut())
-            .enumerate()
-        {
-            request.segment = self
-                .sim
-                .car_segment(*car)
-                .expect("tracked cars exist for the simulation's lifetime");
-            request.seed = mix_seed(self.cfg.seed, self.tick, i as u64);
+        // Each shard's request buffers are taken for the tick so their
+        // borrow does not pin `self` across the later stages; they are
+        // restored below on every path.
+        let mut batches = Vec::with_capacity(self.shards.len());
+        for shard in &mut self.shards {
+            for (request, &i) in shard.requests.iter_mut().zip(&shard.owners) {
+                request.segment = self.tracked[i].segment;
+                request.seed = mix_seed(self.cfg.seed, self.tick, i as u64);
+            }
+            // The snapshot every receipt of this batch is issued under;
+            // later swaps must never retroactively invalidate them.
+            let issuing = shard.service.snapshot();
+            let requests = std::mem::take(&mut shard.requests);
+            let results = shard.service.anonymize_batch(&requests);
+            batches.push(ShardBatch {
+                requests,
+                owners: std::mem::take(&mut shard.owners),
+                results,
+                issuing,
+            });
         }
-        // Take the request buffer so its borrow does not pin `self`
-        // across the verification calls; it is restored before returning
-        // on every path.
-        let requests = std::mem::take(&mut self.requests);
-        let mut results = self.service.anonymize_batch(&requests);
+        let report = self.settle(&mut batches, snapshot_refreshed, handoffs, health);
+        for (shard, batch) in self.shards.iter_mut().zip(batches) {
+            shard.requests = batch.requests;
+            shard.owners = batch.owners;
+        }
+        report
+    }
 
+    /// Every stage after issue, for the batches [`tick`](Self::tick)
+    /// just issued: the injected crash, the journal retry ladder,
+    /// injected cloak failures, the report (digest, quality, LBS),
+    /// verification and the attack leg.
+    fn settle(
+        &mut self,
+        batches: &mut [ShardBatch],
+        snapshot_refreshed: bool,
+        handoffs: usize,
+        mut health: TickHealth,
+    ) -> Result<TickReport, PipelineError> {
         // Injected crash between ratchet-advance and receipt-issue: the
-        // batch journaled every owner's advance, but no receipt reaches
+        // batches journaled every owner's advance, but no receipt reaches
         // the stream. This is exactly the window the write-ahead journal
         // exists for — recovery must resume past the journaled epochs.
         if self
@@ -651,7 +850,6 @@ impl ContinuousPipeline {
             .is_some_and(|i| i.crash_due(self.tick))
         {
             self.crashed = true;
-            self.requests = requests;
             return Err(PipelineError {
                 message: format!(
                     "tick {}: injected crash between ratchet-advance and receipt-issue",
@@ -667,35 +865,35 @@ impl ContinuousPipeline {
         // re-derives the same epoch from the same request seed — the
         // recovered receipt is bit-identical to the one the fault
         // suppressed, keeping the stream digest on its fault-free value.
-        let policy = self.cfg.fault_policy.clone();
-        for (i, slot) in results.iter_mut().enumerate() {
-            if !matches!(slot, Err(CloakError::Persistence(_))) {
-                continue;
-            }
-            let request = &requests[i];
-            for attempt in 0..policy.journal_retries {
-                if policy.backoff_base_ms > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(
-                        policy.backoff_base_ms << attempt.min(16),
-                    ));
-                }
-                health.journal_retries += 1;
-                *slot = self.service.anonymize_seeded(
-                    &request.owner,
-                    request.segment,
-                    request.profile.as_ref(),
-                    request.seed,
-                );
+        let policy = &self.cfg.fault_policy;
+        for (shard, batch) in self.shards.iter().zip(batches.iter_mut()) {
+            for (request, slot) in batch.requests.iter().zip(batch.results.iter_mut()) {
                 if !matches!(slot, Err(CloakError::Persistence(_))) {
-                    break;
+                    continue;
                 }
-            }
-            if matches!(slot, Err(CloakError::Persistence(_))) {
-                health.journal_skips += 1;
+                for attempt in 0..policy.journal_retries {
+                    if policy.backoff_base_ms > 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(
+                            policy.backoff_base_ms << attempt.min(16),
+                        ));
+                    }
+                    health.journal_retries += 1;
+                    *slot = shard.service.anonymize_seeded(
+                        &request.owner,
+                        request.segment,
+                        request.profile.as_ref(),
+                        request.seed,
+                    );
+                    if !matches!(slot, Err(CloakError::Persistence(_))) {
+                        break;
+                    }
+                }
+                if matches!(slot, Err(CloakError::Persistence(_))) {
+                    health.journal_skips += 1;
+                }
             }
         }
         if health.journal_skips > policy.max_skipped_owners as u64 {
-            self.requests = requests;
             return Err(PipelineError {
                 message: format!(
                     "tick {}: {} owners skipped after journal failures (budget {})",
@@ -708,7 +906,7 @@ impl ContinuousPipeline {
         // if the walk dead-ended — an availability event, counted in
         // both `failed` and the health rollup.
         if let Some(injector) = &self.injector {
-            for slot in results.iter_mut() {
+            for slot in batches.iter_mut().flat_map(|b| b.results.iter_mut()) {
                 if slot.is_ok() && injector.cloak_fault() {
                     health.injected_cloak_failures += 1;
                     *slot = Err(CloakError::CloakingFailed {
@@ -726,159 +924,138 @@ impl ContinuousPipeline {
             issued: 0,
             failed: 0,
             verified: 0,
+            handoffs,
             digest: FNV_OFFSET,
+            shard_digests: Vec::with_capacity(batches.len()),
             quality: QualitySummary::new(),
             lbs: QueryStats::new(),
             attack: None,
             health,
         };
-        for (i, (request, result)) in requests.iter().zip(&results).enumerate() {
-            let receipt = match result {
-                Ok(r) => r,
-                Err(_) => {
+        let net = self.sim.network();
+        for batch in batches.iter() {
+            let mut digest = FNV_OFFSET;
+            for (i, request, result) in batch.entries() {
+                let Ok(receipt) = result else {
                     report.failed += 1;
                     continue;
-                }
-            };
-            report.issued += 1;
-            report.digest = fnv_fold(report.digest, request.owner.as_bytes());
-            report.digest = fnv_fold(report.digest, &receipt.payload.encode());
-            report.quality.record(&RegionQuality::measure(
-                self.service.network(),
-                &issuing,
-                &self.profile,
-                &receipt.outcome,
-            ));
-            if let Some(pois) = &self.pois {
-                if (report.issued - 1) < self.cfg.lbs_probes {
-                    // The LBS only ever sees the cloaked region.
-                    let category = PoiCategory::ALL[i % PoiCategory::ALL.len()];
-                    report.lbs.record(&nearest_query_with(
-                        self.service.network(),
-                        pois,
-                        &receipt.payload.segments,
-                        category,
-                        &mut self.lbs_scratch,
-                    ));
-                }
-            }
-        }
-        let mut verify_err = None;
-        if self.cfg.verify {
-            let (verified, err) = self.verify_tick(&requests, &results, &issuing);
-            report.verified = verified;
-            verify_err = err;
-        }
-        // The attack leg observes the receipts just issued (and the NRE
-        // control grown from the same true segments). It reads public
-        // information only: region, issuing snapshot, tick — the true
-        // segment is passed solely for scoring.
-        if let Some(leg) = self.attack.as_mut() {
-            let net = self.service.network();
-            let mut engine_tick = AttackSummary::new();
-            let mut baseline_tick = AttackSummary::new();
-            // Every observation this tick shares one issuing snapshot:
-            // announce it once, together with the tracked population, so
-            // each adversary prices the occupancy weighting per tick and
-            // packs the whole population's movement-reachability masks
-            // into one matrix OR-pass up front (each `observe` below then
-            // reads its owner's precomputed row).
-            leg.engine_adversary.begin_tick_population(
-                &issuing,
-                snapshot_refreshed,
-                requests
-                    .iter()
-                    .take(leg.cfg.owners)
-                    .map(|r| r.owner.as_str()),
-            );
-            if let Some(baseline_adversary) = leg.baseline_adversary.as_mut() {
-                baseline_adversary.begin_tick_population(
-                    &issuing,
-                    snapshot_refreshed,
-                    requests
-                        .iter()
-                        .take(leg.cfg.owners)
-                        .map(|r| r.owner.as_str()),
-                );
-            }
-            for (i, (request, result)) in requests.iter().zip(&results).enumerate() {
-                if i >= leg.cfg.owners {
-                    break;
-                }
-                let Ok(receipt) = result else { continue };
-                let observe_start = std::time::Instant::now();
-                let observation = leg.engine_adversary.observe(
+                };
+                report.issued += 1;
+                digest = fnv_fold(digest, request.owner.as_bytes());
+                digest = fnv_fold(digest, &receipt.payload.encode());
+                report.quality.record(&RegionQuality::measure(
                     net,
-                    &request.owner,
-                    Observation {
-                        tick: self.tick,
-                        region: &receipt.payload.segments,
-                        snapshot: &issuing,
-                        snapshot_fresh: snapshot_refreshed,
-                    },
-                    None,
-                    Some(request.segment),
-                );
-                leg.engine_observe_time += observe_start.elapsed();
-                engine_tick.record(&observation);
-                leg.engine_summary.record(&observation);
-                if leg.cfg.keep_records {
-                    leg.records.push(AttackRecord {
-                        scheme: leg.engine_label,
-                        owner: request.owner.clone(),
-                        observation,
-                    });
-                }
-                if let Some(baseline_adversary) = leg.baseline_adversary.as_mut() {
-                    let requirement = self.profile.top_requirement();
-                    let seed = leg.baseline_seeds[i];
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    match random_expansion_with(
-                        net,
-                        &issuing,
-                        request.segment,
-                        requirement,
-                        &mut rng,
-                        &mut leg.nre_scratch,
-                    ) {
-                        Ok(control) => {
-                            let observe_start = std::time::Instant::now();
-                            let observation = baseline_adversary.observe(
-                                net,
-                                &request.owner,
-                                Observation {
-                                    tick: self.tick,
-                                    region: &control.segments,
-                                    snapshot: &issuing,
-                                    snapshot_fresh: snapshot_refreshed,
-                                },
-                                Some(ReplayProbe { requirement, seed }),
-                                Some(request.segment),
-                            );
-                            leg.baseline_observe_time += observe_start.elapsed();
-                            baseline_tick.record(&observation);
-                            leg.baseline_summary.record(&observation);
-                            if leg.cfg.keep_records {
-                                leg.records.push(AttackRecord {
-                                    scheme: "nre",
-                                    owner: request.owner.clone(),
-                                    observation,
-                                });
-                            }
-                        }
-                        Err(_) => leg.baseline_failures += 1,
+                    &batch.issuing,
+                    &self.profile,
+                    &receipt.outcome,
+                ));
+                if let Some(pois) = &self.pois {
+                    if report.issued <= self.cfg.lbs_probes {
+                        // The LBS only ever sees the cloaked region.
+                        let category = PoiCategory::ALL[i % PoiCategory::ALL.len()];
+                        report.lbs.record(&nearest_query_with(
+                            net,
+                            pois,
+                            &receipt.payload.segments,
+                            category,
+                            &mut self.lbs_scratch,
+                        ));
                     }
                 }
             }
-            report.attack = Some(AttackTickSummary {
-                engine: engine_tick,
-                baseline: leg.baseline_adversary.is_some().then_some(baseline_tick),
-            });
+            report.shard_digests.push(digest);
         }
-        self.requests = requests;
+        report.digest = match report.shard_digests[..] {
+            [only] => only,
+            ref all => all
+                .iter()
+                .fold(FNV_OFFSET, |h, d| fnv_fold(h, &d.to_be_bytes())),
+        };
+
+        let mut verify_err = None;
+        if self.cfg.verify {
+            for (p, batch) in batches.iter().enumerate() {
+                let (verified, err) = self.verify_batch(p, batch);
+                report.verified += verified;
+                if err.is_some() {
+                    verify_err = err;
+                    break;
+                }
+            }
+        }
+        if let Some(leg) = self.attack.as_mut() {
+            report.attack = Some(leg.observe_tick(
+                self.sim.network(),
+                &self.profile,
+                self.tick,
+                snapshot_refreshed,
+                batches,
+            ));
+        }
         match verify_err {
             Some(e) => Err(e),
             None => Ok(report),
+        }
+    }
+
+    /// Moves every owner whose car crossed into another shard's part:
+    /// chain and record leave the old shard's service and land on the
+    /// new one before any request of this tick is issued. Returns the
+    /// number of migrations.
+    fn hand_off_owners(&mut self) -> usize {
+        let mut handoffs = 0;
+        for t in &mut self.tracked {
+            t.segment = self
+                .sim
+                .car_segment(t.car)
+                .expect("tracked cars exist for the simulation's lifetime");
+            let dest = self.partition.shard_of(t.segment);
+            if dest != t.shard {
+                if let Some(handoff) = self.shards[t.shard].service.export_owner(&t.owner) {
+                    self.shards[dest].service.import_owner(handoff);
+                }
+                t.shard = dest;
+                handoffs += 1;
+            }
+        }
+        if handoffs > 0 {
+            self.route_requests();
+        }
+        self.handoffs_total += handoffs as u64;
+        handoffs
+    }
+
+    /// Refills each shard's request buffer with the owners it holds, in
+    /// tracked order (segment and seed are set per tick).
+    fn route_requests(&mut self) {
+        for shard in &mut self.shards {
+            shard.requests.clear();
+            shard.owners.clear();
+        }
+        for (i, t) in self.tracked.iter().enumerate() {
+            let shard = &mut self.shards[t.shard];
+            shard
+                .requests
+                .push(AnonymizeRequest::new(t.owner.clone(), t.segment, 0));
+            shard.owners.push(i);
+        }
+    }
+
+    /// Captures the simulation once and swaps into each shard's service
+    /// that capture masked to the shard's part. Each shard's reclaimed
+    /// buffer is zero outside its part, so only the part's members are
+    /// written, and the steady-state cadence loop rotates two buffers
+    /// per shard instead of allocating.
+    fn refresh_snapshots(&mut self) {
+        self.sim.capture_into(&mut self.capture);
+        for (p, shard) in self.shards.iter_mut().enumerate() {
+            let mut snap = shard
+                .spare_snapshot
+                .take()
+                .unwrap_or_else(|| OccupancySnapshot::uniform(self.capture.segment_count(), 0));
+            snap.copy_segments_from(&self.capture, self.partition.members(p));
+            let previous = shard.service.swap_snapshot(snap);
+            shard.spare_snapshot = Arc::try_unwrap(previous).ok();
         }
     }
 
@@ -939,42 +1116,39 @@ impl ContinuousPipeline {
         (0..ticks).map(|_| self.tick()).collect()
     }
 
-    /// The per-tick verification leg, owner-batched.
+    /// The verification leg for shard `p`'s batch, owner-batched.
     ///
     /// Pass 1 walks the issued receipts in order, checking k-anonymity
-    /// at issue time, region membership, and grant preservation, and
-    /// collects each surviving receipt's `(payload, keys)` reduction
-    /// job. Pass 2 then peels every collected job through
-    /// [`Deanonymizer::reduce_batch_with`] — one shared
-    /// [`CloakScratch`] for the whole tick — and checks exact
-    /// reversibility. Per receipt this is the same check sequence as the
-    /// former one-owner loop; the reported error is the one with the
-    /// smallest receipt index on either pass.
+    /// on the shard's issuing snapshot, region membership, and grant
+    /// preservation, and collects each surviving receipt's
+    /// `(payload, keys)` reduction job. Pass 2 then peels every collected
+    /// job through [`Deanonymizer::reduce_batch_with`] — one shared
+    /// [`CloakScratch`] for the whole batch — and checks exact
+    /// reversibility. The reported error is the one with the smallest
+    /// receipt index on either pass.
     ///
     /// Returns `(verified, error)`: the number of receipts preceding the
     /// first failure that passed both passes, and the failure, if any.
-    fn verify_tick(
-        &mut self,
-        requests: &[AnonymizeRequest],
-        results: &[Result<crate::service::AnonymizeReceipt, CloakError>],
-        issuing: &OccupancySnapshot,
-    ) -> (usize, Option<PipelineError>) {
+    fn verify_batch(&mut self, p: usize, batch: &ShardBatch) -> (usize, Option<PipelineError>) {
         let tick = self.tick;
         let fail = |owner: &str, what: &str| PipelineError {
             message: format!("tick {tick}: {owner}: {what}"),
         };
+        let shard = &self.shards[p];
 
         // (receipt index, payload, the auditor's fetched keys).
         type ReduceJob<'a> = (usize, &'a Arc<CloakPayload>, Vec<(Level, Key256)>);
         let mut pass1_err = None;
         let mut jobs: Vec<ReduceJob<'_>> = Vec::new();
-        for (i, (request, result)) in requests.iter().zip(results).enumerate() {
+        for (j, (i, request, result)) in batch.entries().enumerate() {
             let Ok(receipt) = result else { continue };
             let owner = &request.owner;
 
             // k-anonymity against the snapshot the receipt was issued
             // under.
-            let users = issuing.users_in(receipt.payload.segments.iter().copied());
+            let users = batch
+                .issuing
+                .users_in(receipt.payload.segments.iter().copied());
             let k = self.profile.top_requirement().k as u64;
             if users < k {
                 pass1_err = Some(fail(
@@ -991,8 +1165,8 @@ impl ContinuousPipeline {
             // Grant preservation: the auditor is registered only at the
             // owner's first cloak — on every later tick its keys must
             // keep working across the re-anonymization.
-            if !self.registered.contains(&i) {
-                if !self
+            if !self.registered[i] {
+                if !shard
                     .service
                     .register_requester(owner, AUDITOR, TrustDegree(10), Level(0))
                 {
@@ -1002,10 +1176,10 @@ impl ContinuousPipeline {
                     ));
                     break;
                 }
-                self.registered.insert(i);
+                self.registered[i] = true;
             }
-            match self.service.fetch_keys(owner, AUDITOR) {
-                Ok(keys) => jobs.push((i, &receipt.payload, keys)),
+            match shard.service.fetch_keys(owner, AUDITOR) {
+                Ok(keys) => jobs.push((j, &receipt.payload, keys)),
                 Err(e) => {
                     pass1_err = Some(fail(
                         owner,
@@ -1024,8 +1198,8 @@ impl ContinuousPipeline {
             &mut self.verify_scratch,
         );
         let mut verified = 0;
-        for ((i, _, _), view) in jobs.iter().zip(views) {
-            let request = &requests[*i];
+        for ((j, _, _), view) in jobs.iter().zip(views) {
+            let request = &batch.requests[*j];
             match view {
                 Ok(view) if view.segments == [request.segment] => verified += 1,
                 Ok(view) => {
@@ -1055,12 +1229,125 @@ impl ContinuousPipeline {
     }
 }
 
+impl AttackLeg {
+    /// Observes one tick's receipts, and the NRE control grown from the
+    /// same true segments, shard by shard. It reads public information
+    /// only: region, issuing snapshot, tick — the true segment is passed
+    /// solely for scoring.
+    fn observe_tick(
+        &mut self,
+        net: &RoadNetwork,
+        profile: &PrivacyProfile,
+        tick: u64,
+        snapshot_fresh: bool,
+        batches: &[ShardBatch],
+    ) -> AttackTickSummary {
+        let mut engine_tick = AttackSummary::new();
+        let mut baseline_tick = AttackSummary::new();
+        let limit = self.cfg.owners;
+        for batch in batches {
+            let issuing = &*batch.issuing;
+            // A shard's observations share its issuing snapshot: announce
+            // it once, together with the shard's observed owners, so each
+            // adversary prices the occupancy weighting once and packs
+            // their movement-reachability masks into one matrix OR-pass
+            // up front (each `observe` below then reads its owner's
+            // precomputed row).
+            let observed = || {
+                batch
+                    .entries()
+                    .filter(|&(i, _, _)| i < limit)
+                    .map(|(_, request, _)| request.owner.as_str())
+            };
+            self.engine_adversary
+                .begin_tick_population(issuing, snapshot_fresh, observed());
+            if let Some(baseline_adversary) = self.baseline_adversary.as_mut() {
+                baseline_adversary.begin_tick_population(issuing, snapshot_fresh, observed());
+            }
+            for (i, request, result) in batch.entries() {
+                if i >= limit {
+                    continue;
+                }
+                let Ok(receipt) = result else { continue };
+                let observe_start = std::time::Instant::now();
+                let observation = self.engine_adversary.observe(
+                    net,
+                    &request.owner,
+                    Observation {
+                        tick,
+                        region: &receipt.payload.segments,
+                        snapshot: issuing,
+                        snapshot_fresh,
+                    },
+                    None,
+                    Some(request.segment),
+                );
+                self.engine_observe_time += observe_start.elapsed();
+                engine_tick.record(&observation);
+                self.engine_summary.record(&observation);
+                if self.cfg.keep_records {
+                    self.records.push(AttackRecord {
+                        scheme: self.engine_label,
+                        owner: request.owner.clone(),
+                        observation,
+                    });
+                }
+                let Some(baseline_adversary) = self.baseline_adversary.as_mut() else {
+                    continue;
+                };
+                let requirement = profile.top_requirement();
+                let seed = self.baseline_seeds[i];
+                let mut rng = StdRng::seed_from_u64(seed);
+                let Ok(control) = random_expansion_with(
+                    net,
+                    issuing,
+                    request.segment,
+                    requirement,
+                    &mut rng,
+                    &mut self.nre_scratch,
+                ) else {
+                    self.baseline_failures += 1;
+                    continue;
+                };
+                let observe_start = std::time::Instant::now();
+                let observation = baseline_adversary.observe(
+                    net,
+                    &request.owner,
+                    Observation {
+                        tick,
+                        region: &control.segments,
+                        snapshot: issuing,
+                        snapshot_fresh,
+                    },
+                    Some(ReplayProbe { requirement, seed }),
+                    Some(request.segment),
+                );
+                self.baseline_observe_time += observe_start.elapsed();
+                baseline_tick.record(&observation);
+                self.baseline_summary.record(&observation);
+                if self.cfg.keep_records {
+                    self.records.push(AttackRecord {
+                        scheme: "nre",
+                        owner: request.owner.clone(),
+                        observation,
+                    });
+                }
+            }
+        }
+        AttackTickSummary {
+            engine: engine_tick,
+            baseline: self.baseline_adversary.is_some().then_some(baseline_tick),
+        }
+    }
+}
+
 impl std::fmt::Debug for ContinuousPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ContinuousPipeline")
             .field("tick", &self.tick)
+            .field("shards", &self.shards.len())
             .field("tracked", &self.tracked.len())
-            .field("engine", &self.service.engine().name())
+            .field("engine", &self.shards[0].service.engine().name())
             .finish()
     }
 }
@@ -1091,7 +1378,11 @@ mod tests {
     use roadnet::grid_city;
 
     fn pipeline(engine: EngineChoice, cfg: PipelineConfig) -> ContinuousPipeline {
-        ContinuousPipeline::new(
+        sharded(engine, cfg, 1)
+    }
+
+    fn sharded(engine: EngineChoice, cfg: PipelineConfig, shards: usize) -> ContinuousPipeline {
+        ContinuousPipeline::sharded(
             grid_city(7, 7, 100.0),
             SimConfig {
                 cars: 200,
@@ -1103,20 +1394,28 @@ mod tests {
                 ..Default::default()
             },
             cfg,
+            shards,
+            Arc::new(MemStore::new()),
         )
+        .unwrap()
     }
 
     #[test]
     fn simulation_and_service_share_one_graph_index() {
-        let p = pipeline(EngineChoice::Rge, PipelineConfig::default());
-        assert!(std::ptr::eq(
-            p.sim().network().graph_index(),
-            p.service().network().graph_index()
-        ));
+        for shards in [1, 3] {
+            let p = sharded(EngineChoice::Rge, PipelineConfig::default(), shards);
+            assert_eq!(p.shard_count(), shards);
+            for service in p.services() {
+                assert!(std::ptr::eq(
+                    p.sim().network().graph_index(),
+                    service.network().graph_index()
+                ));
+            }
+        }
     }
 
     #[test]
-    fn ticks_issue_and_verify_receipts() {
+    fn ticks_issue_and_verify_every_receipt() {
         let mut p = pipeline(
             EngineChoice::Rge,
             PipelineConfig {
@@ -1228,77 +1527,87 @@ mod tests {
 
     #[test]
     fn attack_leg_reports_and_separates_engine_from_baseline() {
-        let mut p = pipeline(
-            EngineChoice::Rge,
-            PipelineConfig {
-                tracked_owners: 4,
-                lbs_probes: 0,
-                attack: Some(AttackConfig::default()),
-                ..Default::default()
-            },
-        );
-        let reports = p.run(6).unwrap();
-        for r in &reports {
-            let attack = r.attack.as_ref().expect("attack leg on");
-            assert!(attack.engine.observations() > 0);
-            let baseline = attack.baseline.as_ref().expect("baseline control on");
-            assert!(
-                baseline.observations() + p.baseline_attack_failures() as u64 > 0,
-                "control ran"
+        for shards in [1, 3] {
+            let mut p = sharded(
+                EngineChoice::Rge,
+                PipelineConfig {
+                    tracked_owners: 4,
+                    lbs_probes: 0,
+                    attack: Some(AttackConfig::default()),
+                    ..Default::default()
+                },
+                shards,
             );
-        }
-        let engine = p.attack_summary().expect("engine rollup");
-        assert_eq!(engine.observations(), 6 * 4);
-        // The sound combined adversary never loses a keyed owner…
-        assert_eq!(engine.soundness(), 1.0);
-        // …and its posterior stays wide while the keyless deterministic
-        // control collapses under replay.
-        let baseline = p.baseline_attack_summary().expect("baseline rollup");
-        assert!(
-            engine.mean_entropy() > baseline.mean_entropy() + 1.0,
-            "engine {:.2} bits vs baseline {:.2} bits",
-            engine.mean_entropy(),
-            baseline.mean_entropy()
-        );
-        assert!(
-            baseline.guess_success_rate() > engine.guess_success_rate(),
-            "baseline {:.2} vs engine {:.2}",
-            baseline.guess_success_rate(),
-            engine.guess_success_rate()
-        );
-        // Records cover both streams in CSV-exportable form.
-        let records = p.attack_records();
-        assert!(records.iter().any(|r| r.scheme == "rge"));
-        assert!(records.iter().any(|r| r.scheme == "nre"));
-        let header_cols = AttackRecord::CSV_HEADER.split(',').count();
-        for record in records {
-            assert_eq!(record.csv_row().split(',').count(), header_cols);
+            let reports = p.run(6).unwrap();
+            for r in &reports {
+                let attack = r.attack.as_ref().expect("attack leg on");
+                assert_eq!(attack.engine.observations(), r.issued as u64);
+                let baseline = attack.baseline.as_ref().expect("baseline control on");
+                assert!(
+                    baseline.observations() + p.baseline_attack_failures() as u64 > 0,
+                    "{shards} shards: control ran"
+                );
+            }
+            let engine = p.attack_summary().expect("engine rollup");
+            let issued: usize = reports.iter().map(|r| r.issued).sum();
+            assert_eq!(engine.observations(), issued as u64);
+            if shards == 1 {
+                assert_eq!(issued, 6 * 4);
+            }
+            // The sound combined adversary never loses a keyed owner…
+            assert_eq!(engine.soundness(), 1.0, "{shards} shards");
+            // …and its posterior stays wide while the keyless
+            // deterministic control collapses under replay.
+            let baseline = p.baseline_attack_summary().expect("baseline rollup");
+            assert!(
+                engine.mean_entropy() > baseline.mean_entropy() + 1.0,
+                "{shards} shards: engine {:.2} bits vs baseline {:.2} bits",
+                engine.mean_entropy(),
+                baseline.mean_entropy()
+            );
+            assert!(
+                baseline.guess_success_rate() > engine.guess_success_rate(),
+                "{shards} shards: baseline {:.2} vs engine {:.2}",
+                baseline.guess_success_rate(),
+                engine.guess_success_rate()
+            );
+            // Records cover both streams in CSV-exportable form.
+            let records = p.attack_records();
+            assert!(records.iter().any(|r| r.scheme == "rge"));
+            assert!(records.iter().any(|r| r.scheme == "nre"));
+            let header_cols = AttackRecord::CSV_HEADER.split(',').count();
+            for record in records {
+                assert_eq!(record.csv_row().split(',').count(), header_cols);
+            }
         }
     }
 
     #[test]
     fn attack_leg_does_not_perturb_the_receipt_stream() {
-        let digests = |attack: Option<AttackConfig>| {
-            let mut p = pipeline(
-                EngineChoice::Rge,
-                PipelineConfig {
-                    tracked_owners: 5,
-                    lbs_probes: 0,
-                    attack,
-                    ..Default::default()
-                },
+        for shards in [1, 3] {
+            let digests = |attack: Option<AttackConfig>| {
+                let mut p = sharded(
+                    EngineChoice::Rge,
+                    PipelineConfig {
+                        tracked_owners: 5,
+                        lbs_probes: 0,
+                        attack,
+                        ..Default::default()
+                    },
+                    shards,
+                );
+                p.run(3)
+                    .unwrap()
+                    .iter()
+                    .map(|r| (r.digest, r.shard_digests.clone()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                digests(None),
+                digests(Some(AttackConfig::default())),
+                "{shards} shards: the attack leg is purely observational"
             );
-            p.run(3)
-                .unwrap()
-                .iter()
-                .map(|r| r.digest)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            digests(None),
-            digests(Some(AttackConfig::default())),
-            "the attack leg is purely observational"
-        );
+        }
     }
 
     #[test]
@@ -1339,41 +1648,55 @@ mod tests {
 
     #[test]
     fn journal_fault_retries_recover_the_fault_free_digest() {
-        let run = |fault: Option<FaultPlan>| {
-            let mut p = pipeline(
-                EngineChoice::Rge,
-                PipelineConfig {
-                    tracked_owners: 6,
-                    lbs_probes: 0,
-                    fault,
-                    fault_policy: FaultPolicy {
-                        journal_retries: 8,
+        for shards in [1, 3] {
+            let run = |fault: Option<FaultPlan>| {
+                let mut p = sharded(
+                    EngineChoice::Rge,
+                    PipelineConfig {
+                        tracked_owners: 6,
+                        lbs_probes: 0,
+                        fault,
+                        fault_policy: FaultPolicy {
+                            journal_retries: 8,
+                            ..Default::default()
+                        },
                         ..Default::default()
                     },
-                    ..Default::default()
-                },
+                    shards,
+                );
+                p.run(4).unwrap()
+            };
+            let clean = run(None);
+            let faulty = run(Some(FaultPlan {
+                seed: 9,
+                journal_write_fail: 0.4,
+                ..Default::default()
+            }));
+            let retries: u64 = faulty.iter().map(|r| r.health.journal_retries).sum();
+            assert!(
+                retries > 0,
+                "{shards} shards: p=0.4 over 24 requests injects failures"
             );
-            p.run(4).unwrap()
-        };
-        let clean = run(None);
-        let faulty = run(Some(FaultPlan {
-            seed: 9,
-            journal_write_fail: 0.4,
-            ..Default::default()
-        }));
-        let retries: u64 = faulty.iter().map(|r| r.health.journal_retries).sum();
-        assert!(retries > 0, "p=0.4 over 24 requests injects failures");
-        assert!(faulty.iter().all(|r| r.health.journal_skips == 0));
-        // A recovered owner's chain never advanced on the failed write,
-        // so the retry re-derives the same epoch and the receipt stream
-        // is bit-identical to the fault-free run.
-        assert_eq!(
-            clean.iter().map(|r| r.digest).collect::<Vec<_>>(),
-            faulty.iter().map(|r| r.digest).collect::<Vec<_>>(),
-        );
-        assert!(faulty
-            .iter()
-            .all(|r| r.failed == 0 && r.verified == r.issued));
+            assert!(faulty.iter().all(|r| r.health.journal_skips == 0));
+            // A recovered owner's chain never advanced on the failed
+            // write, so the retry re-derives the same epoch and the
+            // receipt stream is bit-identical to the fault-free run.
+            assert_eq!(
+                clean
+                    .iter()
+                    .map(|r| (r.digest, r.issued, r.failed))
+                    .collect::<Vec<_>>(),
+                faulty
+                    .iter()
+                    .map(|r| (r.digest, r.issued, r.failed))
+                    .collect::<Vec<_>>(),
+                "{shards} shards"
+            );
+            assert!(faulty.iter().all(|r| r.verified == r.issued));
+            if shards == 1 {
+                assert!(faulty.iter().all(|r| r.failed == 0));
+            }
+        }
     }
 
     #[test]

@@ -742,6 +742,70 @@ fn cli_simulate_attack_flag_widens_the_csv() {
     let _ = std::fs::remove_file(metrics);
 }
 
+/// `rcloak simulate --shards N` runs the same pipeline over N map
+/// partitions, LBS and attack legs included: every receipt verifies
+/// against its issuing shard's snapshot, every CSV row has the header's
+/// arity, and owners hand off between shards.
+#[test]
+fn cli_simulate_runs_sharded_with_every_leg() {
+    let metrics = tmp("sim-sharded-metrics.csv");
+    let out = rcloak()
+        .args([
+            "simulate",
+            "--map",
+            "city:7:2000",
+            "--shards",
+            "4",
+            "--owners",
+            "16",
+            "--attack",
+            "all",
+            "--lbs",
+            "2",
+            "--out",
+            metrics.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let verified = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("verified "))
+        .and_then(|l| l.split(':').next())
+        .unwrap_or_else(|| panic!("no verification line: {stdout}"));
+    let (ok, issued) = verified.split_once('/').expect("verified N/N");
+    assert_eq!(ok, issued, "{stdout}");
+    assert!(issued.parse::<usize>().unwrap() > 0, "{stdout}");
+    assert!(stdout.contains("partition: 4 shards"), "{stdout}");
+
+    let csv = std::fs::read_to_string(&metrics).unwrap();
+    let lines: Vec<&str> = csv.lines().collect();
+    assert_eq!(lines.len(), 51, "header + one row per default tick");
+    let header: Vec<&str> = lines[0].split(',').collect();
+    assert!(header.ends_with(&[
+        "nre_observations",
+        "nre_mean_entropy_bits",
+        "nre_guess_rate"
+    ]));
+    let handoffs = header
+        .iter()
+        .position(|&c| c == "handoffs")
+        .expect("handoffs column");
+    let mut total = 0usize;
+    for row in &lines[1..] {
+        let cells: Vec<&str> = row.split(',').collect();
+        assert_eq!(cells.len(), header.len(), "{row}");
+        total += cells[handoffs].parse::<usize>().unwrap();
+    }
+    assert!(total > 0, "no owner crossed a partition boundary");
+    let _ = std::fs::remove_file(metrics);
+}
+
 /// `rcloak attack` runs the continuous adversarial evaluation: the
 /// summary separates the keyed engine stream from the NRE control, and
 /// the CSV logs one row per (scheme, owner, tick).

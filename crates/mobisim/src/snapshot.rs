@@ -46,6 +46,23 @@ impl OccupancySnapshot {
         self.taken_at_ms = (sim.clock() * 1000.0) as u64;
     }
 
+    /// Copies `source`'s counts on `segments`, and its capture time, into
+    /// this snapshot; every other segment keeps its count. A sharded
+    /// pipeline refreshes each shard's partition-masked snapshot this
+    /// way from one full capture, in O(|segments|) per shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed segment is out of range for either snapshot.
+    pub fn copy_segments_from(&mut self, source: &OccupancySnapshot, segments: &[SegmentId]) {
+        for &s in segments {
+            let (old, new) = (self.counts[s.index()], source.counts[s.index()]);
+            self.counts[s.index()] = new;
+            self.total = self.total - u64::from(old) + u64::from(new);
+        }
+        self.taken_at_ms = source.taken_at_ms;
+    }
+
     /// A uniform snapshot with `k` users on every segment (useful for
     /// benchmarks that want k-anonymity to depend only on region size).
     pub fn uniform(segments: usize, per_segment: u32) -> Self {
@@ -152,6 +169,40 @@ mod tests {
         assert_eq!(snap, OccupancySnapshot::capture(&sim));
         assert_eq!(snap.total_users(), 80);
         assert_eq!(snap.taken_at_ms(), 50_000);
+    }
+
+    #[test]
+    fn copied_segments_keep_the_rest_and_the_total() {
+        let mut sim = Simulation::new(
+            grid_city(5, 5, 100.0),
+            SimConfig {
+                cars: 90,
+                seed: 4,
+                ..Default::default()
+            },
+        );
+        sim.run(3, 10.0);
+        let capture = OccupancySnapshot::capture(&sim);
+        let n = capture.segment_count();
+        let all: Vec<SegmentId> = sim.network().segment_ids().collect();
+        let mut whole = OccupancySnapshot::uniform(n, 0);
+        whole.copy_segments_from(&capture, &all);
+        assert_eq!(whole, capture, "copying every segment is a capture");
+
+        let (even, odd): (Vec<_>, Vec<_>) = all.iter().partition(|s| s.0 % 2 == 0);
+        let mut masked = OccupancySnapshot::uniform(n, 7);
+        masked.copy_segments_from(&capture, &even);
+        for &s in &even {
+            assert_eq!(masked.users_on(s), capture.users_on(s));
+        }
+        for &s in &odd {
+            assert_eq!(masked.users_on(s), 7);
+        }
+        assert_eq!(
+            masked.total_users(),
+            capture.users_in(even.iter().copied()) + 7 * odd.len() as u64
+        );
+        assert_eq!(masked.taken_at_ms(), 30_000);
     }
 
     #[test]

@@ -14,11 +14,11 @@
 
 use anonymizer::{
     AnonymizerConfig, AnonymizerService, ContinuousPipeline, Deanonymizer, Engine, FaultPlan,
-    FaultPolicy, PipelineConfig,
+    FaultPolicy, PipelineConfig, TickHealth,
 };
 use keystream::{ChainStore, FileStore, Level, TrustDegree};
 use mobisim::{OccupancySnapshot, SimConfig};
-use roadnet::{grid_city, SegmentId};
+use roadnet::{city_map, grid_city, SegmentId};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -47,7 +47,16 @@ fn pipeline_over(
     fault: Option<FaultPlan>,
     policy: FaultPolicy,
 ) -> ContinuousPipeline {
-    ContinuousPipeline::with_store(
+    sharded_pipeline_over(store, fault, policy, 1)
+}
+
+fn sharded_pipeline_over(
+    store: Arc<dyn ChainStore>,
+    fault: Option<FaultPlan>,
+    policy: FaultPolicy,
+    shards: usize,
+) -> ContinuousPipeline {
+    ContinuousPipeline::sharded(
         grid_city(8, 8, 100.0),
         SimConfig {
             cars: 250,
@@ -63,6 +72,7 @@ fn pipeline_over(
             fault_policy: policy,
             ..Default::default()
         },
+        shards,
         store,
     )
     .expect("store recovers")
@@ -176,9 +186,10 @@ fn captured_grant_survives_recovery_and_ratchet_continues() {
 /// Kill-and-recover under *every* fault plan shape the injector offers:
 /// flaky journal writes absorbed by retries, failing snapshot captures,
 /// injected cloak failures, compaction refusals — each combined with a
-/// mid-run crash. Whatever the plan did before the kill, recovery must
-/// resume every owner strictly forward from its journaled epoch and the
-/// post-recovery run must verify every receipt.
+/// mid-run crash, unsharded and over 3 shards. Whatever the plan did
+/// before the kill, recovery must resume every owner strictly forward
+/// from its journaled epoch and the post-recovery run must verify every
+/// receipt.
 #[test]
 fn every_fault_plan_preserves_recovery_invariants() {
     let plans = [
@@ -210,57 +221,136 @@ fn every_fault_plan_preserves_recovery_invariants() {
             ..Default::default()
         },
     ];
-    for (i, plan) in plans.into_iter().enumerate() {
-        let path = journal_path(&format!("plan-{i}"));
-        let crash_tick = plan.crash_at_tick.unwrap();
-        let store = Arc::new(FileStore::open(&path).unwrap());
-        let mut pipeline = pipeline_over(
-            store,
-            Some(plan.clone()),
-            FaultPolicy {
-                journal_retries: 6,
+    for shards in [1, 3] {
+        for (i, plan) in plans.iter().enumerate() {
+            let cell = format!("{shards} shards, plan {i}");
+            let path = journal_path(&format!("plan-{shards}-{i}"));
+            let crash_tick = plan.crash_at_tick.unwrap();
+            let store = Arc::new(FileStore::open(&path).unwrap());
+            let mut pipeline = sharded_pipeline_over(
+                store,
+                Some(plan.clone()),
+                FaultPolicy {
+                    journal_retries: 6,
+                    ..Default::default()
+                },
+                shards,
+            );
+            assert_eq!(pipeline.shard_count(), shards);
+            let mut health = TickHealth::default();
+            for tick in 1..=crash_tick {
+                let result = pipeline.tick();
+                if tick == crash_tick {
+                    let err = result.expect_err("crash fires on schedule");
+                    assert!(err.message.contains("injected crash"), "{cell}: {err}");
+                } else {
+                    let report = result.unwrap_or_else(|e| panic!("{cell}: {e}"));
+                    assert_eq!(report.verified, report.issued, "{cell}");
+                    health.journal_retries += report.health.journal_retries;
+                    health.snapshot_faults += report.health.snapshot_faults;
+                    health.injected_cloak_failures += report.health.injected_cloak_failures;
+                }
+            }
+            drop(pipeline);
+            // Every injected fault the plan can raise before the crash
+            // shows up in the health counters.
+            if plan.journal_write_fail > 0.0 {
+                assert!(health.journal_retries > 0, "{cell}: {health:?}");
+            }
+            if plan.snapshot_capture_fail > 0.0 {
+                assert!(health.snapshot_faults > 0, "{cell}: {health:?}");
+            }
+            if plan.cloak_fail > 0.0 {
+                assert!(health.injected_cloak_failures > 0, "{cell}: {health:?}");
+            }
+
+            let before = journaled_epochs(&path);
+            assert!(!before.is_empty(), "{cell}: advances were journaled");
+
+            let store = Arc::new(FileStore::open(&path).unwrap());
+            let mut pipeline = sharded_pipeline_over(store, None, FaultPolicy::default(), shards);
+            let reports = pipeline
+                .run(3)
+                .unwrap_or_else(|e| panic!("{cell}: post-recovery: {e}"));
+            assert!(
+                reports
+                    .iter()
+                    .all(|r| r.verified == r.issued && r.issued > 0),
+                "{cell}: post-recovery receipts verify"
+            );
+            for (owner, epoch_before) in &before {
+                let now = pipeline
+                    .owner_epoch(owner)
+                    .unwrap_or_else(|| panic!("{cell}: {owner} lost its chain across recovery"));
+                assert_eq!(
+                    now,
+                    epoch_before + 3,
+                    "{cell}: {owner} advanced exactly once per post-recovery tick"
+                );
+            }
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+}
+
+/// A sharded kill-and-recover: every shard's service replays the whole
+/// shared journal, and the rebuilt pipeline must leave each owner's
+/// chain on exactly the shard that holds the owner. A stale copy on
+/// another shard would still derive every later epoch's keys, since the
+/// ratchet is a deterministic one-way step, and would shadow the live
+/// epoch in lookups.
+#[test]
+fn sharded_restart_keeps_one_live_chain_per_owner() {
+    let path = journal_path("sharded-restart");
+    let build = || {
+        ContinuousPipeline::sharded(
+            city_map(11, 800),
+            SimConfig {
+                cars: 800,
+                seed: 42,
                 ..Default::default()
             },
-        );
-        for tick in 1..=crash_tick {
-            let result = pipeline.tick();
-            if tick == crash_tick {
-                let err = result.expect_err("crash fires on schedule");
-                assert!(err.message.contains("injected crash"), "plan {i}: {err}");
-            } else {
-                let report = result.unwrap_or_else(|e| panic!("plan {i}: {e}"));
-                assert_eq!(report.verified, report.issued, "plan {i}");
-            }
-        }
-        drop(pipeline);
-
-        let before = journaled_epochs(&path);
-        assert!(!before.is_empty(), "plan {i}: advances were journaled");
-
-        let store = Arc::new(FileStore::open(&path).unwrap());
-        let mut pipeline = pipeline_over(store, None, FaultPolicy::default());
-        let reports = pipeline
-            .run(3)
-            .unwrap_or_else(|e| panic!("plan {i}: post-recovery: {e}"));
-        assert!(
-            reports
+            AnonymizerConfig::default(),
+            PipelineConfig {
+                tracked_owners: 16,
+                lbs_probes: 0,
+                ..Default::default()
+            },
+            4,
+            Arc::new(FileStore::open(&path).unwrap()),
+        )
+        .expect("store recovers")
+    };
+    let check = |pipeline: &ContinuousPipeline, when: &str| {
+        let journaled = journaled_epochs(&path);
+        assert_eq!(journaled.len(), 16, "{when}: every owner journaled");
+        for (owner, epoch) in &journaled {
+            let holders = pipeline
+                .services()
                 .iter()
-                .all(|r| r.verified == r.issued && r.issued > 0),
-            "plan {i}: post-recovery receipts verify"
-        );
-        let service = pipeline.service();
-        for (owner, epoch_before) in &before {
-            let now = service
-                .owner_epoch(owner)
-                .unwrap_or_else(|| panic!("plan {i}: {owner} lost its chain across recovery"));
+                .filter(|s| s.owner_epoch(owner).is_some())
+                .count();
+            assert_eq!(holders, 1, "{when}: {owner} has {holders} chain copies");
             assert_eq!(
-                now,
-                epoch_before + 3,
-                "plan {i}: {owner} advanced exactly once per post-recovery tick"
+                pipeline.owner_epoch(owner),
+                Some(*epoch),
+                "{when}: {owner} is not at its live epoch"
             );
         }
-        let _ = std::fs::remove_file(&path);
-    }
+    };
+
+    let mut pipeline = build();
+    pipeline.run(4).expect("first run verifies");
+    check(&pipeline, "before the kill");
+    drop(pipeline); // the process dies; only the journal survives
+
+    let mut pipeline = build();
+    check(&pipeline, "right after the rebuild");
+    let reports = pipeline.run(6).expect("post-recovery invariants hold");
+    assert!(reports.iter().all(|r| r.verified == r.issued));
+    assert!(pipeline.handoffs_total() > 0, "owners crossed shards");
+    check(&pipeline, "six ticks after the rebuild");
+    let _ = std::fs::remove_file(&path);
 }
 
 /// A torn tail from a mid-write kill must not poison recovery: truncate

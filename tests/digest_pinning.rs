@@ -25,10 +25,10 @@
 //!
 //! # Sharded streams
 //!
-//! The multi-shard `ShardedPipeline` folds its per-shard receipt streams
-//! into one digest per tick. It is pinned at 2 and 8 shards on a small
-//! generated city (the single-shard form delegates to the continuous
-//! pipeline above), over enough ticks that trips replanned inside a tick
+//! With several shards the pipeline folds its per-shard receipt streams
+//! into one digest per tick (a lone shard's digest is its own, the
+//! unsharded pins above). It is pinned at 2 and 8 shards on a small
+//! generated city, over enough ticks that trips replanned inside a tick
 //! feed the stream as well as every car's setup trip.
 
 use anonymizer::{
