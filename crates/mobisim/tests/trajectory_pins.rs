@@ -15,7 +15,11 @@
 //!   with its landmark bound;
 //! * two unconnected grids (8 × 8 and 3 × 3): trips whose draws land on
 //!   the other grid are drawn again, and a car that draws no reachable
-//!   junction in eight tries parks and draws again on the next step.
+//!   junction in eight tries parks and draws again on the next step;
+//! * a 4 × 4 grid with a tail of roads 1e308 m long: past the tail's
+//!   first road a route's length overflows to infinity, so Dijkstra finds
+//!   no route to a junction that roads do join, and the trip is drawn
+//!   again.
 //!
 //! The constants were taken from the sequential planner that drew,
 //! routed and assigned each trip in turn, before trip planning was
@@ -92,6 +96,27 @@ fn two_grids() -> RoadNetwork {
     b.build().unwrap()
 }
 
+/// A 4 × 4 grid of 100 m roads with a tail of three roads 1e308 m long
+/// from its last corner. Any two tail roads add up to infinity, and the
+/// map runs plain Dijkstra.
+fn overflowing_tail() -> RoadNetwork {
+    let grid = grid_city(4, 4, 100.0);
+    let mut b = RoadNetworkBuilder::new();
+    for j in grid.junctions() {
+        b.add_junction(j.position());
+    }
+    for seg in grid.segments() {
+        b.add_segment(seg.a(), seg.b()).unwrap();
+    }
+    let mut prev = JunctionId(grid.junction_count() as u32 - 1);
+    for i in 1..=3 {
+        let next = b.add_junction(Point::new(300.0 + 100.0 * f64::from(i), 300.0));
+        b.add_segment_with_length(prev, next, 1e308).unwrap();
+        prev = next;
+    }
+    b.build().unwrap()
+}
+
 fn mixes() -> [(&'static str, BehaviorMix); 4] {
     [
         ("uniform", BehaviorMix::uniform()),
@@ -133,6 +158,11 @@ fn city_trajectories_match_the_pins() {
 #[test]
 fn disconnected_trajectories_match_the_pins() {
     assert_pinned("two grids", two_grids, 300, &TWO_GRID_PINS);
+}
+
+#[test]
+fn overflow_trajectories_match_the_pins() {
+    assert_pinned("overflowing tail", overflowing_tail, 300, &OVERFLOW_PINS);
 }
 
 #[test]
@@ -328,5 +358,61 @@ const TWO_GRID_PINS: [[u64; STEPS + 1]; 4] = [
         0x5501195d0944722c, 0x22816fd2da337064, 0xae8faba9933b5b49, 0x6f09393dda23f648,
         0x7e58ce2b0d14119a, 0xa41a2a782f788c39, 0x9da9afc50e1030db, 0x0fc9614b815a7410,
         0x48a34ef0d01aa410,
+    ],
+];
+
+#[rustfmt::skip]
+const OVERFLOW_PINS: [[u64; STEPS + 1]; 4] = [
+    [
+        0xc6237fc516de5461, 0x32e94fcd9f2f1540, 0xb92a066bba4d69fb, 0x58872ec9fb449ee5,
+        0x8797e8850fe4c884, 0xe4369feada188632, 0x11b89592145e18f8, 0x1d0b9edc6d7d135e,
+        0x1910220d488b4239, 0xea476e40e1b5a3b2, 0x9361d3f11d16f784, 0xe231eec361c938af,
+        0x2531ded7377eb4b2, 0x3e9dd3dff3ce9f06, 0x8dec0f2ef33da369, 0xeac6021851a39cac,
+        0x8043bf160ebc1dcd, 0x587863ae883af9da, 0x324b788d1d8d10b1, 0xe70508141cd81b78,
+        0xc60217ee2b2d43c0, 0xf0a637252b6e598c, 0x6cea786a9f9535bb, 0x8d3e187ac1270cb2,
+        0x327d5c433e779d05, 0xd8e235826f03e4a6, 0x0c441b50a613e191, 0x60527bbcebacd39d,
+        0x60e8fc46f5e655f1, 0x0748716f0f547c71, 0xb7d0621e5cebb093, 0x1418512a26a13d80,
+        0x1ded56716cf7efe7, 0xfa771c68e964902d, 0xcab661cd7da7367f, 0xaa6381363cfdb407,
+        0x1ff58a938b33323a, 0x48e7cd222b8e5f06, 0x7bc13a7b6fe560bc, 0xa36f673c913def51,
+        0x34a4ce99a835fd13,
+    ],
+    [
+        0x0c081381ab8892b6, 0xba57fd3420178558, 0xa4d1c1bb3e2057af, 0x094e8b3b0f006abb,
+        0x4d8c5425e1e91f8f, 0x89b90d08a711d3b7, 0x47b81d954c5093aa, 0x7ae07d1c67c359c7,
+        0xc98902aa265c69c2, 0x2c2a0c5442ebec5c, 0xde42a1da0d5d0723, 0x0dfb59adb9a3d841,
+        0x6b3a499a589e1cd5, 0x0e6fdd9db4fc5709, 0x7e3253b8f4042fab, 0xfdd99c7c1f251190,
+        0x39037f3233b7ffe7, 0x2c2e95569585ca1f, 0x756e9ea0288e086e, 0x0ceb95f4fa757703,
+        0xcbc5ca1df6716ad8, 0x7077da946d194987, 0x7f162934eee73f24, 0xf423af13a2e090d1,
+        0x01ea6211a7edc235, 0x2f632284860fc6c3, 0x27b6c292fc2c1eae, 0xb49f311361bf0e72,
+        0x5a9d11932441977c, 0x787261935b9bf262, 0xe9cd6bcdfa797433, 0x8a19ebbf3e979ee0,
+        0xb165542452c46c0a, 0x435af805bb22c6f3, 0xded5303e30893aee, 0x500528282b2d6b70,
+        0x9f5882557d5cdbe9, 0x859f4d1227aad1a7, 0x4b4631ccb8ce0189, 0x2d53757eea5db967,
+        0xf248da4d0e209227,
+    ],
+    [
+        0x71334f39d8b09ac3, 0xf2389c327a8bb1b7, 0xe50b3cd01a09ee3e, 0x8e962fb13e9468b1,
+        0xeb472fd2916800a0, 0xf0dcb5e71ff7b1a4, 0x01e9b82650069e0c, 0xd0a49ef703d4cd37,
+        0x77008aa85cfc404d, 0xe23637125777e5c2, 0x7f8f60bec75694f6, 0x27d6e1b3300b3aa1,
+        0xd1348de37585e21c, 0x226fe75615937eab, 0xb51bd8d0a676e7c6, 0x24c6a913ea0ed098,
+        0x07e7f5493c34bb62, 0x7506026ee0ff671f, 0x0a652d1a61d90b1c, 0xb0c9e50e97d55859,
+        0x6bd714361a1f9550, 0x47aa6d3c0d3acf56, 0x85ea8168586e31fd, 0xacee228950aaf2f8,
+        0x8b6f877dcaa75c82, 0x2675d98f59474b79, 0x6572f26e672587a3, 0xf6256e307563a2e1,
+        0x774b5689098fd417, 0x787dfe33a0490e38, 0x0b5d8fadab22511c, 0xa115742c5d3f3d11,
+        0xd9a5bc3c4b09792c, 0x673ce76e6e68de1a, 0x929d5d56958f96c4, 0x89e2b5e003ab0196,
+        0x7c0682a0a419fdb1, 0x74f22c3ecaf0d5d4, 0xc8bec704599e761c, 0xd810ec151778b75b,
+        0xbdd53a408c669009,
+    ],
+    [
+        0x8c2b9cb055b296c4, 0x3ef5dddedf34e27e, 0xab50d00665ea187e, 0x40bf0aeed7b90c6b,
+        0x2ceb28290141b494, 0x8b5c22cbbb53b47c, 0xae60d906e76c5304, 0xd8368f1fbfa56370,
+        0xc20fa97a9ba9757b, 0x8fbda241e7030004, 0xa8c4e0cf5b8f4b05, 0x85c4c2319ab33273,
+        0x523383609bc8d395, 0x477ef3537af43578, 0x45c29a99dc8576c3, 0xb9268acf27f1fa9b,
+        0x7e4e5953554a5fd8, 0xe62b19b41e969084, 0xe58bf28c3fe09349, 0xe792f9911945adc4,
+        0x3b9fc5836ebd4b04, 0xf988d048e726ffb5, 0x87688954bbc85923, 0xd0ff444264df6ee9,
+        0x4e774d4bb0e15d2d, 0x8105a72aad069bd3, 0x5454dee8c0485ec5, 0x4517bfbeb01574df,
+        0xdf678857a0738f3c, 0x90ad9d9c873f82c0, 0x3e04c3ea29af8e98, 0xf127a91cafafe7ae,
+        0x438d5d64c2854fb6, 0x18bbf6a34c4d1a3e, 0x1f82df923fe88c01, 0x20f0eec8a07af98f,
+        0x6e0c98d200346899, 0xa2e8409d2a64bb23, 0x7908d5e5fc344b9c, 0xdcec1fc8c924544c,
+        0xcec5d088913b524e,
     ],
 ];
