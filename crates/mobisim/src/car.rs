@@ -126,9 +126,9 @@ impl Car {
         self.trips_completed
     }
 
-    pub(crate) fn assign_route(&mut self, route: Vec<SegmentId>) {
-        self.route = route;
-        self.route.reverse(); // pop() from the back is the next segment
+    pub(crate) fn assign_route(&mut self, route: &[SegmentId]) {
+        // Stored reversed: pop() from the back is the next segment.
+        self.route = route.iter().rev().copied().collect();
     }
 
     pub(crate) fn finish_trip(&mut self) {
@@ -182,7 +182,7 @@ mod tests {
     fn car_crosses_to_next_segment() {
         let net = grid_city(3, 3, 100.0);
         let mut car = Car::new(CarId(0), RoadPosition::at_start(SegmentId(0)), 10.0);
-        car.assign_route(vec![SegmentId(2)]);
+        car.assign_route(&[SegmentId(2)]);
         // 100 m segment + 50 m into the next = 15 s at 10 m/s.
         let done = car.advance(&net, 15.0);
         assert!(!done);

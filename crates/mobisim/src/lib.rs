@@ -38,6 +38,7 @@
 pub mod behavior;
 pub mod car;
 pub mod placement;
+mod plan;
 pub mod sim;
 pub mod snapshot;
 pub mod trace;

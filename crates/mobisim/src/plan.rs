@@ -1,0 +1,419 @@
+//! Batch trip planning.
+//!
+//! A [`TripPlanner`] plans one batch of trips, listed in car order, in
+//! three passes, and gives every car the route the sequential planner
+//! gave it: draw a destination, route it, assign it, car by car.
+//!
+//! 1. **Draw** ([`TripPlanner::plan`]). Every drawn trip makes exactly
+//!    the draws of the sequential planner: up to eight uniform
+//!    junctions, skipping its start, keeping the first one in the start's
+//!    component. The components come from [`TripRouter::connected`], not
+//!    from a search.
+//! 2. **Route.** The destinations are routed on up to one worker per
+//!    available core (the calling thread is one of them), handed out in
+//!    chunks from a shared cursor. Each worker has its own
+//!    [`TripRouter`] labels and heap over the one shared router graph,
+//!    and writes segments into its own flat buffer, which the planner
+//!    keeps from batch to batch.
+//! 3. **Commit.** The caller reads the trips back in car order and
+//!    allocates each car's route on the calling thread, so long-lived
+//!    routes never come from a worker thread's allocator arena.
+//!
+//! Routes are `shortest_path`'s byte for byte, so the output is the same
+//! at any worker count. A route can be missing where its component says
+//! it exists only when a path's float length overflows, on a map that
+//! runs plain Dijkstra. Then the sequential planner would have drawn
+//! again, so the planner replays the rest of the batch on the calling
+//! thread from the generator state it saved at that trip.
+
+use rand::rngs::StdRng;
+use rand::Rng;
+use roadnet::{JunctionId, RoadNetwork, SegmentId, TripRouter};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Draws per trip before a car gives up and parks until its next step.
+const DRAW_ATTEMPTS: usize = 8;
+
+/// One trip of a batch.
+#[derive(Debug)]
+pub(crate) struct Trip {
+    /// Index of the car the trip is for.
+    pub car: usize,
+    /// The junction the route starts from.
+    pub start: JunctionId,
+    /// The destination, once drawn (or as fixed by the caller). `None`
+    /// when no draw reached a junction in the start's component.
+    pub dest: Option<JunctionId>,
+    /// The cruise speed drawn before the destination, in a batch that
+    /// draws speeds (0 otherwise).
+    pub speed: f64,
+    /// Whether the destination is drawn (else the caller fixed it).
+    drawn: bool,
+    /// The generator state before this trip's draws.
+    saved: Option<StdRng>,
+    /// The route's segments: `(worker, start, end)` in that worker's
+    /// buffer.
+    route: Option<(usize, u32, u32)>,
+}
+
+/// One routing worker: a router over the planner's shared graph and the
+/// buffers it writes the batch's routes into.
+#[derive(Debug)]
+struct Worker {
+    router: TripRouter,
+    /// Every route this worker found in the batch, back to back.
+    segments: Vec<SegmentId>,
+    /// `(trip, start, end)`: where each found route sits in `segments`.
+    spans: Vec<(u32, u32, u32)>,
+}
+
+impl Worker {
+    /// Routes trips from the shared cursor until none are left.
+    fn route(&mut self, trips: &[Trip], cursor: &AtomicUsize, chunk: usize) {
+        loop {
+            let first = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if first >= trips.len() {
+                return;
+            }
+            let last = (first + chunk).min(trips.len());
+            for (i, trip) in trips[first..last].iter().enumerate() {
+                let Some(dest) = trip.dest else { continue };
+                let start = self.segments.len() as u32;
+                if self.router.route_into(trip.start, dest, &mut self.segments) {
+                    let end = self.segments.len() as u32;
+                    self.spans.push(((first + i) as u32, start, end));
+                }
+            }
+        }
+    }
+}
+
+/// Plans batches of trips for one map (see the module doc).
+#[derive(Debug)]
+pub(crate) struct TripPlanner {
+    trips: Vec<Trip>,
+    /// `workers[0]` routes on the calling thread and replays.
+    workers: Vec<Worker>,
+    junctions: u32,
+}
+
+impl TripPlanner {
+    /// A planner for `net` with `workers` routing workers (at least one),
+    /// all sharing one [`TripRouter`] graph.
+    pub fn new(net: &RoadNetwork, workers: usize) -> TripPlanner {
+        let router = TripRouter::new(net);
+        let mut routers: Vec<TripRouter> = (1..workers).map(|_| router.share()).collect();
+        routers.insert(0, router);
+        TripPlanner {
+            trips: Vec::new(),
+            workers: routers
+                .into_iter()
+                .map(|router| Worker {
+                    router,
+                    segments: Vec::new(),
+                    spans: Vec::new(),
+                })
+                .collect(),
+            junctions: net.junction_count() as u32,
+        }
+    }
+
+    /// Starts a new batch, dropping the last one's trips and routes.
+    pub fn clear(&mut self) {
+        self.trips.clear();
+        for worker in &mut self.workers {
+            worker.segments.clear();
+            worker.spans.clear();
+        }
+    }
+
+    /// Adds a trip from `start`: to `dest`, drawing nothing, or with
+    /// `None` to a destination drawn at random. A fixed trip gets no
+    /// route when `dest` is `start` or cannot be reached.
+    pub fn push(&mut self, car: usize, start: JunctionId, dest: Option<JunctionId>) {
+        self.trips.push(Trip {
+            car,
+            start,
+            dest,
+            speed: 0.0,
+            drawn: dest.is_none(),
+            saved: None,
+            route: None,
+        });
+    }
+
+    /// Draws, routes and (where a route overflowed) replays the batch.
+    /// With `speeds`, each drawn trip first draws its car's cruise speed
+    /// in that range, as a car's setup does. Returns the trip the replay
+    /// started from, if there was one.
+    pub fn plan(&mut self, rng: &mut StdRng, speeds: Option<(f64, f64)>) -> Option<usize> {
+        let router = &self.workers[0].router;
+        for trip in &mut self.trips {
+            let start = trip.start;
+            if trip.drawn {
+                trip.draw(rng, speeds, self.junctions, |dest| {
+                    router.connected(start, dest)
+                });
+            } else {
+                trip.dest = trip
+                    .dest
+                    .filter(|&dest| dest != start && router.connected(start, dest));
+            }
+        }
+        self.route_all();
+        let replay = self
+            .trips
+            .iter()
+            .position(|t| t.drawn && t.dest.is_some() && t.route.is_none())?;
+        *rng = self.trips[replay]
+            .saved
+            .clone()
+            .expect("a drawn trip saves the generator");
+        let worker = &mut self.workers[0];
+        for trip in self.trips[replay..].iter_mut().filter(|t| t.drawn) {
+            let start = trip.start;
+            let mut found = None;
+            trip.draw(rng, speeds, self.junctions, |dest| {
+                let first = worker.segments.len() as u32;
+                let reached = worker.router.route_into(start, dest, &mut worker.segments);
+                if reached {
+                    found = Some((0, first, worker.segments.len() as u32));
+                }
+                reached
+            });
+            trip.route = found;
+        }
+        Some(replay)
+    }
+
+    /// The batch's trips, in the order they were pushed.
+    pub fn trips(&self) -> &[Trip] {
+        &self.trips
+    }
+
+    /// A trip's route, or `None` when it has none.
+    pub fn route(&self, trip: &Trip) -> Option<&[SegmentId]> {
+        let (worker, start, end) = trip.route?;
+        Some(&self.workers[worker].segments[start as usize..end as usize])
+    }
+
+    /// The route pass: every trip with a destination, routed on the
+    /// planner's workers, never more of them than there are trips to
+    /// route.
+    fn route_all(&mut self) {
+        let trips = &self.trips;
+        let routed = trips.iter().filter(|t| t.dest.is_some()).count();
+        let active = self.workers.len().min(routed).max(1);
+        let chunk = (trips.len() / (active * 4)).clamp(1, 64);
+        // The cursor only hands out trip indices; the routes come back
+        // through the scope's joins, so it publishes nothing and
+        // `Relaxed` is enough.
+        let cursor = AtomicUsize::new(0);
+        let (first, rest) = self.workers[..active]
+            .split_first_mut()
+            .expect("a planner has a worker");
+        std::thread::scope(|scope| {
+            for worker in rest {
+                let cursor = &cursor;
+                scope.spawn(move || worker.route(trips, cursor, chunk));
+            }
+            first.route(trips, &cursor, chunk);
+        });
+        for (w, worker) in self.workers[..active].iter().enumerate() {
+            for &(trip, start, end) in &worker.spans {
+                self.trips[trip as usize].route = Some((w, start, end));
+            }
+        }
+    }
+}
+
+impl Trip {
+    /// Saves the generator, then makes the trip's draws: its speed when
+    /// `speeds` is given, then up to eight uniform junctions, keeping the
+    /// first that is not the start and that `reachable` accepts.
+    fn draw(
+        &mut self,
+        rng: &mut StdRng,
+        speeds: Option<(f64, f64)>,
+        junctions: u32,
+        mut reachable: impl FnMut(JunctionId) -> bool,
+    ) {
+        self.saved = Some(rng.clone());
+        if let Some((low, high)) = speeds {
+            self.speed = rng.gen_range(low..=high);
+        }
+        self.dest = (0..DRAW_ATTEMPTS)
+            .map(|_| JunctionId(rng.gen_range(0..junctions)))
+            .find(|&dest| dest != self.start && reachable(dest));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::SeedableRng;
+    use roadnet::{city_map, grid_city, Point, RoadNetworkBuilder};
+
+    /// What one trip ended with: its speed, its drawn destination, and
+    /// its route (`None` for none or an empty one).
+    type Outcome = (f64, Option<JunctionId>, Option<Vec<SegmentId>>);
+
+    /// `(start, fixed destination)`; `None` draws the destination.
+    type Request = (JunctionId, Option<JunctionId>);
+
+    /// The sequential planner the batch planner must match: each trip in
+    /// turn draws its speed and then destinations, routing every
+    /// candidate until one is reached.
+    fn sequential(
+        router: &mut TripRouter,
+        junctions: u32,
+        batch: &[Request],
+        rng: &mut StdRng,
+        speeds: Option<(f64, f64)>,
+    ) -> Vec<Outcome> {
+        let mut outcomes = Vec::new();
+        for &(start, fixed) in batch {
+            if let Some(dest) = fixed {
+                let route = router.route(start, dest).filter(|r| !r.is_empty());
+                outcomes.push((0.0, None, route));
+                continue;
+            }
+            let speed = speeds.map_or(0.0, |(low, high)| rng.gen_range(low..=high));
+            let mut outcome = (speed, None, None);
+            for _ in 0..8 {
+                let dest = JunctionId(rng.gen_range(0..junctions));
+                if dest == start {
+                    continue;
+                }
+                if let Some(route) = router.route(start, dest) {
+                    outcome = (speed, Some(dest), Some(route));
+                    break;
+                }
+            }
+            outcomes.push(outcome);
+        }
+        outcomes
+    }
+
+    fn planned(
+        planner: &mut TripPlanner,
+        batch: &[Request],
+        rng: &mut StdRng,
+        speeds: Option<(f64, f64)>,
+    ) -> (Vec<Outcome>, Option<usize>) {
+        planner.clear();
+        for (car, &(start, fixed)) in batch.iter().enumerate() {
+            planner.push(car, start, fixed);
+        }
+        let replay = planner.plan(rng, speeds);
+        let outcomes = planner
+            .trips()
+            .iter()
+            .map(|t| {
+                let dest = if t.drawn { t.dest } else { None };
+                (t.speed, dest, planner.route(t).map(<[_]>::to_vec))
+            })
+            .collect();
+        (outcomes, replay)
+    }
+
+    /// Random requests from every map junction: mostly drawn, every
+    /// fifth to a fixed junction, every seventh fixed to its own start.
+    fn requests(net: &RoadNetwork, count: usize, seed: u64) -> Vec<Request> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = net.junction_count() as u32;
+        (0..count)
+            .map(|i| {
+                let start = JunctionId(rng.gen_range(0..n));
+                let fixed = match i % 35 {
+                    0 => Some(start),
+                    k if k % 5 == 0 => Some(JunctionId(rng.gen_range(0..n))),
+                    _ => None,
+                };
+                (start, fixed)
+            })
+            .collect()
+    }
+
+    /// Runs three batches (the first drawing speeds) through the
+    /// sequential planner and through a batch planner at 1, 2 and 3
+    /// workers; returns how many batches each planner replayed.
+    fn assert_matches_sequential(net: &RoadNetwork, count: usize) -> Vec<usize> {
+        let batches: Vec<Vec<Request>> = (0..3).map(|b| requests(net, count, b)).collect();
+        let speeds = |b: usize| (b == 0).then_some((8.0, 20.0));
+        let mut router = TripRouter::new(net);
+        let mut rng = StdRng::seed_from_u64(99);
+        let junctions = net.junction_count() as u32;
+        let expected: Vec<Vec<Outcome>> = (0..3)
+            .map(|b| sequential(&mut router, junctions, &batches[b], &mut rng, speeds(b)))
+            .collect();
+        let next_draw = rng.gen::<u64>();
+        let mut replays = Vec::new();
+        for workers in 1..=3 {
+            let mut planner = TripPlanner::new(net, workers);
+            let mut rng = StdRng::seed_from_u64(99);
+            let mut replayed = 0;
+            for (b, batch) in batches.iter().enumerate() {
+                let (got, replay) = planned(&mut planner, batch, &mut rng, speeds(b));
+                assert_eq!(got, expected[b], "{workers} workers, batch {b}");
+                replayed += usize::from(replay.is_some());
+            }
+            assert_eq!(rng.gen::<u64>(), next_draw, "{workers} workers");
+            replays.push(replayed);
+        }
+        replays
+    }
+
+    #[test]
+    fn batches_match_the_sequential_planner_at_every_worker_count() {
+        for net in [grid_city(6, 6, 100.0), city_map(5, 800)] {
+            assert_eq!(assert_matches_sequential(&net, 300), [0, 0, 0]);
+        }
+    }
+
+    #[test]
+    fn disconnected_maps_redraw_like_the_sequential_planner() {
+        // Two 4 × 4 grids and a lone junction: draws off the start's
+        // grid are drawn again, and a start at the lone junction never
+        // reaches anything.
+        let mut b = RoadNetworkBuilder::new();
+        for x0 in [0.0, 1_000.0] {
+            let grid = grid_city(4, 4, 50.0);
+            let first = b.junction_count() as u32;
+            for j in grid.junctions() {
+                let p = j.position();
+                b.add_junction(Point::new(p.x + x0, p.y));
+            }
+            for seg in grid.segments() {
+                let (a, c) = (JunctionId(seg.a().0 + first), JunctionId(seg.b().0 + first));
+                b.add_segment(a, c).unwrap();
+            }
+        }
+        b.add_junction(Point::new(500.0, 500.0));
+        assert_eq!(
+            assert_matches_sequential(&b.build().unwrap(), 200),
+            [0, 0, 0]
+        );
+    }
+
+    #[test]
+    fn overflowing_routes_replay_the_rest_of_the_batch() {
+        // A line of roads 1e308 m long: one road's length is finite, two
+        // add up to infinity, so every junction is connected but only
+        // neighbours can be routed.
+        let mut b = RoadNetworkBuilder::new();
+        let mut prev = b.add_junction(Point::new(0.0, 0.0));
+        for i in 1..8 {
+            let next = b.add_junction(Point::new(100.0 * f64::from(i), 0.0));
+            b.add_segment_with_length(prev, next, 1e308).unwrap();
+            prev = next;
+        }
+        let net = b.build().unwrap();
+        let router = TripRouter::new(&net);
+        assert!(router.connected(JunctionId(0), JunctionId(2)));
+        assert!(TripRouter::new(&net)
+            .route(JunctionId(0), JunctionId(2))
+            .is_none());
+        assert_eq!(assert_matches_sequential(&net, 60), [3, 3, 3]);
+    }
+}

@@ -3,10 +3,24 @@
 //! GTMobiSim semantics, per the paper: "Once a car is generated, the
 //! associated destination is also randomly chosen and the route selection
 //! is based on shortest path routing." Cars drive their route at a cruise
-//! speed; on arrival a fresh random destination is chosen. One
-//! [`TripRouter`], built with the simulation, plans every trip: it returns
-//! the segments [`roadnet::shortest_path`] would, searching a fraction of
-//! the map per trip. The router reads the landmark table of the network's
+//! speed; on arrival a fresh random destination is chosen.
+//!
+//! Every trip goes through one batch planner, built with the simulation:
+//! the setup trips and commuter anchors of [`Simulation::new`] (in
+//! batches of a few hundred cars) and the trips of each
+//! [`Simulation::step`]. A batch runs in three passes. The cars advance
+//! and draw their destinations in car order, with the draws they always
+//! made; reachability comes from component labels, not a search. The
+//! drawn trips are then routed on one worker per available core (the
+//! calling thread alone on one core), and the routes, commuter phases
+//! and commuter moves are committed in car order. Each worker is a
+//! [`roadnet::TripRouter`] over one shared router graph, so every route
+//! is the one [`roadnet::shortest_path`] returns and the simulation is
+//! the same at any worker count. Where a route's float length overflows
+//! (only on a map that runs plain Dijkstra), the planner replays the
+//! rest of the batch in sequence.
+//!
+//! The router reads the landmark table of the network's
 //! [`roadnet::GraphIndex`]. On a network with no index yet,
 //! [`Simulation::new`] builds one, spreading its landmark rows over one
 //! scoped thread per core. A caller that already holds an indexed
@@ -16,9 +30,15 @@
 use crate::behavior::{BehaviorKind, BehaviorMix, CarBehavior, CommutePhase, RushSchedule};
 use crate::car::{Car, CarId, RoadPosition};
 use crate::placement::{place_cars, PlacementModel};
+use crate::plan::TripPlanner;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use roadnet::{JunctionId, RoadNetwork, SegmentId, SegmentIndex, TripRouter};
+use rand::SeedableRng;
+use roadnet::{RoadNetwork, SegmentId, SegmentIndex};
+
+/// Cars per setup batch in [`Simulation::new`]: enough trips to keep
+/// every routing worker busy, few enough that the planner's buffers stay
+/// near a step's size.
+const SETUP_BATCH: usize = 512;
 
 /// Configuration of a [`Simulation`].
 #[derive(Debug, Clone)]
@@ -63,8 +83,8 @@ impl Default for SimConfig {
 #[derive(Debug)]
 pub struct Simulation {
     net: RoadNetwork,
-    /// Plans every trip: built once from `net`, reused by every query.
-    router: TripRouter,
+    /// Plans every trip: built once from `net`, reused by every batch.
+    planner: TripPlanner,
     cars: Vec<Car>,
     rng: StdRng,
     clock: f64,
@@ -84,52 +104,69 @@ impl Simulation {
     ///
     /// Panics if the network has no segments.
     pub fn new(net: RoadNetwork, cfg: SimConfig) -> Self {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Simulation::with_workers(net, cfg, workers)
+    }
+
+    /// [`new`](Self::new) with `workers` routing workers.
+    fn with_workers(net: RoadNetwork, cfg: SimConfig, workers: usize) -> Self {
         let index = SegmentIndex::build(&net, suggested_cell(&net));
-        let mut router = TripRouter::new(&net);
+        let mut planner = TripPlanner::new(&net, workers);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let placements = place_cars(&net, &index, cfg.placement, cfg.cars, &mut rng);
+        // Each car draws its speed, then its first trip. The cars go in
+        // batches of SETUP_BATCH: the planner's buffers keep their
+        // capacity for the whole run, so they should never hold every
+        // setup route at once.
         let mut cars = Vec::with_capacity(cfg.cars);
-        for (i, (seg, off)) in placements.into_iter().enumerate() {
-            let speed = rng.gen_range(cfg.speed_range.0..=cfg.speed_range.1);
-            let mut car = Car::new(
-                CarId(i as u32),
-                RoadPosition {
-                    segment: seg,
-                    offset: off,
-                },
-                speed,
-            );
-            let route = plan_trip(&mut router, &net, &car, &mut rng);
-            car.assign_route(route);
-            cars.push(car);
+        for batch in placements.chunks(SETUP_BATCH) {
+            planner.clear();
+            for (i, &(segment, _)) in batch.iter().enumerate() {
+                planner.push(cars.len() + i, net.segment(segment).b(), None);
+            }
+            planner.plan(&mut rng, Some(cfg.speed_range));
+            for (&(segment, offset), trip) in batch.iter().zip(planner.trips()) {
+                let id = CarId(trip.car as u32);
+                let mut car = Car::new(id, RoadPosition { segment, offset }, trip.speed);
+                car.assign_route(planner.route(trip).unwrap_or_default());
+                cars.push(car);
+            }
         }
         // Heterogeneous mixes layer behavior state on top of the shared
-        // placement/speed/first-trip loop above (whose draws stay in the
+        // placement/speed/first-trip draws above (which stay in the
         // legacy order); commuters and parked cars then drop the initial
-        // random trip and anchor where they were placed.
+        // random trip and anchor where they were placed, and each
+        // commuter draws its work anchor like a trip.
         let rush = cfg.behavior.rush();
         let mut behaviors = Vec::new();
         if rush.is_some() {
             behaviors.reserve(cars.len());
-            for (i, car) in cars.iter_mut().enumerate() {
-                let mut state = CarBehavior::new(cfg.behavior.kind_for(i));
-                match state.kind {
-                    BehaviorKind::Taxi => {}
-                    BehaviorKind::Parked => car.assign_route(Vec::new()),
-                    BehaviorKind::Commuter => {
-                        car.assign_route(Vec::new());
-                        let home = net.segment(car.segment()).b();
-                        state.home = Some(home);
-                        state.work = pick_anchor(&mut router, &net, home, &mut rng);
-                        state.phase = CommutePhase::AtHome;
+            for first in (0..cars.len()).step_by(SETUP_BATCH) {
+                planner.clear();
+                for (i, car) in cars.iter_mut().enumerate().skip(first).take(SETUP_BATCH) {
+                    let mut state = CarBehavior::new(cfg.behavior.kind_for(i));
+                    match state.kind {
+                        BehaviorKind::Taxi => {}
+                        BehaviorKind::Parked => car.assign_route(&[]),
+                        BehaviorKind::Commuter => {
+                            car.assign_route(&[]);
+                            let home = net.segment(car.segment()).b();
+                            state.home = Some(home);
+                            state.phase = CommutePhase::AtHome;
+                            planner.push(i, home, None);
+                        }
                     }
+                    behaviors.push(state);
                 }
-                behaviors.push(state);
+                planner.plan(&mut rng, None);
+                for trip in planner.trips() {
+                    behaviors[trip.car].work = trip.dest;
+                }
             }
         }
         Simulation {
             net,
-            router,
+            planner,
             cars,
             rng,
             clock: 0.0,
@@ -173,37 +210,38 @@ impl Simulation {
     pub fn step(&mut self, dt: f64) {
         self.clock += dt;
         self.tick += 1;
+        self.planner.clear();
         let Some(rush) = self.rush else {
-            // Legacy homogeneous loop, untouched: the digest-pinned RNG
-            // draw sequence.
-            for i in 0..self.cars.len() {
-                let finished = self.cars[i].advance(&self.net, dt);
-                if finished {
-                    self.cars[i].finish_trip();
-                    let route =
-                        plan_trip(&mut self.router, &self.net, &self.cars[i], &mut self.rng);
-                    self.cars[i].assign_route(route);
+            // The homogeneous loop: every car that arrives draws a trip,
+            // in car order (the digest-pinned draw sequence).
+            for (i, car) in self.cars.iter_mut().enumerate() {
+                if car.advance(&self.net, dt) {
+                    car.finish_trip();
+                    self.planner
+                        .push(i, self.net.segment(car.segment()).b(), None);
                 }
+            }
+            self.planner.plan(&mut self.rng, None);
+            for trip in self.planner.trips() {
+                let route = self.planner.route(trip).unwrap_or_default();
+                self.cars[trip.car].assign_route(route);
             }
             return;
         };
         // Phase of the step that is now elapsing.
         let phase = (self.tick - 1) % rush.period;
-        for i in 0..self.cars.len() {
-            match self.behaviors[i].kind {
+        for (i, car) in self.cars.iter_mut().enumerate() {
+            let state = &self.behaviors[i];
+            match state.kind {
                 BehaviorKind::Parked => {}
                 BehaviorKind::Taxi => {
-                    let finished = self.cars[i].advance(&self.net, dt);
-                    if finished {
-                        self.cars[i].finish_trip();
-                        let route =
-                            plan_trip(&mut self.router, &self.net, &self.cars[i], &mut self.rng);
-                        self.cars[i].assign_route(route);
+                    if car.advance(&self.net, dt) {
+                        car.finish_trip();
+                        self.planner
+                            .push(i, self.net.segment(car.segment()).b(), None);
                     }
                 }
                 BehaviorKind::Commuter => {
-                    let car_id = self.cars[i].id();
-                    let state = &mut self.behaviors[i];
                     // Departure decisions happen at anchors, before any
                     // movement this step. Each commuter waits for its own
                     // staggered phase inside the window, so the
@@ -211,42 +249,58 @@ impl Simulation {
                     let depart_to = match state.phase {
                         CommutePhase::AtHome
                             if rush.in_morning(phase)
-                                && phase >= rush.departure_phase(car_id, rush.morning) =>
+                                && phase >= rush.departure_phase(car.id(), rush.morning) =>
                         {
                             state.work
                         }
                         CommutePhase::AtWork
                             if rush.in_evening(phase)
-                                && phase >= rush.departure_phase(car_id, rush.evening) =>
+                                && phase >= rush.departure_phase(car.id(), rush.evening) =>
                         {
                             state.home
                         }
                         _ => None,
                     };
                     if let Some(dest) = depart_to {
-                        let route = plan_trip_to(&mut self.router, &self.net, &self.cars[i], dest);
-                        if !route.is_empty() {
-                            let state = &mut self.behaviors[i];
-                            state.phase = match state.phase {
-                                CommutePhase::AtHome => CommutePhase::ToWork,
-                                _ => CommutePhase::ToHome,
-                            };
-                            self.cars[i].assign_route(route);
-                        }
-                        // No route (anchor unreachable or already here):
-                        // stay parked and retry next step in the window.
+                        let start = self.net.segment(car.segment()).b();
+                        self.planner.push(i, start, Some(dest));
                     }
-                    let state = &self.behaviors[i];
-                    if matches!(state.phase, CommutePhase::ToWork | CommutePhase::ToHome) {
-                        let finished = self.cars[i].advance(&self.net, dt);
-                        if finished {
-                            self.cars[i].finish_trip();
-                            let state = &mut self.behaviors[i];
-                            state.phase = match state.phase {
-                                CommutePhase::ToWork => CommutePhase::AtWork,
-                                _ => CommutePhase::AtHome,
-                            };
-                        }
+                }
+            }
+        }
+        self.planner.plan(&mut self.rng, None);
+        // Commit in car order: a taxi's new route, or a commuter's
+        // departure and its movement along the new route.
+        let mut trips = self.planner.trips().iter().peekable();
+        for (i, car) in self.cars.iter_mut().enumerate() {
+            let trip = trips.next_if(|t| t.car == i);
+            let route = trip.and_then(|t| self.planner.route(t));
+            let state = &mut self.behaviors[i];
+            match state.kind {
+                BehaviorKind::Parked => {}
+                BehaviorKind::Taxi => {
+                    if trip.is_some() {
+                        car.assign_route(route.unwrap_or_default());
+                    }
+                }
+                BehaviorKind::Commuter => {
+                    // No route (anchor unreachable or already here):
+                    // stay parked and retry next step in the window.
+                    if let Some(route) = route {
+                        state.phase = match state.phase {
+                            CommutePhase::AtHome => CommutePhase::ToWork,
+                            _ => CommutePhase::ToHome,
+                        };
+                        car.assign_route(route);
+                    }
+                    if matches!(state.phase, CommutePhase::ToWork | CommutePhase::ToHome)
+                        && car.advance(&self.net, dt)
+                    {
+                        car.finish_trip();
+                        state.phase = match state.phase {
+                            CommutePhase::ToWork => CommutePhase::AtWork,
+                            _ => CommutePhase::AtHome,
+                        };
                     }
                 }
             }
@@ -300,68 +354,6 @@ impl Simulation {
             None => BehaviorKind::Taxi,
         })
     }
-}
-
-/// Routes a car to a fixed destination junction (commuter anchors),
-/// from the far endpoint of its current segment — the same routing and
-/// advance machinery as the random trips, so behavior-model motion
-/// inherits the CSR-adjacency and speed-bound guarantees structurally.
-fn plan_trip_to(
-    router: &mut TripRouter,
-    net: &RoadNetwork,
-    car: &Car,
-    dest: JunctionId,
-) -> Vec<SegmentId> {
-    let start = net.segment(car.segment()).b();
-    if dest == start {
-        return Vec::new();
-    }
-    router.route(start, dest).unwrap_or_default()
-}
-
-/// Picks a commuter's second anchor: a random junction provably
-/// reachable from `home` (8 attempts, like trip planning).
-fn pick_anchor<R: Rng + ?Sized>(
-    router: &mut TripRouter,
-    net: &RoadNetwork,
-    home: JunctionId,
-    rng: &mut R,
-) -> Option<JunctionId> {
-    for _attempt in 0..8 {
-        let dest = JunctionId(rng.gen_range(0..net.junction_count() as u32));
-        if dest == home {
-            continue;
-        }
-        if router.route(home, dest).is_some_and(|r| !r.is_empty()) {
-            return Some(dest);
-        }
-    }
-    None
-}
-
-/// Picks a random reachable destination and returns the remaining route
-/// (segments after the car's current one).
-fn plan_trip<R: Rng + ?Sized>(
-    router: &mut TripRouter,
-    net: &RoadNetwork,
-    car: &Car,
-    rng: &mut R,
-) -> Vec<SegmentId> {
-    // Route from the far endpoint of the current segment.
-    let seg = net.segment(car.segment());
-    let start = seg.b();
-    for _attempt in 0..8 {
-        let dest = JunctionId(rng.gen_range(0..net.junction_count() as u32));
-        if dest == start {
-            continue;
-        }
-        if let Some(route) = router.route(start, dest) {
-            if !route.is_empty() {
-                return route;
-            }
-        }
-    }
-    Vec::new() // isolated pocket: car parks, will retry next arrival
 }
 
 /// A sensible spatial-index cell size: ~4 average segment lengths.
@@ -541,6 +533,36 @@ mod tests {
             max >= min + 20,
             "no departure wave: en-route counts {en_route:?}"
         );
+    }
+
+    #[test]
+    fn worker_counts_give_identical_simulations() {
+        // 1,100 cars: three setup batches, the last one short.
+        for mix in [
+            BehaviorMix::uniform(),
+            BehaviorMix::commuter_city(),
+            BehaviorMix::taxi_fleet(),
+            BehaviorMix::rush_hour(),
+        ] {
+            let run = |workers| {
+                let cfg = SimConfig {
+                    cars: 1_100,
+                    seed: 16,
+                    behavior: mix.clone(),
+                    ..Default::default()
+                };
+                let mut sim = Simulation::with_workers(roadnet::city_map(5, 600), cfg, workers);
+                let mut states = vec![sim.cars().to_vec()];
+                for _ in 0..20 {
+                    sim.step(10.0);
+                    states.push(sim.cars().to_vec());
+                }
+                states
+            };
+            let one = run(1);
+            assert_eq!(run(2), one, "{mix:?} at 2 workers");
+            assert_eq!(run(3), one, "{mix:?} at 3 workers");
+        }
     }
 
     #[test]

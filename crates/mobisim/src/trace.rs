@@ -108,7 +108,10 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors or malformed lines.
+    /// Fails on I/O errors, and with [`std::io::ErrorKind::InvalidData`]
+    /// naming the line on a malformed one: not exactly four fields, a
+    /// field that does not parse, or a `time` or `offset` that is not
+    /// finite and non-negative.
     pub fn read_from<R: BufRead>(r: R) -> std::io::Result<Trace> {
         let mut samples = Vec::new();
         for (i, line) in r.lines().enumerate() {
@@ -117,22 +120,25 @@ impl Trace {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let mut parts = line.split_whitespace();
             let bad = || {
                 std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
                     format!("malformed trace line {}", i + 1),
                 )
             };
-            let time: f64 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-            let car: u32 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-            let segment: u32 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-            let offset: f64 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            let [time, car, segment, offset] = fields[..] else {
+                return Err(bad());
+            };
+            let non_negative = |field: &str| match field.parse::<f64>() {
+                Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+                _ => Err(bad()),
+            };
             samples.push(TraceSample {
-                time,
-                car: CarId(car),
-                segment: SegmentId(segment),
-                offset,
+                time: non_negative(time)?,
+                car: CarId(car.parse().map_err(|_| bad())?),
+                segment: SegmentId(segment.parse().map_err(|_| bad())?),
+                offset: non_negative(offset)?,
             });
         }
         Ok(Trace { samples })
@@ -208,5 +214,24 @@ mod tests {
         assert!(Trace::read_from("# only comments\n".as_bytes())
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn read_rejects_extra_fields_and_non_finite_or_negative_numbers() {
+        for bad in [
+            "0 1 2 3.5 trailing junk",
+            "NaN 1 2 inf",
+            "1 2 3 -infinity",
+            "-1 2 3 4",
+            "1 2 3 -0.5",
+            "1 2 3 NaN",
+        ] {
+            let text = format!("# header\n0 1 2 3.5\n{bad}\n");
+            let err = Trace::read_from(text.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{bad}");
+            assert!(err.to_string().contains("line 3"), "{bad}: {err}");
+        }
+        let ok = Trace::read_from("0 1 2 3.5\n".as_bytes()).unwrap();
+        assert_eq!(ok.samples()[0].offset, 3.5);
     }
 }

@@ -171,7 +171,15 @@ struct Label {
 /// keyed by `(f64 bits, junction id)`: non-negative finite `f64`s order
 /// like their bits. Per-junction labels are generation-stamped and the
 /// heap is kept, so a query neither allocates nor clears per-junction
-/// state; only the returned route is allocated.
+/// state; only the returned route is allocated, and
+/// [`route_into`](Self::route_into) appends to a caller's buffer instead.
+///
+/// The edge array, positions, bound scale, index share and component
+/// labels are built once and never change; [`share`](Self::share) hands
+/// them to another router, which brings only its own labels and heap.
+/// The component labels cover the same finite-length edges the search
+/// relaxes, so [`connected`](Self::connected) answers reachability
+/// without a search.
 ///
 /// Three rules keep every route byte-identical to Dijkstra's, ties
 /// included:
@@ -232,6 +240,16 @@ struct Label {
 /// assert!(router.settled() < net.junction_count());
 /// ```
 pub struct TripRouter {
+    graph: Arc<RouterGraph>,
+    labels: Vec<Label>,
+    generation: u32,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    settled: usize,
+}
+
+/// The read-only part of a [`TripRouter`], shared by every router made
+/// with [`TripRouter::share`].
+struct RouterGraph {
     /// Edges leaving junction `j` are
     /// `edges[offsets[j] .. offsets[j + 1]]`, in incidence order.
     offsets: Vec<u32>,
@@ -242,16 +260,15 @@ pub struct TripRouter {
     /// The map's index, read for the landmark term; `None` turns the
     /// term off.
     index: Option<Arc<GraphIndex>>,
-    labels: Vec<Label>,
-    generation: u32,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-    settled: usize,
+    /// Each junction's connected component over `edges`, numbered in
+    /// order of each component's smallest junction id.
+    components: Vec<u32>,
 }
 
 impl TripRouter {
-    /// Builds the router's packed adjacency and bound scale from `net`,
-    /// and takes a share of the map's [`GraphIndex`], building it on
-    /// first use, unless the map runs plain Dijkstra.
+    /// Builds the router's packed adjacency, bound scale and component
+    /// labels from `net`, and takes a share of the map's [`GraphIndex`],
+    /// building it on first use, unless the map runs plain Dijkstra.
     pub fn new(net: &RoadNetwork) -> TripRouter {
         let n = net.junction_count();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -281,13 +298,29 @@ impl TripRouter {
         } else {
             None
         };
-        TripRouter {
-            scale,
-            index,
+        let components = component_labels(&offsets, &edges);
+        TripRouter::over(Arc::new(RouterGraph {
             offsets,
             edges,
             positions,
-            labels: vec![Label::default(); n],
+            scale,
+            index,
+            components,
+        }))
+    }
+
+    /// A router over this router's map with search state of its own: it
+    /// shares the adjacency, bounds, index and component labels instead
+    /// of building them again, so routers on several threads can answer
+    /// queries on one map at once.
+    pub fn share(&self) -> TripRouter {
+        TripRouter::over(Arc::clone(&self.graph))
+    }
+
+    fn over(graph: Arc<RouterGraph>) -> TripRouter {
+        TripRouter {
+            labels: vec![Label::default(); graph.positions.len()],
+            graph,
             generation: 0,
             heap: BinaryHeap::new(),
             settled: 0,
@@ -299,26 +332,55 @@ impl TripRouter {
     /// router was built from. `None` when `dst` is unreachable or an id
     /// is out of range; empty when `src == dst`.
     pub fn route(&mut self, src: JunctionId, dst: JunctionId) -> Option<Vec<SegmentId>> {
+        let mut segments = Vec::new();
+        self.route_into(src, dst, &mut segments).then_some(segments)
+    }
+
+    /// Like [`route`](Self::route), appending the route's segments to
+    /// `out` instead of allocating; returns whether `dst` was reached.
+    /// `out` is left as it was when it was not.
+    pub fn route_into(
+        &mut self,
+        src: JunctionId,
+        dst: JunctionId,
+        out: &mut Vec<SegmentId>,
+    ) -> bool {
         let n = self.labels.len();
         self.settled = 0;
         if src.index() >= n || dst.index() >= n {
-            return None;
+            return false;
         }
         if src == dst {
-            return Some(Vec::new());
+            return true;
         }
         if !self.search(src.0, dst.0) {
-            return None;
+            return false;
         }
-        let mut segments = Vec::new();
+        let first = out.len();
         let mut cur = dst.index();
         while cur != src.index() {
             let label = &self.labels[cur];
-            segments.push(SegmentId(self.edges[label.prev_edge as usize].segment));
+            out.push(SegmentId(
+                self.graph.edges[label.prev_edge as usize].segment,
+            ));
             cur = label.prev as usize;
         }
-        segments.reverse();
-        Some(segments)
+        out[first..].reverse();
+        true
+    }
+
+    /// Whether roads of finite length join `a` and `b` (false for an id
+    /// out of range), read from labels computed once per map. It agrees
+    /// with `route(a, b).is_some()` except where the float length of a
+    /// path overflows to infinity, which only a map that runs plain
+    /// Dijkstra can hold: there Dijkstra, and so the router, finds no
+    /// route although one exists.
+    pub fn connected(&self, a: JunctionId, b: JunctionId) -> bool {
+        let components = &self.graph.components;
+        match (components.get(a.index()), components.get(b.index())) {
+            (Some(x), Some(y)) => x == y,
+            _ => false,
+        }
     }
 
     /// Junctions the last [`route`](Self::route) query settled.
@@ -335,10 +397,11 @@ impl TripRouter {
             self.generation = 1;
         }
         let generation = self.generation;
-        let goal = self.scale > 0.0;
-        let target = self.positions[dst as usize];
+        let graph = &*self.graph;
+        let goal = graph.scale > 0.0;
+        let target = graph.positions[dst as usize];
         let n = self.labels.len();
-        let rows = self
+        let rows = graph
             .index
             .as_deref()
             .map_or(&[][..], |i| i.landmarks().rows());
@@ -353,7 +416,7 @@ impl TripRouter {
                     alt = gap;
                 }
             }
-            (self.scale * self.positions[v].distance_sq(target).sqrt())
+            (graph.scale * graph.positions[v].distance_sq(target).sqrt())
                 .max(alt * (1.0 - BOUND_MARGIN))
         };
         let unreached = |bound: f64| Label {
@@ -389,8 +452,8 @@ impl TripRouter {
             label.closed = true;
             let dist = label.dist;
             self.settled += 1;
-            for e in self.offsets[v as usize]..self.offsets[v as usize + 1] {
-                let edge = self.edges[e as usize];
+            for e in graph.offsets[v as usize]..graph.offsets[v as usize + 1] {
+                let edge = graph.edges[e as usize];
                 let next = dist + edge.length;
                 let w = edge.to as usize;
                 if self.labels[w].generation != generation {
@@ -422,13 +485,14 @@ impl TripRouter {
 
 impl fmt::Debug for TripRouter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let graph = &*self.graph;
         f.debug_struct("TripRouter")
             .field("junctions", &self.labels.len())
-            .field("edges", &self.edges.len())
-            .field("scale", &self.scale)
+            .field("edges", &graph.edges.len())
+            .field("scale", &graph.scale)
             .field(
                 "landmarks",
-                &self.index.as_ref().map_or(0, |i| i.landmarks().count()),
+                &graph.index.as_ref().map_or(0, |i| i.landmarks().count()),
             )
             .finish()
     }
@@ -485,6 +549,33 @@ fn landmark_index(net: &RoadNetwork, edges: &[Edge]) -> Option<Arc<GraphIndex>> 
         return None;
     }
     Some(index)
+}
+
+/// Connected-component labels over a packed adjacency: each junction's
+/// component, numbered in order of each component's smallest junction.
+fn component_labels(offsets: &[u32], edges: &[Edge]) -> Vec<u32> {
+    let n = offsets.len() - 1;
+    let mut labels = vec![u32::MAX; n];
+    let mut stack = Vec::new();
+    let mut next = 0;
+    for root in 0..n {
+        if labels[root] != u32::MAX {
+            continue;
+        }
+        labels[root] = next;
+        stack.push(root);
+        while let Some(j) = stack.pop() {
+            for edge in &edges[offsets[j] as usize..offsets[j + 1] as usize] {
+                let to = edge.to as usize;
+                if labels[to] == u32::MAX {
+                    labels[to] = next;
+                    stack.push(to);
+                }
+            }
+        }
+        next += 1;
+    }
+    labels
 }
 
 /// Unweighted hop distance between two segments under the shared-junction
@@ -670,8 +761,9 @@ mod tests {
         use crate::index::{GraphIndex, IndexBudget};
         let term = |net: &RoadNetwork| {
             let router = TripRouter::new(net);
-            assert!(router.scale > 0.0, "the Euclidean bound stays on");
-            router.index.map_or(0, |i| i.landmarks().count())
+            assert!(router.graph.scale > 0.0, "the Euclidean bound stays on");
+            let index = router.graph.index.as_ref();
+            index.map_or(0, |i| i.landmarks().count())
         };
         let index = |net: &RoadNetwork, landmarks: usize| {
             let budget = IndexBudget {

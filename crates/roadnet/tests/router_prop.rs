@@ -10,6 +10,11 @@
 //! its own maps: indexes installed with 1, 2 and 16 landmarks, maps whose
 //! roads are much longer than their chords (so landmarks, not chords,
 //! order the keys), and a map whose millimetre road turns the term off.
+//!
+//! Two more properties serve batch planning: routers made with
+//! `TripRouter::share` route like the router they share, from other
+//! threads too, and `TripRouter::connected` is exactly `shortest_path`
+//! reachability on maps with missing and infinitely long roads.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -367,8 +372,107 @@ fn a_millimetre_road_routes_like_dijkstra() {
     assert_router_matches_dijkstra(&b.build().unwrap(), 2_000, 13);
 }
 
+/// `net` rebuilt with about one road in `one_in` made infinitely long.
+fn with_infinite_roads(net: &RoadNetwork, seed: u64, one_in: u32) -> RoadNetwork {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = RoadNetworkBuilder::new();
+    for j in net.junctions() {
+        b.add_junction(j.position());
+    }
+    for seg in net.segments() {
+        let length = if rng.gen_range(0..one_in) == 0 {
+            f64::INFINITY
+        } else {
+            seg.length()
+        };
+        b.add_segment_with_length(seg.a(), seg.b(), length).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// Checks `connected` against `shortest_path` for every pair.
+fn assert_connected_is_reachability(net: &RoadNetwork) {
+    let router = TripRouter::new(net);
+    for a in net.junction_ids() {
+        for b in net.junction_ids() {
+            assert_eq!(
+                router.connected(a, b),
+                shortest_path(net, a, b).is_some(),
+                "{a} -> {b}"
+            );
+        }
+    }
+    let n = net.junction_count() as u32;
+    assert!(!router.connected(JunctionId(0), JunctionId(n)));
+}
+
+#[test]
+fn infinite_roads_join_junction_components_but_not_router_components() {
+    let net = hand_built(
+        &[(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)],
+        &[(0, 1, 100.0), (1, 2, f64::INFINITY)],
+    );
+    assert_eq!(net.junction_components().len(), 1);
+    let router = TripRouter::new(&net);
+    assert!(router.connected(JunctionId(0), JunctionId(1)));
+    assert!(!router.connected(JunctionId(1), JunctionId(2)));
+    assert_connected_is_reachability(&net);
+}
+
+#[test]
+fn shared_routers_route_like_the_router_they_share() {
+    let maps = [
+        city_map(3, 900),
+        lattice_map(4, 8, 9, 25.0, &[0.6, 1.0, 2.5]),
+        with_infinite_roads(&grid_city(7, 7, 100.0), 5, 8),
+    ];
+    for (m, net) in maps.iter().enumerate() {
+        let mut first = TripRouter::new(net);
+        let n = net.junction_count() as u32;
+        let mut rng = StdRng::seed_from_u64(m as u64);
+        let queries: Vec<(JunctionId, JunctionId)> = (0..300)
+            .map(|_| {
+                (
+                    JunctionId(rng.gen_range(0..n)),
+                    JunctionId(rng.gen_range(0..n)),
+                )
+            })
+            .collect();
+        let expected: Vec<_> = queries
+            .iter()
+            .map(|&(a, b)| shortest_path(net, a, b).map(|r| r.segments))
+            .collect();
+        // Two shared routers answer every query at once on their own
+        // threads, while the first router answers them here.
+        let shared = [first.share(), first.share().share()];
+        std::thread::scope(|scope| {
+            for mut router in shared {
+                let (queries, expected) = (&queries, &expected);
+                scope.spawn(move || {
+                    for (&(a, b), want) in queries.iter().zip(expected) {
+                        assert_eq!(&router.route(a, b), want, "map {m}: shared {a} -> {b}");
+                    }
+                });
+            }
+            for (&(a, b), want) in queries.iter().zip(&expected) {
+                assert_eq!(&first.route(a, b), want, "map {m}: {a} -> {b}");
+            }
+        });
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn components_are_reachability_with_missing_and_infinite_roads(
+        seed in any::<u64>(),
+        one_in in 3u32..12,
+    ) {
+        // `lattice_map` drops one road in ten; infinite roads cut more.
+        let net = lattice_map(seed, 6, 7, 20.0, &[1.0, 1.5]);
+        assert_connected_is_reachability(&with_infinite_roads(&net, seed, one_in));
+    }
 
     #[test]
     fn irregular_maps_route_like_dijkstra(seed in any::<u64>(), junctions in 30usize..200) {
