@@ -39,8 +39,10 @@ pub struct AnonymizerConfig {
     /// shards mean less lock contention between concurrent requests for
     /// different owners; values past the worker count buy little.
     pub shard_count: usize,
-    /// Worker threads for `AnonymizerService::anonymize_batch`
-    /// (`0` = all available cores).
+    /// Workers for `AnonymizerService::anonymize_batch` and for the
+    /// continuous pipeline's per-tick cloak and verification fan-outs
+    /// (`0` = all available cores, or 1 when they cannot be counted).
+    /// The calling thread counts as one of them.
     pub batch_parallelism: usize,
 }
 

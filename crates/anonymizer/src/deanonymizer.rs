@@ -71,10 +71,11 @@ impl Deanonymizer {
 
     /// Batched form of [`reduce_with`](Self::reduce_with): peels a run of
     /// `(payload, keys)` jobs through **one** shared [`CloakScratch`], in
-    /// job order — the per-tick verification leg of the continuous
-    /// pipeline reduces a whole tick's receipts this way with no
-    /// steady-state heap traffic between jobs. Each job's result is
-    /// bit-identical to a standalone [`reduce`](Self::reduce) call.
+    /// job order, with no steady-state heap traffic between jobs. Each
+    /// job's result is bit-identical to a standalone
+    /// [`reduce`](Self::reduce) call. (The continuous pipeline instead
+    /// spreads a tick's reductions over its workers, one kept scratch
+    /// each.)
     pub fn reduce_batch_with<'a, I>(
         &self,
         jobs: I,

@@ -111,6 +111,7 @@
 pub mod batch_input;
 pub mod config;
 pub mod deanonymizer;
+mod fanout;
 pub mod fault;
 pub mod pipeline;
 pub mod render_ascii;

@@ -9,9 +9,10 @@
 //! configurable cadence and swaps it into the running
 //! [`AnonymizerService`] (the lock-free `RwLock<Arc<_>>` swap, now driven
 //! by real churn instead of a synthetic race), re-anonymizes a tracked
-//! owner population through [`AnonymizerService::anonymize_batch`], feeds
-//! the fresh cloaked regions into [`lbs`] nearest-POI queries, and
-//! verifies the per-tick invariants:
+//! owner population with the keyed halves of
+//! [`AnonymizerService::anonymize_batch`] (chain pre-pass, then
+//! owner-batched cloak), feeds the fresh cloaked regions into [`lbs`]
+//! nearest-POI queries, and verifies the per-tick invariants:
 //!
 //! * **reversibility** — every issued receipt deanonymizes back to the
 //!   exact segment the owner was on, through the normal
@@ -48,12 +49,22 @@
 //!   [`AnonymizerService::import_owner`] before any request of the tick
 //!   is issued, so epochs stay strictly monotone and grants keep
 //!   working;
-//! * **per-shard stages** — issue with the journal retry ladder and
-//!   fault injection, digest, quality, LBS, verification and the attack
-//!   leg all run shard by shard against that shard's issuing snapshot.
+//! * **per-shard stages** — every stage checks a receipt against its
+//!   shard's issuing snapshot. Key derivation, the journal retry ladder,
+//!   fault injection, digest, quality, LBS, verification's checks and
+//!   key fetches, and the attack leg run shard by shard, in shard order.
 //!   A lone shard's digest is its own receipt-stream digest; several
 //!   shards fold theirs in shard order, so sharded digests are their
-//!   own (masked snapshots change occupancy near partition borders).
+//!   own (masked snapshots change occupancy near partition borders);
+//! * **tick fan-outs** — the two costly stages run over the whole
+//!   tick's population at once: one fan-out cloaks every shard's keyed
+//!   requests in `(shard, chunk)` tasks, and one more peels every
+//!   collected receipt for verification. Both use
+//!   [`AnonymizerConfig::batch_parallelism`] workers, the calling thread
+//!   among them, and each worker keeps its scratch across ticks.
+//!   Epochs are fixed by the sequential key pass before the cloak
+//!   fan-out starts, and results return in request order, so reports
+//!   are identical at any worker count.
 //!
 //! An optional **attack leg** ([`AttackConfig`], like the LBS leg)
 //! subscribes a keyless [`TemporalAdversary`] to the receipt stream and
@@ -96,16 +107,17 @@
 
 use crate::config::AnonymizerConfig;
 use crate::deanonymizer::Deanonymizer;
+use crate::fanout;
 use crate::fault::{FaultInjector, FaultPlan, FaultPolicy, FaultyStore, TickHealth};
-use crate::service::{AnonymizeReceipt, AnonymizeRequest, AnonymizerService, Engine};
+use crate::service::{AnonymizeReceipt, AnonymizeRequest, AnonymizerService, Engine, KeyedRequest};
 use crate::shard::Partition;
 use cloak::attack::temporal::{
     AdversaryConfig, AdversaryMode, AttackObservation, AttackSummary, Observation, ReplayProbe,
     TemporalAdversary,
 };
 use cloak::{
-    random_expansion_with, CloakError, CloakPayload, CloakScratch, ExpansionScratch,
-    PrivacyProfile, QualitySummary, RegionQuality, StepFailure,
+    random_expansion_with, BatchCloakScratch, CloakError, CloakPayload, CloakScratch,
+    ExpansionScratch, PrivacyProfile, QualitySummary, RegionQuality, StepFailure,
 };
 use keystream::{ChainStore, JournalError, Key256, Level, MemStore, TrustDegree};
 use lbs::{nearest_query_with, PoiCategory, PoiStore, QueryStats, SearchScratch};
@@ -113,6 +125,7 @@ use mobisim::{CarId, OccupancySnapshot, SimConfig, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use roadnet::{RoadNetwork, SegmentId};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The requester identity the pipeline registers with every tracked
@@ -414,8 +427,11 @@ pub struct ContinuousPipeline {
     registered: Vec<bool>,
     /// The full-map capture every refresh copies the shards' parts from.
     capture: OccupancySnapshot,
-    /// Scratch for per-receipt verification peels.
-    verify_scratch: CloakScratch,
+    /// One scratch per cloak worker, kept across ticks (worker 0 is the
+    /// calling thread).
+    cloak_scratch: Vec<BatchCloakScratch>,
+    /// One scratch per verification worker, kept across ticks.
+    verify_scratch: Vec<CloakScratch>,
     /// Scratch for the per-tick LBS query loop.
     lbs_scratch: SearchScratch,
     /// The continuous adversarial evaluation (attack leg), when on.
@@ -583,6 +599,7 @@ impl ContinuousPipeline {
         store: Arc<dyn ChainStore>,
     ) -> Result<Self, JournalError> {
         let partition = Partition::grow(&net, shards, cfg.seed ^ PARTITION_SEED_MASK);
+        let workers = fanout::workers(anon_cfg.batch_parallelism);
         let top_simulated_speed = sim_cfg.speed_range.1;
         // One graph index for the simulation's trip router and every
         // service.
@@ -691,7 +708,8 @@ impl ContinuousPipeline {
             cfg,
             tracked,
             capture: OccupancySnapshot::from_counts(Vec::new()),
-            verify_scratch: CloakScratch::new(),
+            cloak_scratch: (0..workers).map(|_| BatchCloakScratch::new()).collect(),
+            verify_scratch: (0..workers).map(|_| CloakScratch::new()).collect(),
             lbs_scratch: SearchScratch::new(),
             attack,
             injector,
@@ -762,10 +780,10 @@ impl ContinuousPipeline {
     }
 
     /// Advances one tick: step traffic, hand boundary-crossing owners to
-    /// their new shard, swap the snapshots on cadence, re-anonymize each
-    /// shard's owners as a batch, probe the LBS, and (when configured)
-    /// verify every receipt's invariants against its issuing shard's
-    /// snapshot.
+    /// their new shard, swap the snapshots on cadence, derive every
+    /// shard's keys in shard order, cloak the whole tick's requests in
+    /// one fan-out, probe the LBS, and (when configured) verify every
+    /// receipt's invariants against its issuing shard's snapshot.
     ///
     /// # Errors
     ///
@@ -804,6 +822,7 @@ impl ContinuousPipeline {
         // borrow does not pin `self` across the later stages; they are
         // restored below on every path.
         let mut batches = Vec::with_capacity(self.shards.len());
+        let mut keyed = Vec::with_capacity(self.shards.len());
         for shard in &mut self.shards {
             for (request, &i) in shard.requests.iter_mut().zip(&shard.owners) {
                 request.segment = self.tracked[i].segment;
@@ -813,14 +832,18 @@ impl ContinuousPipeline {
             // later swaps must never retroactively invalidate them.
             let issuing = shard.service.snapshot();
             let requests = std::mem::take(&mut shard.requests);
-            let results = shard.service.anonymize_batch(&requests);
+            // The chain pre-pass, in shard and request order, so journal
+            // appends, epochs and journal-fault coins fall the same way
+            // at any worker count.
+            keyed.push(shard.service.derive_batch_keys(&requests));
             batches.push(ShardBatch {
                 requests,
                 owners: std::mem::take(&mut shard.owners),
-                results,
+                results: Vec::new(),
                 issuing,
             });
         }
+        self.cloak(&mut batches, &keyed);
         let report = self.settle(&mut batches, snapshot_refreshed, handoffs, health);
         for (shard, batch) in self.shards.iter_mut().zip(batches) {
             shard.requests = batch.requests;
@@ -972,17 +995,12 @@ impl ContinuousPipeline {
                 .fold(FNV_OFFSET, |h, d| fnv_fold(h, &d.to_be_bytes())),
         };
 
-        let mut verify_err = None;
-        if self.cfg.verify {
-            for (p, batch) in batches.iter().enumerate() {
-                let (verified, err) = self.verify_batch(p, batch);
-                report.verified += verified;
-                if err.is_some() {
-                    verify_err = err;
-                    break;
-                }
-            }
-        }
+        let (verified, verify_err) = if self.cfg.verify {
+            self.verify(batches)
+        } else {
+            (0, None)
+        };
+        report.verified = verified;
         if let Some(leg) = self.attack.as_mut() {
             report.attack = Some(leg.observe_tick(
                 self.sim.network(),
@@ -995,6 +1013,45 @@ impl ContinuousPipeline {
         match verify_err {
             Some(e) => Err(e),
             None => Ok(report),
+        }
+    }
+
+    /// The cloak stage: every shard's keyed requests in one fan-out over
+    /// the pipeline's workers. The tasks are `(shard, chunk)` pairs, each
+    /// cloaked against its shard's issuing snapshot with the worker's
+    /// kept scratch, and the results land in each batch in request order.
+    ///
+    /// These are [`AnonymizerService::anonymize_batch`]'s keyed halves
+    /// without its last-wins re-run of repeated owners: tracked owners
+    /// are distinct across all shards, so no batch repeats an owner and
+    /// no two tasks store the same owner's record.
+    fn cloak(&mut self, batches: &mut [ShardBatch], keyed: &[Vec<KeyedRequest>]) {
+        let total = batches.iter().map(|b| b.requests.len()).sum();
+        let chunk = fanout::chunk_len(total, self.cloak_scratch.len());
+        let tasks: Vec<(usize, Range<usize>)> = batches
+            .iter()
+            .enumerate()
+            .flat_map(|(p, batch)| {
+                let len = batch.requests.len();
+                (0..len)
+                    .step_by(chunk)
+                    .map(move |start| (p, start..len.min(start + chunk)))
+            })
+            .collect();
+        let shards = &self.shards;
+        let issued = &*batches;
+        let runs = fanout::fan_out(&mut self.cloak_scratch, tasks.len(), |scratch, t| {
+            let (p, run) = &tasks[t];
+            let batch = &issued[*p];
+            shards[*p].service.anonymize_run_keyed(
+                &batch.issuing,
+                &batch.requests[run.clone()],
+                &keyed[*p][run.clone()],
+                scratch,
+            )
+        });
+        for ((p, _), run) in tasks.iter().zip(runs) {
+            batches[*p].results.extend(run);
         }
     }
 
@@ -1116,90 +1173,90 @@ impl ContinuousPipeline {
         (0..ticks).map(|_| self.tick()).collect()
     }
 
-    /// The verification leg for shard `p`'s batch, owner-batched.
+    /// The verification leg over every shard's batch.
     ///
-    /// Pass 1 walks the issued receipts in order, checking k-anonymity
-    /// on the shard's issuing snapshot, region membership, and grant
-    /// preservation, and collects each surviving receipt's
-    /// `(payload, keys)` reduction job. Pass 2 then peels every collected
-    /// job through [`Deanonymizer::reduce_batch_with`] — one shared
-    /// [`CloakScratch`] for the whole batch — and checks exact
-    /// reversibility. The reported error is the one with the smallest
-    /// receipt index on either pass.
+    /// Pass 1 walks the issued receipts in (shard, receipt) order,
+    /// checking k-anonymity on the issuing shard's snapshot, region
+    /// membership, and grant preservation, and collects each surviving
+    /// receipt's `(payload, keys)` reduction; it stops at its first
+    /// failure. Pass 2 peels every collected reduction in one fan-out,
+    /// each worker through its own kept [`CloakScratch`], and checks
+    /// exact reversibility in (shard, receipt) order. Every collected
+    /// reduction precedes pass 1's failure, so the reported error is the
+    /// first in (shard, receipt) order on either pass.
     ///
     /// Returns `(verified, error)`: the number of receipts preceding the
     /// first failure that passed both passes, and the failure, if any.
-    fn verify_batch(&mut self, p: usize, batch: &ShardBatch) -> (usize, Option<PipelineError>) {
+    fn verify(&mut self, batches: &[ShardBatch]) -> (usize, Option<PipelineError>) {
         let tick = self.tick;
         let fail = |owner: &str, what: &str| PipelineError {
             message: format!("tick {tick}: {owner}: {what}"),
         };
-        let shard = &self.shards[p];
 
-        // (receipt index, payload, the auditor's fetched keys).
-        type ReduceJob<'a> = (usize, &'a Arc<CloakPayload>, Vec<(Level, Key256)>);
+        // (request, payload, the auditor's fetched keys).
+        type ReduceJob<'a> = (&'a AnonymizeRequest, &'a CloakPayload, Vec<(Level, Key256)>);
         let mut pass1_err = None;
         let mut jobs: Vec<ReduceJob<'_>> = Vec::new();
-        for (j, (i, request, result)) in batch.entries().enumerate() {
-            let Ok(receipt) = result else { continue };
-            let owner = &request.owner;
+        'shards: for (shard, batch) in self.shards.iter().zip(batches) {
+            for (i, request, result) in batch.entries() {
+                let Ok(receipt) = result else { continue };
+                let owner = &request.owner;
 
-            // k-anonymity against the snapshot the receipt was issued
-            // under.
-            let users = batch
-                .issuing
-                .users_in(receipt.payload.segments.iter().copied());
-            let k = self.profile.top_requirement().k as u64;
-            if users < k {
-                pass1_err = Some(fail(
-                    owner,
-                    &format!("region covers {users} users < k={k} at issue time"),
-                ));
-                break;
-            }
-            if !receipt.payload.contains(request.segment) {
-                pass1_err = Some(fail(owner, "region does not contain the owner's segment"));
-                break;
-            }
-
-            // Grant preservation: the auditor is registered only at the
-            // owner's first cloak — on every later tick its keys must
-            // keep working across the re-anonymization.
-            if !self.registered[i] {
-                if !shard
-                    .service
-                    .register_requester(owner, AUDITOR, TrustDegree(10), Level(0))
-                {
+                // k-anonymity against the snapshot the receipt was issued
+                // under.
+                let users = batch
+                    .issuing
+                    .users_in(receipt.payload.segments.iter().copied());
+                let k = self.profile.top_requirement().k as u64;
+                if users < k {
                     pass1_err = Some(fail(
                         owner,
-                        "owner record missing right after anonymization",
+                        &format!("region covers {users} users < k={k} at issue time"),
                     ));
-                    break;
+                    break 'shards;
                 }
-                self.registered[i] = true;
-            }
-            match shard.service.fetch_keys(owner, AUDITOR) {
-                Ok(keys) => jobs.push((j, &receipt.payload, keys)),
-                Err(e) => {
-                    pass1_err = Some(fail(
-                        owner,
-                        &format!("grant lost across re-anonymization: {e}"),
-                    ));
-                    break;
+                if !receipt.payload.contains(request.segment) {
+                    pass1_err = Some(fail(owner, "region does not contain the owner's segment"));
+                    break 'shards;
+                }
+
+                // Grant preservation: the auditor is registered only at the
+                // owner's first cloak — on every later tick its keys must
+                // keep working across the re-anonymization.
+                if !self.registered[i] {
+                    if !shard
+                        .service
+                        .register_requester(owner, AUDITOR, TrustDegree(10), Level(0))
+                    {
+                        pass1_err = Some(fail(
+                            owner,
+                            "owner record missing right after anonymization",
+                        ));
+                        break 'shards;
+                    }
+                    self.registered[i] = true;
+                }
+                match shard.service.fetch_keys(owner, AUDITOR) {
+                    Ok(keys) => jobs.push((request, &receipt.payload, keys)),
+                    Err(e) => {
+                        pass1_err = Some(fail(
+                            owner,
+                            &format!("grant lost across re-anonymization: {e}"),
+                        ));
+                        break 'shards;
+                    }
                 }
             }
         }
 
-        // Exact reversibility through the normal key-fetch path, batched
-        // over one shared scratch.
-        let views = self.dean.reduce_batch_with(
-            jobs.iter()
-                .map(|(_, payload, keys)| (payload.as_ref(), keys.as_slice())),
-            &mut self.verify_scratch,
-        );
+        // Exact reversibility through the normal key-fetch path.
+        let dean = &self.dean;
+        let views = fanout::fan_out(&mut self.verify_scratch, jobs.len(), |scratch, j| {
+            let (_, payload, keys) = &jobs[j];
+            dean.reduce_with(payload, keys, scratch)
+        });
         let mut verified = 0;
-        for ((j, _, _), view) in jobs.iter().zip(views) {
-            let request = &batch.requests[*j];
+        for ((request, _, _), view) in jobs.iter().zip(views) {
             match view {
                 Ok(view) if view.segments == [request.segment] => verified += 1,
                 Ok(view) => {
@@ -1461,8 +1518,8 @@ mod tests {
 
     #[test]
     fn receipt_stream_is_deterministic_across_parallelism() {
-        let digests = |parallelism: usize| {
-            let mut p = ContinuousPipeline::new(
+        let reports = |shards: usize, parallelism: usize, fault: Option<FaultPlan>| {
+            let mut p = ContinuousPipeline::sharded(
                 grid_city(7, 7, 100.0),
                 SimConfig {
                     cars: 200,
@@ -1474,21 +1531,58 @@ mod tests {
                     ..Default::default()
                 },
                 PipelineConfig {
-                    tracked_owners: 8,
+                    tracked_owners: 24,
+                    attack: Some(AttackConfig::default()),
+                    fault,
+                    fault_policy: FaultPolicy {
+                        journal_retries: 8,
+                        ..Default::default()
+                    },
                     ..Default::default()
                 },
-            );
-            p.run(3)
-                .unwrap()
-                .iter()
-                .map(|r| r.digest)
-                .collect::<Vec<_>>()
+                shards,
+                Arc::new(MemStore::new()),
+            )
+            .unwrap();
+            p.run(5).unwrap()
         };
-        let sequential = digests(1);
-        let parallel = digests(4);
-        assert_eq!(sequential, parallel);
-        // Ticks differ from each other (cars moved, fresh seeds).
-        assert_ne!(sequential[0], sequential[1]);
+        for shards in [1, 3] {
+            let sequential = reports(shards, 1, None);
+            // Ticks differ from each other (cars moved, fresh seeds).
+            assert_ne!(sequential[0].digest, sequential[1].digest);
+            assert!(sequential.iter().all(|r| r.lbs.queries() > 0));
+            for parallelism in [2, 3] {
+                assert_eq!(
+                    sequential,
+                    reports(shards, parallelism, None),
+                    "{shards} shards, {parallelism} workers"
+                );
+            }
+        }
+        // Journal, snapshot and cloak faults: the key pass and the later
+        // per-shard stages draw every coin in the same order at any
+        // worker count, so the faulty runs match report for report too.
+        let plan = FaultPlan {
+            seed: 5,
+            journal_write_fail: 0.3,
+            snapshot_capture_fail: 0.3,
+            cloak_fail: 0.1,
+            ..Default::default()
+        };
+        let sequential = reports(3, 1, Some(plan.clone()));
+        let total = |pick: fn(&TickHealth) -> u64| -> u64 {
+            sequential.iter().map(|r| pick(&r.health)).sum()
+        };
+        assert!(total(|h| h.journal_retries) > 0);
+        assert!(total(|h| h.snapshot_faults) > 0);
+        assert!(total(|h| h.injected_cloak_failures) > 0);
+        for parallelism in [2, 3] {
+            assert_eq!(
+                sequential,
+                reports(3, parallelism, Some(plan.clone())),
+                "faulty run, {parallelism} workers"
+            );
+        }
     }
 
     #[test]

@@ -36,6 +36,7 @@
 //! [`update_snapshot`]: AnonymizerService::update_snapshot
 
 use crate::config::{AnonymizerConfig, EngineChoice};
+use crate::fanout;
 use cloak::{
     anonymize_batch_with_scratch, anonymize_with_retry_scratch, AnonymizationOutcome,
     BatchCloakItem, BatchCloakScratch, CloakError, CloakPayload, CloakScratch, PrivacyProfile,
@@ -53,7 +54,6 @@ use roadnet::{RoadNetwork, SegmentId};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// SplitMix64 finalizer: the shared scrambler behind every derived
@@ -240,7 +240,7 @@ impl<V> ShardedMap<V> {
 /// A batch pre-pass entry: the request's `(keys, nonce, epoch)` once its
 /// chain advance was journaled, or the persistence error that withheld
 /// the epoch.
-type KeyedRequest = Result<(KeyManager, u64, u64), CloakError>;
+pub(crate) type KeyedRequest = Result<(KeyManager, u64, u64), CloakError>;
 
 /// One anonymization request for [`AnonymizerService::anonymize_batch`].
 ///
@@ -618,7 +618,7 @@ impl AnonymizerService {
     /// scheduling. A request whose chain advance could not be journaled
     /// carries its [`CloakError::Persistence`] instead of keys: it never
     /// reaches the cloak core and no receipt is issued for it.
-    fn derive_batch_keys(&self, requests: &[AnonymizeRequest]) -> Vec<KeyedRequest> {
+    pub(crate) fn derive_batch_keys(&self, requests: &[AnonymizeRequest]) -> Vec<KeyedRequest> {
         requests
             .iter()
             .map(|r| {
@@ -638,19 +638,20 @@ impl AnonymizerService {
 
     /// The owner-batched core behind
     /// [`anonymize_batch`](Self::anonymize_batch): cloaks a run of
-    /// requests against **one** snapshot handle through
-    /// [`cloak::anonymize_batch_with_scratch`], so the whole run shares
-    /// one cloaking region, the transition-table rows/columns, and the
-    /// structure-of-arrays round/hint arenas. `keyed` is the run's slice
-    /// of the [`derive_batch_keys`](Self::derive_batch_keys) pre-pass, so
+    /// requests against `snapshot`, the handle the caller took once for
+    /// its whole batch, through [`cloak::anonymize_batch_with_scratch`],
+    /// so the whole run shares one cloaking region, the transition-table
+    /// rows/columns, and the structure-of-arrays round/hint arenas.
+    /// `keyed` is the run's slice of the
+    /// [`derive_batch_keys`](Self::derive_batch_keys) pre-pass, so
     /// receipts are bit-identical to the sequential path.
-    fn anonymize_run_keyed(
+    pub(crate) fn anonymize_run_keyed(
         &self,
+        snapshot: &OccupancySnapshot,
         requests: &[AnonymizeRequest],
         keyed: &[KeyedRequest],
         scratch: &mut BatchCloakScratch,
     ) -> Vec<Result<AnonymizeReceipt, CloakError>> {
-        let snapshot = self.snapshot();
         // Requests whose chain advance failed to journal never reach the
         // cloak core: their slot is pre-filled with the persistence
         // error, and only the journaled remainder is cloaked.
@@ -683,7 +684,7 @@ impl AnonymizerService {
             .collect();
         let outcomes = anonymize_batch_with_scratch(
             &self.net,
-            &snapshot,
+            snapshot,
             &items,
             self.engine.as_dyn(),
             scratch,
@@ -722,118 +723,81 @@ impl AnonymizerService {
             .collect()
     }
 
-    /// Anonymizes a batch of requests, fanned across a scoped worker pool
-    /// in chunks. Results keep request order, and — because chain epochs
+    /// Anonymizes a batch of requests, fanned across worker threads in
+    /// chunks. Results keep request order, and — because chain epochs
     /// are assigned in a sequential pre-pass and every request carries
     /// its own seed — are identical to running
     /// [`anonymize_seeded`](Self::anonymize_seeded) sequentially from the
     /// same service state.
     ///
-    /// Each worker drives its chunks through the owner-batched core
-    /// ([`cloak::anonymize_batch_with_scratch`]) with one
-    /// [`BatchCloakScratch`]: the chunk shares one snapshot handle, one
-    /// cloaking region, and the structure-of-arrays round/hint arenas.
-    /// The scratch is built per worker per call, so every call allocates
-    /// one full-map region bitset per worker; owners within the call
-    /// reset it in O(previous region).
+    /// The batch reads the served snapshot once and cloaks every chunk
+    /// against that handle. Each worker drives its chunks through the
+    /// owner-batched core ([`cloak::anonymize_batch_with_scratch`]) with
+    /// one [`BatchCloakScratch`]: the chunk shares one cloaking region
+    /// and the structure-of-arrays round/hint arenas. The scratch is
+    /// built per worker per call, so every call allocates one full-map
+    /// region bitset per worker; owners within the call reset it in
+    /// O(previous region). (The continuous pipeline runs the same keyed
+    /// halves over every shard's batch at once, with scratch it keeps
+    /// across ticks.)
     ///
-    /// Parallelism comes from
-    /// [`AnonymizerConfig::batch_parallelism`] (`0` = all available
-    /// cores).
+    /// [`AnonymizerConfig::batch_parallelism`] sets the worker count
+    /// (`0` = all available cores), capped at the request count; the
+    /// calling thread is one of the workers.
     pub fn anonymize_batch(
         &self,
         requests: &[AnonymizeRequest],
     ) -> Vec<Result<AnonymizeReceipt, CloakError>> {
-        let workers = match self.config.batch_parallelism {
-            0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
-            n => n,
-        }
-        .min(requests.len().max(1));
+        let workers = fanout::workers(self.config.batch_parallelism).min(requests.len().max(1));
         // Chain pre-pass first: epochs are assigned in request order
         // before any worker runs, so batch scheduling can never reorder
         // an owner's ratchet sequence.
         let keyed = self.derive_batch_keys(requests);
-        if workers <= 1 || requests.len() <= 1 {
-            // One scratch serves the whole sequential sweep.
-            return self.anonymize_run_keyed(requests, &keyed, &mut BatchCloakScratch::new());
-        }
-        // Chunked work-stealing: a shared cursor hands out runs of
-        // requests so threads stay busy even when per-request cost varies
-        // (RPLE retries, dense vs sparse regions).
-        let chunk = (requests.len() / (workers * 4)).clamp(1, 64);
-        let cursor = AtomicUsize::new(0);
-        let mut results: Vec<Option<Result<AnonymizeReceipt, CloakError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let keyed = &keyed;
-                    scope.spawn(move || {
-                        // Per-worker scratch pool: buffers grow to the
-                        // workload's high-water mark once, then every
-                        // further chunk on this worker is allocation-
-                        // free inside the cloak walk.
-                        let mut scratch = BatchCloakScratch::new();
-                        let mut done: Vec<(usize, Result<AnonymizeReceipt, CloakError>)> =
-                            Vec::new();
-                        loop {
-                            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= requests.len() {
-                                return done;
-                            }
-                            let end = (start + chunk).min(requests.len());
-                            let run = self.anonymize_run_keyed(
-                                &requests[start..end],
-                                &keyed[start..end],
-                                &mut scratch,
-                            );
-                            done.extend(run.into_iter().enumerate().map(|(i, r)| (start + i, r)));
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, result) in handle.join().expect("batch worker never panics") {
-                    results[i] = Some(result);
-                }
-            }
-        });
-        // A batch may repeat an owner; parallel workers then race on the
-        // stored record. Re-run each duplicated owner's last request with
-        // its *precomputed* keys/nonce/epoch (no fresh ratchet — the
-        // chain already advanced in the pre-pass) to pin the stored
-        // record to sequential semantics: last request wins.
-        let mut per_owner: HashMap<&str, (usize, usize)> = HashMap::new();
-        for (i, r) in requests.iter().enumerate() {
-            let entry = per_owner.entry(&r.owner).or_insert((0, i));
-            entry.0 += 1;
-            entry.1 = i;
-        }
-        for &(count, last) in per_owner.values() {
-            // A last request whose advance failed to journal keeps its
-            // persistence error; the stored record then reflects some
+        let snapshot = self.snapshot();
+        let chunk = fanout::chunk_len(requests.len(), workers);
+        let mut scratch: Vec<BatchCloakScratch> =
+            (0..workers).map(|_| BatchCloakScratch::new()).collect();
+        let runs = fanout::fan_out(
+            &mut scratch,
+            requests.len().div_ceil(chunk),
+            |scratch, c| {
+                let run = c * chunk..requests.len().min((c + 1) * chunk);
+                self.anonymize_run_keyed(&snapshot, &requests[run.clone()], &keyed[run], scratch)
+            },
+        );
+        let mut results: Vec<_> = runs.into_iter().flatten().collect();
+        if workers > 1 {
+            // A batch may repeat an owner; parallel workers then race on
+            // the stored record. Re-run each duplicated owner's last
+            // request with its *precomputed* keys/nonce/epoch (no fresh
+            // ratchet — the chain already advanced in the pre-pass) to
+            // pin the stored record to sequential semantics: last request
+            // wins. A last request whose advance failed to journal keeps
+            // its persistence error; the stored record then reflects some
             // earlier successful request, which is all a failed tail can
             // promise.
-            if count > 1 {
-                if let Ok((keys, nonce, epoch)) = &keyed[last] {
-                    let r = &requests[last];
-                    results[last] = Some(self.anonymize_with_keys(
-                        &r.owner,
-                        r.segment,
-                        r.profile.as_ref().unwrap_or(&self.config.default_profile),
-                        keys.clone(),
-                        *nonce,
-                        *epoch,
-                        &mut CloakScratch::new(),
-                    ));
+            let mut per_owner: HashMap<&str, (usize, usize)> = HashMap::new();
+            for (i, r) in requests.iter().enumerate() {
+                let entry = per_owner.entry(&r.owner).or_insert((0, i));
+                entry.0 += 1;
+                entry.1 = i;
+            }
+            for &(count, last) in per_owner.values() {
+                if count > 1 {
+                    let run = last..last + 1;
+                    results[last] = self
+                        .anonymize_run_keyed(
+                            &snapshot,
+                            &requests[run.clone()],
+                            &keyed[run],
+                            &mut scratch[0],
+                        )
+                        .pop()
+                        .expect("one request, one result");
                 }
             }
         }
         results
-            .into_iter()
-            .map(|r| r.expect("every request index was claimed by exactly one worker"))
-            .collect()
     }
 
     /// The stored record for an owner (a clone; records are shared across
@@ -1002,6 +966,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use roadnet::grid_city;
+    use std::sync::atomic::Ordering;
 
     fn service() -> AnonymizerService {
         let net = grid_city(7, 7, 100.0);

@@ -65,7 +65,8 @@ pub struct Car {
     position: RoadPosition,
     /// Cruise speed in meters per second.
     speed: f64,
-    /// Remaining segments to traverse after the current one, in order.
+    /// Remaining segments to traverse after the current one, stored
+    /// reversed: the next segment is last, so `advance` pops it.
     route: Vec<SegmentId>,
     /// Total distance driven so far, in meters.
     odometer: f64,
@@ -106,7 +107,9 @@ impl Car {
         self.speed
     }
 
-    /// Remaining route after the current segment.
+    /// Remaining route after the current segment, in reverse driving
+    /// order: the next segment is the last element and the destination
+    /// segment the first. Walk it with `.iter().rev()` for driving order.
     pub fn route(&self) -> &[SegmentId] {
         &self.route
     }
@@ -189,6 +192,17 @@ mod tests {
         assert_eq!(car.segment(), SegmentId(2));
         assert_eq!(car.position().offset, 50.0);
         assert!(!car.is_en_route()); // route consumed, still finishing s2
+    }
+
+    #[test]
+    fn route_is_returned_with_the_next_segment_last() {
+        let net = grid_city(3, 3, 100.0);
+        let mut car = Car::new(CarId(0), RoadPosition::at_start(SegmentId(0)), 10.0);
+        car.assign_route(&[SegmentId(2), SegmentId(5), SegmentId(7)]);
+        assert_eq!(car.route(), [SegmentId(7), SegmentId(5), SegmentId(2)]);
+        car.advance(&net, 10.0);
+        assert_eq!(car.segment(), SegmentId(2));
+        assert_eq!(car.route(), [SegmentId(7), SegmentId(5)]);
     }
 
     #[test]
