@@ -121,6 +121,28 @@ mod tests {
     }
 
     #[test]
+    fn results_follow_task_order_not_worker_order() {
+        // Tasks 0 and 1 meet at a barrier, so they run on different
+        // workers. The spawned worker then holds its task until task 2
+        // starts, which only the calling thread is free to take: the
+        // calling thread finishes one low task and the highest one.
+        let caller = std::thread::current().id();
+        let meet = Barrier::new(2);
+        let last_taken = Barrier::new(2);
+        let mut states = vec![(); 2];
+        let out = fan_out(&mut states, 3, |_, task| {
+            if task < 2 {
+                meet.wait();
+            }
+            if task == 2 || std::thread::current().id() != caller {
+                last_taken.wait();
+            }
+            task
+        });
+        assert_eq!(out, [0, 1, 2]);
+    }
+
+    #[test]
     fn no_more_workers_start_than_there_are_tasks() {
         // Two tasks that must run at the same time on three worker
         // states: the first two states take one task each, worker 0 on
