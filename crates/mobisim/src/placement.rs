@@ -2,7 +2,10 @@
 //!
 //! The paper: "There are 10,000 cars randomly generated along the roads
 //! based on Gaussian distribution." We sample planar points from a 2-D
-//! Gaussian centered on the map and snap each to the nearest road segment.
+//! Gaussian centered on the map and snap each to the nearest road segment
+//! through a [`SegmentIndex`], built for the placement and dropped when
+//! it returns. `Simulation::new` places its cars first, so the index is
+//! gone before the trip planner's router graph is built.
 
 use rand::Rng;
 use rand_distr_shim::sample_standard_normal;
@@ -30,14 +33,15 @@ impl Default for PlacementModel {
     }
 }
 
-/// Draws `count` initial positions `(segment, offset-meters)`.
+/// Draws `count` initial positions `(segment, offset-meters)`. The
+/// Gaussian model snaps each sample to its nearest road by `(distance,
+/// segment id)`.
 ///
 /// # Panics
 ///
 /// Panics if the network has no segments.
 pub fn place_cars<R: Rng + ?Sized>(
     net: &RoadNetwork,
-    index: &SegmentIndex,
     model: PlacementModel,
     count: usize,
     rng: &mut R,
@@ -45,6 +49,7 @@ pub fn place_cars<R: Rng + ?Sized>(
     assert!(net.segment_count() > 0, "cannot place cars on an empty map");
     match model {
         PlacementModel::Gaussian { sigma_fraction } => {
+            let index = SegmentIndex::new(net);
             let bb = net.bounding_box();
             let center = bb.center();
             let sx = (bb.width() / 2.0) * sigma_fraction.max(1e-6);
@@ -55,7 +60,7 @@ pub fn place_cars<R: Rng + ?Sized>(
                     let gy = sample_standard_normal(rng);
                     let p = roadnet::Point::new(center.x + gx * sx, center.y + gy * sy);
                     let (seg, _) = index
-                        .nearest_segment(net, p)
+                        .nearest_segment(p)
                         .expect("non-empty network has a nearest segment");
                     let len = net.segment(seg).length();
                     (seg, rng.gen_range(0.0..=1.0) * len)
@@ -111,11 +116,9 @@ mod tests {
     #[test]
     fn gaussian_placement_clusters_downtown() {
         let net = grid_city(9, 9, 100.0);
-        let index = SegmentIndex::build(&net, 100.0);
         let mut rng = StdRng::seed_from_u64(1);
         let placements = place_cars(
             &net,
-            &index,
             PlacementModel::Gaussian {
                 sigma_fraction: 0.25,
             },
@@ -144,10 +147,9 @@ mod tests {
     #[test]
     fn offsets_are_within_segment_lengths() {
         let net = grid_city(5, 5, 100.0);
-        let index = SegmentIndex::build(&net, 100.0);
         let mut rng = StdRng::seed_from_u64(2);
         for model in [PlacementModel::default(), PlacementModel::UniformByLength] {
-            for (seg, off) in place_cars(&net, &index, model, 500, &mut rng) {
+            for (seg, off) in place_cars(&net, model, 500, &mut rng) {
                 assert!(off >= 0.0 && off <= net.segment(seg).length() + 1e-9);
             }
         }
@@ -156,18 +158,40 @@ mod tests {
     #[test]
     fn uniform_by_length_covers_many_segments() {
         let net = grid_city(6, 6, 100.0);
-        let index = SegmentIndex::build(&net, 100.0);
         let mut rng = StdRng::seed_from_u64(3);
-        let placements = place_cars(
-            &net,
-            &index,
-            PlacementModel::UniformByLength,
-            3000,
-            &mut rng,
-        );
+        let placements = place_cars(&net, PlacementModel::UniformByLength, 3000, &mut rng);
         let distinct: std::collections::HashSet<_> = placements.iter().map(|(s, _)| *s).collect();
         // 60 segments, 3000 cars: expect nearly all segments hit.
         assert!(distinct.len() > net.segment_count() * 9 / 10);
+    }
+
+    #[test]
+    fn far_junction_keeps_the_grid_small() {
+        // Ten 1 m roads and a lone junction 10 km away: a grid sized
+        // from the road length alone, or from any small requested cell,
+        // would hold millions of cells.
+        let mut b = roadnet::RoadNetworkBuilder::new();
+        let mut prev = b.add_junction(roadnet::Point::new(0.0, 0.0));
+        for i in 1..=10 {
+            let next = b.add_junction(roadnet::Point::new(f64::from(i), 0.0));
+            b.add_segment(prev, next).unwrap();
+            prev = next;
+        }
+        b.add_junction(roadnet::Point::new(10_000.0, 10_000.0));
+        let net = b.build().unwrap();
+        for index in [SegmentIndex::new(&net), SegmentIndex::build(&net, 1e-6)] {
+            let (cols, rows) = index.grid_size();
+            assert!(
+                cols * rows <= 4 * net.segment_count(),
+                "{cols} × {rows} cells"
+            );
+        }
+        let mut rng = StdRng::seed_from_u64(5);
+        let placements = place_cars(&net, PlacementModel::default(), 100, &mut rng);
+        assert_eq!(placements.len(), 100);
+        for (seg, off) in placements {
+            assert!(off >= 0.0 && off <= net.segment(seg).length());
+        }
     }
 
     #[test]

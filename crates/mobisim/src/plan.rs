@@ -25,6 +25,13 @@
 //! runs plain Dijkstra. Then the sequential planner would have drawn
 //! again, so the planner replays the rest of the batch on the calling
 //! thread from the generator state it saved at that trip.
+//!
+//! A *draw-only* trip ([`TripPlanner::push_draw_only`]) makes its draws
+//! like any other, but its caller keeps only the destination, so the
+//! route pass skips it wherever the component labels answer routability
+//! exactly ([`TripRouter::connected_matches_route`]): on every map that
+//! keeps the goal-directed bound. On a plain-Dijkstra map it is routed as
+//! before, because there a missing route decides the draws.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -49,6 +56,8 @@ pub(crate) struct Trip {
     pub speed: f64,
     /// Whether the destination is drawn (else the caller fixed it).
     drawn: bool,
+    /// Whether the caller keeps only the destination, not the route.
+    draw_only: bool,
     /// The generator state before this trip's draws.
     saved: Option<StdRng>,
     /// The route's segments: `(worker, start, end)` in that worker's
@@ -69,7 +78,7 @@ struct Worker {
 
 impl Worker {
     /// Routes trips from the shared cursor until none are left.
-    fn route(&mut self, trips: &[Trip], cursor: &AtomicUsize, chunk: usize) {
+    fn route(&mut self, trips: &[Trip], cursor: &AtomicUsize, chunk: usize, route_draw_only: bool) {
         loop {
             let first = cursor.fetch_add(chunk, Ordering::Relaxed);
             if first >= trips.len() {
@@ -77,7 +86,9 @@ impl Worker {
             }
             let last = (first + chunk).min(trips.len());
             for (i, trip) in trips[first..last].iter().enumerate() {
-                let Some(dest) = trip.dest else { continue };
+                let Some(dest) = trip.route_to(route_draw_only) else {
+                    continue;
+                };
                 let start = self.segments.len() as u32;
                 if self.router.route_into(trip.start, dest, &mut self.segments) {
                     let end = self.segments.len() as u32;
@@ -95,6 +106,11 @@ pub(crate) struct TripPlanner {
     /// `workers[0]` routes on the calling thread and replays.
     workers: Vec<Worker>,
     junctions: u32,
+    /// Whether draw-only trips are routed: where a connected trip can
+    /// lack a route, so the route pass decides the draws.
+    route_draw_only: bool,
+    /// Trips the route pass has routed since the planner was built.
+    routed: usize,
 }
 
 impl TripPlanner {
@@ -102,6 +118,7 @@ impl TripPlanner {
     /// all sharing one [`TripRouter`] graph.
     pub fn new(net: &RoadNetwork, workers: usize) -> TripPlanner {
         let router = TripRouter::new(net);
+        let route_draw_only = !router.connected_matches_route();
         let mut routers: Vec<TripRouter> = (1..workers).map(|_| router.share()).collect();
         routers.insert(0, router);
         TripPlanner {
@@ -115,7 +132,22 @@ impl TripPlanner {
                 })
                 .collect(),
             junctions: net.junction_count() as u32,
+            route_draw_only,
+            routed: 0,
         }
+    }
+
+    /// Routes draw-only trips too, as on a map where their routes decide
+    /// the draws: the reference the skip is checked against.
+    pub fn route_every_trip(&mut self) {
+        self.route_draw_only = true;
+    }
+
+    /// Trips the route pass has routed since the planner was built
+    /// (replays not counted).
+    #[cfg(test)]
+    pub fn routed(&self) -> usize {
+        self.routed
     }
 
     /// Starts a new batch, dropping the last one's trips and routes.
@@ -137,9 +169,21 @@ impl TripPlanner {
             dest,
             speed: 0.0,
             drawn: dest.is_none(),
+            draw_only: false,
             saved: None,
             route: None,
         });
+    }
+
+    /// Adds a trip from `start` to a destination drawn at random whose
+    /// route the caller will not read: it is routed only where the
+    /// planner must route it to make the right draws.
+    pub fn push_draw_only(&mut self, car: usize, start: JunctionId) {
+        self.push(car, start, None);
+        self.trips
+            .last_mut()
+            .expect("a trip was just pushed")
+            .draw_only = true;
     }
 
     /// Draws, routes and (where a route overflowed) replays the batch.
@@ -161,10 +205,11 @@ impl TripPlanner {
             }
         }
         self.route_all();
+        let route_draw_only = self.route_draw_only;
         let replay = self
             .trips
             .iter()
-            .position(|t| t.drawn && t.dest.is_some() && t.route.is_none())?;
+            .position(|t| t.drawn && t.route_to(route_draw_only).is_some() && t.route.is_none())?;
         *rng = self.trips[replay]
             .saved
             .clone()
@@ -197,13 +242,21 @@ impl TripPlanner {
         Some(&self.workers[worker].segments[start as usize..end as usize])
     }
 
-    /// The route pass: every trip with a destination, routed on the
-    /// planner's workers, never more of them than there are trips to
-    /// route.
+    /// The route pass: every trip with a destination whose route is
+    /// needed, routed on the planner's workers, never more of them than
+    /// there are trips to route.
     fn route_all(&mut self) {
         let trips = &self.trips;
-        let routed = trips.iter().filter(|t| t.dest.is_some()).count();
-        let active = self.workers.len().min(routed).max(1);
+        let route_draw_only = self.route_draw_only;
+        let routed = trips
+            .iter()
+            .filter(|t| t.route_to(route_draw_only).is_some())
+            .count();
+        self.routed += routed;
+        if routed == 0 {
+            return;
+        }
+        let active = self.workers.len().min(routed);
         let chunk = (trips.len() / (active * 4)).clamp(1, 64);
         // The cursor only hands out trip indices; the routes come back
         // through the scope's joins, so it publishes nothing and
@@ -215,9 +268,9 @@ impl TripPlanner {
         std::thread::scope(|scope| {
             for worker in rest {
                 let cursor = &cursor;
-                scope.spawn(move || worker.route(trips, cursor, chunk));
+                scope.spawn(move || worker.route(trips, cursor, chunk, route_draw_only));
             }
-            first.route(trips, &cursor, chunk);
+            first.route(trips, &cursor, chunk, route_draw_only);
         });
         for (w, worker) in self.workers[..active].iter().enumerate() {
             for &(trip, start, end) in &worker.spans {
@@ -228,6 +281,13 @@ impl TripPlanner {
 }
 
 impl Trip {
+    /// The destination the route pass routes this trip to: none for a
+    /// trip without one, nor for a draw-only trip unless
+    /// `route_draw_only`.
+    fn route_to(&self, route_draw_only: bool) -> Option<JunctionId> {
+        self.dest.filter(|_| route_draw_only || !self.draw_only)
+    }
+
     /// Saves the generator, then makes the trip's draws: its speed when
     /// `speeds` is given, then up to eight uniform junctions, keeping the
     /// first that is not the start and that `reachable` accepts.
@@ -295,6 +355,12 @@ mod tests {
         outcomes
     }
 
+    /// Whether the batch planner gets request `i` as a draw-only trip:
+    /// every third drawn one.
+    fn draw_only(i: usize, &(_, fixed): &Request) -> bool {
+        fixed.is_none() && i % 3 == 1
+    }
+
     fn planned(
         planner: &mut TripPlanner,
         batch: &[Request],
@@ -302,8 +368,12 @@ mod tests {
         speeds: Option<(f64, f64)>,
     ) -> (Vec<Outcome>, Option<usize>) {
         planner.clear();
-        for (car, &(start, fixed)) in batch.iter().enumerate() {
-            planner.push(car, start, fixed);
+        for (car, request) in batch.iter().enumerate() {
+            if draw_only(car, request) {
+                planner.push_draw_only(car, request.0);
+            } else {
+                planner.push(car, request.0, request.1);
+            }
         }
         let replay = planner.plan(rng, speeds);
         let outcomes = planner
@@ -311,7 +381,8 @@ mod tests {
             .iter()
             .map(|t| {
                 let dest = if t.drawn { t.dest } else { None };
-                (t.speed, dest, planner.route(t).map(<[_]>::to_vec))
+                let route = planner.route(t).filter(|_| !t.draw_only);
+                (t.speed, dest, route.map(<[_]>::to_vec))
             })
             .collect();
         (outcomes, replay)
@@ -337,7 +408,9 @@ mod tests {
 
     /// Runs three batches (the first drawing speeds) through the
     /// sequential planner and through a batch planner at 1, 2 and 3
-    /// workers; returns how many batches each planner replayed.
+    /// workers, which gets every third drawn trip as draw-only and so
+    /// must match the sequential draws but owes no route; returns how
+    /// many batches each planner replayed.
     fn assert_matches_sequential(net: &RoadNetwork, count: usize) -> Vec<usize> {
         let batches: Vec<Vec<Request>> = (0..3).map(|b| requests(net, count, b)).collect();
         let speeds = |b: usize| (b == 0).then_some((8.0, 20.0));
@@ -345,7 +418,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         let junctions = net.junction_count() as u32;
         let expected: Vec<Vec<Outcome>> = (0..3)
-            .map(|b| sequential(&mut router, junctions, &batches[b], &mut rng, speeds(b)))
+            .map(|b| {
+                let mut outcomes =
+                    sequential(&mut router, junctions, &batches[b], &mut rng, speeds(b));
+                for (i, outcome) in outcomes.iter_mut().enumerate() {
+                    if draw_only(i, &batches[b][i]) {
+                        outcome.2 = None;
+                    }
+                }
+                outcomes
+            })
             .collect();
         let next_draw = rng.gen::<u64>();
         let mut replays = Vec::new();

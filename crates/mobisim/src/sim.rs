@@ -5,10 +5,18 @@
 //! is based on shortest path routing." Cars drive their route at a cruise
 //! speed; on arrival a fresh random destination is chosen.
 //!
+//! [`Simulation::new`] places the cars first: [`place_cars`] builds a
+//! [`roadnet::SegmentIndex`], snaps every car to its nearest road and
+//! drops the index, all before the trip planner's router graph is built.
+//!
 //! Every trip goes through one batch planner, built with the simulation:
 //! the setup trips and commuter anchors of [`Simulation::new`] (in
 //! batches of a few hundred cars) and the trips of each
-//! [`Simulation::step`]. A batch runs in three passes. The cars advance
+//! [`Simulation::step`]. Under a heterogeneous mix, parked cars and
+//! commuters still draw a first trip in the legacy order, and commuters
+//! draw a work anchor, but only the draws are kept: those trips are
+//! draw-only, routed only on a map whose component labels cannot stand
+//! in for a route. A batch runs in three passes. The cars advance
 //! and draw their destinations in car order, with the draws they always
 //! made; reachability comes from component labels, not a search. The
 //! drawn trips are then routed on one worker per available core (the
@@ -33,7 +41,7 @@ use crate::placement::{place_cars, PlacementModel};
 use crate::plan::TripPlanner;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use roadnet::{RoadNetwork, SegmentId, SegmentIndex};
+use roadnet::{RoadNetwork, SegmentId};
 
 /// Cars per setup batch in [`Simulation::new`]: enough trips to keep
 /// every routing worker busy, few enough that the planner's buffers stay
@@ -105,56 +113,68 @@ impl Simulation {
     /// Panics if the network has no segments.
     pub fn new(net: RoadNetwork, cfg: SimConfig) -> Self {
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Simulation::with_workers(net, cfg, workers)
+        Simulation::with_workers(net, cfg, workers, false)
     }
 
-    /// [`new`](Self::new) with `workers` routing workers.
-    fn with_workers(net: RoadNetwork, cfg: SimConfig, workers: usize) -> Self {
-        let index = SegmentIndex::build(&net, suggested_cell(&net));
-        let mut planner = TripPlanner::new(&net, workers);
+    /// [`new`](Self::new) with `workers` routing workers;
+    /// `route_every_trip` routes the draw-only setup trips too, the
+    /// reference the skip is tested against.
+    fn with_workers(
+        net: RoadNetwork,
+        cfg: SimConfig,
+        workers: usize,
+        route_every_trip: bool,
+    ) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let placements = place_cars(&net, &index, cfg.placement, cfg.cars, &mut rng);
-        // Each car draws its speed, then its first trip. The cars go in
-        // batches of SETUP_BATCH: the planner's buffers keep their
-        // capacity for the whole run, so they should never hold every
-        // setup route at once.
+        let placements = place_cars(&net, cfg.placement, cfg.cars, &mut rng);
+        let mut planner = TripPlanner::new(&net, workers);
+        if route_every_trip {
+            planner.route_every_trip();
+        }
+        // Each car draws its speed, then its first trip, whose route only
+        // a taxi keeps: parked cars and commuters anchor where they were
+        // placed. The cars go in batches of SETUP_BATCH: the planner's
+        // buffers keep their capacity for the whole run, so they should
+        // never hold every setup route at once.
+        let is_taxi = |car: usize| cfg.behavior.kind_for(car) == BehaviorKind::Taxi;
         let mut cars = Vec::with_capacity(cfg.cars);
         for batch in placements.chunks(SETUP_BATCH) {
             planner.clear();
             for (i, &(segment, _)) in batch.iter().enumerate() {
-                planner.push(cars.len() + i, net.segment(segment).b(), None);
+                let (car, start) = (cars.len() + i, net.segment(segment).b());
+                if is_taxi(car) {
+                    planner.push(car, start, None);
+                } else {
+                    planner.push_draw_only(car, start);
+                }
             }
             planner.plan(&mut rng, Some(cfg.speed_range));
             for (&(segment, offset), trip) in batch.iter().zip(planner.trips()) {
                 let id = CarId(trip.car as u32);
                 let mut car = Car::new(id, RoadPosition { segment, offset }, trip.speed);
-                car.assign_route(planner.route(trip).unwrap_or_default());
+                if is_taxi(trip.car) {
+                    car.assign_route(planner.route(trip).unwrap_or_default());
+                }
                 cars.push(car);
             }
         }
         // Heterogeneous mixes layer behavior state on top of the shared
         // placement/speed/first-trip draws above (which stay in the
-        // legacy order); commuters and parked cars then drop the initial
-        // random trip and anchor where they were placed, and each
-        // commuter draws its work anchor like a trip.
+        // legacy order); each commuter then draws its work anchor like a
+        // trip, keeping only the destination.
         let rush = cfg.behavior.rush();
         let mut behaviors = Vec::new();
         if rush.is_some() {
             behaviors.reserve(cars.len());
             for first in (0..cars.len()).step_by(SETUP_BATCH) {
                 planner.clear();
-                for (i, car) in cars.iter_mut().enumerate().skip(first).take(SETUP_BATCH) {
+                for (i, car) in cars.iter().enumerate().skip(first).take(SETUP_BATCH) {
                     let mut state = CarBehavior::new(cfg.behavior.kind_for(i));
-                    match state.kind {
-                        BehaviorKind::Taxi => {}
-                        BehaviorKind::Parked => car.assign_route(&[]),
-                        BehaviorKind::Commuter => {
-                            car.assign_route(&[]);
-                            let home = net.segment(car.segment()).b();
-                            state.home = Some(home);
-                            state.phase = CommutePhase::AtHome;
-                            planner.push(i, home, None);
-                        }
+                    if state.kind == BehaviorKind::Commuter {
+                        let home = net.segment(car.segment()).b();
+                        state.home = Some(home);
+                        state.phase = CommutePhase::AtHome;
+                        planner.push_draw_only(i, home);
                     }
                     behaviors.push(state);
                 }
@@ -356,13 +376,6 @@ impl Simulation {
     }
 }
 
-/// A sensible spatial-index cell size: ~4 average segment lengths.
-fn suggested_cell(net: &RoadNetwork) -> f64 {
-    let total: f64 = net.segments().map(|s| s.length()).sum();
-    let mean = total / net.segment_count().max(1) as f64;
-    (mean * 4.0).max(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,21 +550,23 @@ mod tests {
 
     #[test]
     fn worker_counts_give_identical_simulations() {
-        // 1,100 cars: three setup batches, the last one short.
+        // 1,100 cars: three setup batches, the last one short. The
+        // reference routes every setup trip, draw-only ones included.
         for mix in [
             BehaviorMix::uniform(),
             BehaviorMix::commuter_city(),
             BehaviorMix::taxi_fleet(),
             BehaviorMix::rush_hour(),
         ] {
-            let run = |workers| {
+            let run = |workers, route_every_trip| {
                 let cfg = SimConfig {
                     cars: 1_100,
                     seed: 16,
                     behavior: mix.clone(),
                     ..Default::default()
                 };
-                let mut sim = Simulation::with_workers(roadnet::city_map(5, 600), cfg, workers);
+                let net = roadnet::city_map(5, 600);
+                let mut sim = Simulation::with_workers(net, cfg, workers, route_every_trip);
                 let mut states = vec![sim.cars().to_vec()];
                 for _ in 0..20 {
                     sim.step(10.0);
@@ -559,10 +574,73 @@ mod tests {
                 }
                 states
             };
-            let one = run(1);
-            assert_eq!(run(2), one, "{mix:?} at 2 workers");
-            assert_eq!(run(3), one, "{mix:?} at 3 workers");
+            let reference = run(1, true);
+            for workers in 1..=3 {
+                assert_eq!(
+                    run(workers, false),
+                    reference,
+                    "{mix:?} at {workers} workers"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn setup_routes_only_the_trips_it_keeps() {
+        // On a map that keeps the goal-directed bound, setup routes the
+        // taxis' first trips and nothing else: no parked car's or
+        // commuter's first trip, and no commuter anchor.
+        for mix in [
+            BehaviorMix::commuter_city(),
+            BehaviorMix::rush_hour(),
+            BehaviorMix::taxi_fleet(),
+        ] {
+            let cfg = SimConfig {
+                cars: 1_100,
+                seed: 17,
+                behavior: mix.clone(),
+                ..Default::default()
+            };
+            let sim = Simulation::with_workers(roadnet::city_map(5, 600), cfg, 2, false);
+            let taxis = (0..sim.cars().len())
+                .filter(|&i| sim.behavior_kind(CarId(i as u32)) == Some(BehaviorKind::Taxi))
+                .collect::<Vec<_>>();
+            let en_route = taxis
+                .iter()
+                .filter(|&&i| sim.cars()[i].is_en_route())
+                .count();
+            assert!(
+                en_route > taxis.len() * 9 / 10,
+                "{mix:?}: {en_route} taxis en route"
+            );
+            assert_eq!(sim.planner.routed(), en_route, "{mix:?}");
+        }
+    }
+
+    #[test]
+    fn setup_routes_every_trip_where_routes_can_overflow() {
+        // A line of roads 1e308 m long runs plain Dijkstra: a connected
+        // trip can lack a route, so every setup trip is routed, parked
+        // cars', commuters' and anchors included.
+        let mut b = roadnet::RoadNetworkBuilder::new();
+        let mut prev = b.add_junction(roadnet::Point::new(0.0, 0.0));
+        for i in 1..8 {
+            let next = b.add_junction(roadnet::Point::new(100.0 * f64::from(i), 0.0));
+            b.add_segment_with_length(prev, next, 1e308).unwrap();
+            prev = next;
+        }
+        let cfg = SimConfig {
+            cars: 60,
+            seed: 18,
+            behavior: BehaviorMix::commuter_city(),
+            ..Default::default()
+        };
+        let sim = Simulation::with_workers(b.build().unwrap(), cfg, 2, false);
+        let commuters = (0..60)
+            .filter(|&i| sim.behavior_kind(CarId(i)) == Some(BehaviorKind::Commuter))
+            .count();
+        assert!(commuters > 30);
+        assert_eq!(sim.planner.routed(), 60 + commuters);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Two families live here:
 //!
-//! * [`SegmentIndex`] — a uniform-grid *spatial* index, used by the trace
-//!   generator (snap a Gaussian sample to the nearest road) and the
-//!   renderers (cull segments outside the viewport);
+//! * [`SegmentIndex`] — a uniform-grid *spatial* index that snaps a
+//!   point to its nearest road, used by `mobisim`'s Gaussian car
+//!   placement;
 //! * [`GraphIndex`] — a read-only, built-once *graph* index: an
 //!   ALT-style [`LandmarkTable`] of exact road distances from a handful
 //!   of far-apart junctions, and word-packed bounded-hop
@@ -23,13 +23,32 @@ use crate::geometry::{point_segment_distance, BoundingBox, Point};
 use crate::graph::{JunctionId, RoadNetwork, SegmentId};
 use std::sync::{Arc, OnceLock};
 
+/// Most grid cells a [`SegmentIndex`] holds per road: the cell size is
+/// raised until the grid fits, whatever size was asked for.
+const CELLS_PER_ROAD: usize = 4;
+
+/// Relative width of the registration margin and of the walk's stopping
+/// slack: far above the rounding of a span, a cell edge or a distance.
+const INDEX_SLACK: f64 = 1e-9;
+
 /// A uniform-grid spatial index over the segments of a road network.
+///
+/// The cells are two flat arrays (CSR): cell `i` holds
+/// `entries[offsets[i] .. offsets[i + 1]]`, in segment id order. A road
+/// is registered only in the cells it passes through: row by row, the
+/// span of columns it covers, widened by a margin that outgrows any
+/// rounding, so every point of a road lies inside its registered cells.
+/// The grid never holds more than four cells per road.
+///
+/// [`nearest_segment`](Self::nearest_segment) walks square rings of
+/// cells outward from the query point and returns exactly the
+/// brute-force minimum by `(distance, segment id)`.
 ///
 /// ```
 /// use roadnet::{generate::grid_city, index::SegmentIndex, geometry::Point};
 /// let net = grid_city(5, 5, 100.0);
-/// let idx = SegmentIndex::build(&net, 64.0);
-/// let (seg, d) = idx.nearest_segment(&net, Point::new(151.0, 207.0)).unwrap();
+/// let idx = SegmentIndex::new(&net);
+/// let (seg, d) = idx.nearest_segment(Point::new(151.0, 207.0)).unwrap();
 /// assert!(d <= 10.0);
 /// # let _ = seg;
 /// ```
@@ -39,12 +58,33 @@ pub struct SegmentIndex {
     cell: f64,
     cols: usize,
     rows: usize,
-    /// For each grid cell, the segments whose bounding box overlaps it.
-    cells: Vec<Vec<SegmentId>>,
+    /// How far past a road's exact span its registration reaches.
+    margin: f64,
+    /// Each segment's endpoints, by segment id.
+    ends: Vec<[Point; 2]>,
+    /// Cell `i` (row-major) holds `entries[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    entries: Vec<SegmentId>,
 }
 
 impl SegmentIndex {
-    /// Builds the index with the given cell size in meters.
+    /// Builds the index with a cell size picked from the map: half the
+    /// mean straight-line length of a road, raised as
+    /// [`build`](Self::build) raises any cell size.
+    pub fn new(net: &RoadNetwork) -> Self {
+        let chords: f64 = net
+            .segments()
+            .map(|s| {
+                net.junction(s.a())
+                    .position()
+                    .distance(net.junction(s.b()).position())
+            })
+            .sum();
+        SegmentIndex::with_cell(net, chords / net.segment_count().max(1) as f64 / 2.0)
+    }
+
+    /// Builds the index with cells of `cell_size` meters, raised where
+    /// needed so the grid holds at most four cells per road.
     ///
     /// # Panics
     ///
@@ -52,31 +92,72 @@ impl SegmentIndex {
     /// junctions.
     pub fn build(net: &RoadNetwork, cell_size: f64) -> Self {
         assert!(cell_size > 0.0, "cell size must be positive");
+        SegmentIndex::with_cell(net, cell_size)
+    }
+
+    fn with_cell(net: &RoadNetwork, requested: f64) -> Self {
         let bounds = net.bounding_box();
         assert!(!bounds.is_empty(), "cannot index an empty network");
-        let cols = (bounds.width() / cell_size).ceil().max(1.0) as usize;
-        let rows = (bounds.height() / cell_size).ceil().max(1.0) as usize;
-        let mut cells = vec![Vec::new(); cols * rows];
-        let mut index = SegmentIndex {
-            bounds,
-            cell: cell_size,
-            cols,
-            rows,
-            cells: Vec::new(),
-        };
-        for seg in net.segments() {
-            let pa = net.junction(seg.a()).position();
-            let pb = net.junction(seg.b()).position();
-            let bb = BoundingBox::from_corners(pa, pb);
-            let (c0, r0) = index.cell_of(bb.min);
-            let (c1, r1) = index.cell_of(bb.max);
-            for r in r0..=r1 {
-                for c in c0..=c1 {
-                    cells[r * cols + c].push(seg.id());
-                }
+        let (w, h) = (bounds.width(), bounds.height());
+        let limit = CELLS_PER_ROAD * net.segment_count().max(1);
+        let span = |cell: f64| ((w / cell).ceil().max(1.0), (h / cell).ceil().max(1.0));
+        let (mut cell, mut cols, mut rows) = (f64::INFINITY, 1.0, 1.0);
+        if w.is_finite() && h.is_finite() {
+            // The smallest cell whose grid could fit, before rounding up.
+            let fits = (w * h / limit as f64).sqrt().max(w.max(h) / limit as f64);
+            cell = requested.max(fits);
+            if cell == 0.0 {
+                // A map that is a single point: any cell holds it.
+                cell = 1.0;
+            }
+            (cols, rows) = span(cell);
+            while cols * rows > limit as f64 {
+                cell *= 1.25;
+                (cols, rows) = span(cell);
             }
         }
-        index.cells = cells;
+        let extent = [bounds.min.x, bounds.min.y, bounds.max.x, bounds.max.y]
+            .iter()
+            .fold(0.0f64, |m, v| m.max(v.abs()));
+        let mut index = SegmentIndex {
+            bounds,
+            cell,
+            cols: cols as usize,
+            rows: rows as usize,
+            margin: INDEX_SLACK * (extent + cell),
+            ends: net
+                .segments()
+                .map(|s| {
+                    [
+                        net.junction(s.a()).position(),
+                        net.junction(s.b()).position(),
+                    ]
+                })
+                .collect(),
+            offsets: Vec::new(),
+            entries: Vec::new(),
+        };
+        // Count each cell's roads, turn the counts into offsets, then
+        // fill: roads go in id order, so every cell lists them ascending.
+        let mut counts = vec![0u32; index.cols * index.rows + 1];
+        for &[a, b] in &index.ends {
+            index.for_each_cell(a, b, |i| counts[i + 1] += 1);
+        }
+        for i in 1..counts.len() {
+            counts[i] = counts[i]
+                .checked_add(counts[i - 1])
+                .expect("index entries fit in u32");
+        }
+        let mut fill = counts.clone();
+        let mut entries = vec![SegmentId(0); counts[counts.len() - 1] as usize];
+        for (s, &[a, b]) in index.ends.iter().enumerate() {
+            index.for_each_cell(a, b, |i| {
+                entries[fill[i] as usize] = SegmentId(s as u32);
+                fill[i] += 1;
+            });
+        }
+        index.offsets = counts;
+        index.entries = entries;
         index
     }
 
@@ -90,109 +171,113 @@ impl SegmentIndex {
         (self.cols, self.rows)
     }
 
-    fn cell_of(&self, p: Point) -> (usize, usize) {
-        let c = ((p.x - self.bounds.min.x) / self.cell).floor();
-        let r = ((p.y - self.bounds.min.y) / self.cell).floor();
-        (
-            (c.max(0.0) as usize).min(self.cols - 1),
-            (r.max(0.0) as usize).min(self.rows - 1),
-        )
+    /// The grid column holding `x`, clamped to the grid.
+    fn col_of(&self, x: f64) -> usize {
+        let c = ((x - self.bounds.min.x) / self.cell).floor();
+        (c.max(0.0) as usize).min(self.cols - 1)
     }
 
-    /// Segments whose bounding boxes intersect the query box. May contain
-    /// duplicates-free deterministic order.
-    pub fn segments_in_box(&self, query: BoundingBox) -> Vec<SegmentId> {
-        if query.is_empty() {
-            return Vec::new();
-        }
-        let (c0, r0) = self.cell_of(query.min);
-        let (c1, r1) = self.cell_of(query.max);
-        let mut out = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for r in r0..=r1 {
-            for c in c0..=c1 {
-                for &s in &self.cells[r * self.cols + c] {
-                    if seen.insert(s) {
-                        out.push(s);
-                    }
-                }
+    /// The grid row holding `y`, clamped to the grid.
+    fn row_of(&self, y: f64) -> usize {
+        let r = ((y - self.bounds.min.y) / self.cell).floor();
+        (r.max(0.0) as usize).min(self.rows - 1)
+    }
+
+    /// Calls `visit` with every cell the road from `a` to `b` passes
+    /// through, widened by the margin: for each row band it crosses, the
+    /// columns its part inside the band covers.
+    fn for_each_cell(&self, a: Point, b: Point, mut visit: impl FnMut(usize)) {
+        let m = self.margin;
+        let (lo, hi) = if a.y <= b.y { (a, b) } else { (b, a) };
+        let (x_min, x_max) = (lo.x.min(hi.x), lo.x.max(hi.x));
+        let dy = hi.y - lo.y;
+        for r in self.row_of(lo.y - m)..=self.row_of(hi.y + m) {
+            let (x0, x1) = if dy > 0.0 {
+                let band = self.bounds.min.y + r as f64 * self.cell;
+                let at = |y: f64| {
+                    let t = (y.clamp(lo.y, hi.y) - lo.y) / dy;
+                    lo.x + t * (hi.x - lo.x)
+                };
+                let (xa, xb) = (at(band - m), at(band + self.cell + m));
+                (xa.min(xb).max(x_min), xa.max(xb).min(x_max))
+            } else {
+                (x_min, x_max)
+            };
+            let row = r * self.cols;
+            for c in self.col_of(x0 - m)..=self.col_of(x1 + m) {
+                visit(row + c);
             }
         }
-        out
     }
 
-    /// The segment nearest to `p` and its distance, or `None` for a network
-    /// with no segments.
+    /// The segment nearest to `p` by `(distance, segment id)` and its
+    /// distance, or `None` for a network with no segments.
     ///
-    /// Searches outward ring by ring, so the cost is proportional to the
-    /// local density rather than the network size.
-    pub fn nearest_segment(&self, net: &RoadNetwork, p: Point) -> Option<(SegmentId, f64)> {
-        if net.segment_count() == 0 {
+    /// Walks square rings of cells outward from `p`'s cell, allocating
+    /// nothing, so the cost follows the local road density rather than
+    /// the network size. A road not yet seen lies wholly outside the
+    /// scanned block, so the distance from `p` to the block's open sides
+    /// bounds it from below; the walk stops once the best distance is
+    /// strictly below that bound, less a relative slack for rounding, so
+    /// no unseen road can tie or win.
+    pub fn nearest_segment(&self, p: Point) -> Option<(SegmentId, f64)> {
+        if self.ends.is_empty() {
             return None;
         }
-        let (pc, pr) = self.cell_of(p);
-        let max_ring = self.cols.max(self.rows);
+        let (pc, pr) = (self.col_of(p.x), self.row_of(p.y));
+        let slack = INDEX_SLACK * (p.x.abs() + p.y.abs());
         let mut best: Option<(SegmentId, f64)> = None;
-        for ring in 0..=max_ring {
-            // Once we have a candidate, one extra ring is enough to make the
-            // result exact (a closer segment can only live one ring further
-            // than the ring where the candidate was found).
-            if let Some((_, d)) = best {
-                if d <= (ring.saturating_sub(1)) as f64 * self.cell {
-                    break;
+        let scan = |cell: usize, best: &mut Option<(SegmentId, f64)>| {
+            let (first, last) = (self.offsets[cell], self.offsets[cell + 1]);
+            for &s in &self.entries[first as usize..last as usize] {
+                let [a, b] = self.ends[s.index()];
+                let d = point_segment_distance(p, a, b);
+                if best.is_none_or(|(bs, bd)| d < bd || (d == bd && s < bs)) {
+                    *best = Some((s, d));
                 }
             }
-            let mut any_cell = false;
-            for (c, r) in ring_cells(pc, pr, ring, self.cols, self.rows) {
-                any_cell = true;
-                for &s in &self.cells[r * self.cols + c] {
-                    let seg = net.segment(s);
-                    let d = point_segment_distance(
-                        p,
-                        net.junction(seg.a()).position(),
-                        net.junction(seg.b()).position(),
-                    );
-                    if best.is_none_or(|(bs, bd)| d < bd || (d == bd && s < bs)) {
-                        best = Some((s, d));
+        };
+        for ring in 0.. {
+            // The block of rings 0..=ring, clipped to the grid.
+            let (c0, c1) = (pc.saturating_sub(ring), (pc + ring).min(self.cols - 1));
+            let (r0, r1) = (pr.saturating_sub(ring), (pr + ring).min(self.rows - 1));
+            for r in r0..=r1 {
+                let row = r * self.cols;
+                if r + ring == pr || r == pr + ring {
+                    (c0..=c1).for_each(|c| scan(row + c, &mut best));
+                } else {
+                    if pc >= ring {
+                        scan(row + pc - ring, &mut best);
+                    }
+                    if ring > 0 && pc + ring < self.cols {
+                        scan(row + pc + ring, &mut best);
                     }
                 }
             }
-            if !any_cell && ring > 0 && best.is_some() {
+            // Distance from `p` to the nearest cell outside the block.
+            let edge = |i: usize, origin: f64| origin + i as f64 * self.cell;
+            let mut bound = f64::INFINITY;
+            if c0 > 0 {
+                bound = bound.min(p.x - edge(c0, self.bounds.min.x));
+            }
+            if c1 + 1 < self.cols {
+                bound = bound.min(edge(c1 + 1, self.bounds.min.x) - p.x);
+            }
+            if r0 > 0 {
+                bound = bound.min(p.y - edge(r0, self.bounds.min.y));
+            }
+            if r1 + 1 < self.rows {
+                bound = bound.min(edge(r1 + 1, self.bounds.min.y) - p.y);
+            }
+            if bound == f64::INFINITY {
+                break;
+            }
+            if best.is_some_and(|(_, d)| d < bound - slack - INDEX_SLACK * bound) {
                 break;
             }
         }
         best
     }
-}
-
-/// The cells on the square ring at Chebyshev distance `ring` from `(pc,
-/// pr)`, clipped to the grid.
-fn ring_cells(pc: usize, pr: usize, ring: usize, cols: usize, rows: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let (pc, pr, ring) = (pc as isize, pr as isize, ring as isize);
-    let inside =
-        |c: isize, r: isize| c >= 0 && r >= 0 && (c as usize) < cols && (r as usize) < rows;
-    if ring == 0 {
-        if inside(pc, pr) {
-            out.push((pc as usize, pr as usize));
-        }
-        return out;
-    }
-    for c in (pc - ring)..=(pc + ring) {
-        for r in [pr - ring, pr + ring] {
-            if inside(c, r) {
-                out.push((c as usize, r as usize));
-            }
-        }
-    }
-    for r in (pr - ring + 1)..=(pr + ring - 1) {
-        for c in [pc - ring, pc + ring] {
-            if inside(c, r) {
-                out.push((c as usize, r as usize));
-            }
-        }
-    }
-    out
 }
 
 /// Number of landmarks a [`GraphIndex`] selects by default. Sixteen
@@ -777,72 +862,99 @@ mod tests {
     use super::*;
     use crate::generate::{grid_city, irregular_city, IrregularConfig};
 
+    /// The brute-force nearest segment by `(distance, segment id)`.
+    fn brute_nearest(net: &RoadNetwork, p: Point) -> (SegmentId, f64) {
+        net.segments()
+            .map(|seg| {
+                let a = net.junction(seg.a()).position();
+                let b = net.junction(seg.b()).position();
+                (seg.id(), point_segment_distance(p, a, b))
+            })
+            .min_by(|x, y| x.1.total_cmp(&y.1).then(x.0.cmp(&y.0)))
+            .unwrap()
+    }
+
     #[test]
     fn nearest_matches_brute_force() {
-        let net = irregular_city(&IrregularConfig {
-            junctions: 120,
-            segments: 160,
-            seed: 3,
-            ..Default::default()
-        });
-        let idx = SegmentIndex::build(&net, 80.0);
-        let bb = net.bounding_box();
-        let mut rng_x = 0.37_f64;
-        for i in 0..50 {
-            // Cheap deterministic pseudo-random points.
-            rng_x = (rng_x * 997.0 + i as f64).fract();
-            let p = Point::new(
-                bb.min.x + rng_x * bb.width(),
-                bb.min.y + ((rng_x * 13.7).fract()) * bb.height(),
-            );
-            let (got, gd) = idx.nearest_segment(&net, p).unwrap();
-            // Brute force.
-            let mut best = None;
-            for seg in net.segments() {
-                let d = point_segment_distance(
-                    p,
-                    net.junction(seg.a()).position(),
-                    net.junction(seg.b()).position(),
+        // Irregular roads, a grid whose ties are everywhere, and a city
+        // with long roads; query points run past the bounding box, and
+        // the cells run from tiny (raised by the cap) to map-sized.
+        let maps = [
+            irregular_city(&IrregularConfig {
+                junctions: 120,
+                segments: 160,
+                seed: 3,
+                ..Default::default()
+            }),
+            grid_city(7, 5, 100.0),
+            crate::citygen::city_map(7, 2000),
+        ];
+        for net in &maps {
+            let bb = net.bounding_box();
+            let size = bb.width().max(bb.height());
+            let mut indexes = vec![SegmentIndex::new(net)];
+            for scale in [1e-4, 0.013, 0.08, 0.5, 1.0, 3.0] {
+                indexes.push(SegmentIndex::build(net, size * scale));
+            }
+            let mut x = 0.37_f64;
+            for i in 0..120 {
+                // Cheap deterministic pseudo-random points, a fifth of
+                // a map's extent past each side; every fourth point
+                // sits on a grid line, where roads tie.
+                x = (x * 997.0 + i as f64).fract();
+                let y = (x * 13.7).fract();
+                let mut p = Point::new(
+                    bb.min.x + (x * 1.4 - 0.2) * bb.width(),
+                    bb.min.y + (y * 1.4 - 0.2) * bb.height(),
                 );
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((seg.id(), d));
+                if i % 4 == 0 {
+                    p = Point::new((p.x / 50.0).round() * 50.0, (p.y / 50.0).round() * 50.0);
+                }
+                let expected = brute_nearest(net, p);
+                for idx in &indexes {
+                    assert_eq!(
+                        idx.nearest_segment(p),
+                        Some(expected),
+                        "{p} with {:?} cells",
+                        idx.grid_size()
+                    );
                 }
             }
-            let (_, bd) = best.unwrap();
-            assert!(
-                (gd - bd).abs() < 1e-9,
-                "index found distance {gd}, brute force {bd} for {p} (segment {got})"
-            );
         }
     }
 
     #[test]
-    fn query_box_returns_overlapping_segments() {
-        let net = grid_city(5, 5, 100.0);
-        let idx = SegmentIndex::build(&net, 50.0);
-        let q = BoundingBox::from_corners(Point::new(-10.0, -10.0), Point::new(110.0, 110.0));
-        let found = idx.segments_in_box(q);
-        // The 2x2 corner block has 4 horizontal + 4 vertical candidate
-        // segments overlapping the box (by bounding boxes, a superset is
-        // allowed but every true overlap must be present).
-        for seg in net.segments() {
-            let pa = net.junction(seg.a()).position();
-            let pb = net.junction(seg.b()).position();
-            if BoundingBox::from_corners(pa, pb).intersects(&q) {
-                assert!(found.contains(&seg.id()), "missing {}", seg.id());
+    fn nearest_breaks_ties_on_cell_edges() {
+        // Grid roads on cell edges and query points on a 25 m lattice,
+        // inside and around the map: many roads tie, some of them
+        // exactly at the bound where the walk could stop.
+        let net = grid_city(6, 5, 100.0);
+        for cell in [25.0, 50.0, 100.0, 200.0] {
+            let idx = SegmentIndex::build(&net, cell);
+            for i in -8..=28 {
+                for j in -8..=24 {
+                    let p = Point::new(f64::from(i) * 25.0, f64::from(j) * 25.0);
+                    assert_eq!(
+                        idx.nearest_segment(p),
+                        Some(brute_nearest(&net, p)),
+                        "{p} with {cell} m cells"
+                    );
+                }
             }
         }
-        assert!(idx.segments_in_box(BoundingBox::empty()).is_empty());
     }
 
     #[test]
     fn nearest_from_far_away_still_works() {
+        // Two corner roads tie exactly at (-5000, -5000): the smaller id
+        // wins, as in the brute force.
         let net = grid_city(3, 3, 100.0);
-        let idx = SegmentIndex::build(&net, 64.0);
-        let (_, d) = idx
-            .nearest_segment(&net, Point::new(-5000.0, -5000.0))
-            .unwrap();
-        assert!((d - (5000.0_f64.powi(2) * 2.0).sqrt()).abs() < 1.0);
+        let p = Point::new(-5000.0, -5000.0);
+        for idx in [SegmentIndex::new(&net), SegmentIndex::build(&net, 64.0)] {
+            let (seg, d) = idx.nearest_segment(p).unwrap();
+            assert!((d - (5000.0_f64.powi(2) * 2.0).sqrt()).abs() < 1.0);
+            assert_eq!((seg, d), brute_nearest(&net, p));
+        }
     }
 
     #[test]
@@ -852,6 +964,42 @@ mod tests {
         let (c, r) = idx.grid_size();
         assert!(c >= 4 && r >= 4);
         assert_eq!(idx.bounds(), net.bounding_box());
+    }
+
+    #[test]
+    fn roads_register_only_in_cells_they_cross() {
+        // A diagonal road across a 100 × 100 grid of 1 m cells, among
+        // 2,500 short roads: it runs through cell corners, so it covers
+        // the diagonal and, within the margin, its neighbours, not the
+        // 10,000 cells of its bounding box.
+        let mut b = crate::RoadNetworkBuilder::new();
+        let (j0, j1) = (
+            b.add_junction(Point::new(0.0, 0.0)),
+            b.add_junction(Point::new(100.0, 100.0)),
+        );
+        b.add_segment(j0, j1).unwrap();
+        for i in 0..2_500 {
+            let (x, y) = (f64::from(i % 50) * 2.0 + 0.2, f64::from(i / 50) * 2.0 + 0.5);
+            let a = b.add_junction(Point::new(x, y));
+            let c = b.add_junction(Point::new(x + 0.5, y));
+            b.add_segment(a, c).unwrap();
+        }
+        let net = b.build().unwrap();
+        let idx = SegmentIndex::build(&net, 1.0);
+        assert_eq!(idx.grid_size(), (100, 100));
+        let diagonal = idx.entries.iter().filter(|s| s.0 == 0).count();
+        assert!((100..=3 * 100 + 2).contains(&diagonal), "{diagonal} cells");
+        // Each short road lies inside one cell.
+        assert_eq!(idx.entries.len(), diagonal + 2_500);
+    }
+
+    #[test]
+    fn map_without_roads_has_no_nearest_segment() {
+        let mut b = crate::RoadNetworkBuilder::new();
+        b.add_junction(Point::new(3.0, 4.0));
+        let idx = SegmentIndex::new(&b.build().unwrap());
+        assert_eq!(idx.grid_size(), (1, 1));
+        assert_eq!(idx.nearest_segment(Point::new(0.0, 0.0)), None);
     }
 
     #[test]

@@ -383,6 +383,15 @@ impl TripRouter {
         }
     }
 
+    /// Whether [`connected`](Self::connected) agrees with
+    /// `route(a, b).is_some()` for every pair of junctions. True on every
+    /// map that keeps the goal-directed bound: its total road length
+    /// stays finite even four times over, so no route's float length can
+    /// overflow. False on a map that runs plain Dijkstra.
+    pub fn connected_matches_route(&self) -> bool {
+        self.graph.scale > 0.0
+    }
+
     /// Junctions the last [`route`](Self::route) query settled.
     pub fn settled(&self) -> usize {
         self.settled

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use roadnet::{
-    geometry::point_segment_distance, grid_city, io, irregular_city, path, radial_city,
+    city_map, geometry::point_segment_distance, grid_city, io, irregular_city, path, radial_city,
     IrregularConfig, JunctionId, Point, SegmentId, SegmentIndex,
 };
 
@@ -88,30 +88,47 @@ proptest! {
     #[test]
     fn nearest_segment_is_exact(
         seed in any::<u64>(),
-        px in -500f64..2500.0,
-        py in -500f64..2500.0,
-        cell in 40f64..250.0,
+        map in 0u8..3,
+        fx in -0.5f64..1.5,
+        fy in -0.5f64..1.5,
+        on_line in any::<bool>(),
+        cell_exp in -4f64..0.5,
     ) {
-        let net = irregular_city(&IrregularConfig {
-            junctions: 60,
-            segments: 80,
-            seed,
-            ..Default::default()
-        });
-        let idx = SegmentIndex::build(&net, cell);
-        let p = Point::new(px, py);
-        let (_, got) = idx.nearest_segment(&net, p).unwrap();
-        let best = net
+        // Irregular roads, a grid where ties are common, or a generated
+        // city with long roads; points up to half a map's extent outside
+        // its bounding box, snapped to the 100 m lines where grid roads
+        // tie; cells from tiny (raised by the index's cap) to map-sized.
+        let net = match map {
+            0 => irregular_city(&IrregularConfig {
+                junctions: 60,
+                segments: 80,
+                seed,
+                ..Default::default()
+            }),
+            1 => grid_city(4 + (seed % 5) as usize, 3 + (seed % 7) as usize, 100.0),
+            _ => city_map(seed % 16, 2000),
+        };
+        let bb = net.bounding_box();
+        let size = bb.width().max(bb.height());
+        let mut p = Point::new(bb.min.x + fx * bb.width(), bb.min.y + fy * bb.height());
+        if on_line {
+            p = Point::new((p.x / 100.0).round() * 100.0, (p.y / 100.0).round() * 100.0);
+        }
+        let brute = net
             .segments()
             .map(|seg| {
-                point_segment_distance(
+                let d = point_segment_distance(
                     p,
                     net.junction(seg.a()).position(),
                     net.junction(seg.b()).position(),
-                )
+                );
+                (seg.id(), d)
             })
-            .fold(f64::INFINITY, f64::min);
-        prop_assert!((got - best).abs() < 1e-9, "index {} vs brute {}", got, best);
+            .min_by(|x, y| x.1.total_cmp(&y.1).then(x.0.cmp(&y.0)));
+        for idx in [SegmentIndex::new(&net), SegmentIndex::build(&net, size * 10f64.powf(cell_exp))] {
+            let got = idx.nearest_segment(p);
+            prop_assert_eq!(got, brute, "{:?} cells at {}", idx.grid_size(), p);
+        }
     }
 
     #[test]
