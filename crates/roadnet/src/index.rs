@@ -72,15 +72,7 @@ impl SegmentIndex {
     /// mean straight-line length of a road, raised as
     /// [`build`](Self::build) raises any cell size.
     pub fn new(net: &RoadNetwork) -> Self {
-        let chords: f64 = net
-            .segments()
-            .map(|s| {
-                net.junction(s.a())
-                    .position()
-                    .distance(net.junction(s.b()).position())
-            })
-            .sum();
-        SegmentIndex::with_cell(net, chords / net.segment_count().max(1) as f64 / 2.0)
+        SegmentIndex::with_cell(net, None)
     }
 
     /// Builds the index with cells of `cell_size` meters, raised where
@@ -92,12 +84,27 @@ impl SegmentIndex {
     /// junctions.
     pub fn build(net: &RoadNetwork, cell_size: f64) -> Self {
         assert!(cell_size > 0.0, "cell size must be positive");
-        SegmentIndex::with_cell(net, cell_size)
+        SegmentIndex::with_cell(net, Some(cell_size))
     }
 
-    fn with_cell(net: &RoadNetwork, requested: f64) -> Self {
+    /// Builds with the requested cell size, or with half the mean road
+    /// length for `None`, raised until the grid fits.
+    fn with_cell(net: &RoadNetwork, requested: Option<f64>) -> Self {
         let bounds = net.bounding_box();
         assert!(!bounds.is_empty(), "cannot index an empty network");
+        let ends: Vec<[Point; 2]> = net
+            .segments()
+            .map(|s| {
+                [
+                    net.junction(s.a()).position(),
+                    net.junction(s.b()).position(),
+                ]
+            })
+            .collect();
+        let requested = requested.unwrap_or_else(|| {
+            let chords: f64 = ends.iter().map(|&[a, b]| a.distance(b)).sum();
+            chords / ends.len().max(1) as f64 / 2.0
+        });
         let (w, h) = (bounds.width(), bounds.height());
         let limit = CELLS_PER_ROAD * net.segment_count().max(1);
         let span = |cell: f64| ((w / cell).ceil().max(1.0), (h / cell).ceil().max(1.0));
@@ -125,15 +132,7 @@ impl SegmentIndex {
             cols: cols as usize,
             rows: rows as usize,
             margin: INDEX_SLACK * (extent + cell),
-            ends: net
-                .segments()
-                .map(|s| {
-                    [
-                        net.junction(s.a()).position(),
-                        net.junction(s.b()).position(),
-                    ]
-                })
-                .collect(),
+            ends,
             offsets: Vec::new(),
             entries: Vec::new(),
         };
