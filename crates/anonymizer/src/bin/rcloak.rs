@@ -28,8 +28,11 @@
 //! ```
 //!
 //! `batch` reads one `owner,segment` pair per CSV line (blank lines and
-//! `#` comments skipped), fans the requests across the server's worker
-//! pool, and reports one result line per request in input order.
+//! `#` comments skipped), runs them through the service's batch path on
+//! `--workers` workers (every core when absent), and reports one result
+//! line per request in input order. A repeated owner's rows run in input
+//! order, as one-by-one calls would, so the output does not depend on
+//! the worker count.
 //! Malformed rows are reported individually on stderr with their line
 //! numbers; the valid rows still run, and the exit code is 1 when any
 //! row was malformed.
@@ -435,7 +438,7 @@ fn cmd_deanonymize(opts: &Opts) -> Result<(), CmdError> {
 }
 
 fn cmd_batch(opts: &Opts) -> Result<(), CmdError> {
-    use anonymizer::{AnonymizerConfig, AnonymizerServer};
+    use anonymizer::{AnonymizerConfig, AnonymizerService};
 
     let net = load_map(opts)?;
     let input = opts
@@ -466,24 +469,28 @@ fn cmd_batch(opts: &Opts) -> Result<(), CmdError> {
         });
     }
 
-    let seed = get_seed(opts);
     let (net, snapshot) = traffic_snapshot(opts, net);
 
-    let workers = opts
-        .get("workers")
-        .map(|s| s.parse().map_err(|_| format!("bad --workers `{s}`")))
-        .transpose()?
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
-    if workers == 0 {
-        return Err(CmdError::Usage("--workers must be at least 1".into()));
-    }
-    let config = AnonymizerConfig {
-        engine: parse_engine(opts)?,
-        ..Default::default()
+    // No flag means 0: the batch runs on every available core.
+    let batch_parallelism = match opts.get("workers") {
+        None => 0,
+        Some(s) => match s.parse().map_err(|_| format!("bad --workers `{s}`"))? {
+            0 => return Err(CmdError::Usage("--workers must be at least 1".into())),
+            n => n,
+        },
     };
-    let server = AnonymizerServer::start(net, snapshot, config, workers, seed ^ 0xba7c_c10a);
+    let workers = roadnet::fanout::workers(batch_parallelism);
+    let service = AnonymizerService::new(
+        net,
+        AnonymizerConfig {
+            engine: parse_engine(opts)?,
+            batch_parallelism,
+            ..Default::default()
+        },
+    );
+    service.update_snapshot(snapshot);
     let t0 = std::time::Instant::now();
-    let results = server.anonymize_batch(requests.clone());
+    let results = service.anonymize_batch(&requests);
     let elapsed = t0.elapsed();
 
     let mut ok = 0usize;

@@ -6,10 +6,10 @@
 //! (requesters fetch keys per the owner's access-control profile and
 //! reduce the region). This crate is that toolkit as a library:
 //!
-//! * [`AnonymizerService`] — the trusted anonymizer: anonymizes owner
-//!   locations, stores keys, enforces the access-control profile,
-//! * [`AnonymizerServer`] — the same service behind a worker pool
-//!   ("trusted anonymization server"),
+//! * [`AnonymizerService`] — the trusted anonymizer ("trusted
+//!   anonymization server"): anonymizes owner locations, one by one or
+//!   in parallel batches, stores keys, enforces the access-control
+//!   profile,
 //! * [`Deanonymizer`] — the requester-side reduction tool, including
 //!   progressive per-level peeling,
 //! * [`ContinuousPipeline`] — the temporal loop: live traffic ticks,
@@ -59,48 +59,6 @@
 //! # }
 //! ```
 //!
-//! ## Pooled entry points
-//!
-//! On the serving hot path, a worker holds one [`cloak::CloakScratch`]
-//! and anonymizes request after request through
-//! [`AnonymizerService::anonymize_seeded_with`] with no steady-state
-//! heap traffic beyond the receipt itself.
-//! [`AnonymizerService::anonymize_batch`] goes further: each worker
-//! holds a [`cloak::BatchCloakScratch`] and grows its whole chunk of
-//! owners in one pass over shared table state — bit-identical to the
-//! per-owner path (property-tested in `crates/cloak/tests/batch_prop.rs`).
-//! Scratch is plain state: results are bit-identical for any scratch,
-//! including a fresh one.
-//!
-//! ```
-//! use anonymizer::{AnonymizerConfig, AnonymizerService};
-//! use cloak::CloakScratch;
-//! use mobisim::OccupancySnapshot;
-//! use roadnet::{grid_city, SegmentId};
-//!
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let build = || {
-//!     let net = grid_city(6, 6, 100.0);
-//!     let service = AnonymizerService::new(net, AnonymizerConfig::default());
-//!     service.update_snapshot(OccupancySnapshot::uniform(
-//!         service.network().segment_count(),
-//!         1,
-//!     ));
-//!     service
-//! };
-//!
-//! // One worker, one scratch, many requests — allocation-free at
-//! // steady state inside the cloak walk. Each anonymization ratchets
-//! // the owner's forward-secret chain, so the comparison run uses a
-//! // second identically-configured service at the same chain state.
-//! let mut scratch = CloakScratch::new();
-//! let pooled = build().anonymize_seeded_with("alice", SegmentId(17), None, 7, &mut scratch)?;
-//! let fresh = build().anonymize_seeded("alice", SegmentId(17), None, 7)?;
-//! assert_eq!(pooled.payload, fresh.payload, "scratch never changes results");
-//! # Ok(())
-//! # }
-//! ```
-//!
 //! The system-level narrative — how the concurrency model, the temporal
 //! pipeline, and the memory discipline fit together — lives in
 //! `docs/ARCHITECTURE.md` at the repository root.
@@ -111,12 +69,10 @@
 pub mod batch_input;
 pub mod config;
 pub mod deanonymizer;
-mod fanout;
 pub mod fault;
 pub mod pipeline;
 pub mod render_ascii;
 pub mod render_svg;
-pub mod server;
 pub mod service;
 pub mod shard;
 pub mod tournament;
@@ -131,7 +87,6 @@ pub use pipeline::{
 };
 pub use render_ascii::{legend, render_map, render_regions};
 pub use render_svg::render_svg;
-pub use server::AnonymizerServer;
 pub use service::{
     AnonymizeReceipt, AnonymizeRequest, AnonymizerService, Engine, OwnerHandoff, OwnerRecord,
 };

@@ -107,7 +107,6 @@
 
 use crate::config::AnonymizerConfig;
 use crate::deanonymizer::Deanonymizer;
-use crate::fanout;
 use crate::fault::{FaultInjector, FaultPlan, FaultPolicy, FaultyStore, TickHealth};
 use crate::service::{AnonymizeReceipt, AnonymizeRequest, AnonymizerService, Engine, KeyedRequest};
 use crate::shard::Partition;
@@ -124,7 +123,7 @@ use lbs::{nearest_query_with, PoiCategory, PoiStore, QueryStats, SearchScratch};
 use mobisim::{CarId, OccupancySnapshot, SimConfig, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use roadnet::{RoadNetwork, SegmentId};
+use roadnet::{fanout, RoadNetwork, SegmentId};
 use std::ops::Range;
 use std::sync::Arc;
 

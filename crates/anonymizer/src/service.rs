@@ -36,11 +36,10 @@
 //! [`update_snapshot`]: AnonymizerService::update_snapshot
 
 use crate::config::{AnonymizerConfig, EngineChoice};
-use crate::fanout;
 use cloak::{
-    anonymize_batch_with_scratch, anonymize_with_retry_scratch, AnonymizationOutcome,
-    BatchCloakItem, BatchCloakScratch, CloakError, CloakPayload, CloakScratch, PrivacyProfile,
-    ReversibleEngine, RgeEngine, RpleEngine,
+    anonymize_batch_with_scratch, anonymize_with_retry, AnonymizationOutcome, BatchCloakItem,
+    BatchCloakScratch, CloakError, CloakPayload, PrivacyProfile, ReversibleEngine, RgeEngine,
+    RpleEngine,
 };
 use keystream::{
     AccessControlProfile, AccessError, ChainState, ChainStore, JournalError, Key256, KeyManager,
@@ -50,15 +49,16 @@ use mobisim::OccupancySnapshot;
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use roadnet::{RoadNetwork, SegmentId};
+use roadnet::{fanout, RoadNetwork, SegmentId};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// SplitMix64 finalizer: the shared scrambler behind every derived
-/// request seed (server job seeds, pipeline per-tick seeds). Callers XOR
-/// their inputs into `z`; the finalizer decorrelates nearby inputs.
+/// SplitMix64 finalizer: the shared scrambler behind every derived seed
+/// (the pipeline's per-tick request seeds, the partition's first seed
+/// segment, the fault injector's draws). Callers XOR their inputs into
+/// `z`; the finalizer decorrelates nearby inputs.
 pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -491,15 +491,18 @@ impl AnonymizerService {
         let nonce: u64 = rng.gen();
         let chain = self.advance_chain(owner, entropy)?;
         let keys = chain.level_keys(profile.level_count());
-        self.anonymize_with_keys(
-            owner,
+        let key_vec: Vec<Key256> = keys.iter().map(|(_, k)| k).collect();
+        let cloaked = anonymize_with_retry(
+            &self.net,
+            &self.snapshot(),
             user_segment,
             profile,
-            keys,
+            &key_vec,
             nonce,
-            chain.epoch(),
-            &mut CloakScratch::default(),
-        )
+            self.engine.as_dyn(),
+            self.config.max_attempts,
+        )?;
+        Ok(self.record_receipt(owner, keys, chain.epoch(), cloaked))
     }
 
     /// Like [`anonymize_owner`](Self::anonymize_owner) with the request's
@@ -522,73 +525,27 @@ impl AnonymizerService {
         profile: Option<&PrivacyProfile>,
         seed: u64,
     ) -> Result<AnonymizeReceipt, CloakError> {
-        self.anonymize_seeded_with(owner, user_segment, profile, seed, &mut CloakScratch::new())
-    }
-
-    /// [`anonymize_seeded`](Self::anonymize_seeded) with caller-owned
-    /// scratch buffers — the per-worker pool path: a worker holding one
-    /// [`CloakScratch`] anonymizes request after request with no
-    /// steady-state heap traffic beyond the receipt itself. Results are
-    /// bit-identical for any scratch state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CloakError`] when the requirement cannot be met.
-    pub fn anonymize_seeded_with(
-        &self,
-        owner: &str,
-        user_segment: SegmentId,
-        profile: Option<&PrivacyProfile>,
-        seed: u64,
-        scratch: &mut CloakScratch,
-    ) -> Result<AnonymizeReceipt, CloakError> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let profile = profile.unwrap_or(&self.config.default_profile);
-        let entropy = Key256::generate(&mut rng);
-        let nonce: u64 = rng.gen();
-        let chain = self.advance_chain(owner, entropy)?;
-        let keys = chain.level_keys(profile.level_count());
-        self.anonymize_with_keys(
+        self.anonymize_owner(
             owner,
             user_segment,
             profile,
-            keys,
-            nonce,
-            chain.epoch(),
-            scratch,
+            &mut StdRng::seed_from_u64(seed),
         )
     }
 
-    /// The shared core: runs the cloak with the given keys and nonce,
-    /// stamps the chain epoch into the payload, and stores the owner
-    /// record.
-    #[allow(clippy::too_many_arguments)]
-    fn anonymize_with_keys(
+    /// Stamps the chain `epoch` into a cloak outcome, stores the owner
+    /// record and returns the receipt; record and receipt share one
+    /// payload allocation. Re-anonymizing rotates payload and keys but
+    /// keeps the owner's access-control profile, so existing requester
+    /// grants (and the requester registry audit view) stay consistent.
+    fn record_receipt(
         &self,
         owner: &str,
-        user_segment: SegmentId,
-        profile: &PrivacyProfile,
         keys: KeyManager,
-        nonce: u64,
         epoch: u64,
-        scratch: &mut CloakScratch,
-    ) -> Result<AnonymizeReceipt, CloakError> {
-        let key_vec: Vec<Key256> = keys.iter().map(|(_, k)| k).collect();
-        let snapshot = self.snapshot();
-        let (mut outcome, attempts) = anonymize_with_retry_scratch(
-            &self.net,
-            &snapshot,
-            user_segment,
-            profile,
-            &key_vec,
-            nonce,
-            self.engine.as_dyn(),
-            self.config.max_attempts,
-            scratch,
-        )?;
+        (mut outcome, attempts): (AnonymizationOutcome, u32),
+    ) -> AnonymizeReceipt {
         outcome.payload.epoch = epoch;
-        // One payload allocation shared by the stored record and the
-        // returned receipt (the record used to deep-clone it twice).
         let payload = Arc::new(outcome.payload.clone());
         let record = OwnerRecord {
             owner: owner.to_string(),
@@ -596,18 +553,15 @@ impl AnonymizerService {
             keys,
             access: AccessControlProfile::new(),
         };
-        // Re-anonymizing rotates payload and keys but keeps the owner's
-        // access-control profile, so existing requester grants (and the
-        // requester registry audit view) stay consistent.
         self.records
             .insert_merging(owner.to_string(), record, |old, new| {
                 new.access = old.access.clone();
             });
-        Ok(AnonymizeReceipt {
+        AnonymizeReceipt {
             payload,
             attempts,
             outcome,
-        })
+        }
     }
 
     /// The sequential chain pre-pass of a batch: ratchets every request's
@@ -695,26 +649,9 @@ impl AnonymizerService {
             .map(|k| k.as_ref().err().cloned().map(Err))
             .collect();
         for (&i, res) in ok_idx.iter().zip(outcomes) {
-            let r = &requests[i];
             let (keys, _, epoch) = keyed[i].as_ref().expect("ok_idx holds only Ok entries");
-            slots[i] = Some(res.map(|(mut outcome, attempts)| {
-                outcome.payload.epoch = *epoch;
-                let payload = Arc::new(outcome.payload.clone());
-                let record = OwnerRecord {
-                    owner: r.owner.clone(),
-                    payload: Arc::clone(&payload),
-                    keys: keys.clone(),
-                    access: AccessControlProfile::new(),
-                };
-                self.records
-                    .insert_merging(r.owner.clone(), record, |old, new| {
-                        new.access = old.access.clone();
-                    });
-                AnonymizeReceipt {
-                    payload,
-                    attempts,
-                    outcome,
-                }
+            slots[i] = Some(res.map(|cloaked| {
+                self.record_receipt(&requests[i].owner, keys.clone(), *epoch, cloaked)
             }));
         }
         slots

@@ -260,9 +260,70 @@ fn cli_batch_anonymizes_a_csv_of_requests() {
         assert!(line.contains(",ok,"), "{line}");
     }
 
+    // An explicit zero is a usage error; only a missing flag means
+    // every core.
+    let out = rcloak()
+        .args(["batch", "--map", map.to_str().unwrap()])
+        .args(["--input", input.to_str().unwrap(), "--workers", "0"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--workers must be at least 1"), "{stderr}");
+
     for p in [map, input, results] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+/// A batch that repeats an owner runs the owner's rows in input order,
+/// as one-by-one requests would: the CSV is the same at one worker and
+/// at four, and a row's line depends only on the rows before it, so one
+/// more row for the owner changes no earlier line.
+#[test]
+fn cli_batch_runs_a_repeated_owner_in_input_order() {
+    let rows: String = (0..60)
+        .map(|i| match i % 3 {
+            0 => format!("dup,{}\n", i * 31 % 2000),
+            _ => format!("owner-{i},{}\n", i * 17 % 2000),
+        })
+        .collect();
+    let run = |name: &str, rows: &str, workers: &str| {
+        let input = tmp(&format!("{name}.csv"));
+        let results = tmp(&format!("{name}-{workers}-results.csv"));
+        std::fs::write(&input, rows).unwrap();
+        let out = rcloak()
+            .args([
+                "batch",
+                "--map",
+                "city:7:2000",
+                "--input",
+                input.to_str().unwrap(),
+                "--workers",
+                workers,
+                "--cars",
+                "2000",
+                "--out",
+                results.to_str().unwrap(),
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let csv = std::fs::read_to_string(&results).unwrap();
+        for p in [input, results] {
+            let _ = std::fs::remove_file(p);
+        }
+        csv
+    };
+    let one = run("batch-repeated", &rows, "1");
+    assert_eq!(one.lines().filter(|l| l.starts_with("dup,")).count(), 20);
+    assert_eq!(run("batch-repeated", &rows, "4"), one);
+    let longer = run("batch-repeated-longer", &format!("{rows}dup,5\n"), "4");
+    assert!(longer.starts_with(&one), "{longer}\nvs\n{one}");
 }
 
 /// Malformed batch rows: every bad row is reported on stderr with its

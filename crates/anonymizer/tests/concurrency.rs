@@ -1,38 +1,61 @@
 //! Concurrency contract of the sharded, lock-free anonymizer: many
-//! client threads hammering one `AnonymizerServer` must each get a
-//! receipt that deanonymizes back to exactly the segment they asked to
-//! cloak, and the batch pipeline must be bit-identical to sequential
-//! execution.
+//! client threads hammering one shared `AnonymizerService` must each get
+//! a receipt that deanonymizes back to exactly the segment they asked to
+//! cloak, and the batch path must be bit-identical to sequential
+//! execution at every worker count.
 
 use anonymizer::{
-    AnonymizeRequest, AnonymizerConfig, AnonymizerServer, AnonymizerService, Deanonymizer, Engine,
+    AnonymizeReceipt, AnonymizeRequest, AnonymizerConfig, AnonymizerService, Deanonymizer, Engine,
     EngineChoice,
 };
+use cloak::CloakError;
 use keystream::{Level, TrustDegree};
 use mobisim::OccupancySnapshot;
-use roadnet::{grid_city, SegmentId};
+use roadnet::{grid_city, RoadNetwork, SegmentId};
 use std::sync::Arc;
 
 const THREADS: usize = 8;
 const REQUESTS_PER_THREAD: usize = 32;
 
-/// ≥ 8 threads × ≥ 32 requests against the server; every receipt must
-/// deanonymize back to its exact segment through the normal key-fetch
-/// path, concurrently with the anonymizations.
+/// A service over `net` with uniform traffic and `batch_parallelism`
+/// batch workers.
+fn service(net: &RoadNetwork, batch_parallelism: usize) -> AnonymizerService {
+    let service = AnonymizerService::new(
+        net.clone(),
+        AnonymizerConfig {
+            batch_parallelism,
+            ..Default::default()
+        },
+    );
+    service.update_snapshot(OccupancySnapshot::uniform(net.segment_count(), 1));
+    service
+}
+
+/// Asserts that two results are the same receipt, or the same error.
+fn assert_same_result(
+    got: &Result<AnonymizeReceipt, CloakError>,
+    expected: &Result<AnonymizeReceipt, CloakError>,
+    context: &str,
+) {
+    match (got, expected) {
+        (Ok(g), Ok(e)) => {
+            assert_eq!(g.payload, e.payload, "{context}");
+            assert_eq!(g.outcome.chain, e.outcome.chain, "{context}");
+            assert_eq!(g.attempts, e.attempts, "{context}");
+        }
+        (Err(g), Err(e)) => assert_eq!(g, e, "{context}"),
+        (g, e) => panic!("{context}: {g:?} vs {e:?} disagree"),
+    }
+}
+
+/// ≥ 8 threads × ≥ 32 requests against one shared service; every receipt
+/// must deanonymize back to its exact segment through the normal
+/// key-fetch path, concurrently with the anonymizations.
 #[test]
 fn stress_every_receipt_deanonymizes_to_its_exact_segment() {
     let net = grid_city(10, 10, 100.0);
     let segment_count = net.segment_count() as u32;
-    let snapshot = OccupancySnapshot::uniform(net.segment_count(), 1);
-    let server = Arc::new(AnonymizerServer::start(
-        net,
-        snapshot,
-        AnonymizerConfig::default(),
-        THREADS,
-        0xc0ffee,
-    ));
-
-    let service = server.service();
+    let service = Arc::new(service(&net, 0));
     let dean = Arc::new(Deanonymizer::new(
         service.network_arc(),
         Engine::build(service.network(), service.config().engine),
@@ -40,15 +63,15 @@ fn stress_every_receipt_deanonymizes_to_its_exact_segment() {
 
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
-            let server = Arc::clone(&server);
+            let service = Arc::clone(&service);
             let dean = Arc::clone(&dean);
             std::thread::spawn(move || {
-                let service = server.service();
                 for i in 0..REQUESTS_PER_THREAD {
                     let owner = format!("owner-{t}-{i}");
                     let segment = SegmentId(((t * 37 + i * 13) as u32) % segment_count);
-                    let receipt = server
-                        .anonymize(&owner, segment, None)
+                    let seed = 0xc0ffee ^ (t * REQUESTS_PER_THREAD + i) as u64;
+                    let receipt = service
+                        .anonymize_seeded(&owner, segment, None, seed)
                         .unwrap_or_else(|e| panic!("{owner}: {e}"));
                     assert!(receipt.payload.contains(segment), "{owner}");
                     // Full key-management round trip, racing the other
@@ -77,9 +100,6 @@ fn stress_every_receipt_deanonymizes_to_its_exact_segment() {
         service.requester_grants("police").len(),
         THREADS * REQUESTS_PER_THREAD
     );
-    Arc::try_unwrap(server)
-        .unwrap_or_else(|_| panic!("all clients joined"))
-        .shutdown();
 }
 
 /// Seeded property check: for both engines and many seeds,
@@ -127,60 +147,36 @@ fn batch_is_identical_to_sequential_given_the_same_nonces() {
                     req.profile.as_ref(),
                     req.seed,
                 );
-                match (batch_result, solo) {
-                    (Ok(b), Ok(s)) => {
-                        assert_eq!(b.payload, s.payload, "{engine:?} {}", req.owner);
-                        assert_eq!(b.outcome.chain, s.outcome.chain, "{engine:?} {}", req.owner);
-                        assert_eq!(b.attempts, s.attempts, "{engine:?} {}", req.owner);
-                    }
-                    (Err(b), Err(s)) => assert_eq!(b, &s, "{engine:?} {}", req.owner),
-                    (b, s) => panic!(
-                        "{engine:?} {}: batch {b:?} vs sequential {s:?} disagree",
-                        req.owner
-                    ),
-                }
+                assert_same_result(batch_result, &solo, &format!("{engine:?} {}", req.owner));
             }
         }
     }
 }
 
-/// The server-side batch must agree with the service-side batch when
-/// seeds are pinned, no matter how many workers serve it.
+/// With pinned seeds, a batch gives the same receipts and leaves the
+/// same chains at 2 and 4 workers as at 1.
 #[test]
-fn server_batch_matches_service_batch() {
+fn batch_is_identical_at_every_parallelism() {
     let net = grid_city(8, 8, 100.0);
     let requests: Vec<AnonymizeRequest> = (0..32)
         .map(|i| AnonymizeRequest::new(format!("o{i}"), SegmentId(i * 5 % 100), 77_000 + i as u64))
         .collect();
-
-    let service = AnonymizerService::new(net.clone(), AnonymizerConfig::default());
-    service.update_snapshot(OccupancySnapshot::uniform(net.segment_count(), 1));
-    let expected = service.anonymize_batch(&requests);
-
-    for workers in [1usize, 4] {
-        let server = AnonymizerServer::start(
-            net.clone(),
-            OccupancySnapshot::uniform(net.segment_count(), 1),
-            AnonymizerConfig::default(),
-            workers,
-            9,
-        );
-        let got = server.anonymize_batch(requests.clone());
-        for ((e, g), req) in expected.iter().zip(&got).zip(&requests) {
-            assert_eq!(
-                e.as_ref().unwrap().payload,
-                g.as_ref().unwrap().payload,
-                "{workers} workers, {}",
-                req.owner
-            );
+    let one = service(&net, 1);
+    let expected = one.anonymize_batch(&requests);
+    for workers in [2usize, 4] {
+        let many = service(&net, workers);
+        let got = many.anonymize_batch(&requests);
+        for ((g, e), req) in got.iter().zip(&expected).zip(&requests) {
+            assert_same_result(g, e, &format!("{workers} workers, {}", req.owner));
+            assert_eq!(many.owner_epoch(&req.owner), one.owner_epoch(&req.owner));
         }
-        server.shutdown();
     }
 }
 
-/// A batch repeating the same owner must leave the stored record (and
-/// thus fetch_keys) matching the *last* request in order — sequential
-/// semantics — on both the service and server batch paths.
+/// A batch repeating an owner gives every request the receipt, and
+/// leaves every chain at the epoch, that sequential
+/// [`AnonymizerService::anonymize_seeded`] calls give; the stored record
+/// (and thus `fetch_keys`) is the last request's.
 #[test]
 fn duplicated_owner_in_a_batch_stores_the_last_request() {
     let net = grid_city(8, 8, 100.0);
@@ -192,27 +188,32 @@ fn duplicated_owner_in_a_batch_stores_the_last_request() {
     requests.insert(9, AnonymizeRequest::new("dup", SegmentId(30), 222));
     requests.push(AnonymizeRequest::new("dup", SegmentId(55), 333));
 
-    for round in 0..4 {
-        let service = AnonymizerService::new(net.clone(), AnonymizerConfig::default());
-        service.update_snapshot(OccupancySnapshot::uniform(net.segment_count(), 1));
-        let results = service.anonymize_batch(&requests);
-        let last = results.last().unwrap().as_ref().unwrap();
-        let stored = service.owner_record("dup").unwrap();
-        assert_eq!(stored.payload, last.payload, "service round {round}");
-        assert!(stored.payload.contains(SegmentId(55)));
+    let sequential = service(&net, 1);
+    let expected: Vec<_> = requests
+        .iter()
+        .map(|r| sequential.anonymize_seeded(&r.owner, r.segment, r.profile.as_ref(), r.seed))
+        .collect();
+    assert_eq!(sequential.owner_epoch("dup"), Some(3));
 
-        let server = AnonymizerServer::start(
-            net.clone(),
-            OccupancySnapshot::uniform(net.segment_count(), 1),
-            AnonymizerConfig::default(),
-            4,
-            round,
-        );
-        let results = server.anonymize_batch(requests.clone());
+    for workers in [1usize, 4] {
+        let batched = service(&net, workers);
+        let results = batched.anonymize_batch(&requests);
+        for (i, (got, want)) in results.iter().zip(&expected).enumerate() {
+            assert_same_result(got, want, &format!("{workers} workers, request {i}"));
+        }
+        for r in &requests {
+            assert_eq!(
+                batched.owner_epoch(&r.owner),
+                sequential.owner_epoch(&r.owner),
+                "{workers} workers, {}",
+                r.owner
+            );
+        }
         let last = results.last().unwrap().as_ref().unwrap();
-        let stored = server.service().owner_record("dup").unwrap();
-        assert_eq!(stored.payload, last.payload, "server round {round}");
-        server.shutdown();
+        let stored = batched.owner_record("dup").unwrap();
+        assert_eq!(stored.payload, last.payload, "{workers} workers");
+        assert_eq!(last.payload.epoch, 3, "{workers} workers");
+        assert!(stored.payload.contains(SegmentId(55)));
     }
 }
 

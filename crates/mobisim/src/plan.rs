@@ -9,9 +9,9 @@
 //!    junctions, skipping its start, keeping the first one in the start's
 //!    component. The components come from [`TripRouter::connected`], not
 //!    from a search.
-//! 2. **Route.** The destinations are routed on up to one worker per
-//!    available core (the calling thread is one of them), handed out in
-//!    chunks from a shared cursor. Each worker has its own
+//! 2. **Route.** The destinations are routed in chunks on
+//!    [`fanout::fan_out`], with up to one worker per available core (the
+//!    calling thread is one of them). Each worker has its own
 //!    [`TripRouter`] labels and heap over the one shared router graph,
 //!    and writes segments into its own flat buffer, which the planner
 //!    keeps from batch to batch.
@@ -35,8 +35,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use roadnet::{JunctionId, RoadNetwork, SegmentId, TripRouter};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use roadnet::{fanout, JunctionId, RoadNetwork, SegmentId, TripRouter};
 
 /// Draws per trip before a car gives up and parks until its next step.
 const DRAW_ATTEMPTS: usize = 8;
@@ -77,23 +76,16 @@ struct Worker {
 }
 
 impl Worker {
-    /// Routes trips from the shared cursor until none are left.
-    fn route(&mut self, trips: &[Trip], cursor: &AtomicUsize, chunk: usize, route_draw_only: bool) {
-        loop {
-            let first = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if first >= trips.len() {
-                return;
-            }
-            let last = (first + chunk).min(trips.len());
-            for (i, trip) in trips[first..last].iter().enumerate() {
-                let Some(dest) = trip.route_to(route_draw_only) else {
-                    continue;
-                };
-                let start = self.segments.len() as u32;
-                if self.router.route_into(trip.start, dest, &mut self.segments) {
-                    let end = self.segments.len() as u32;
-                    self.spans.push(((first + i) as u32, start, end));
-                }
+    /// Routes `trips[first..last]`.
+    fn route(&mut self, trips: &[Trip], first: usize, last: usize, route_draw_only: bool) {
+        for (i, trip) in trips[first..last].iter().enumerate() {
+            let Some(dest) = trip.route_to(route_draw_only) else {
+                continue;
+            };
+            let start = self.segments.len() as u32;
+            if self.router.route_into(trip.start, dest, &mut self.segments) {
+                let end = self.segments.len() as u32;
+                self.spans.push(((first + i) as u32, start, end));
             }
         }
     }
@@ -257,21 +249,20 @@ impl TripPlanner {
             return;
         }
         let active = self.workers.len().min(routed);
-        let chunk = (trips.len() / (active * 4)).clamp(1, 64);
-        // The cursor only hands out trip indices; the routes come back
-        // through the scope's joins, so it publishes nothing and
-        // `Relaxed` is enough.
-        let cursor = AtomicUsize::new(0);
-        let (first, rest) = self.workers[..active]
-            .split_first_mut()
-            .expect("a planner has a worker");
-        std::thread::scope(|scope| {
-            for worker in rest {
-                let cursor = &cursor;
-                scope.spawn(move || worker.route(trips, cursor, chunk, route_draw_only));
-            }
-            first.route(trips, &cursor, chunk, route_draw_only);
-        });
+        let chunk = fanout::chunk_len(trips.len(), active);
+        fanout::fan_out(
+            &mut self.workers[..active],
+            trips.len().div_ceil(chunk),
+            |worker, c| {
+                let first = c * chunk;
+                worker.route(
+                    trips,
+                    first,
+                    trips.len().min(first + chunk),
+                    route_draw_only,
+                );
+            },
+        );
         for (w, worker) in self.workers[..active].iter().enumerate() {
             for &(trip, start, end) in &worker.spans {
                 self.trips[trip as usize].route = Some((w, start, end));

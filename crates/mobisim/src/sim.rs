@@ -19,9 +19,10 @@
 //! in for a route. A batch runs in three passes. The cars advance
 //! and draw their destinations in car order, with the draws they always
 //! made; reachability comes from component labels, not a search. The
-//! drawn trips are then routed on one worker per available core (the
-//! calling thread alone on one core), and the routes, commuter phases
-//! and commuter moves are committed in car order. Each worker is a
+//! drawn trips are then routed on [`roadnet::fanout`], one worker per
+//! available core (the calling thread alone on one core), and the
+//! routes, commuter phases and commuter moves are committed in car
+//! order. Each worker is a
 //! [`roadnet::TripRouter`] over one shared router graph, so every route
 //! is the one [`roadnet::shortest_path`] returns and the simulation is
 //! the same at any worker count. Where a route's float length overflows
@@ -30,10 +31,11 @@
 //!
 //! The router reads the landmark table of the network's
 //! [`roadnet::GraphIndex`]. On a network with no index yet,
-//! [`Simulation::new`] builds one, spreading its landmark rows over one
-//! scoped thread per core. A caller that already holds an indexed
-//! network hands the simulation a [`RoadNetwork::share_index`] copy
-//! rather than a plain clone, which would build a second index.
+//! [`Simulation::new`] builds one, computing its landmark rows on
+//! [`roadnet::fanout`] with one worker per core. A caller that already
+//! holds an indexed network hands the simulation a
+//! [`RoadNetwork::share_index`] copy rather than a plain clone, which
+//! would build a second index.
 
 use crate::behavior::{BehaviorKind, BehaviorMix, CarBehavior, CommutePhase, RushSchedule};
 use crate::car::{Car, CarId, RoadPosition};
@@ -112,8 +114,7 @@ impl Simulation {
     ///
     /// Panics if the network has no segments.
     pub fn new(net: RoadNetwork, cfg: SimConfig) -> Self {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Simulation::with_workers(net, cfg, workers, false)
+        Simulation::with_workers(net, cfg, roadnet::fanout::workers(0), false)
     }
 
     /// [`new`](Self::new) with `workers` routing workers;

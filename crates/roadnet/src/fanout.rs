@@ -1,4 +1,4 @@
-//! The crate's one batch executor.
+//! The workspace's one parallel executor.
 //!
 //! [`fan_out`] runs a list of tasks on a fixed set of workers, each with
 //! its own state (its scratch buffers), and returns the results in task
@@ -8,29 +8,33 @@
 //! than there are tasks. A caller that keeps the states keeps the
 //! workers' buffers from call to call.
 //!
-//! [`AnonymizerService::anonymize_batch`] and the pipeline's cloak and
-//! reduce stages all run on it.
+//! Everything that runs in parallel runs on it:
 //!
-//! [`AnonymizerService::anonymize_batch`]: crate::AnonymizerService::anonymize_batch
+//! * the [`LandmarkTable`](crate::LandmarkTable) build, one task per
+//!   landmark row;
+//! * `mobisim`'s trip planner, whose route pass routes one chunk of a
+//!   batch's trips per task;
+//! * `anonymizer`'s `AnonymizerService::anonymize_batch`, and the
+//!   continuous pipeline's cloak and peel stages.
+//!
+//! Each of them sizes itself with [`workers`] and, where it splits a
+//! list, with [`chunk_len`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The worker count behind an [`AnonymizerConfig::batch_parallelism`]
-/// setting: the setting itself, or for `0` the available parallelism
-/// (1 when that cannot be read).
-///
-/// [`AnonymizerConfig::batch_parallelism`]: crate::AnonymizerConfig::batch_parallelism
-pub(crate) fn workers(batch_parallelism: usize) -> usize {
-    match batch_parallelism {
+/// The worker count behind a parallelism setting: the setting itself,
+/// or for `0` the available parallelism (1 when that cannot be read).
+pub fn workers(parallelism: usize) -> usize {
+    match parallelism {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,
     }
 }
 
-/// Requests per chunk when `total` requests are split over `workers`
-/// workers: about four chunks per worker, so the cursor can even out
-/// uneven requests, and never more than 64.
-pub(crate) fn chunk_len(total: usize, workers: usize) -> usize {
+/// Items per chunk when `total` items are split over `workers` workers:
+/// about four chunks per worker, so the cursor can even out uneven
+/// items, and never more than 64.
+pub fn chunk_len(total: usize, workers: usize) -> usize {
     (total / (workers.max(1) * 4)).clamp(1, 64)
 }
 
@@ -43,7 +47,7 @@ pub(crate) fn chunk_len(total: usize, workers: usize) -> usize {
 ///
 /// Panics if there are tasks but no states, and re-raises a task's
 /// panic.
-pub(crate) fn fan_out<S, T, F>(states: &mut [S], tasks: usize, run: F) -> Vec<T>
+pub fn fan_out<S, T, F>(states: &mut [S], tasks: usize, run: F) -> Vec<T>
 where
     S: Send,
     T: Send,

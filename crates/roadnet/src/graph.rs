@@ -288,7 +288,7 @@ impl RoadNetwork {
     }
 
     /// Installs an explicitly built [`GraphIndex`] (e.g. one built with
-    /// a parallel worker pool and a city-scale [`crate::IndexBudget`])
+    /// an explicit worker count and a city-scale [`crate::IndexBudget`])
     /// into this network's lazy cell. Returns `false` — and changes
     /// nothing — if an index was already built or installed.
     pub fn install_graph_index(&self, index: GraphIndex) -> bool {

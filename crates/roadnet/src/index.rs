@@ -19,6 +19,7 @@
 //! [`RoadNetwork::graph_index`] builds the graph index lazily (behind a
 //! `OnceLock`) on first use and shares it with every reader.
 
+use crate::fanout;
 use crate::geometry::{point_segment_distance, BoundingBox, Point};
 use crate::graph::{JunctionId, RoadNetwork, SegmentId};
 use std::sync::{Arc, OnceLock};
@@ -319,17 +320,6 @@ impl Default for IndexBudget {
     }
 }
 
-/// Resolves a worker-count knob: `0` means one worker per available
-/// core; the result is clamped to `[1, jobs]`.
-fn effective_workers(requested: usize, jobs: usize) -> usize {
-    let req = if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        requested
-    };
-    req.clamp(1, jobs.max(1))
-}
-
 /// ALT-style landmark distance table: exact road distances from a small
 /// set of far-apart junctions (selected by farthest-point sampling) to
 /// every junction of the network.
@@ -380,10 +370,10 @@ impl LandmarkTable {
     /// exact meters, and each pick depends on the previous one, so this
     /// phase is inherently sequential). The exact length-weighted
     /// Dijkstra rows — the build-time bottleneck at city scale — are
-    /// then computed across `workers` scoped threads (`0` = one per
-    /// core), each writing its own disjoint row of the flat distance
-    /// arena: the table is bit-identical regardless of the worker
-    /// count.
+    /// then computed on [`fan_out`](fanout::fan_out) with `workers`
+    /// workers (`0` = one per core), one task per row, and concatenated
+    /// in landmark order: the table is bit-identical regardless of the
+    /// worker count.
     pub fn build_with(net: &RoadNetwork, count: usize, workers: usize) -> Self {
         let n = net.junction_count();
         let mut table = LandmarkTable {
@@ -418,34 +408,12 @@ impl LandmarkTable {
                 _ => break,
             }
         }
-        // Phase 2: exact Dijkstra rows, one per landmark, across the
-        // worker pool. Rows are disjoint `n`-sized slices of the flat
-        // arena claimed through an atomic cursor, so every schedule
-        // writes identical bytes.
-        let picked = table.landmarks.len();
-        table.dist = vec![f64::INFINITY; picked * n];
-        let workers = effective_workers(workers, picked);
-        if workers <= 1 {
-            for (l, chunk) in table.dist.chunks_mut(n).enumerate() {
-                sssp(net, table.landmarks[l], chunk);
-            }
-        } else {
-            let landmarks = &table.landmarks;
-            let mut buckets: Vec<Vec<(usize, &mut [f64])>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (l, row) in table.dist.chunks_mut(n).enumerate() {
-                buckets[l % workers].push((l, row));
-            }
-            std::thread::scope(|scope| {
-                for bucket in buckets {
-                    scope.spawn(move || {
-                        for (l, row) in bucket {
-                            sssp(net, landmarks[l], row);
-                        }
-                    });
-                }
-            });
-        }
+        // Phase 2: exact Dijkstra rows, one task per landmark. The rows
+        // come back in landmark order whichever worker ran them.
+        let landmarks = &table.landmarks;
+        let mut states = vec![(); fanout::workers(workers)];
+        let rows = fanout::fan_out(&mut states, landmarks.len(), |_, l| sssp(net, landmarks[l]));
+        table.dist = rows.concat();
         table
     }
 
@@ -536,10 +504,10 @@ fn hop_bfs(net: &RoadNetwork, src: JunctionId, out: &mut [u32]) {
 }
 
 /// Single-source shortest-path distances (length-weighted Dijkstra) from
-/// `src` into `out` (one slot per junction; unreachable = ∞).
-fn sssp(net: &RoadNetwork, src: JunctionId, out: &mut [f64]) {
+/// `src`, one slot per junction (unreachable = ∞).
+fn sssp(net: &RoadNetwork, src: JunctionId) -> Vec<f64> {
     use std::collections::BinaryHeap;
-    out.fill(f64::INFINITY);
+    let mut out = vec![f64::INFINITY; net.junction_count()];
     // (negated distance, junction) so the max-heap pops nearest first;
     // distances are finite non-NaN by construction.
     #[derive(PartialEq)]
@@ -577,6 +545,7 @@ fn sssp(net: &RoadNetwork, src: JunctionId, out: &mut [f64]) {
             }
         }
     }
+    out
 }
 
 /// Word-packed bounded-hop reachability: for every segment, a `u64`
@@ -607,50 +576,27 @@ pub struct ReachIndex {
 }
 
 impl ReachIndex {
-    /// Builds the index for a fixed hop budget with a single worker;
-    /// see [`build_with`](Self::build_with).
-    pub fn build(net: &RoadNetwork, hops: usize) -> Self {
-        Self::build_with(net, hops, 1)
-    }
-
     /// Builds the index for a fixed hop budget by `hops` rounds of
     /// bit-parallel dilation (`mask[s] |= mask[n]` for every neighbor).
-    ///
-    /// Each dilation round writes disjoint row chunks of the `next`
-    /// buffer from the read-only `cur` buffer, so the rounds fan out
-    /// across `workers` scoped threads (`0` = one per core) with
-    /// bit-identical output at every worker count.
-    pub fn build_with(net: &RoadNetwork, hops: usize, workers: usize) -> Self {
+    pub fn build(net: &RoadNetwork, hops: usize) -> Self {
         let s_count = net.segment_count();
         let words = s_count.div_ceil(64);
-        if s_count == 0 {
-            return ReachIndex {
-                hops,
-                words,
-                bits: Vec::new(),
-            };
-        }
         let mut cur = vec![0u64; s_count * words];
         for i in 0..s_count {
             cur[i * words + i / 64] |= 1u64 << (i % 64);
         }
-        let workers = effective_workers(workers, s_count);
-        let chunk_rows = s_count.div_ceil(workers).max(1);
         let mut next = cur.clone();
         for _ in 0..hops {
-            if workers <= 1 {
-                dilate_rows(net, &cur, &mut next, 0, s_count, words);
-            } else {
-                let cur_ref = &cur;
-                std::thread::scope(|scope| {
-                    for (c, chunk) in next.chunks_mut(chunk_rows * words).enumerate() {
-                        let first = c * chunk_rows;
-                        let count = chunk.len() / words.max(1);
-                        scope.spawn(move || {
-                            dilate_rows(net, cur_ref, chunk, first, count, words);
-                        });
+            // Each row is its own mask, then ORs in its CSR neighbors'.
+            for seg in 0..s_count {
+                let dst = seg * words;
+                next[dst..dst + words].copy_from_slice(&cur[dst..dst + words]);
+                for &n in net.neighbor_segments_csr(SegmentId(seg as u32)) {
+                    let src = n.index() * words;
+                    for w in 0..words {
+                        next[dst + w] |= cur[src + w];
                     }
-                });
+                }
             }
             std::mem::swap(&mut cur, &mut next);
         }
@@ -714,31 +660,6 @@ impl ReachIndex {
     }
 }
 
-/// One dilation round over rows `[first, first + rows)`: copy each row
-/// from `cur`, then OR in the `cur` rows of its CSR neighbors. `out` is
-/// the (worker-local) destination slice whose row 0 is global row
-/// `first`.
-fn dilate_rows(
-    net: &RoadNetwork,
-    cur: &[u64],
-    out: &mut [u64],
-    first: usize,
-    rows: usize,
-    words: usize,
-) {
-    for r in 0..rows {
-        let seg = first + r;
-        let dst = r * words;
-        out[dst..dst + words].copy_from_slice(&cur[seg * words..(seg + 1) * words]);
-        for &n in net.neighbor_segments_csr(SegmentId(seg as u32)) {
-            let src = n.index() * words;
-            for w in 0..words {
-                out[dst + w] |= cur[src + w];
-            }
-        }
-    }
-}
-
 /// The built-once graph index of a [`RoadNetwork`]: a [`LandmarkTable`]
 /// plus a per-hop-budget cache of [`ReachIndex`]es. Obtain one through
 /// [`RoadNetwork::graph_index`] (built lazily, shared by every reader)
@@ -764,9 +685,9 @@ impl GraphIndex {
     }
 
     /// Builds the landmark table eagerly under an explicit budget,
-    /// fanning the per-landmark Dijkstras across `workers` scoped
-    /// threads (`0` = one per core; output is bit-identical at every
-    /// worker count). Reach masks are built lazily for hop budgets up
+    /// fanning the per-landmark Dijkstras out to `workers` workers
+    /// (`0` = one per core; output is bit-identical at every worker
+    /// count). Reach masks are built lazily for hop budgets up
     /// to `budget.reach_hop_cap` and never cached beyond it.
     pub fn build_with(net: &RoadNetwork, budget: &IndexBudget, workers: usize) -> Self {
         GraphIndex {
@@ -1036,18 +957,6 @@ mod tests {
                         "row slot {i} at workers={workers}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_reach_build_is_bit_identical_at_every_worker_count() {
-        let net = crate::citygen::city_map(8, 1500);
-        for hops in [1usize, 3, 5] {
-            let serial = ReachIndex::build_with(&net, hops, 1);
-            for workers in [2usize, 4, 7, 16] {
-                let par = ReachIndex::build_with(&net, hops, workers);
-                assert_eq!(par.bits, serial.bits, "hops={hops} workers={workers}");
             }
         }
     }

@@ -27,6 +27,7 @@
 
 pub mod builder;
 pub mod citygen;
+pub mod fanout;
 pub mod generate;
 pub mod geometry;
 pub mod graph;

@@ -11,7 +11,7 @@
 //! | [`mobisim`] | GTMobiSim-style traffic: Gaussian car placement, shortest-path trips, occupancy snapshots |
 //! | [`keystream`] | Access keys, keyed draw streams, key management, access control |
 //! | [`cloak`] | The core: RGE and RPLE reversible cloaking (all `&self`, `Send + Sync`), multi-level protocol, payload codec, NRE baseline, single-shot and temporal attack analysis |
-//! | [`anonymizer`] | The toolkit: sharded lock-free `AnonymizerService`, multi-worker `AnonymizerServer` with a batch pipeline, continuous tick-driven pipeline with LBS and attack legs, De-anonymizer, map rendering, `rcloak` CLI |
+//! | [`anonymizer`] | The toolkit: sharded lock-free `AnonymizerService` with a parallel batch path, continuous tick-driven pipeline with LBS and attack legs, De-anonymizer, map rendering, `rcloak` CLI |
 //! | [`lbs`] | POIs and anonymous query processing over cloaked regions |
 //!
 //! The system narrative — concurrency model, temporal pipeline, memory
@@ -77,9 +77,9 @@ pub use roadnet;
 /// The commonly used types, re-exported flat.
 pub mod prelude {
     pub use anonymizer::{
-        AnonymizeReceipt, AnonymizeRequest, AnonymizerConfig, AnonymizerServer, AnonymizerService,
-        AttackConfig, AttackRecord, ContinuousPipeline, Deanonymizer, Engine, EngineChoice,
-        PipelineConfig, PipelineError, TickReport,
+        AnonymizeReceipt, AnonymizeRequest, AnonymizerConfig, AnonymizerService, AttackConfig,
+        AttackRecord, ContinuousPipeline, Deanonymizer, Engine, EngineChoice, PipelineConfig,
+        PipelineError, TickReport,
     };
     pub use cloak::{
         anonymize, anonymize_with_retry, deanonymize, AdversaryMode, AttackSummary, CloakError,

@@ -118,33 +118,35 @@ fn regions_are_connected_at_every_level() {
 fn concurrent_server_end_to_end() {
     let net = roadnet::grid_city(8, 8, 100.0);
     let snapshot = OccupancySnapshot::uniform(net.segment_count(), 1);
-    let server = AnonymizerServer::start(net, snapshot, AnonymizerConfig::default(), 3, 99);
-    let mut receipts = Vec::new();
-    for i in 0..8 {
-        let owner = format!("owner-{i}");
-        let seg = SegmentId(i * 13 % 100);
-        receipts.push((
-            owner.clone(),
-            seg,
-            server.anonymize(&owner, seg, None).unwrap(),
-        ));
-    }
-    // The service is shared lock-free: key management runs concurrently
-    // with (and independently of) the anonymize path.
-    let service = server.service();
-    for (owner, _, _) in &receipts {
-        service.register_requester(owner, "police", TrustDegree(10), Level(0));
+    let service = AnonymizerService::new(
+        net,
+        AnonymizerConfig {
+            batch_parallelism: 3,
+            ..Default::default()
+        },
+    );
+    service.update_snapshot(snapshot);
+    let requests: Vec<AnonymizeRequest> = (0..8)
+        .map(|i| {
+            AnonymizeRequest::new(format!("owner-{i}"), SegmentId(i * 13 % 100), 99 + i as u64)
+        })
+        .collect();
+    let receipts = service.anonymize_batch(&requests);
+    // Key management reads the records the batch's workers stored.
+    for request in &requests {
+        service.register_requester(&request.owner, "police", TrustDegree(10), Level(0));
     }
     let dean = Deanonymizer::new(
         service.network_arc(),
         Engine::build(service.network(), service.config().engine),
     );
-    for (owner, seg, receipt) in &receipts {
-        let keys = service.fetch_keys(owner, "police").unwrap();
-        let view = dean.reduce(&receipt.payload, &keys).unwrap();
-        assert_eq!(view.segments, vec![*seg]);
+    for (request, receipt) in requests.iter().zip(&receipts) {
+        let keys = service.fetch_keys(&request.owner, "police").unwrap();
+        let view = dean
+            .reduce(&receipt.as_ref().unwrap().payload, &keys)
+            .unwrap();
+        assert_eq!(view.segments, vec![request.segment]);
     }
-    server.shutdown();
 }
 
 #[test]
