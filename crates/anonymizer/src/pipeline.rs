@@ -1021,9 +1021,9 @@ impl ContinuousPipeline {
     /// kept scratch, and the results land in each batch in request order.
     ///
     /// These are [`AnonymizerService::anonymize_batch`]'s keyed halves
-    /// without its last-wins re-run of repeated owners: tracked owners
-    /// are distinct across all shards, so no batch repeats an owner and
-    /// no two tasks store the same owner's record.
+    /// without its re-store of repeated owners' last records: tracked
+    /// owners are distinct across all shards, so no batch repeats an
+    /// owner and no two tasks store the same owner's record.
     fn cloak(&mut self, batches: &mut [ShardBatch], keyed: &[Vec<KeyedRequest>]) {
         let total = batches.iter().map(|b| b.requests.len()).sum();
         let chunk = fanout::chunk_len(total, self.cloak_scratch.len());

@@ -547,9 +547,20 @@ impl AnonymizerService {
     ) -> AnonymizeReceipt {
         outcome.payload.epoch = epoch;
         let payload = Arc::new(outcome.payload.clone());
+        self.store_record(owner, Arc::clone(&payload), keys);
+        AnonymizeReceipt {
+            payload,
+            attempts,
+            outcome,
+        }
+    }
+
+    /// Stores `owner`'s record for `payload`, keeping the access-control
+    /// profile of the record it replaces.
+    fn store_record(&self, owner: &str, payload: Arc<CloakPayload>, keys: KeyManager) {
         let record = OwnerRecord {
             owner: owner.to_string(),
-            payload: Arc::clone(&payload),
+            payload,
             keys,
             access: AccessControlProfile::new(),
         };
@@ -557,11 +568,6 @@ impl AnonymizerService {
             .insert_merging(owner.to_string(), record, |old, new| {
                 new.access = old.access.clone();
             });
-        AnonymizeReceipt {
-            payload,
-            attempts,
-            outcome,
-        }
     }
 
     /// The sequential chain pre-pass of a batch: ratchets every request's
@@ -680,7 +686,10 @@ impl AnonymizerService {
     ///
     /// [`AnonymizerConfig::batch_parallelism`] sets the worker count
     /// (`0` = all available cores), capped at the request count; the
-    /// calling thread is one of the workers.
+    /// calling thread is one of the workers. Workers store owner records
+    /// as they finish, so after the fan-out a repeated owner's record is
+    /// stored once more from its last successful receipt: the stored
+    /// record is the one sequential calls leave.
     pub fn anonymize_batch(
         &self,
         requests: &[AnonymizeRequest],
@@ -702,35 +711,29 @@ impl AnonymizerService {
                 self.anonymize_run_keyed(&snapshot, &requests[run.clone()], &keyed[run], scratch)
             },
         );
-        let mut results: Vec<_> = runs.into_iter().flatten().collect();
+        let results: Vec<_> = runs.into_iter().flatten().collect();
         if workers > 1 {
             // A batch may repeat an owner; parallel workers then race on
-            // the stored record. Re-run each duplicated owner's last
-            // request with its *precomputed* keys/nonce/epoch (no fresh
-            // ratchet — the chain already advanced in the pre-pass) to
-            // pin the stored record to sequential semantics: last request
-            // wins. A last request whose advance failed to journal keeps
-            // its persistence error; the stored record then reflects some
-            // earlier successful request, which is all a failed tail can
-            // promise.
-            let mut per_owner: HashMap<&str, (usize, usize)> = HashMap::new();
-            for (i, r) in requests.iter().enumerate() {
-                let entry = per_owner.entry(&r.owner).or_insert((0, i));
+            // the stored record. Sequential calls leave the record of the
+            // owner's last successful request, so store that one again,
+            // from its receipt's payload and the pre-pass keys: no second
+            // cloak, and a failed last request leaves the same record it
+            // leaves sequentially.
+            let mut per_owner: HashMap<&str, (usize, Option<usize>)> = HashMap::new();
+            for (i, (r, result)) in requests.iter().zip(&results).enumerate() {
+                let entry = per_owner.entry(&r.owner).or_insert((0, None));
                 entry.0 += 1;
-                entry.1 = i;
+                if result.is_ok() {
+                    entry.1 = Some(i);
+                }
             }
-            for &(count, last) in per_owner.values() {
-                if count > 1 {
-                    let run = last..last + 1;
-                    results[last] = self
-                        .anonymize_run_keyed(
-                            &snapshot,
-                            &requests[run.clone()],
-                            &keyed[run],
-                            &mut scratch[0],
-                        )
-                        .pop()
-                        .expect("one request, one result");
+            for (owner, &(count, last_ok)) in &per_owner {
+                let Some(i) = last_ok.filter(|_| count > 1) else {
+                    continue;
+                };
+                // A receipt was issued only for journaled keys.
+                if let (Ok(receipt), Ok((keys, _, _))) = (&results[i], &keyed[i]) {
+                    self.store_record(owner, Arc::clone(&receipt.payload), keys.clone());
                 }
             }
         }

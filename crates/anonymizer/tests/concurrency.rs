@@ -9,9 +9,10 @@ use anonymizer::{
     EngineChoice,
 };
 use cloak::CloakError;
-use keystream::{Level, TrustDegree};
+use keystream::{ChainState, ChainStore, JournalError, Level, MemStore, TrustDegree};
 use mobisim::OccupancySnapshot;
 use roadnet::{grid_city, RoadNetwork, SegmentId};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const THREADS: usize = 8;
@@ -214,6 +215,91 @@ fn duplicated_owner_in_a_batch_stores_the_last_request() {
         assert_eq!(stored.payload, last.payload, "{workers} workers");
         assert_eq!(last.payload.epoch, 3, "{workers} workers");
         assert!(stored.payload.contains(SegmentId(55)));
+    }
+}
+
+/// An in-memory chain store whose `fail_at`-th write (counting from 0)
+/// fails; every other write lands.
+struct FailOneWrite {
+    inner: MemStore,
+    writes: AtomicUsize,
+    fail_at: usize,
+}
+
+impl ChainStore for FailOneWrite {
+    fn record(&self, owner: &str, state: &ChainState) -> Result<(), JournalError> {
+        if self.writes.fetch_add(1, Ordering::SeqCst) == self.fail_at {
+            return Err(JournalError::Injected(format!("write {}", self.fail_at)));
+        }
+        self.inner.record(owner, state)
+    }
+
+    fn load(&self) -> Result<Vec<(String, ChainState)>, JournalError> {
+        self.inner.load()
+    }
+
+    fn compact(&self) -> Result<(), JournalError> {
+        self.inner.compact()
+    }
+}
+
+/// When a repeated owner's last request fails to journal its chain
+/// advance, the batch leaves the record of that owner's last successful
+/// request, as sequential calls do, at every worker count.
+#[test]
+fn failed_last_duplicate_keeps_the_last_successful_record() {
+    let net = grid_city(8, 8, 100.0);
+    let mut requests: Vec<AnonymizeRequest> = (0..12)
+        .map(|i| AnonymizeRequest::new(format!("o{i}"), SegmentId(i * 7 % 100), 5_000 + i as u64))
+        .collect();
+    requests.insert(1, AnonymizeRequest::new("dup", SegmentId(7), 111));
+    requests.insert(6, AnonymizeRequest::new("dup", SegmentId(30), 222));
+    requests.push(AnonymizeRequest::new("dup", SegmentId(55), 333));
+    // One journal write per request, in request order: fail the last.
+    let last = requests.len() - 1;
+    let service = |batch_parallelism: usize| {
+        let store = FailOneWrite {
+            inner: MemStore::new(),
+            writes: AtomicUsize::new(0),
+            fail_at: last,
+        };
+        let config = AnonymizerConfig {
+            batch_parallelism,
+            ..Default::default()
+        };
+        let service = AnonymizerService::with_store(net.clone(), config, Arc::new(store)).unwrap();
+        service.update_snapshot(OccupancySnapshot::uniform(net.segment_count(), 1));
+        service
+    };
+
+    let sequential = service(1);
+    let expected: Vec<_> = requests
+        .iter()
+        .map(|r| sequential.anonymize_seeded(&r.owner, r.segment, r.profile.as_ref(), r.seed))
+        .collect();
+    assert!(matches!(expected[last], Err(CloakError::Persistence(_))));
+    assert_eq!(sequential.owner_epoch("dup"), Some(2));
+    let want = sequential.owner_record("dup").unwrap();
+    assert!(want.payload.contains(SegmentId(30)));
+
+    for workers in [1usize, 4] {
+        let batched = service(workers);
+        let results = batched.anonymize_batch(&requests);
+        for (i, (got, want)) in results.iter().zip(&expected).enumerate() {
+            assert_same_result(got, want, &format!("{workers} workers, request {i}"));
+        }
+        for r in &requests {
+            assert_eq!(
+                batched.owner_epoch(&r.owner),
+                sequential.owner_epoch(&r.owner),
+                "{workers} workers, {}",
+                r.owner
+            );
+            let got = batched.owner_record(&r.owner).unwrap();
+            let want = sequential.owner_record(&r.owner).unwrap();
+            assert_eq!(got.payload, want.payload, "{workers} workers, {}", r.owner);
+            assert_eq!(got.keys, want.keys, "{workers} workers, {}", r.owner);
+        }
     }
 }
 

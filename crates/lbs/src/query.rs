@@ -290,19 +290,24 @@ fn region_landmark_profile(
     min.resize(table.count(), f64::INFINITY);
     max.clear();
     max.resize(table.count(), f64::NEG_INFINITY);
-    for (l, (mn, mx)) in min.iter_mut().zip(max.iter_mut()).enumerate() {
-        let row = table.distances(l);
-        for &s in region {
-            let seg = net.segment(s);
-            for j in [seg.a(), seg.b()] {
-                let d = row[j.index()];
-                *mn = mn.min(d);
-                *mx = mx.max(d);
-            }
+    for &s in region {
+        let seg = net.segment(s);
+        for j in [seg.a(), seg.b()] {
+            envelope(table.at(j), min, max);
         }
-        if region.is_empty() {
-            *mx = f64::INFINITY;
-        }
+    }
+    if region.is_empty() {
+        max.fill(f64::INFINITY);
+    }
+}
+
+/// Widens the per-landmark `min`/`max` envelope by one junction's row.
+/// Min and max are exact in any order, so sweeping junction by junction
+/// gives the same envelope as sweeping landmark by landmark.
+fn envelope(row: &[f64], min: &mut [f64], max: &mut [f64]) {
+    for ((mn, mx), &d) in min.iter_mut().zip(max.iter_mut()).zip(row) {
+        *mn = mn.min(d);
+        *mx = mx.max(d);
     }
 }
 
@@ -369,20 +374,14 @@ fn category_landmark_profile(
     min.resize(table.count(), f64::INFINITY);
     max.clear();
     max.resize(table.count(), f64::NEG_INFINITY);
-    // Gather the goal junctions once, then sweep each landmark row over
-    // the flat list (row-major, bounds-friendly).
+    // Gather the goal junctions once (the endpoint upper bounds reuse the
+    // list), widening the envelope by each one's row.
     endpoints.clear();
     for poi in store.iter().filter(|p| p.category == category) {
         let seg = net.segment(poi.segment);
-        endpoints.push(seg.a().0);
-        endpoints.push(seg.b().0);
-    }
-    for (l, (mn, mx)) in min.iter_mut().zip(max.iter_mut()).enumerate() {
-        let row = table.distances(l);
-        for &j in endpoints.iter() {
-            let d = row[j as usize];
-            *mn = mn.min(d);
-            *mx = mx.max(d);
+        for j in [seg.a(), seg.b()] {
+            endpoints.push(j.0);
+            envelope(table.at(j), min, max);
         }
     }
     !endpoints.is_empty()
@@ -400,10 +399,11 @@ fn goal_lower_bound(
     sel: &[u32],
 ) -> f64 {
     let mut lb = 0.0f64;
+    let row = table.at(j);
     for &l in sel {
         let l = l as usize;
         let (tmin, tmax) = (t_min[l], t_max[l]);
-        let dj = table.distances(l)[j.index()];
+        let dj = row[l];
         if dj.is_finite() {
             if tmin.is_finite() {
                 lb = lb.max(tmin - dj);
@@ -827,19 +827,17 @@ fn nearest_query_indexed(
     // lands long before any seed would matter.
     let mut best_seed = f64::INFINITY;
     if !sel.is_empty() {
-        // Row-major sweep: ub[e] = min over landmarks of
-        // d(region, landmark) + d(landmark, endpoint e).
+        // ub[e] = min over landmarks of d(region, landmark) +
+        // d(landmark, endpoint e), one endpoint's row at a time.
         endpoint_ub.clear();
-        endpoint_ub.resize(endpoints.len(), f64::INFINITY);
-        for (l, &rm) in r_min.iter().enumerate() {
-            if !rm.is_finite() {
-                continue;
-            }
-            let row = table.distances(l);
-            for (ub, &j) in endpoint_ub.iter_mut().zip(endpoints.iter()) {
-                *ub = ub.min(rm + row[j as usize]);
-            }
-        }
+        endpoint_ub.extend(endpoints.iter().map(|&j| {
+            let row = table.at(JunctionId(j));
+            r_min
+                .iter()
+                .zip(row)
+                .filter(|(rm, _)| rm.is_finite())
+                .fold(f64::INFINITY, |ub, (&rm, &d)| ub.min(rm + d))
+        }));
         for (poi, ub) in store
             .iter()
             .filter(|p| p.category == category)

@@ -6,12 +6,12 @@
 //!   point to its nearest road, used by `mobisim`'s Gaussian car
 //!   placement;
 //! * [`GraphIndex`] — a read-only, built-once *graph* index: an
-//!   ALT-style [`LandmarkTable`] of exact road distances from a handful
-//!   of far-apart junctions, and word-packed bounded-hop
-//!   [`ReachIndex`] reachability masks. Query-time consumers (the LBS
-//!   candidate search, the trip router's landmark bound, the temporal
-//!   adversary's movement model) trade per-query graph traversals for
-//!   lookups into these tables — the
+//!   ALT-style [`LandmarkTable`] of exact road distances from 16 to 32
+//!   far-apart junctions, stored junction by junction, and word-packed
+//!   bounded-hop [`ReachIndex`] reachability masks. Query-time
+//!   consumers (the LBS candidate search, the trip router's landmark
+//!   bound, the temporal adversary's movement model) trade per-query
+//!   graph traversals for lookups into these tables — the
 //!   amortize-the-setup pattern the ROADMAP's hardware-speed goal calls
 //!   for. The index is derived state: it never feeds the cloaking
 //!   draws, so receipts are byte-identical with or without it.
@@ -22,6 +22,8 @@
 use crate::fanout;
 use crate::geometry::{point_segment_distance, BoundingBox, Point};
 use crate::graph::{JunctionId, RoadNetwork, SegmentId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
 
 /// Most grid cells a [`SegmentIndex`] holds per road: the cell size is
@@ -280,19 +282,30 @@ impl SegmentIndex {
     }
 }
 
-/// Number of landmarks a [`GraphIndex`] selects by default. Sixteen
-/// far-apart junctions give tight triangle-inequality bounds on maps up
-/// to the paper's Atlanta-scale evaluation network while keeping the
-/// table at `16 × junction_count` doubles.
-pub const DEFAULT_LANDMARKS: usize = 16;
+/// Most landmarks a [`GraphIndex`] selects by default. Selection always
+/// takes 16 far-apart junctions (fewer only on tiny maps) and goes on
+/// toward this cap only while some junction lies more than 8 hops from
+/// every landmark, so the map sets the count: 16 on `grid_city(12, 12)`,
+/// `grid_city(30, 30)` and `city_map(7, 500)`; 32 on `city_map(7, n)`
+/// for `n` from 1,000 to 100,000 segments, on `atlanta_like(42)` and on
+/// `grid_city(48, 48)`. The table holds `count × junction_count`
+/// doubles.
+pub const DEFAULT_LANDMARKS: usize = 32;
+
+/// Landmarks selection takes before the cover rule may stop it.
+const BASE_LANDMARKS: usize = 16;
+
+/// Past [`BASE_LANDMARKS`], selection stops once every junction lies
+/// within this many hops of a landmark.
+const COVER_HOPS: u32 = 8;
 
 /// Hop counts up to this value get their [`ReachIndex`] cached inside
 /// the [`GraphIndex`]; larger (pathological) hop budgets are built on
 /// demand without caching.
 pub const MAX_CACHED_HOPS: usize = 16;
 
-/// Build budget for a [`GraphIndex`]: how many landmarks to select and
-/// up to which hop count reach masks may be cached.
+/// Build budget for a [`GraphIndex`]: how many landmarks to select at
+/// most and up to which hop count reach masks may be cached.
 ///
 /// The defaults reproduce the unbudgeted build
 /// ([`DEFAULT_LANDMARKS`] / [`MAX_CACHED_HOPS`]). City-scale maps cap
@@ -303,8 +316,9 @@ pub const MAX_CACHED_HOPS: usize = 16;
 /// silently building such a mask.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexBudget {
-    /// Landmarks the [`LandmarkTable`] selects (farthest-point sampling
-    /// stops early on tiny maps regardless).
+    /// Most landmarks the [`LandmarkTable`] selects. Selection may stop
+    /// earlier: on tiny maps, and past 16 landmarks once every junction
+    /// lies within 8 hops of one (see [`DEFAULT_LANDMARKS`]).
     pub landmarks: usize,
     /// Largest hop count for which [`GraphIndex::reach_cached`] will
     /// build and cache a [`ReachIndex`].
@@ -322,7 +336,7 @@ impl Default for IndexBudget {
 
 /// ALT-style landmark distance table: exact road distances from a small
 /// set of far-apart junctions (selected by farthest-point sampling) to
-/// every junction of the network.
+/// every junction of the network, stored junction by junction.
 ///
 /// By the triangle inequality, for any landmark `l` and junctions `a`,
 /// `b`: `|d(l,a) − d(l,b)| ≤ d(a,b) ≤ d(l,a) + d(l,b)` — so the table
@@ -342,14 +356,15 @@ impl Default for IndexBudget {
 /// let exact = shortest_path(&net, a, b).unwrap().length;
 /// assert!(table.lower_bound(a, b) <= exact + 1e-9);
 /// assert!(table.upper_bound(a, b) >= exact - 1e-9);
+/// assert_eq!(table.at(JunctionId(0))[0], 0.0); // junction 0 is the first landmark
 /// ```
 #[derive(Debug, Clone)]
 pub struct LandmarkTable {
     landmarks: Vec<JunctionId>,
-    /// Row-major `landmarks.len() × junction_count` distances;
+    /// Junction-major `junction_count × landmarks.len()` distances:
+    /// junction `j`'s row is `dist[j * count .. (j + 1) * count]`;
     /// `f64::INFINITY` marks a junction unreachable from the landmark.
     dist: Vec<f64>,
-    junctions: usize,
 }
 
 impl LandmarkTable {
@@ -359,62 +374,43 @@ impl LandmarkTable {
         Self::build_with(net, count, 1)
     }
 
-    /// Builds a table of (at most) `count` landmarks by farthest-point
+    /// Builds a table of at most `count` landmarks by farthest-point
     /// sampling: the first landmark is junction 0, each next one is the
     /// junction farthest (in hops) from all landmarks chosen so far
     /// (unreachable counts as farthest, covering disconnected
-    /// components first).
+    /// components first, and the lowest id wins a tie). Past 16
+    /// landmarks, selection stops once every junction lies within 8
+    /// hops of one; a larger `count` never changes the first picks.
     ///
-    /// The build is two-phase. Selection runs a cheap serial BFS pass
-    /// per landmark (hop metric — selection only needs *far apart*, not
-    /// exact meters, and each pick depends on the previous one, so this
-    /// phase is inherently sequential). The exact length-weighted
-    /// Dijkstra rows — the build-time bottleneck at city scale — are
-    /// then computed on [`fan_out`](fanout::fan_out) with `workers`
-    /// workers (`0` = one per core), one task per row, and concatenated
-    /// in landmark order: the table is bit-identical regardless of the
+    /// The build is two-phase over one packed `(neighbour, length)`
+    /// adjacency. Selection is sequential, since each pick depends on
+    /// the previous one, and uses the hop metric (selection only needs
+    /// *far apart*, not exact meters). Each pick's breadth-first search
+    /// visits only the junctions it brings closer to their nearest
+    /// landmark: that distance changes by at most one across a road, so
+    /// every junction on a shortest hop path to a lowered junction is
+    /// lowered too, and the search finds them all. The exact
+    /// length-weighted Dijkstra rows are then computed on
+    /// [`fan_out`](fanout::fan_out) with `workers` workers (`0` = one
+    /// per core), one task per landmark, each junction expanded once at
+    /// its final distance; the table is bit-identical regardless of the
     /// worker count.
     pub fn build_with(net: &RoadNetwork, count: usize, workers: usize) -> Self {
-        let n = net.junction_count();
-        let mut table = LandmarkTable {
-            landmarks: Vec::new(),
-            dist: Vec::new(),
-            junctions: n,
-        };
-        if n == 0 || count == 0 {
-            return table;
-        }
-        // Phase 1: serial hop-metric farthest-point selection.
-        let mut row = vec![u32::MAX; n];
-        let mut min_to_landmarks = vec![u32::MAX; n];
-        let mut next = JunctionId(0);
-        for _ in 0..count.min(n) {
-            hop_bfs(net, next, &mut row);
-            table.landmarks.push(next);
-            let mut best = (0u32, None);
-            for (i, (&d, m)) in row.iter().zip(min_to_landmarks.iter_mut()).enumerate() {
-                *m = (*m).min(d);
-                // Strict `>` keeps the pick deterministic (first max wins);
-                // u32::MAX (unreachable) beats any finite hop count, so
-                // uncovered components are landmarked before covered ones
-                // densify.
-                if *m > best.0 {
-                    best = (*m, Some(JunctionId(i as u32)));
-                }
-            }
-            match best.1 {
-                Some(j) if best.0 > 0 => next = j,
-                // Every junction is already a landmark (tiny maps).
-                _ => break,
-            }
-        }
-        // Phase 2: exact Dijkstra rows, one task per landmark. The rows
-        // come back in landmark order whichever worker ran them.
-        let landmarks = &table.landmarks;
+        let roads = Adjacency::new(net);
+        let landmarks = roads.farthest_points(count);
+        // Each row gets a heap of its own: heaps kept side by side in
+        // the worker states would share a cache line between workers.
         let mut states = vec![(); fanout::workers(workers)];
-        let rows = fanout::fan_out(&mut states, landmarks.len(), |_, l| sssp(net, landmarks[l]));
-        table.dist = rows.concat();
-        table
+        let rows = fanout::fan_out(&mut states, landmarks.len(), |_, l| {
+            roads.distances_from(landmarks[l])
+        });
+        // Rows come back in landmark order whichever worker ran them;
+        // store them junction by junction.
+        let mut dist = Vec::with_capacity(landmarks.len() * roads.len());
+        for j in 0..roads.len() {
+            dist.extend(rows.iter().map(|row| row[j]));
+        }
+        LandmarkTable { landmarks, dist }
     }
 
     /// Number of landmarks actually selected.
@@ -427,19 +423,20 @@ impl LandmarkTable {
         &self.landmarks
     }
 
-    /// Exact road distances from landmark `l` (an index into
-    /// [`landmarks`](Self::landmarks)) to every junction, indexed by
-    /// junction id; `f64::INFINITY` for unreachable junctions.
+    /// Exact road distances from every landmark to junction `j`, in
+    /// [`landmarks`](Self::landmarks) order; `f64::INFINITY` where a
+    /// landmark cannot reach `j`.
     ///
     /// # Panics
     ///
-    /// Panics if `l ≥ count()`.
-    pub fn distances(&self, l: usize) -> &[f64] {
-        &self.dist[l * self.junctions..(l + 1) * self.junctions]
+    /// Panics if `j` is out of range for a table with landmarks.
+    pub fn at(&self, j: JunctionId) -> &[f64] {
+        let count = self.landmarks.len();
+        &self.dist[j.index() * count..(j.index() + 1) * count]
     }
 
-    /// Every row of [`distances`](Self::distances), landmark-major, in
-    /// one slice.
+    /// Every junction's row of [`at`](Self::at), junction-major, in one
+    /// slice.
     pub(crate) fn rows(&self) -> &[f64] {
         &self.dist
     }
@@ -449,15 +446,13 @@ impl LandmarkTable {
     /// some landmark proves the junctions lie in different components.
     pub fn lower_bound(&self, a: JunctionId, b: JunctionId) -> f64 {
         let mut lb = 0.0f64;
-        for l in 0..self.count() {
-            let row = self.distances(l);
-            let (da, db) = (row[a.index()], row[b.index()]);
+        for (&da, &db) in self.at(a).iter().zip(self.at(b)) {
             match (da.is_finite(), db.is_finite()) {
                 (true, true) => lb = lb.max((da - db).abs()),
-                // One side reachable from `l`, the other not: different
-                // components, the true distance is infinite.
+                // One side reachable from the landmark, the other not:
+                // different components, the true distance is infinite.
                 (true, false) | (false, true) => return f64::INFINITY,
-                // `l` sees neither: no information.
+                // The landmark sees neither: no information.
                 (false, false) => {}
             }
         }
@@ -468,84 +463,126 @@ impl LandmarkTable {
     /// `min_l d(l,a) + d(l,b)` (`f64::INFINITY` when no landmark
     /// reaches both).
     pub fn upper_bound(&self, a: JunctionId, b: JunctionId) -> f64 {
-        let mut ub = f64::INFINITY;
-        for l in 0..self.count() {
-            let row = self.distances(l);
-            ub = ub.min(row[a.index()] + row[b.index()]);
-        }
-        ub
+        self.at(a)
+            .iter()
+            .zip(self.at(b))
+            .fold(f64::INFINITY, |ub, (&da, &db)| ub.min(da + db))
     }
 }
 
-/// Single-source breadth-first hop distances from `src` into `out`
-/// (`u32::MAX` = unreachable). The landmark-selection metric: two
-/// orders of magnitude cheaper than a Dijkstra and good enough to find
-/// far-apart junctions.
-fn hop_bfs(net: &RoadNetwork, src: JunctionId, out: &mut [u32]) {
-    out.fill(u32::MAX);
-    let mut frontier = vec![src];
-    let mut next = Vec::new();
-    out[src.index()] = 0;
-    let mut depth = 0u32;
-    while !frontier.is_empty() {
-        depth += 1;
-        for &j in &frontier {
+/// A packed `(neighbour, length)` adjacency for the landmark build:
+/// junction `j`'s roads are `roads[offsets[j] .. offsets[j + 1]]`, in
+/// incidence order, every road of the map included.
+struct Adjacency {
+    offsets: Vec<u32>,
+    roads: Vec<(u32, f64)>,
+}
+
+impl Adjacency {
+    fn new(net: &RoadNetwork) -> Self {
+        let mut offsets = Vec::with_capacity(net.junction_count() + 1);
+        let mut roads = Vec::with_capacity(2 * net.segment_count());
+        offsets.push(0);
+        for j in net.junction_ids() {
             for &s in net.incident_segments(j) {
-                let other = net.segment(s).other_endpoint(j).expect("incident endpoint");
-                if out[other.index()] == u32::MAX {
-                    out[other.index()] = depth;
-                    next.push(other);
+                let seg = net.segment(s);
+                let other = seg.other_endpoint(j).expect("incident endpoint");
+                roads.push((other.0, seg.length()));
+            }
+            offsets.push(roads.len() as u32);
+        }
+        Adjacency { offsets, roads }
+    }
+
+    /// Number of junctions.
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn roads(&self, j: u32) -> &[(u32, f64)] {
+        &self.roads[self.offsets[j as usize] as usize..self.offsets[j as usize + 1] as usize]
+    }
+
+    /// Up to `count` landmarks by hop-metric farthest-point sampling
+    /// (see [`LandmarkTable::build_with`]).
+    fn farthest_points(&self, count: usize) -> Vec<JunctionId> {
+        let n = self.len();
+        let cap = count.min(n);
+        let mut landmarks = Vec::with_capacity(cap);
+        if cap == 0 {
+            return landmarks;
+        }
+        // Each junction's hop distance to its nearest landmark so far
+        // (`u32::MAX` = no landmark reaches it).
+        let mut nearest = vec![u32::MAX; n];
+        let (mut frontier, mut next) = (Vec::new(), Vec::new());
+        let mut pick = 0u32;
+        loop {
+            landmarks.push(JunctionId(pick));
+            nearest[pick as usize] = 0;
+            frontier.push(pick);
+            let mut depth = 0u32;
+            while !frontier.is_empty() {
+                depth += 1;
+                for &j in &frontier {
+                    for &(to, _) in self.roads(j) {
+                        if depth < nearest[to as usize] {
+                            nearest[to as usize] = depth;
+                            next.push(to);
+                        }
+                    }
+                }
+                frontier.clear();
+                std::mem::swap(&mut frontier, &mut next);
+            }
+            if landmarks.len() == cap {
+                break;
+            }
+            // Strict `>` keeps the pick deterministic (first max wins);
+            // u32::MAX (unreachable) beats any finite hop count, so
+            // uncovered components are landmarked before covered ones
+            // densify.
+            let mut farthest = (0u32, 0u32);
+            for (j, &d) in nearest.iter().enumerate() {
+                if d > farthest.0 {
+                    farthest = (d, j as u32);
+                }
+            }
+            let covered = landmarks.len() >= BASE_LANDMARKS && farthest.0 <= COVER_HOPS;
+            // Every junction is already a landmark (tiny maps), or every
+            // junction lies near one.
+            if farthest.0 == 0 || covered {
+                break;
+            }
+            pick = farthest.1;
+        }
+        landmarks
+    }
+
+    /// Length-weighted Dijkstra distances from `src`, one slot per
+    /// junction (unreachable = ∞). Keys are `(f64 bits, junction)`:
+    /// non-negative finite `f64`s order like their bits, and only finite
+    /// distances are queued.
+    fn distances_from(&self, src: JunctionId) -> Vec<f64> {
+        let mut out = vec![f64::INFINITY; self.len()];
+        out[src.index()] = 0.0;
+        let mut heap = BinaryHeap::new();
+        heap.push(Reverse((0.0f64.to_bits(), src.0)));
+        while let Some(Reverse((key, j))) = heap.pop() {
+            let d = f64::from_bits(key);
+            if d > out[j as usize] {
+                continue;
+            }
+            for &(to, length) in self.roads(j) {
+                let nd = d + length;
+                if nd < out[to as usize] {
+                    out[to as usize] = nd;
+                    heap.push(Reverse((nd.to_bits(), to)));
                 }
             }
         }
-        frontier.clear();
-        std::mem::swap(&mut frontier, &mut next);
+        out
     }
-}
-
-/// Single-source shortest-path distances (length-weighted Dijkstra) from
-/// `src`, one slot per junction (unreachable = ∞).
-fn sssp(net: &RoadNetwork, src: JunctionId) -> Vec<f64> {
-    use std::collections::BinaryHeap;
-    let mut out = vec![f64::INFINITY; net.junction_count()];
-    // (negated distance, junction) so the max-heap pops nearest first;
-    // distances are finite non-NaN by construction.
-    #[derive(PartialEq)]
-    struct Entry(f64, u32);
-    impl Eq for Entry {}
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            other
-                .0
-                .partial_cmp(&self.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| other.1.cmp(&self.1))
-        }
-    }
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    let mut heap = BinaryHeap::new();
-    out[src.index()] = 0.0;
-    heap.push(Entry(0.0, src.0));
-    while let Some(Entry(d, j)) = heap.pop() {
-        let j = JunctionId(j);
-        if d > out[j.index()] {
-            continue;
-        }
-        for &s in net.incident_segments(j) {
-            let seg = net.segment(s);
-            let other = seg.other_endpoint(j).expect("incident endpoint");
-            let nd = d + seg.length();
-            if nd < out[other.index()] {
-                out[other.index()] = nd;
-                heap.push(Entry(nd, other.0));
-            }
-        }
-    }
-    out
 }
 
 /// Word-packed bounded-hop reachability: for every segment, a `u64`
@@ -961,20 +998,92 @@ mod tests {
         }
     }
 
+    /// Two 3 × 4 grids 10 km apart: no road joins them.
+    fn two_islands() -> RoadNetwork {
+        let mut b = crate::RoadNetworkBuilder::new();
+        for island in [0.0, 10_000.0] {
+            let base = grid_city(3, 4, 100.0);
+            let first = b.junction_count() as u32;
+            for j in base.junctions() {
+                let p = j.position();
+                b.add_junction(Point::new(p.x + island, p.y));
+            }
+            for seg in base.segments() {
+                let (a, c) = (JunctionId(seg.a().0 + first), JunctionId(seg.b().0 + first));
+                b.add_segment(a, c).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
     #[test]
     fn landmark_rows_stay_exact_shortest_distances() {
-        // The two-phase build must still produce exact Dijkstra rows.
-        let net = grid_city(6, 6, 100.0);
-        let table = LandmarkTable::build(&net, 4);
-        for (l, &lm) in table.landmarks().iter().enumerate() {
-            let row = table.distances(l);
-            for j in net.junction_ids() {
-                let exact = crate::path::shortest_path(&net, lm, j).map(|r| r.length);
-                match exact {
-                    Some(d) => assert!((row[j.index()] - d).abs() < 1e-9),
-                    None => assert!(row[j.index()].is_infinite()),
+        // Every row slot has the bits of Dijkstra's length, or is
+        // infinite where no route exists, at every worker count.
+        let maps = [
+            grid_city(6, 6, 100.0),
+            crate::citygen::city_map(7, 2000),
+            two_islands(),
+        ];
+        for net in &maps {
+            let table = LandmarkTable::build(net, DEFAULT_LANDMARKS);
+            assert!(table.count() >= 2);
+            for (l, &lm) in table.landmarks().iter().enumerate() {
+                for j in net.junction_ids() {
+                    let row = table.at(j);
+                    match crate::path::shortest_path(net, lm, j) {
+                        Some(r) => assert_eq!(row[l].to_bits(), r.length.to_bits(), "{lm} -> {j}"),
+                        None => assert_eq!(row[l], f64::INFINITY, "{lm} -> {j}"),
+                    }
                 }
             }
+            for workers in [2, 3] {
+                let par = LandmarkTable::build_with(net, DEFAULT_LANDMARKS, workers);
+                assert_eq!(par.landmarks, table.landmarks);
+                let bits =
+                    |t: &LandmarkTable| t.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&par), bits(&table), "{workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn default_landmark_count_follows_the_map() {
+        // 16 landmarks leave every junction within 8 hops of one on the
+        // small maps; the larger city needs the whole cap.
+        let count = |net: &RoadNetwork, cap| LandmarkTable::build(net, cap).count();
+        let grid = grid_city(12, 12, 100.0);
+        assert_eq!(count(&grid, DEFAULT_LANDMARKS), 16);
+        assert_eq!(
+            count(&crate::citygen::city_map(7, 500), DEFAULT_LANDMARKS),
+            16
+        );
+        assert_eq!(
+            count(&crate::citygen::city_map(7, 1000), DEFAULT_LANDMARKS),
+            32
+        );
+        // Both islands get a landmark; 24 junctions stop selection at 16.
+        assert_eq!(count(&two_islands(), DEFAULT_LANDMARKS), 16);
+        // An explicit budget is a cap, below or above the default.
+        assert_eq!(count(&grid, 5), 5);
+        assert_eq!(count(&grid, 64), 16);
+    }
+
+    #[test]
+    fn more_landmarks_keep_the_first_sixteen() {
+        // Selection is greedy, so the first 16 picks of a 32-landmark
+        // table, and their rows, are the 16-landmark table's.
+        let net = crate::citygen::city_map(7, 1000);
+        let wide = LandmarkTable::build(&net, 32);
+        let narrow = LandmarkTable::build(&net, 16);
+        assert_eq!((wide.count(), narrow.count()), (32, 16));
+        assert_eq!(&wide.landmarks()[..16], narrow.landmarks());
+        for j in net.junction_ids() {
+            let (w, n) = (&wide.at(j)[..16], narrow.at(j));
+            assert!(
+                w.iter().zip(n).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{j}"
+            );
         }
     }
 

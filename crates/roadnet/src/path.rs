@@ -194,10 +194,13 @@ struct Label {
 ///     and shrunk by a relative `m` = 1e-9, so `s · chord` never exceeds
 ///     a road's length.
 ///   - *Landmark* (ALT; Goldberg & Harrelson, SODA 2005):
-///     `(1 − m) · max_l |D_l(v) − D_l(t)|` over the rows `D_l` of the
+///     `(1 − m) · max_l |D_l(v) − D_l(t)|` over the landmarks `l` of the
 ///     map's [`GraphIndex`] landmark table ([`RoadNetwork::graph_index`],
-///     built on first use), read in place: the router holds the map's
-///     shared index and copies no row.
+///     built on first use), read in place: the table keeps each
+///     junction's distances to every landmark side by side, the router
+///     reads the target's once per query and folds each junction's
+///     against it, and it holds the map's shared index and copies
+///     nothing.
 ///     The rows carry float rounding, so consistency needs an argument.
 ///     With `u` = 2⁻⁵³ the unit roundoff and `D` the largest landmark
 ///     distance: the index's Dijkstra expands each junction once, at its
@@ -211,10 +214,11 @@ struct Label {
 ///     road.
 ///   - The landmark term is off, leaving the Euclidean bound alone, when
 ///     the router runs plain Dijkstra (below), the index has no
-///     landmarks, a row is not finite everywhere (a disconnected map), a
-///     row's length is not the map's junction count (an index installed
-///     from another map), or the shortest road fails the check above.
-///     Nothing else selects it: no setting and no map size.
+///     landmarks, a landmark distance is not finite (a disconnected
+///     map), the table does not hold one row per junction of the map (an
+///     index installed from another map), or the shortest road fails the
+///     check above. Nothing else selects it: no setting and no map size;
+///     the map sets how many landmarks the table holds.
 ///
 ///   The router falls back to plain Dijkstra, which stops at the
 ///   target's first pop exactly as [`shortest_path`] does, when a
@@ -409,22 +413,15 @@ impl TripRouter {
         let graph = &*self.graph;
         let goal = graph.scale > 0.0;
         let target = graph.positions[dst as usize];
-        let n = self.labels.len();
-        let rows = graph
-            .index
-            .as_deref()
-            .map_or(&[][..], |i| i.landmarks().rows());
+        let table = graph.index.as_deref().map(GraphIndex::landmarks);
+        let target_row = table.map_or(&[][..], |t| t.at(JunctionId(dst)));
         let bound = |v: usize| {
             if !goal {
                 return 0.0;
             }
-            let mut alt = 0.0f64;
-            for row in rows.chunks_exact(n) {
-                let gap = (row[v] - row[dst as usize]).abs();
-                if gap > alt {
-                    alt = gap;
-                }
-            }
+            let alt = table.map_or(0.0, |t| {
+                landmark_gap(t.at(JunctionId(v as u32)), target_row)
+            });
             (graph.scale * graph.positions[v].distance_sq(target).sqrt())
                 .max(alt * (1.0 - BOUND_MARGIN))
         };
@@ -505,6 +502,33 @@ impl fmt::Debug for TripRouter {
             )
             .finish()
     }
+}
+
+/// `max_l |row[l] − target[l]|` over two landmark rows, 0 for none: the
+/// landmark term before its margin. The rows are read in groups of four
+/// into four running maxima, one per lane, then the tail, so the fold
+/// compiles to vector max. On the finite rows the router reads, every
+/// gap is a non-negative finite `f64`, and their max has the same bits
+/// in any order.
+fn landmark_gap(row: &[f64], target: &[f64]) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    let (rows, targets) = (row.chunks_exact(4), target.chunks_exact(4));
+    let tail = rows.remainder().iter().zip(targets.remainder());
+    for (r, t) in rows.zip(targets) {
+        for lane in 0..4 {
+            let gap = (r[lane] - t[lane]).abs();
+            if gap > lanes[lane] {
+                lanes[lane] = gap;
+            }
+        }
+    }
+    for (lane, (&r, &t)) in tail.enumerate() {
+        let gap = (r - t).abs();
+        if gap > lanes[lane] {
+            lanes[lane] = gap;
+        }
+    }
+    lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3]))
 }
 
 /// The router's bound scale `s` (see [`TripRouter`]), or 0 when no bound
@@ -826,6 +850,40 @@ mod tests {
         assert!(term(&net) > 0);
         let net = city_map(7, 2_000);
         assert_eq!(term(&net), crate::index::DEFAULT_LANDMARKS);
+    }
+
+    #[test]
+    fn landmark_gap_lanes_fold_like_one_running_max() {
+        // Rows of every length from 0 to 40, values drawn from a few
+        // levels so gaps tie, vanish and repeat their maximum; the lane
+        // fold must return the bits of the sequential `gap > alt` fold.
+        let levels = [0.0, 0.5, 1.0, 100.0, 100.5, 2_500.25, 1e6];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            levels[(state % levels.len() as u64) as usize]
+        };
+        for len in 0..=40 {
+            for _ in 0..50 {
+                let row: Vec<f64> = (0..len).map(|_| draw()).collect();
+                let target: Vec<f64> = (0..len).map(|_| draw()).collect();
+                let mut alt = 0.0f64;
+                for (&r, &t) in row.iter().zip(&target) {
+                    let gap = (r - t).abs();
+                    if gap > alt {
+                        alt = gap;
+                    }
+                }
+                assert_eq!(
+                    landmark_gap(&row, &target).to_bits(),
+                    alt.to_bits(),
+                    "{row:?}"
+                );
+                assert_eq!(landmark_gap(&row, &row).to_bits(), 0.0f64.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,93 @@
 //! Property tests of the graph-index layer: landmark bounds must
-//! bracket the true shortest-path metric, and the word-packed
+//! bracket the true shortest-path metric, landmark selection must pick
+//! what a full farthest-point search picks, and the word-packed
 //! reachability masks must equal the BFS hop balls bit for bit — the
 //! index is an accelerator, never an approximation.
 
 use proptest::prelude::*;
 use roadnet::{
     grid_city, irregular_city, path, IrregularConfig, JunctionId, LandmarkTable, Point, ReachIndex,
-    RoadNetworkBuilder, SegmentId,
+    RoadNetwork, RoadNetworkBuilder, SegmentId,
 };
+
+/// The farthest-point selection rule, computed the long way: a full
+/// breadth-first search from every new landmark, folded into each
+/// junction's hop distance to its nearest landmark. Up to `count`
+/// landmarks, starting at junction 0; the farthest junction (lowest id
+/// on ties, unreachable farthest of all) is the next pick; selection
+/// stops when every junction is a landmark, or once it holds 16 and
+/// every junction lies within 8 hops of one.
+fn reference_landmarks(net: &RoadNetwork, count: usize) -> Vec<JunctionId> {
+    let n = net.junction_count();
+    let mut nearest = vec![u32::MAX; n];
+    let mut picks = Vec::new();
+    let mut pick = JunctionId(0);
+    while picks.len() < count.min(n) {
+        picks.push(pick);
+        let mut hops = vec![u32::MAX; n];
+        let mut queue = std::collections::VecDeque::from([pick]);
+        hops[pick.index()] = 0;
+        while let Some(j) = queue.pop_front() {
+            for &s in net.incident_segments(j) {
+                let other = net.segment(s).other_endpoint(j).unwrap();
+                if hops[other.index()] == u32::MAX {
+                    hops[other.index()] = hops[j.index()] + 1;
+                    queue.push_back(other);
+                }
+            }
+        }
+        for (m, h) in nearest.iter_mut().zip(hops) {
+            *m = (*m).min(h);
+        }
+        let far = *nearest.iter().max().unwrap();
+        if far == 0 || (picks.len() >= 16 && far <= 8) {
+            break;
+        }
+        pick = JunctionId(nearest.iter().position(|&m| m == far).unwrap() as u32);
+    }
+    picks
+}
+
+/// An irregular map with each road kept at one chance in `1 / keep`
+/// against a seeded coin: `keep` = 1 keeps the map connected, larger
+/// values break it into islands and lone junctions.
+fn thinned_map(seed: u64, junctions: usize, keep: u64) -> RoadNetwork {
+    let base = irregular_city(&IrregularConfig {
+        junctions,
+        segments: junctions * 13 / 10,
+        seed,
+        ..Default::default()
+    });
+    let mut b = RoadNetworkBuilder::new();
+    for j in base.junctions() {
+        b.add_junction(j.position());
+    }
+    let mut coin = seed | 1;
+    for seg in base.segments() {
+        coin ^= coin << 13;
+        coin ^= coin >> 7;
+        coin ^= coin << 17;
+        if coin.is_multiple_of(keep) {
+            b.add_segment(seg.a(), seg.b()).unwrap();
+        }
+    }
+    b.build().unwrap()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
+
+    #[test]
+    fn pruned_selection_picks_the_full_search_landmarks(
+        seed in any::<u64>(),
+        junctions in 20usize..700,
+        keep in 1u64..4,
+        count in 0usize..48,
+    ) {
+        let net = thinned_map(seed, junctions, keep);
+        let table = LandmarkTable::build(&net, count);
+        prop_assert_eq!(table.landmarks(), &reference_landmarks(&net, count)[..]);
+    }
 
     #[test]
     fn landmark_bounds_bracket_true_distances(
@@ -102,7 +179,7 @@ fn landmarks_cover_every_component() {
     let net = b.build().unwrap();
     let table = LandmarkTable::build(&net, 2);
     for j in net.junction_ids() {
-        let covered = (0..table.count()).any(|l| table.distances(l)[j.index()].is_finite());
+        let covered = table.at(j).iter().any(|d| d.is_finite());
         assert!(covered, "junction {j} unreachable from every landmark");
     }
     // Cross-island distances are provably infinite.

@@ -7,7 +7,8 @@
 //! ties everywhere), generated irregular and city maps, builder maps with
 //! lengths below the chord, a zero-length segment, coincident junctions,
 //! non-finite coordinates, and a disconnected map. The landmark term gets
-//! its own maps: indexes installed with 1, 2 and 16 landmarks, maps whose
+//! its own maps: indexes installed with 1, 2, 5, 13, 16 and 32 landmarks
+//! (5 and 13 leave a tail after the router's four-landmark lanes), maps whose
 //! roads are much longer than their chords (so landmarks, not chords,
 //! order the keys), and a map whose millimetre road turns the term off.
 //!
@@ -313,7 +314,7 @@ fn with_landmarks(net: RoadNetwork, landmarks: usize) -> RoadNetwork {
 
 #[test]
 fn installed_landmark_counts_route_like_dijkstra() {
-    for landmarks in [1, 2, 16] {
+    for landmarks in [1, 2, 5, 13, 16, 32] {
         for seed in [3, 11] {
             let net = with_landmarks(city_map(seed, 900), landmarks);
             assert_router_matches_dijkstra(&net, 300, seed);
