@@ -1020,10 +1020,9 @@ impl ContinuousPipeline {
     /// cloaked against its shard's issuing snapshot with the worker's
     /// kept scratch, and the results land in each batch in request order.
     ///
-    /// These are [`AnonymizerService::anonymize_batch`]'s keyed halves
-    /// without its re-store of repeated owners' last records: tracked
-    /// owners are distinct across all shards, so no batch repeats an
-    /// owner and no two tasks store the same owner's record.
+    /// These are [`AnonymizerService::anonymize_batch`]'s keyed halves.
+    /// Tracked owners are distinct across all shards, so no batch
+    /// repeats an owner and no two tasks store the same owner's record.
     fn cloak(&mut self, batches: &mut [ShardBatch], keyed: &[Vec<KeyedRequest>]) {
         let total = batches.iter().map(|b| b.requests.len()).sum();
         let chunk = fanout::chunk_len(total, self.cloak_scratch.len());

@@ -538,6 +538,10 @@ impl AnonymizerService {
     /// payload allocation. Re-anonymizing rotates payload and keys but
     /// keeps the owner's access-control profile, so existing requester
     /// grants (and the requester registry audit view) stay consistent.
+    /// A stored record of a later epoch stays: epochs grow in request
+    /// order, so batch workers that finish an owner's requests out of
+    /// order still leave the record of its last successful request, as
+    /// sequential calls do.
     fn record_receipt(
         &self,
         owner: &str,
@@ -547,27 +551,25 @@ impl AnonymizerService {
     ) -> AnonymizeReceipt {
         outcome.payload.epoch = epoch;
         let payload = Arc::new(outcome.payload.clone());
-        self.store_record(owner, Arc::clone(&payload), keys);
-        AnonymizeReceipt {
-            payload,
-            attempts,
-            outcome,
-        }
-    }
-
-    /// Stores `owner`'s record for `payload`, keeping the access-control
-    /// profile of the record it replaces.
-    fn store_record(&self, owner: &str, payload: Arc<CloakPayload>, keys: KeyManager) {
         let record = OwnerRecord {
             owner: owner.to_string(),
-            payload,
+            payload: Arc::clone(&payload),
             keys,
             access: AccessControlProfile::new(),
         };
         self.records
             .insert_merging(owner.to_string(), record, |old, new| {
-                new.access = old.access.clone();
+                if old.payload.epoch > epoch {
+                    *new = old.clone();
+                } else {
+                    new.access = old.access.clone();
+                }
             });
+        AnonymizeReceipt {
+            payload,
+            attempts,
+            outcome,
+        }
     }
 
     /// The sequential chain pre-pass of a batch: ratchets every request's
@@ -687,9 +689,9 @@ impl AnonymizerService {
     /// [`AnonymizerConfig::batch_parallelism`] sets the worker count
     /// (`0` = all available cores), capped at the request count; the
     /// calling thread is one of the workers. Workers store owner records
-    /// as they finish, so after the fan-out a repeated owner's record is
-    /// stored once more from its last successful receipt: the stored
-    /// record is the one sequential calls leave.
+    /// as they finish, and a stored record gives way only to one of a
+    /// later epoch, so a repeated owner keeps the record sequential calls
+    /// leave.
     pub fn anonymize_batch(
         &self,
         requests: &[AnonymizeRequest],
@@ -711,33 +713,7 @@ impl AnonymizerService {
                 self.anonymize_run_keyed(&snapshot, &requests[run.clone()], &keyed[run], scratch)
             },
         );
-        let results: Vec<_> = runs.into_iter().flatten().collect();
-        if workers > 1 {
-            // A batch may repeat an owner; parallel workers then race on
-            // the stored record. Sequential calls leave the record of the
-            // owner's last successful request, so store that one again,
-            // from its receipt's payload and the pre-pass keys: no second
-            // cloak, and a failed last request leaves the same record it
-            // leaves sequentially.
-            let mut per_owner: HashMap<&str, (usize, Option<usize>)> = HashMap::new();
-            for (i, (r, result)) in requests.iter().zip(&results).enumerate() {
-                let entry = per_owner.entry(&r.owner).or_insert((0, None));
-                entry.0 += 1;
-                if result.is_ok() {
-                    entry.1 = Some(i);
-                }
-            }
-            for (owner, &(count, last_ok)) in &per_owner {
-                let Some(i) = last_ok.filter(|_| count > 1) else {
-                    continue;
-                };
-                // A receipt was issued only for journaled keys.
-                if let (Ok(receipt), Ok((keys, _, _))) = (&results[i], &keyed[i]) {
-                    self.store_record(owner, Arc::clone(&receipt.payload), keys.clone());
-                }
-            }
-        }
-        results
+        runs.into_iter().flatten().collect()
     }
 
     /// The stored record for an owner (a clone; records are shared across
@@ -999,6 +975,41 @@ mod tests {
             s.requester_grants("police"),
             vec![("alice".to_string(), TrustDegree(10))]
         );
+    }
+
+    #[test]
+    fn record_of_a_later_epoch_outlives_an_earlier_one() {
+        // Three requests of one owner keyed in order (epochs 1 to 3) and
+        // cloaked out of order, as parallel batch workers may finish
+        // them: the epoch-3 record stays, with the grant made after it.
+        let s = service();
+        let requests: Vec<AnonymizeRequest> = (0..3)
+            .map(|i| AnonymizeRequest::new("alice", SegmentId(40), 7 + i))
+            .collect();
+        let keyed = s.derive_batch_keys(&requests);
+        let snapshot = s.snapshot();
+        let mut scratch = BatchCloakScratch::new();
+        let mut cloak = |i: usize| {
+            let run = i..i + 1;
+            s.anonymize_run_keyed(&snapshot, &requests[run.clone()], &keyed[run], &mut scratch)
+                .pop()
+                .unwrap()
+                .unwrap()
+        };
+        let third = cloak(2);
+        assert_eq!(third.payload.epoch, 3);
+        s.register_requester("alice", "police", TrustDegree(10), Level(0));
+        let keys = s.fetch_keys("alice", "police").unwrap();
+        for earlier in [1, 0] {
+            assert_eq!(cloak(earlier).payload.epoch, earlier as u64 + 1);
+            assert_eq!(s.owner_record("alice").unwrap().payload, third.payload);
+            assert_eq!(s.fetch_keys("alice", "police").unwrap(), keys);
+        }
+        // A later epoch replaces it and keeps the grant.
+        let fourth = s.anonymize_seeded("alice", SegmentId(12), None, 9).unwrap();
+        assert_eq!(fourth.payload.epoch, 4);
+        assert_eq!(s.owner_record("alice").unwrap().payload, fourth.payload);
+        assert_ne!(s.fetch_keys("alice", "police").unwrap(), keys);
     }
 
     #[test]

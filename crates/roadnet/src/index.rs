@@ -6,7 +6,7 @@
 //!   point to its nearest road, used by `mobisim`'s Gaussian car
 //!   placement;
 //! * [`GraphIndex`] — a read-only, built-once *graph* index: an
-//!   ALT-style [`LandmarkTable`] of exact road distances from 16 to 32
+//!   ALT-style [`LandmarkTable`] of exact road distances from 32
 //!   far-apart junctions, stored junction by junction, and word-packed
 //!   bounded-hop [`ReachIndex`] reachability masks. Query-time
 //!   consumers (the LBS candidate search, the trip router's landmark
@@ -282,22 +282,10 @@ impl SegmentIndex {
     }
 }
 
-/// Most landmarks a [`GraphIndex`] selects by default. Selection always
-/// takes 16 far-apart junctions (fewer only on tiny maps) and goes on
-/// toward this cap only while some junction lies more than 8 hops from
-/// every landmark, so the map sets the count: 16 on `grid_city(12, 12)`,
-/// `grid_city(30, 30)` and `city_map(7, 500)`; 32 on `city_map(7, n)`
-/// for `n` from 1,000 to 100,000 segments, on `atlanta_like(42)` and on
-/// `grid_city(48, 48)`. The table holds `count × junction_count`
+/// Landmarks a [`GraphIndex`] selects by default (fewer only on maps
+/// with fewer junctions). The table holds `count × junction_count`
 /// doubles.
 pub const DEFAULT_LANDMARKS: usize = 32;
-
-/// Landmarks selection takes before the cover rule may stop it.
-const BASE_LANDMARKS: usize = 16;
-
-/// Past [`BASE_LANDMARKS`], selection stops once every junction lies
-/// within this many hops of a landmark.
-const COVER_HOPS: u32 = 8;
 
 /// Hop counts up to this value get their [`ReachIndex`] cached inside
 /// the [`GraphIndex`]; larger (pathological) hop budgets are built on
@@ -316,9 +304,8 @@ pub const MAX_CACHED_HOPS: usize = 16;
 /// silently building such a mask.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexBudget {
-    /// Most landmarks the [`LandmarkTable`] selects. Selection may stop
-    /// earlier: on tiny maps, and past 16 landmarks once every junction
-    /// lies within 8 hops of one (see [`DEFAULT_LANDMARKS`]).
+    /// Most landmarks the [`LandmarkTable`] selects; fewer only on maps
+    /// with fewer junctions.
     pub landmarks: usize,
     /// Largest hop count for which [`GraphIndex::reach_cached`] will
     /// build and cache a [`ReachIndex`].
@@ -378,9 +365,8 @@ impl LandmarkTable {
     /// sampling: the first landmark is junction 0, each next one is the
     /// junction farthest (in hops) from all landmarks chosen so far
     /// (unreachable counts as farthest, covering disconnected
-    /// components first, and the lowest id wins a tie). Past 16
-    /// landmarks, selection stops once every junction lies within 8
-    /// hops of one; a larger `count` never changes the first picks.
+    /// components first, and the lowest id wins a tie), so a larger
+    /// `count` never changes the first picks.
     ///
     /// The build is two-phase over one packed `(neighbour, length)`
     /// adjacency. Selection is sequential, since each pick depends on
@@ -548,10 +534,8 @@ impl Adjacency {
                     farthest = (d, j as u32);
                 }
             }
-            let covered = landmarks.len() >= BASE_LANDMARKS && farthest.0 <= COVER_HOPS;
-            // Every junction is already a landmark (tiny maps), or every
-            // junction lies near one.
-            if farthest.0 == 0 || covered {
+            // Every junction is already a landmark (tiny maps).
+            if farthest.0 == 0 {
                 break;
             }
             pick = farthest.1;
@@ -980,6 +964,7 @@ mod tests {
                 ..Default::default()
             }),
             grid_city(9, 13, 80.0),
+            two_islands(),
         ];
         for net in &maps {
             let serial = LandmarkTable::build_with(net, DEFAULT_LANDMARKS, 1);
@@ -1019,10 +1004,10 @@ mod tests {
     #[test]
     fn landmark_rows_stay_exact_shortest_distances() {
         // Every row slot has the bits of Dijkstra's length, or is
-        // infinite where no route exists, at every worker count.
+        // infinite where no route exists.
         let maps = [
             grid_city(6, 6, 100.0),
-            crate::citygen::city_map(7, 2000),
+            crate::citygen::city_map(7, 500),
             two_islands(),
         ];
         for net in &maps {
@@ -1037,36 +1022,7 @@ mod tests {
                     }
                 }
             }
-            for workers in [2, 3] {
-                let par = LandmarkTable::build_with(net, DEFAULT_LANDMARKS, workers);
-                assert_eq!(par.landmarks, table.landmarks);
-                let bits =
-                    |t: &LandmarkTable| t.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&par), bits(&table), "{workers} workers");
-            }
         }
-    }
-
-    #[test]
-    fn default_landmark_count_follows_the_map() {
-        // 16 landmarks leave every junction within 8 hops of one on the
-        // small maps; the larger city needs the whole cap.
-        let count = |net: &RoadNetwork, cap| LandmarkTable::build(net, cap).count();
-        let grid = grid_city(12, 12, 100.0);
-        assert_eq!(count(&grid, DEFAULT_LANDMARKS), 16);
-        assert_eq!(
-            count(&crate::citygen::city_map(7, 500), DEFAULT_LANDMARKS),
-            16
-        );
-        assert_eq!(
-            count(&crate::citygen::city_map(7, 1000), DEFAULT_LANDMARKS),
-            32
-        );
-        // Both islands get a landmark; 24 junctions stop selection at 16.
-        assert_eq!(count(&two_islands(), DEFAULT_LANDMARKS), 16);
-        // An explicit budget is a cap, below or above the default.
-        assert_eq!(count(&grid, 5), 5);
-        assert_eq!(count(&grid, 64), 16);
     }
 
     #[test]
@@ -1096,6 +1052,15 @@ mod tests {
         };
         let index = GraphIndex::build_with(&net, &budget, 2);
         assert_eq!(index.landmarks().count(), 4);
+        assert_eq!(
+            GraphIndex::build(&net).landmarks().count(),
+            DEFAULT_LANDMARKS
+        );
+        // Fewer junctions than the budget: every one becomes a landmark.
+        assert_eq!(
+            LandmarkTable::build(&two_islands(), DEFAULT_LANDMARKS).count(),
+            24
+        );
         assert_eq!(index.reach_hop_cap(), 2);
         assert!(index.reach_cached(&net, 2).is_some());
         assert!(index.reach_cached(&net, 3).is_none());

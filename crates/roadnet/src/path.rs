@@ -217,8 +217,7 @@ struct Label {
 ///     landmarks, a landmark distance is not finite (a disconnected
 ///     map), the table does not hold one row per junction of the map (an
 ///     index installed from another map), or the shortest road fails the
-///     check above. Nothing else selects it: no setting and no map size;
-///     the map sets how many landmarks the table holds.
+///     check above. Nothing else selects it: no setting and no map size.
 ///
 ///   The router falls back to plain Dijkstra, which stops at the
 ///   target's first pop exactly as [`shortest_path`] does, when a

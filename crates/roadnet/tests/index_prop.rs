@@ -15,8 +15,7 @@ use roadnet::{
 /// junction's hop distance to its nearest landmark. Up to `count`
 /// landmarks, starting at junction 0; the farthest junction (lowest id
 /// on ties, unreachable farthest of all) is the next pick; selection
-/// stops when every junction is a landmark, or once it holds 16 and
-/// every junction lies within 8 hops of one.
+/// stops early only when every junction is a landmark.
 fn reference_landmarks(net: &RoadNetwork, count: usize) -> Vec<JunctionId> {
     let n = net.junction_count();
     let mut nearest = vec![u32::MAX; n];
@@ -40,7 +39,7 @@ fn reference_landmarks(net: &RoadNetwork, count: usize) -> Vec<JunctionId> {
             *m = (*m).min(h);
         }
         let far = *nearest.iter().max().unwrap();
-        if far == 0 || (picks.len() >= 16 && far <= 8) {
+        if far == 0 {
             break;
         }
         pick = JunctionId(nearest.iter().position(|&m| m == far).unwrap() as u32);
