@@ -267,6 +267,13 @@ fn cmd_keys(opts: &Opts) -> Result<(), String> {
         .ok_or("--levels is required")?
         .parse()
         .map_err(|_| "--levels expects a number")?;
+    // A level is one byte on the wire, and a keyring needs a key.
+    if !(1..=u8::MAX as usize).contains(&levels) {
+        return Err(format!(
+            "--levels must be from 1 to {}, got {levels}",
+            u8::MAX
+        ));
+    }
     // Auto key generation, like the GUI button; seeded only when asked.
     // Seeded keys go through the sponge-derived grid (`KeyManager::
     // from_seed`), which domain-separates every (seed, level) pair.

@@ -10,8 +10,8 @@
 //! [`AnonymizerService`] (the lock-free `RwLock<Arc<_>>` swap, now driven
 //! by real churn instead of a synthetic race), re-anonymizes a tracked
 //! owner population with the keyed halves of
-//! [`AnonymizerService::anonymize_batch`] (chain pre-pass, then
-//! owner-batched cloak), feeds the fresh cloaked regions into [`lbs`]
+//! [`AnonymizerService::anonymize_batch`] (chain pre-pass, then a cloak
+//! of each request on its own), feeds the fresh cloaked regions into [`lbs`]
 //! nearest-POI queries, and verifies the per-tick invariants:
 //!
 //! * **reversibility** — every issued receipt deanonymizes back to the
@@ -115,8 +115,8 @@ use cloak::attack::temporal::{
     TemporalAdversary,
 };
 use cloak::{
-    random_expansion_with, BatchCloakScratch, CloakError, CloakPayload, CloakScratch,
-    ExpansionScratch, PrivacyProfile, QualitySummary, RegionQuality, StepFailure,
+    random_expansion_with, CloakError, CloakPayload, CloakScratch, ExpansionScratch,
+    PrivacyProfile, QualitySummary, RegionQuality, StepFailure,
 };
 use keystream::{ChainStore, JournalError, Key256, Level, MemStore, TrustDegree};
 use lbs::{nearest_query_with, PoiCategory, PoiStore, QueryStats, SearchScratch};
@@ -426,11 +426,10 @@ pub struct ContinuousPipeline {
     registered: Vec<bool>,
     /// The full-map capture every refresh copies the shards' parts from.
     capture: OccupancySnapshot,
-    /// One scratch per cloak worker, kept across ticks (worker 0 is the
-    /// calling thread).
-    cloak_scratch: Vec<BatchCloakScratch>,
-    /// One scratch per verification worker, kept across ticks.
-    verify_scratch: Vec<CloakScratch>,
+    /// One scratch per worker, kept across ticks (worker 0 is the
+    /// calling thread). The cloak and peel fan-outs share it: they
+    /// never overlap within a tick.
+    scratch: Vec<CloakScratch>,
     /// Scratch for the per-tick LBS query loop.
     lbs_scratch: SearchScratch,
     /// The continuous adversarial evaluation (attack leg), when on.
@@ -707,8 +706,7 @@ impl ContinuousPipeline {
             cfg,
             tracked,
             capture: OccupancySnapshot::from_counts(Vec::new()),
-            cloak_scratch: (0..workers).map(|_| BatchCloakScratch::new()).collect(),
-            verify_scratch: (0..workers).map(|_| CloakScratch::new()).collect(),
+            scratch: (0..workers).map(|_| CloakScratch::new()).collect(),
             lbs_scratch: SearchScratch::new(),
             attack,
             injector,
@@ -1025,7 +1023,7 @@ impl ContinuousPipeline {
     /// repeats an owner and no two tasks store the same owner's record.
     fn cloak(&mut self, batches: &mut [ShardBatch], keyed: &[Vec<KeyedRequest>]) {
         let total = batches.iter().map(|b| b.requests.len()).sum();
-        let chunk = fanout::chunk_len(total, self.cloak_scratch.len());
+        let chunk = fanout::chunk_len(total, self.scratch.len());
         let tasks: Vec<(usize, Range<usize>)> = batches
             .iter()
             .enumerate()
@@ -1038,7 +1036,7 @@ impl ContinuousPipeline {
             .collect();
         let shards = &self.shards;
         let issued = &*batches;
-        let runs = fanout::fan_out(&mut self.cloak_scratch, tasks.len(), |scratch, t| {
+        let runs = fanout::fan_out(&mut self.scratch, tasks.len(), |scratch, t| {
             let (p, run) = &tasks[t];
             let batch = &issued[*p];
             shards[*p].service.anonymize_run_keyed(
@@ -1249,7 +1247,7 @@ impl ContinuousPipeline {
 
         // Exact reversibility through the normal key-fetch path.
         let dean = &self.dean;
-        let views = fanout::fan_out(&mut self.verify_scratch, jobs.len(), |scratch, j| {
+        let views = fanout::fan_out(&mut self.scratch, jobs.len(), |scratch, j| {
             let (_, payload, keys) = &jobs[j];
             dean.reduce_with(payload, keys, scratch)
         });

@@ -37,9 +37,8 @@
 
 use crate::config::{AnonymizerConfig, EngineChoice};
 use cloak::{
-    anonymize_batch_with_scratch, anonymize_with_retry, AnonymizationOutcome, BatchCloakItem,
-    BatchCloakScratch, CloakError, CloakPayload, PrivacyProfile, ReversibleEngine, RgeEngine,
-    RpleEngine,
+    anonymize_with_retry_scratch, AnonymizationOutcome, CloakError, CloakPayload, CloakScratch,
+    PrivacyProfile, ReversibleEngine, RgeEngine, RpleEngine,
 };
 use keystream::{
     AccessControlProfile, AccessError, ChainState, ChainStore, JournalError, Key256, KeyManager,
@@ -237,9 +236,9 @@ impl<V> ShardedMap<V> {
     }
 }
 
-/// A batch pre-pass entry: the request's `(keys, nonce, epoch)` once its
-/// chain advance was journaled, or the persistence error that withheld
-/// the epoch.
+/// A request's key draw: its `(keys, nonce, epoch)` once its chain
+/// advance was journaled, or the persistence error that withheld the
+/// epoch.
 pub(crate) type KeyedRequest = Result<(KeyManager, u64, u64), CloakError>;
 
 /// One anonymization request for [`AnonymizerService::anonymize_batch`].
@@ -374,21 +373,6 @@ impl AnonymizerService {
         Ok(service)
     }
 
-    /// Restart entry point: rebuilds a service from `store`'s journal.
-    /// Identical to [`with_store`](Self::with_store) — named for the
-    /// recovery path so call sites read as what they are.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the store's journal cannot be read.
-    pub fn recover(
-        net: RoadNetwork,
-        config: AnonymizerConfig,
-        store: Arc<dyn ChainStore>,
-    ) -> Result<Self, JournalError> {
-        Self::with_store(net, config, store)
-    }
-
     /// The chain store journaling this service's ratchet advances.
     pub fn chain_store(&self) -> &Arc<dyn ChainStore> {
         &self.store
@@ -486,23 +470,15 @@ impl AnonymizerService {
         profile: Option<&PrivacyProfile>,
         rng: &mut R,
     ) -> Result<AnonymizeReceipt, CloakError> {
-        let profile = profile.unwrap_or(&self.config.default_profile);
-        let entropy = Key256::generate(rng);
-        let nonce: u64 = rng.gen();
-        let chain = self.advance_chain(owner, entropy)?;
-        let keys = chain.level_keys(profile.level_count());
-        let key_vec: Vec<Key256> = keys.iter().map(|(_, k)| k).collect();
-        let cloaked = anonymize_with_retry(
-            &self.net,
+        let keyed = self.draw_keys(owner, profile, rng);
+        self.issue_keyed(
             &self.snapshot(),
+            owner,
             user_segment,
             profile,
-            &key_vec,
-            nonce,
-            self.engine.as_dyn(),
-            self.config.max_attempts,
-        )?;
-        Ok(self.record_receipt(owner, keys, chain.epoch(), cloaked))
+            &keyed,
+            &mut CloakScratch::new(),
+        )
     }
 
     /// Like [`anonymize_owner`](Self::anonymize_owner) with the request's
@@ -572,6 +548,28 @@ impl AnonymizerService {
         }
     }
 
+    /// Draws one request's randomness from `rng` — 256 bits of
+    /// chain-genesis entropy, then the nonce — ratchets `owner`'s chain
+    /// and derives the new epoch's level keys for `profile` (or the
+    /// default profile). A chain advance that could not be journaled
+    /// yields its [`CloakError::Persistence`] instead of keys.
+    fn draw_keys<R: Rng + ?Sized>(
+        &self,
+        owner: &str,
+        profile: Option<&PrivacyProfile>,
+        rng: &mut R,
+    ) -> KeyedRequest {
+        let profile = profile.unwrap_or(&self.config.default_profile);
+        let entropy = Key256::generate(rng);
+        let nonce: u64 = rng.gen();
+        let chain = self.advance_chain(owner, entropy)?;
+        Ok((
+            chain.level_keys(profile.level_count()),
+            nonce,
+            chain.epoch(),
+        ))
+    }
+
     /// The sequential chain pre-pass of a batch: ratchets every request's
     /// owner chain **in request order** and captures that request's
     /// `(keys, nonce, epoch)`. Running this before any parallel dispatch
@@ -579,32 +577,53 @@ impl AnonymizerService {
     /// epoch an owner's n-th request gets must not depend on worker
     /// scheduling. A request whose chain advance could not be journaled
     /// carries its [`CloakError::Persistence`] instead of keys: it never
-    /// reaches the cloak core and no receipt is issued for it.
+    /// reaches the cloak and no receipt is issued for it.
     pub(crate) fn derive_batch_keys(&self, requests: &[AnonymizeRequest]) -> Vec<KeyedRequest> {
         requests
             .iter()
             .map(|r| {
-                let mut rng = StdRng::seed_from_u64(r.seed);
-                let profile = r.profile.as_ref().unwrap_or(&self.config.default_profile);
-                let entropy = Key256::generate(&mut rng);
-                let nonce: u64 = rng.gen();
-                let chain = self.advance_chain(&r.owner, entropy)?;
-                Ok((
-                    chain.level_keys(profile.level_count()),
-                    nonce,
-                    chain.epoch(),
-                ))
+                self.draw_keys(
+                    &r.owner,
+                    r.profile.as_ref(),
+                    &mut StdRng::seed_from_u64(r.seed),
+                )
             })
             .collect()
     }
 
-    /// The owner-batched core behind
-    /// [`anonymize_batch`](Self::anonymize_batch): cloaks a run of
-    /// requests against `snapshot`, the handle the caller took once for
-    /// its whole batch, through [`cloak::anonymize_batch_with_scratch`],
-    /// so the whole run shares one cloaking region, the transition-table
-    /// rows/columns, and the structure-of-arrays round/hint arenas.
-    /// `keyed` is the run's slice of the
+    /// The one cloak step every request goes through: turns a keyed
+    /// request into a receipt. A persistence error from the key draw
+    /// passes straight through; otherwise the owner's segment is cloaked
+    /// against `snapshot` with the worker's `scratch` and the receipt is
+    /// recorded.
+    fn issue_keyed(
+        &self,
+        snapshot: &OccupancySnapshot,
+        owner: &str,
+        segment: SegmentId,
+        profile: Option<&PrivacyProfile>,
+        keyed: &KeyedRequest,
+        scratch: &mut CloakScratch,
+    ) -> Result<AnonymizeReceipt, CloakError> {
+        let (keys, nonce, epoch) = keyed.as_ref().map_err(Clone::clone)?;
+        let key_vec: Vec<Key256> = keys.iter().map(|(_, k)| k).collect();
+        let cloaked = anonymize_with_retry_scratch(
+            &self.net,
+            snapshot,
+            segment,
+            profile.unwrap_or(&self.config.default_profile),
+            &key_vec,
+            *nonce,
+            self.engine.as_dyn(),
+            self.config.max_attempts,
+            scratch,
+        )?;
+        Ok(self.record_receipt(owner, keys.clone(), *epoch, cloaked))
+    }
+
+    /// Cloaks a run of requests against `snapshot`, the handle the caller
+    /// took once for its whole batch, one request after another through
+    /// the worker's `scratch`. `keyed` is the run's slice of the
     /// [`derive_batch_keys`](Self::derive_batch_keys) pre-pass, so
     /// receipts are bit-identical to the sequential path.
     pub(crate) fn anonymize_run_keyed(
@@ -612,59 +631,21 @@ impl AnonymizerService {
         snapshot: &OccupancySnapshot,
         requests: &[AnonymizeRequest],
         keyed: &[KeyedRequest],
-        scratch: &mut BatchCloakScratch,
+        scratch: &mut CloakScratch,
     ) -> Vec<Result<AnonymizeReceipt, CloakError>> {
-        // Requests whose chain advance failed to journal never reach the
-        // cloak core: their slot is pre-filled with the persistence
-        // error, and only the journaled remainder is cloaked.
-        let ok_idx: Vec<usize> = keyed
+        requests
             .iter()
-            .enumerate()
-            .filter_map(|(i, k)| k.is_ok().then_some(i))
-            .collect();
-        let key_vecs: Vec<Vec<Key256>> = ok_idx
-            .iter()
-            .map(|&i| {
-                let (keys, _, _) = keyed[i].as_ref().expect("ok_idx holds only Ok entries");
-                keys.iter().map(|(_, k)| k).collect()
+            .zip(keyed)
+            .map(|(r, keyed)| {
+                self.issue_keyed(
+                    snapshot,
+                    &r.owner,
+                    r.segment,
+                    r.profile.as_ref(),
+                    keyed,
+                    scratch,
+                )
             })
-            .collect();
-        let items: Vec<BatchCloakItem<'_>> = ok_idx
-            .iter()
-            .zip(&key_vecs)
-            .map(|(&i, kv)| {
-                let r = &requests[i];
-                let &(_, nonce, _) = keyed[i].as_ref().expect("ok_idx holds only Ok entries");
-                BatchCloakItem {
-                    segment: r.segment,
-                    profile: r.profile.as_ref().unwrap_or(&self.config.default_profile),
-                    keys: kv,
-                    nonce,
-                    max_attempts: self.config.max_attempts,
-                }
-            })
-            .collect();
-        let outcomes = anonymize_batch_with_scratch(
-            &self.net,
-            snapshot,
-            &items,
-            self.engine.as_dyn(),
-            scratch,
-        );
-        drop(items);
-        let mut slots: Vec<Option<Result<AnonymizeReceipt, CloakError>>> = keyed
-            .iter()
-            .map(|k| k.as_ref().err().cloned().map(Err))
-            .collect();
-        for (&i, res) in ok_idx.iter().zip(outcomes) {
-            let (keys, _, epoch) = keyed[i].as_ref().expect("ok_idx holds only Ok entries");
-            slots[i] = Some(res.map(|cloaked| {
-                self.record_receipt(&requests[i].owner, keys.clone(), *epoch, cloaked)
-            }));
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every slot is a pre-filled error or a cloak outcome"))
             .collect()
     }
 
@@ -676,15 +657,13 @@ impl AnonymizerService {
     /// same service state.
     ///
     /// The batch reads the served snapshot once and cloaks every chunk
-    /// against that handle. Each worker drives its chunks through the
-    /// owner-batched core ([`cloak::anonymize_batch_with_scratch`]) with
-    /// one [`BatchCloakScratch`]: the chunk shares one cloaking region
-    /// and the structure-of-arrays round/hint arenas. The scratch is
-    /// built per worker per call, so every call allocates one full-map
-    /// region bitset per worker; owners within the call reset it in
-    /// O(previous region). (The continuous pipeline runs the same keyed
-    /// halves over every shard's batch at once, with scratch it keeps
-    /// across ticks.)
+    /// against that handle. Each worker cloaks its chunks request by
+    /// request, as [`anonymize_owner`](Self::anonymize_owner) does, with
+    /// one [`CloakScratch`]. The scratch is built per worker per call, so
+    /// every call allocates one full-map region bitset per worker;
+    /// requests within the call reset it in O(previous region). (The
+    /// continuous pipeline runs the same keyed halves over every shard's
+    /// batch at once, with scratch it keeps across ticks.)
     ///
     /// [`AnonymizerConfig::batch_parallelism`] sets the worker count
     /// (`0` = all available cores), capped at the request count; the
@@ -703,8 +682,7 @@ impl AnonymizerService {
         let keyed = self.derive_batch_keys(requests);
         let snapshot = self.snapshot();
         let chunk = fanout::chunk_len(requests.len(), workers);
-        let mut scratch: Vec<BatchCloakScratch> =
-            (0..workers).map(|_| BatchCloakScratch::new()).collect();
+        let mut scratch: Vec<CloakScratch> = (0..workers).map(|_| CloakScratch::new()).collect();
         let runs = fanout::fan_out(
             &mut scratch,
             requests.len().div_ceil(chunk),
@@ -988,7 +966,7 @@ mod tests {
             .collect();
         let keyed = s.derive_batch_keys(&requests);
         let snapshot = s.snapshot();
-        let mut scratch = BatchCloakScratch::new();
+        let mut scratch = CloakScratch::new();
         let mut cloak = |i: usize| {
             let run = i..i + 1;
             s.anonymize_run_keyed(&snapshot, &requests[run.clone()], &keyed[run], &mut scratch)

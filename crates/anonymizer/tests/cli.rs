@@ -183,6 +183,33 @@ fn cli_rejects_bad_input() {
     let _ = std::fs::remove_file(map);
 }
 
+/// A level is one byte on the wire and a keyring needs at least one
+/// key, so `keys --levels` outside 1..=255 is a usage error that writes
+/// nothing.
+#[test]
+fn cli_keys_rejects_level_counts_outside_one_to_255() {
+    let ring = tmp("levels-ring.txt");
+    for levels in ["0", "256"] {
+        let out = rcloak()
+            .args(["keys", "--levels", levels, "--seed", "1"])
+            .args(["--out", ring.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--levels {levels}: {stderr}");
+        assert!(stderr.contains("--levels"), "--levels {levels}: {stderr}");
+        assert!(!ring.exists(), "--levels {levels} wrote a keyring");
+    }
+    let out = rcloak()
+        .args(["keys", "--levels", "255", "--seed", "1"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.lines().count(), 255);
+    assert!(stdout.lines().last().unwrap().starts_with("Key255 = "));
+}
+
 #[test]
 fn cli_rejects_generated_cities_below_the_generator_minimum() {
     let min = roadnet::citygen::MIN_CITY_SEGMENTS;

@@ -26,8 +26,7 @@
 //! `pipeline_ticks.rs`).
 
 use cloak::{
-    anonymize_batch_with_scratch, anonymize_with_scratch, BatchCloakItem, BatchCloakScratch,
-    CloakScratch, LevelRequirement, PrivacyProfile, RgeEngine, RpleEngine,
+    anonymize_with_scratch, CloakScratch, LevelRequirement, PrivacyProfile, RgeEngine, RpleEngine,
 };
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use keystream::{derive_key, DrawStream, Key256, KeyManager};
@@ -119,88 +118,6 @@ fn bench_single_cloak(c: &mut Criterion) {
                     engine,
                     &mut scratch,
                 )
-            })
-        });
-    }
-    group.finish();
-}
-
-/// The PR 6 owner-batched cells: cloak a 16-owner population of one
-/// snapshot through a single `anonymize_batch_with_scratch` call
-/// (shared table state, structure-of-arrays round/hint arenas) vs the
-/// per-owner `anonymize_with_scratch` loop. Receipts are bit-identical
-/// (property-tested in `crates/cloak/tests/batch_prop.rs`), so the
-/// delta is pure shared-state reuse and arena locality.
-fn bench_batch_cloak(c: &mut Criterion) {
-    let (net, snapshot, profile, _) = cloak_world();
-    let rge = RgeEngine::new();
-    let rple = RpleEngine::build(&net, 12);
-    const OWNERS: u64 = 16;
-    let key_vecs: Vec<Vec<Key256>> = (0..OWNERS)
-        .map(|i| {
-            KeyManager::from_seed(2, 100 + i)
-                .iter()
-                .map(|(_, k)| k)
-                .collect()
-        })
-        .collect();
-    let segments: Vec<SegmentId> = (0..OWNERS as u32).map(|i| SegmentId(60 + i * 7)).collect();
-    let mut group = c.benchmark_group("batch_cloak");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(200));
-    group.measurement_time(std::time::Duration::from_secs(1));
-    for (label, engine) in [
-        ("rge", &rge as &dyn cloak::ReversibleEngine),
-        ("rple", &rple),
-    ] {
-        let mut scratch = CloakScratch::new();
-        let mut nonce = 0u64;
-        group.bench_with_input(BenchmarkId::new(label, "per_owner"), &(), |b, ()| {
-            b.iter(|| {
-                nonce += 1;
-                let mut ok = 0usize;
-                for (seg, keys) in segments.iter().zip(&key_vecs) {
-                    ok += usize::from(
-                        anonymize_with_scratch(
-                            &net,
-                            &snapshot,
-                            *seg,
-                            &profile,
-                            keys,
-                            nonce,
-                            engine,
-                            &mut scratch,
-                        )
-                        .is_ok(),
-                    );
-                }
-                black_box(ok)
-            })
-        });
-        let mut batch_scratch = BatchCloakScratch::new();
-        let mut nonce = 0u64;
-        group.bench_with_input(BenchmarkId::new(label, "batched"), &(), |b, ()| {
-            b.iter(|| {
-                nonce += 1;
-                let items: Vec<BatchCloakItem<'_>> = segments
-                    .iter()
-                    .zip(&key_vecs)
-                    .map(|(seg, keys)| BatchCloakItem {
-                        segment: *seg,
-                        profile: &profile,
-                        keys,
-                        nonce,
-                        max_attempts: 1,
-                    })
-                    .collect();
-                let results = anonymize_batch_with_scratch(
-                    &net,
-                    &snapshot,
-                    &items,
-                    engine,
-                    &mut batch_scratch,
-                );
-                black_box(results.iter().filter(|r| r.is_ok()).count())
             })
         });
     }
@@ -363,7 +280,6 @@ criterion_group!(
     benches,
     bench_adjacency,
     bench_single_cloak,
-    bench_batch_cloak,
     bench_lbs_nearest,
     bench_lbs_indexed_vs_reference,
     bench_keyed_draw

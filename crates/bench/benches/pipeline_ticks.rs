@@ -113,8 +113,9 @@ fn write_json_point() {
         (EngineChoice::Rple { t_len: 12 }, "rple"),
     ] {
         // (mode name, verify, attack leg): the `attacked` cells price a
-        // tick with the full adversary + NRE control riding along — the
-        // configuration the owner-batched core accelerates most.
+        // tick with the full adversary + NRE control riding along, both
+        // set up once per tick for the whole population
+        // (`TemporalAdversary::begin_tick_population`).
         for (mode, verify, attack) in [
             ("raw", false, false),
             ("verified", true, false),

@@ -53,12 +53,18 @@
 //!
 //! ## Pooled entry points
 //!
-//! [`anonymize`] and [`deanonymize`] allocate their working buffers per
-//! call. On a serving hot path, thread a [`CloakScratch`] through the
-//! `*_with_scratch` variants instead: the buffers grow to the workload's
-//! high-water mark once and every further cloak is allocation-free at
-//! steady state. Scratch is plain state — any scratch, including a fresh
-//! one, yields bit-identical results.
+//! Each operation has one convenience form, which allocates its working
+//! buffers per call, and one form that takes a caller-owned
+//! [`CloakScratch`]: [`anonymize`] / [`anonymize_with_scratch`],
+//! [`anonymize_with_retry`] / [`anonymize_with_retry_scratch`], and
+//! [`deanonymize`] / [`deanonymize_with_scratch`]. On a serving hot
+//! path, keep one scratch per worker and thread it through the scratch
+//! forms: the buffers grow to the workload's high-water mark once and
+//! every further cloak is allocation-free at steady state. Scratch is
+//! plain state — any scratch, including a fresh one or one a failed
+//! request left behind, yields bit-identical results. The anonymizer
+//! service cloaks every request, batched or not, through
+//! [`anonymize_with_retry_scratch`] with a kept scratch.
 //!
 //! ```
 //! use cloak::{
@@ -137,14 +143,13 @@ pub use engine::{HintStack, ReversibleEngine, RgeEngine, RpleEngine, StepAccept,
 pub use error::{CloakError, DeanonError, DecodeError, StepFailure};
 pub use metrics::{QualitySummary, RegionQuality, SuccessRate};
 pub use multilevel::{
-    ambiguity_profile, anonymize, anonymize_batch_with_scratch, anonymize_with_retry,
-    anonymize_with_retry_scratch, anonymize_with_scratch, deanonymize, deanonymize_with_scratch,
-    AmbiguityReport, AnonymizationOutcome, BatchCloakItem, DeanonymizedView, LevelStats,
-    MAX_STEPS_PER_LEVEL,
+    ambiguity_profile, anonymize, anonymize_with_retry, anonymize_with_retry_scratch,
+    anonymize_with_scratch, deanonymize, deanonymize_with_scratch, AmbiguityReport,
+    AnonymizationOutcome, DeanonymizedView, LevelStats, MAX_STEPS_PER_LEVEL,
 };
 pub use payload::{CloakPayload, LevelMeta};
 pub use preassign::PreassignedTables;
 pub use profile::{LevelRequirement, PrivacyProfile, PrivacyProfileBuilder, SpatialTolerance};
 pub use region::RegionState;
-pub use scratch::{BatchCloakScratch, CloakScratch, StepScratch};
+pub use scratch::{CloakScratch, StepScratch};
 pub use table::{TableView, TransitionTable};

@@ -14,7 +14,7 @@ use crate::error::{CloakError, DeanonError};
 use crate::payload::{CloakPayload, LevelMeta};
 use crate::profile::PrivacyProfile;
 use crate::region::RegionState;
-use crate::scratch::{BatchCloakScratch, CloakScratch, StepScratch};
+use crate::scratch::CloakScratch;
 use keystream::{tag, DrawStream, Key256, Level};
 use mobisim::OccupancySnapshot;
 use roadnet::{RoadNetwork, SegmentId};
@@ -168,56 +168,6 @@ pub fn anonymize_with_scratch(
     engine: &dyn ReversibleEngine,
     scratch: &mut CloakScratch,
 ) -> Result<AnonymizationOutcome, CloakError> {
-    let CloakScratch {
-        region,
-        step,
-        ctx,
-        rounds,
-        hints,
-    } = scratch;
-    rounds.clear();
-    hints.clear();
-    anonymize_core(
-        net,
-        snapshot,
-        user_segment,
-        profile,
-        keys,
-        nonce,
-        engine,
-        region,
-        step,
-        ctx,
-        rounds,
-        hints,
-    )
-}
-
-/// The shared cloaking core behind [`anonymize_with_scratch`] and
-/// [`anonymize_batch_with_scratch`].
-///
-/// `rounds` and `hints` are **append-only arenas**: the core writes this
-/// run's metadata at the current tail (offsets `r0`/`h0`) and reads it
-/// back as slices, so a batch can lay many owners' lanes out
-/// contiguously while the single-owner wrapper simply clears first.
-/// Every keyed draw, tag, and encrypted word is computed from the same
-/// inputs in the same order regardless of the arena offset, so results
-/// are bit-identical across entry points.
-#[allow(clippy::too_many_arguments)]
-fn anonymize_core(
-    net: &RoadNetwork,
-    snapshot: &OccupancySnapshot,
-    user_segment: SegmentId,
-    profile: &PrivacyProfile,
-    keys: &[Key256],
-    nonce: u64,
-    engine: &dyn ReversibleEngine,
-    region: &mut RegionState,
-    step: &mut StepScratch,
-    ctx: &mut Vec<u8>,
-    rounds: &mut Vec<u32>,
-    hints: &mut Vec<u32>,
-) -> Result<AnonymizationOutcome, CloakError> {
     if keys.len() != profile.level_count() {
         return Err(CloakError::KeyCountMismatch {
             expected: profile.level_count(),
@@ -227,6 +177,13 @@ fn anonymize_core(
     if net.get_segment(user_segment).is_none() {
         return Err(CloakError::UnknownSegment(user_segment));
     }
+    let CloakScratch {
+        region,
+        step,
+        ctx,
+        rounds,
+        hints,
+    } = scratch;
     let algorithm = engine.algorithm_id();
     region.reset_for(net);
     region.insert(net, user_segment);
@@ -241,8 +198,8 @@ fn anonymize_core(
         let mut added = 0u32;
         let mut draws = 0u32;
         let mut voided = 0u32;
-        let r0 = rounds.len();
-        let h0 = hints.len();
+        rounds.clear();
+        hints.clear();
         steps_context_into(ctx, algorithm, level, nonce);
         let step_base = DrawStream::new(key, ctx);
         while region.users(snapshot) < req.k as u64 || region.len() < req.l as usize {
@@ -270,8 +227,8 @@ fn anonymize_core(
         }
         tag_context_into(ctx, level, nonce);
         let tag = tag::compute(key, ctx, &last.0.to_le_bytes());
-        let enc_rounds = xor_lane(&step_base, ROUNDS_LANE, &rounds[r0..]);
-        let enc_hints = xor_lane(&step_base, HINTS_LANE, &hints[h0..]);
+        let enc_rounds = xor_lane(&step_base, ROUNDS_LANE, rounds);
+        let enc_hints = xor_lane(&step_base, HINTS_LANE, hints);
         level_metas.push(LevelMeta {
             count: added,
             tag,
@@ -300,124 +257,6 @@ fn anonymize_core(
         chain,
         per_level,
     })
-}
-
-/// One owner of a batch handed to [`anonymize_batch_with_scratch`]: the
-/// per-owner inputs of [`anonymize_with_retry`], borrowed rather than
-/// owned so a service can build the batch without cloning profiles or
-/// key material.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchCloakItem<'a> {
-    /// The owner's true segment (the seed `c_0`).
-    pub segment: SegmentId,
-    /// The owner's privacy profile.
-    pub profile: &'a PrivacyProfile,
-    /// Level keys, `keys[i-1]` driving level `Li`.
-    pub keys: &'a [Key256],
-    /// The request nonce (retries derive fresh nonces from it).
-    pub nonce: u64,
-    /// Retry budget for dead-ended walks (clamped to at least 1).
-    pub max_attempts: u32,
-}
-
-/// Grows k-anonymity regions for **many owners of one snapshot** in a
-/// single pass over shared scratch state — the owner-batched form of
-/// [`anonymize_with_retry_scratch`].
-///
-/// All owners share one [`RegionState`] (reset per owner, which clears
-/// only the previous owner's members), one engine [`StepScratch`]
-/// (the table rows/columns every expansion walks over), and one pair of
-/// structure-of-arrays metadata arenas: each owner's per-level round and
-/// hint words land in a contiguous lane of a shared row-major `u32`
-/// arena, so the encrypt sweeps run over flat lanes the compiler can
-/// autovectorize instead of per-owner re-walks.
-///
-/// Returns one result per item, in item order. Each result carries the
-/// outcome and the number of attempts used, exactly as
-/// [`anonymize_with_retry`] would have produced for that owner alone:
-/// batching is a layout change, never a semantics change — receipts are
-/// bit-identical to the single-owner path.
-pub fn anonymize_batch_with_scratch(
-    net: &RoadNetwork,
-    snapshot: &OccupancySnapshot,
-    items: &[BatchCloakItem<'_>],
-    engine: &dyn ReversibleEngine,
-    scratch: &mut BatchCloakScratch,
-) -> Vec<Result<(AnonymizationOutcome, u32), CloakError>> {
-    let BatchCloakScratch {
-        region,
-        step,
-        ctx,
-        rounds,
-        hints,
-        lanes,
-    } = scratch;
-    rounds.clear();
-    hints.clear();
-    lanes.clear();
-    let mut results = Vec::with_capacity(items.len());
-    for item in items {
-        let r0 = rounds.len();
-        let h0 = hints.len();
-        let mut last_err = None;
-        let mut outcome = None;
-        for attempt in 0..item.max_attempts.max(1) {
-            let derived = item
-                .nonce
-                .wrapping_add((attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            match anonymize_core(
-                net,
-                snapshot,
-                item.segment,
-                item.profile,
-                item.keys,
-                derived,
-                engine,
-                region,
-                step,
-                ctx,
-                rounds,
-                hints,
-            ) {
-                Ok(out) => {
-                    outcome = Some(Ok((out, attempt + 1)));
-                    break;
-                }
-                Err(e) => {
-                    // A failed walk leaves partial lanes behind; rewind
-                    // the arenas to this owner's lane start so the next
-                    // attempt (or owner) stays contiguous.
-                    rounds.truncate(r0);
-                    hints.truncate(h0);
-                    let retryable = matches!(
-                        e,
-                        CloakError::CloakingFailed {
-                            reason: crate::error::StepFailure::NoCandidates
-                                | crate::error::StepFailure::RedrawBudgetExhausted
-                                | crate::error::StepFailure::Collision,
-                            ..
-                        }
-                    );
-                    if retryable {
-                        last_err = Some(e);
-                    } else {
-                        outcome = Some(Err(e));
-                        break;
-                    }
-                }
-            }
-        }
-        match outcome {
-            Some(result) => {
-                if result.is_ok() {
-                    lanes.push((r0 as u32, h0 as u32));
-                }
-                results.push(result);
-            }
-            None => results.push(Err(last_err.expect("loop ran at least once"))),
-        }
-    }
-    results
 }
 
 /// Like [`anonymize`], but retries under derived nonces when a walk

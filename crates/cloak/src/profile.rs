@@ -168,14 +168,24 @@ impl PrivacyProfileBuilder {
     ///
     /// # Errors
     ///
-    /// Fails when there are no levels, a `k` or `l` is zero, or the
-    /// requirements are not monotonically non-decreasing in `k` (higher
-    /// levels must be at least as anonymous as lower ones).
+    /// Fails when there are no levels or more than 255 (a [`Level`] and
+    /// the wire format's level count are one byte), a `k` or `l` is
+    /// zero, or the requirements are not monotonically non-decreasing in
+    /// `k` (higher levels must be at least as anonymous as lower ones).
+    ///
+    /// [`Level`]: keystream::Level
     pub fn build(self) -> Result<PrivacyProfile, CloakError> {
         if self.levels.is_empty() {
             return Err(CloakError::InvalidProfile(
                 "profile needs at least one level".into(),
             ));
+        }
+        if self.levels.len() > u8::MAX as usize {
+            return Err(CloakError::InvalidProfile(format!(
+                "{} levels exceed the maximum of {}",
+                self.levels.len(),
+                u8::MAX
+            )));
         }
         for (i, req) in self.levels.iter().enumerate() {
             if req.k == 0 {
@@ -235,6 +245,20 @@ mod tests {
             .level(LevelRequirement::with_k(5))
             .build()
             .is_ok());
+    }
+
+    #[test]
+    fn at_most_255_levels_build() {
+        let levels = |n: usize| {
+            (0..n).fold(PrivacyProfile::builder(), |b, _| {
+                b.level(LevelRequirement::with_k(2))
+            })
+        };
+        assert_eq!(levels(255).build().unwrap().level_count(), 255);
+        assert!(matches!(
+            levels(256).build(),
+            Err(CloakError::InvalidProfile(_))
+        ));
     }
 
     #[test]

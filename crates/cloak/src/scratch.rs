@@ -123,54 +123,6 @@ impl CloakScratch {
     }
 }
 
-/// Buffers for growing k-anonymity regions for **many owners of one
-/// snapshot** in a single pass
-/// ([`crate::multilevel::anonymize_batch_with_scratch`]).
-///
-/// The shared per-step state (region, table rows/columns, dedup
-/// stamps) is reused across every owner in the batch, and the per-level
-/// round/hint metadata is laid out structure-of-arrays: one contiguous
-/// row-major `u32` arena per kind, with `lanes` recording each owner's
-/// `(offset, len)` row. The inner encrypt/decrypt sweeps then run over
-/// contiguous lanes instead of per-owner re-walks, which keeps them
-/// autovectorizable.
-///
-/// Same reuse contract as [`CloakScratch`]: plain state, any scratch
-/// yields bit-identical results, one scratch per worker thread.
-#[derive(Debug, Clone, Default)]
-pub struct BatchCloakScratch {
-    /// The evolving cloaking region, shared across the batch. It is
-    /// reset per owner, which clears only the previous owner's members;
-    /// the full-map bitset is allocated once per scratch and resized
-    /// only when the network's segment count changes.
-    pub(crate) region: RegionState,
-    /// Engine per-step buffers — the shared table rows/columns every
-    /// owner's expansion walks over.
-    pub(crate) step: StepScratch,
-    /// Context bytes for deriving keyed streams.
-    pub(crate) ctx: Vec<u8>,
-    /// Owner-major contiguous arena of plain per-step accepting rounds.
-    pub(crate) rounds: Vec<u32>,
-    /// Owner-major contiguous arena of plain quotient hints.
-    pub(crate) hints: Vec<u32>,
-    /// Each successfully cloaked owner's `(rounds, hints)` lane starts —
-    /// the row index of the structure-of-arrays layout.
-    pub(crate) lanes: Vec<(u32, u32)>,
-}
-
-impl BatchCloakScratch {
-    /// A fresh scratch; buffers grow lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Lane starts recorded for the owners cloaked so far in the current
-    /// batch (diagnostics; one entry per successful owner).
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,31 +1,36 @@
-//! Property tests for the owner-batched tick cores: the batched region
-//! growth ([`cloak::anonymize_batch_with_scratch`]) and the batched
-//! adversary evaluation
-//! ([`cloak::attack::temporal::TemporalAdversary::begin_tick_population`])
-//! must be bit-identical to the per-owner paths — for both engines,
-//! every adversary mode, and owner counts of 0, 1, and sizes that are
-//! not a multiple of any SIMD lane width.
+//! Property tests for scratch reuse and the owner-batched adversary.
+//!
+//! * A run of requests cloaked through one reused [`CloakScratch`]
+//!   ([`cloak::anonymize_with_retry_scratch`], the path every service
+//!   request takes) must match a fresh scratch per request, for both
+//!   engines and owner counts of 0, 1 and sizes that are not a multiple
+//!   of any SIMD lane width: no state leaks from one request to the
+//!   next, also after a failed one.
+//! * The batched adversary evaluation
+//!   ([`cloak::attack::temporal::TemporalAdversary::begin_tick_population`])
+//!   must be bit-identical to the per-owner path for every adversary
+//!   mode.
 
 use cloak::attack::temporal::{
     AdversaryConfig, AdversaryMode, Observation, ReplayProbe, TemporalAdversary,
 };
 use cloak::{
-    anonymize_batch_with_scratch, anonymize_with_retry, random_expansion, BatchCloakItem,
-    BatchCloakScratch, LevelRequirement, PrivacyProfile, ReversibleEngine, RgeEngine, RpleEngine,
+    anonymize_with_retry_scratch, random_expansion, CloakError, CloakScratch, LevelRequirement,
+    PrivacyProfile, ReversibleEngine, RgeEngine, RpleEngine, SpatialTolerance,
 };
-use keystream::Key256;
+use keystream::{Key256, Level};
 use mobisim::OccupancySnapshot;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use roadnet::{grid_city, SegmentId};
 
-/// Empty batch, single owner, and two batch sizes that are not a
+/// No request, a single one, and two run lengths that are not a
 /// multiple of any power-of-two lane width.
 const OWNER_COUNTS: &[usize] = &[0, 1, 5, 17];
 
 const MAX_ATTEMPTS: u32 = 4;
 
-fn batch_matches_per_owner(engine: &dyn ReversibleEngine) {
+fn reused_scratch_matches_fresh(engine: &dyn ReversibleEngine) {
     let net = grid_city(8, 8, 100.0);
     let snapshot = OccupancySnapshot::uniform(net.segment_count(), 1);
     let profile = PrivacyProfile::builder()
@@ -33,64 +38,81 @@ fn batch_matches_per_owner(engine: &dyn ReversibleEngine) {
         .level(LevelRequirement::with_k(9))
         .build()
         .unwrap();
-    let mut scratch = BatchCloakScratch::new();
+    // Grows a few segments, then dead-ends on its tolerance: the walk
+    // fails part-way and leaves its state in the scratch.
+    let cramped = PrivacyProfile::builder()
+        .level(LevelRequirement::with_k(3))
+        .level(LevelRequirement::with_k(30).tolerance(SpatialTolerance::TotalLength(600.0)))
+        .build()
+        .unwrap();
+    let mut scratch = CloakScratch::new();
     for &n in OWNER_COUNTS {
-        let key_vecs: Vec<Vec<Key256>> = (0..n as u64)
-            .map(|i| vec![Key256::from_seed(3 * i), Key256::from_seed(3 * i + 1)])
-            .collect();
-        let items: Vec<BatchCloakItem<'_>> = (0..n)
-            .map(|i| BatchCloakItem {
-                // One mid-batch unknown segment exercises the error path
-                // (and the arena truncation that follows it).
-                segment: if i == 3 {
-                    SegmentId(9999)
-                } else {
-                    SegmentId((i as u32 * 7) % 100)
-                },
-                profile: &profile,
-                keys: &key_vecs[i],
-                nonce: 0xabc ^ i as u64,
-                max_attempts: MAX_ATTEMPTS,
-            })
-            .collect();
-        let batched = anonymize_batch_with_scratch(&net, &snapshot, &items, engine, &mut scratch);
-        assert_eq!(batched.len(), n);
-        for (i, (item, res)) in items.iter().zip(&batched).enumerate() {
-            let solo = anonymize_with_retry(
-                &net,
-                &snapshot,
-                item.segment,
-                &profile,
-                item.keys,
-                item.nonce,
-                engine,
-                MAX_ATTEMPTS,
-            );
-            match (res, solo) {
-                (Ok((out_b, attempts_b)), Ok((out_s, attempts_s))) => {
+        for i in 0..n {
+            // One unknown segment and one walk that fails part-way in the
+            // middle of the run exercise the error paths.
+            let segment = if i == 3 {
+                SegmentId(9999)
+            } else {
+                SegmentId((i as u32 * 7) % 100)
+            };
+            let profile = if i == 2 { &cramped } else { &profile };
+            let keys = [
+                Key256::from_seed(3 * i as u64),
+                Key256::from_seed(3 * i as u64 + 1),
+            ];
+            let nonce = 0xabc ^ i as u64;
+            let cloak = |scratch: &mut CloakScratch| {
+                anonymize_with_retry_scratch(
+                    &net,
+                    &snapshot,
+                    segment,
+                    profile,
+                    &keys,
+                    nonce,
+                    engine,
+                    MAX_ATTEMPTS,
+                    scratch,
+                )
+            };
+            let reused = cloak(&mut scratch);
+            let fresh = cloak(&mut CloakScratch::new());
+            if i == 2 {
+                assert!(
+                    matches!(
+                        reused,
+                        Err(CloakError::CloakingFailed {
+                            level: Level(2),
+                            ..
+                        })
+                    ),
+                    "the cramped walk must fail after growing level 1: {reused:?}"
+                );
+            }
+            match (reused, fresh) {
+                (Ok((out_r, attempts_r)), Ok((out_f, attempts_f))) => {
                     assert_eq!(
-                        out_b.payload.encode(),
-                        out_s.payload.encode(),
-                        "owner {i} of {n}: payload bytes diverge"
+                        out_r.payload.encode(),
+                        out_f.payload.encode(),
+                        "request {i} of {n}: payload bytes diverge"
                     );
-                    assert_eq!(out_b.chain, out_s.chain, "owner {i} of {n}");
-                    assert_eq!(*attempts_b, attempts_s, "owner {i} of {n}");
+                    assert_eq!(out_r.chain, out_f.chain, "request {i} of {n}");
+                    assert_eq!(attempts_r, attempts_f, "request {i} of {n}");
                 }
-                (Err(e_b), Err(e_s)) => assert_eq!(*e_b, e_s, "owner {i} of {n}"),
-                (b, s) => panic!("owner {i} of {n}: batched {b:?} vs per-owner {s:?}"),
+                (Err(e_r), Err(e_f)) => assert_eq!(e_r, e_f, "request {i} of {n}"),
+                (r, f) => panic!("request {i} of {n}: reused {r:?} vs fresh {f:?}"),
             }
         }
     }
 }
 
 #[test]
-fn rge_batch_is_bit_identical_to_per_owner() {
-    batch_matches_per_owner(&RgeEngine::new());
+fn rge_reused_scratch_matches_fresh_scratch() {
+    reused_scratch_matches_fresh(&RgeEngine::new());
 }
 
 #[test]
-fn rple_batch_is_bit_identical_to_per_owner() {
-    batch_matches_per_owner(&RpleEngine::build(&grid_city(8, 8, 100.0), 10));
+fn rple_reused_scratch_matches_fresh_scratch() {
+    reused_scratch_matches_fresh(&RpleEngine::build(&grid_city(8, 8, 100.0), 10));
 }
 
 #[test]

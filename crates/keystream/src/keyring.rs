@@ -144,8 +144,10 @@ pub fn read_keyring<R: BufRead>(r: R) -> Result<KeyManager, KeyringError> {
     }
     entries.sort_by_key(|(l, _)| *l);
     for (i, (l, _)) in entries.iter().enumerate() {
-        let expect = i as u8 + 1;
-        if *l != expect {
+        // Compared in `usize`: a 256th entry expects level 256, which no
+        // `u8` level matches.
+        let expect = i + 1;
+        if *l as usize != expect {
             return Err(KeyringError::BadLevels(format!(
                 "expected level {expect}, found level {l}"
             )));
@@ -219,6 +221,18 @@ mod tests {
         ));
         let dup = format!("level 1 {k}\nlevel 1 {k}\n");
         assert!(read_keyring(dup.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn rejects_a_256th_entry() {
+        let k = Key256::from_seed(1).to_hex();
+        let mut ring: String = (1..=255).map(|l| format!("level {l} {k}\n")).collect();
+        assert_eq!(read_keyring(ring.as_bytes()).unwrap().level_count(), 255);
+        ring.push_str(&format!("level 255 {k}\n"));
+        assert!(matches!(
+            read_keyring(ring.as_bytes()),
+            Err(KeyringError::BadLevels(_))
+        ));
     }
 
     #[test]

@@ -159,7 +159,7 @@ fn captured_grant_survives_recovery_and_ratchet_continues() {
     drop(service); // crash: all in-memory state gone
 
     let recovered =
-        AnonymizerService::recover(net, cfg, Arc::new(FileStore::open(&path).unwrap())).unwrap();
+        AnonymizerService::with_store(net, cfg, Arc::new(FileStore::open(&path).unwrap())).unwrap();
     recovered.update_snapshot(OccupancySnapshot::uniform(
         recovered.network().segment_count(),
         2,
