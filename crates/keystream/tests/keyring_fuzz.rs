@@ -25,20 +25,20 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The lines (header first) of a valid keyring of `levels` levels.
-fn ring_lines(levels: usize, seed: u64) -> Vec<String> {
+/// The lines (header first) of a valid keyring of `levels` levels, as
+/// bytes: mutations need not keep them UTF-8.
+fn ring_lines(levels: usize, seed: u64) -> Vec<Vec<u8>> {
     let mut buf = Vec::new();
     write_keyring(&KeyManager::from_seed(levels, seed), &mut buf).unwrap();
-    String::from_utf8(buf)
-        .unwrap()
-        .lines()
-        .map(str::to_string)
+    buf.split(|&b| b == b'\n')
+        .filter(|line| !line.is_empty())
+        .map(<[u8]>::to_vec)
         .collect()
 }
 
 /// A valid keyring's lines: mostly 1–8 levels, and one seed in four
 /// 250–255 levels, where a few more lines cross the `u8` level range.
-fn corpus_lines(seed: u64) -> Vec<String> {
+fn corpus_lines(seed: u64) -> Vec<Vec<u8>> {
     let mut s = seed;
     let levels = if splitmix(&mut s).is_multiple_of(4) {
         250 + (splitmix(&mut s) % 6) as usize
@@ -52,7 +52,7 @@ fn corpus_lines(seed: u64) -> Vec<String> {
 const HOSTILE_LEVELS: [&str; 5] = ["0", "255", "256", "4294967297", "99999999999999999999999"];
 
 /// Applies one line-level mutation, chosen and placed by `op`.
-fn mutate(lines: &mut Vec<String>, op: u64) {
+fn mutate(lines: &mut Vec<Vec<u8>>, op: u64) {
     if lines.is_empty() {
         return;
     }
@@ -68,23 +68,22 @@ fn mutate(lines: &mut Vec<String>, op: u64) {
         }
         2 => lines.swap(at, other),
         3 => {
-            let mut parts: Vec<&str> = lines[at].split(' ').collect();
+            let mut parts: Vec<&[u8]> = lines[at].split(|&b| b == b' ').collect();
             if parts.len() > 1 {
-                parts[1] = HOSTILE_LEVELS[other % HOSTILE_LEVELS.len()];
+                parts[1] = HOSTILE_LEVELS[other % HOSTILE_LEVELS.len()].as_bytes();
             }
-            lines[at] = parts.join(" ");
+            lines[at] = parts.join(&b' ');
         }
         4 => {
             let cut = other % (lines[at].len() + 1);
             lines[at].truncate(cut);
         }
         _ => {
-            let mut bytes = std::mem::take(&mut lines[at]).into_bytes();
-            if !bytes.is_empty() {
-                let i = other % bytes.len();
-                bytes[i] ^= 1 << ((op >> 4) & 7);
+            let line = &mut lines[at];
+            if !line.is_empty() {
+                let i = other % line.len();
+                line[i] ^= 1 << ((op >> 4) & 7);
             }
-            lines[at] = String::from_utf8_lossy(&bytes).into_owned();
         }
     }
 }
@@ -116,19 +115,19 @@ proptest! {
         for &op in &ops {
             mutate(&mut lines, op);
         }
-        check_accepted(lines.join("\n").as_bytes())?;
+        check_accepted(&lines.join(&b'\n'))?;
     }
 
     /// Any order of a valid keyring's lines reads back the same keys.
     #[test]
     fn shuffled_keyrings_read_back_the_same_keys(seed in any::<u64>(), order in any::<u64>()) {
         let mut lines = corpus_lines(seed);
-        let original = read_keyring(lines.join("\n").as_bytes()).unwrap();
+        let original = read_keyring(lines.join(&b'\n').as_slice()).unwrap();
         let mut s = order;
         for i in (1..lines.len()).rev() {
             lines.swap(i, (splitmix(&mut s) % (i as u64 + 1)) as usize);
         }
-        prop_assert_eq!(read_keyring(lines.join("\n").as_bytes()).unwrap(), original);
+        prop_assert_eq!(read_keyring(lines.join(&b'\n').as_slice()).unwrap(), original);
     }
 
     /// A full 255-level keyring plus copies of its own key lines, some
@@ -144,13 +143,13 @@ proptest! {
         for &e in &extra {
             let mut copy = lines[1 + (e % 255) as usize].clone();
             if (e >> 8).is_multiple_of(2) {
-                let key = copy.rsplit(' ').next().unwrap().to_string();
-                copy = format!("level 255 {key}");
+                let key = copy.rsplit(|&b| b == b' ').next().unwrap();
+                copy = [b"level 255 ", key].concat();
             }
             let at = (e >> 16) as usize % (lines.len() + 1);
             lines.insert(at, copy);
         }
-        prop_assert!(read_keyring(lines.join("\n").as_bytes()).is_err());
+        prop_assert!(read_keyring(lines.join(&b'\n').as_slice()).is_err());
     }
 
     /// Byte-level damage to the whole file: flips anywhere, then a cut
@@ -161,7 +160,7 @@ proptest! {
         flips in proptest::collection::vec(any::<u32>(), 0..6),
         cut in any::<u32>(),
     ) {
-        let mut bytes = corpus_lines(seed).join("\n").into_bytes();
+        let mut bytes = corpus_lines(seed).join(&b'\n');
         for &f in &flips {
             let i = (f >> 3) as usize % bytes.len();
             bytes[i] ^= 1 << (f & 7);
