@@ -40,7 +40,7 @@ pub struct AnonymizerConfig {
     /// different owners; values past the worker count buy little.
     pub shard_count: usize,
     /// Workers for `AnonymizerService::anonymize_batch` and for the
-    /// continuous pipeline's per-tick cloak and verification fan-outs
+    /// continuous pipeline's per-tick cloak and settle fan-outs
     /// (`0` = all available cores, or 1 when they cannot be counted).
     /// The calling thread counts as one of them.
     pub batch_parallelism: usize,

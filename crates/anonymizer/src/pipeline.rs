@@ -50,21 +50,26 @@
 //!   is issued, so epochs stay strictly monotone and grants keep
 //!   working;
 //! * **per-shard stages** — every stage checks a receipt against its
-//!   shard's issuing snapshot. Key derivation, the journal retry ladder,
-//!   fault injection, digest, quality, LBS, verification's checks and
-//!   key fetches, and the attack leg run shard by shard, in shard order.
-//!   A lone shard's digest is its own receipt-stream digest; several
-//!   shards fold theirs in shard order, so sharded digests are their
-//!   own (masked snapshots change occupancy near partition borders);
-//! * **tick fan-outs** — the two costly stages run over the whole
-//!   tick's population at once: one fan-out cloaks every shard's keyed
-//!   requests in `(shard, chunk)` tasks, and one more peels every
-//!   collected receipt for verification. Both use
+//!   shard's issuing snapshot. The key pass, the journal retry ladder,
+//!   fault injection and verification's checks and key fetches run on
+//!   the calling thread in shard order. The report leg (digest, quality,
+//!   LBS) and each attack observer walk the shards in shard order too,
+//!   each inside its own task. A lone shard's digest is its own
+//!   receipt-stream digest; several shards fold theirs in shard order,
+//!   so sharded digests are their own (masked snapshots change occupancy
+//!   near partition borders);
+//! * **tick fan-outs** — two fan-outs run over the whole tick's
+//!   population at once. The cloak fan-out cloaks every shard's keyed
+//!   requests in `(shard, chunk)` tasks. The settle fan-out runs the
+//!   legs first, longest first — the NRE control, the engine adversary,
+//!   the report leg — and then peels every receipt verification
+//!   collected, one task per receipt. Both use
 //!   [`AnonymizerConfig::batch_parallelism`] workers, the calling thread
-//!   among them, and each worker keeps its scratch across ticks.
-//!   Epochs are fixed by the sequential key pass before the cloak
-//!   fan-out starts, and results return in request order, so reports
-//!   are identical at any worker count.
+//!   among them, and each worker keeps its scratch across ticks. A leg's
+//!   state is reached only by its own task. Epochs are fixed by the
+//!   sequential key pass before the cloak fan-out starts, every leg
+//!   writes only its own outputs, and results return in task order, so
+//!   reports are identical at any worker count.
 //!
 //! An optional **attack leg** ([`AttackConfig`], like the LBS leg)
 //! subscribes a keyless [`TemporalAdversary`] to the receipt stream and
@@ -72,8 +77,9 @@
 //! intersection, snapshot correlation, movement-model reachability
 //! pruning — with a non-reversible random-expansion (NRE) control grown
 //! side-by-side from the same true segments as the vulnerable
-//! comparison. Per-tick rollups land in [`TickReport::attack`]; the full
-//! per-owner log is available as [`AttackRecord`]s for CSV export
+//! comparison. One observer watches each stream and owns its adversary
+//! and rollups. Per-tick rollups land in [`TickReport::attack`]; the
+//! full per-owner log is available as [`AttackRecord`]s for CSV export
 //! (`rcloak attack`). The attack leg is observational: it never touches
 //! the receipt stream, so digests are unchanged whether it runs or not.
 //!
@@ -115,8 +121,8 @@ use cloak::attack::temporal::{
     TemporalAdversary,
 };
 use cloak::{
-    random_expansion_with, CloakError, CloakPayload, CloakScratch, ExpansionScratch,
-    PrivacyProfile, QualitySummary, RegionQuality, StepFailure,
+    random_expansion_with, CloakError, CloakPayload, CloakScratch, DeanonError, DeanonymizedView,
+    ExpansionScratch, PrivacyProfile, QualitySummary, RegionQuality, StepFailure,
 };
 use keystream::{ChainStore, JournalError, Key256, Level, MemStore, TrustDegree};
 use lbs::{nearest_query_with, PoiCategory, PoiStore, QueryStats, SearchScratch};
@@ -125,7 +131,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use roadnet::{fanout, RoadNetwork, SegmentId};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// The requester identity the pipeline registers with every tracked
 /// owner to drive its reversibility checks.
@@ -427,10 +434,10 @@ pub struct ContinuousPipeline {
     /// The full-map capture every refresh copies the shards' parts from.
     capture: OccupancySnapshot,
     /// One scratch per worker, kept across ticks (worker 0 is the
-    /// calling thread). The cloak and peel fan-outs share it: they
+    /// calling thread). The cloak and settle fan-outs share it: they
     /// never overlap within a tick.
     scratch: Vec<CloakScratch>,
-    /// Scratch for the per-tick LBS query loop.
+    /// Scratch for the report leg's LBS queries.
     lbs_scratch: SearchScratch,
     /// The continuous adversarial evaluation (attack leg), when on.
     attack: Option<AttackLeg>,
@@ -495,32 +502,51 @@ impl ShardBatch {
     }
 }
 
-/// State of the pipeline's attack leg: one adversary per observed
-/// stream, cumulative rollups, the NRE control's fixed per-owner seeds,
+/// State of the pipeline's attack leg: one observer per watched stream
 /// and (optionally) the full observation log.
 struct AttackLeg {
-    cfg: AttackConfig,
-    engine_label: &'static str,
-    engine_adversary: TemporalAdversary,
-    engine_summary: AttackSummary,
-    baseline_adversary: Option<TemporalAdversary>,
-    baseline_summary: AttackSummary,
+    /// Watches the engine's receipt stream.
+    engine: Observer,
+    /// Watches the NRE control (when [`AttackConfig::baseline`] is on).
+    nre: Option<Observer>,
+    records: Vec<AttackRecord>,
+}
+
+/// One adversary watching one stream of the attack leg. Each observer
+/// runs as its own task of the tick's settle fan-out.
+struct Observer {
+    /// The stream's [`AttackRecord::scheme`].
+    scheme: &'static str,
+    adversary: TemporalAdversary,
+    /// Tracked owners `0..owners` are observed.
+    owners: usize,
+    keep_records: bool,
+    /// Cumulative rollup.
+    summary: AttackSummary,
+    /// This tick's rollup, taken by [`AttackLeg::finish_tick`].
+    tick: AttackSummary,
+    /// This tick's records when kept, one slot per observed receipt
+    /// (`None` where the NRE control failed to grow).
+    tick_records: Vec<Option<AttackRecord>>,
+    /// Wall time inside the adversary's `observe` calls (surfaceable
+    /// through `rcloak attack` without criterion). The NRE's includes
+    /// the replay inversion, the expensive control-only step.
+    observe_time: Duration,
+    /// The NRE control's own state (`None` on the engine stream).
+    control: Option<NreControl>,
+}
+
+/// What the NRE observer grows its control regions from.
+struct NreControl {
     /// Fixed per-owner NRE seeds — fixed across ticks *by design*: the
     /// keyless control has no key to rotate, which is the vulnerability
     /// the replay attack exploits.
-    baseline_seeds: Vec<u64>,
+    seeds: Vec<u64>,
     /// NRE cloaks that failed to grow (availability, not privacy).
-    baseline_failures: usize,
-    records: Vec<AttackRecord>,
-    /// Wall time spent inside the engine adversary's `observe` calls
-    /// (surfaceable through `rcloak attack` without criterion).
-    engine_observe_time: std::time::Duration,
-    /// Wall time inside the NRE adversary's `observe` calls (includes
-    /// the replay inversion — the expensive control-only step).
-    baseline_observe_time: std::time::Duration,
-    /// Pooled buffers for growing the NRE control regions (one scratch
+    failures: usize,
+    /// Pooled buffers for growing the control regions (one scratch
     /// serves every owner of every tick).
-    nre_scratch: ExpansionScratch,
+    scratch: ExpansionScratch,
 }
 
 /// Seed mask of the map partition, mixed into [`PipelineConfig::seed`].
@@ -659,8 +685,8 @@ impl ContinuousPipeline {
                 }
             }
         }
-        let attack = cfg.attack.clone().map(|mut attack_cfg| {
-            attack_cfg.owners = attack_cfg.owners.min(tracked.len());
+        let attack = cfg.attack.as_ref().map(|attack_cfg| {
+            let owners = attack_cfg.owners.min(tracked.len());
             let adversary_cfg = AdversaryConfig {
                 mode: attack_cfg.mode,
                 // A sound movement bound: the fastest simulated car.
@@ -668,31 +694,44 @@ impl ContinuousPipeline {
                 dt: cfg.dt,
                 seed: cfg.seed ^ 0x00ad_5a17,
             };
-            let baseline_seeds = (0..attack_cfg.owners)
-                .map(|i| {
-                    // Public per-owner state (the keyless control has no
-                    // secret): derived from the owner index alone.
-                    crate::service::splitmix64(0x17e_a5ed ^ (i as u64).wrapping_mul(0x100_0003))
-                })
-                .collect();
+            let observer = |scheme, control| Observer {
+                scheme,
+                adversary: TemporalAdversary::new(service.network(), adversary_cfg.clone()),
+                owners,
+                keep_records: attack_cfg.keep_records,
+                summary: AttackSummary::new(),
+                tick: AttackSummary::new(),
+                tick_records: Vec::new(),
+                observe_time: Duration::ZERO,
+                control,
+            };
+            let engine_label = match service.config().engine {
+                crate::config::EngineChoice::Rge => "rge",
+                crate::config::EngineChoice::Rple { .. } => "rple",
+            };
             AttackLeg {
-                engine_label: match service.config().engine {
-                    crate::config::EngineChoice::Rge => "rge",
-                    crate::config::EngineChoice::Rple { .. } => "rple",
-                },
-                engine_adversary: TemporalAdversary::new(service.network(), adversary_cfg.clone()),
-                engine_summary: AttackSummary::new(),
-                baseline_adversary: attack_cfg
-                    .baseline
-                    .then(|| TemporalAdversary::new(service.network(), adversary_cfg)),
-                baseline_summary: AttackSummary::new(),
-                baseline_seeds,
-                baseline_failures: 0,
+                engine: observer(engine_label, None),
+                nre: attack_cfg.baseline.then(|| {
+                    let seeds = (0..owners)
+                        .map(|i| {
+                            // Public per-owner state (the keyless control
+                            // has no secret): derived from the owner index
+                            // alone.
+                            crate::service::splitmix64(
+                                0x17e_a5ed ^ (i as u64).wrapping_mul(0x100_0003),
+                            )
+                        })
+                        .collect();
+                    observer(
+                        "nre",
+                        Some(NreControl {
+                            seeds,
+                            failures: 0,
+                            scratch: ExpansionScratch::new(),
+                        }),
+                    )
+                }),
                 records: Vec::new(),
-                engine_observe_time: std::time::Duration::ZERO,
-                baseline_observe_time: std::time::Duration::ZERO,
-                nre_scratch: ExpansionScratch::new(),
-                cfg: attack_cfg,
             }
         });
         let mut pipeline = ContinuousPipeline {
@@ -779,8 +818,10 @@ impl ContinuousPipeline {
     /// Advances one tick: step traffic, hand boundary-crossing owners to
     /// their new shard, swap the snapshots on cadence, derive every
     /// shard's keys in shard order, cloak the whole tick's requests in
-    /// one fan-out, probe the LBS, and (when configured) verify every
-    /// receipt's invariants against its issuing shard's snapshot.
+    /// one fan-out, then settle them: (when configured) verify every
+    /// receipt's invariants against its issuing shard's snapshot, with
+    /// the report, LBS and attack legs running beside verification's
+    /// peel.
     ///
     /// # Errors
     ///
@@ -850,9 +891,21 @@ impl ContinuousPipeline {
     }
 
     /// Every stage after issue, for the batches [`tick`](Self::tick)
-    /// just issued: the injected crash, the journal retry ladder,
-    /// injected cloak failures, the report (digest, quality, LBS),
-    /// verification and the attack leg.
+    /// just issued, in three steps:
+    ///
+    /// 1. the injected crash, the journal retry ladder and injected
+    ///    cloak failures, in (shard, request) order;
+    /// 2. verification's pass 1 ([`check_issued`](Self::check_issued)),
+    ///    sequential because it registers grants and fetches keys in
+    ///    (shard, receipt) order;
+    /// 3. one fan-out over the kept scratches: first the legs, longest
+    ///    first — the NRE control, the engine adversary, then the report
+    ///    leg ([`record_receipts`]: digest, quality, LBS) — and then one
+    ///    peel task per job pass 1 collected, checked by
+    ///    [`check_peeled`].
+    ///
+    /// The legs run whether or not verification fails, so cumulative
+    /// attack rollups do not depend on where a tick failed.
     fn settle(
         &mut self,
         batches: &mut [ShardBatch],
@@ -952,61 +1005,47 @@ impl ContinuousPipeline {
             attack: None,
             health,
         };
-        let net = self.sim.network();
-        for batch in batches.iter() {
-            let mut digest = FNV_OFFSET;
-            for (i, request, result) in batch.entries() {
-                let Ok(receipt) = result else {
-                    report.failed += 1;
-                    continue;
-                };
-                report.issued += 1;
-                digest = fnv_fold(digest, request.owner.as_bytes());
-                digest = fnv_fold(digest, &receipt.payload.encode());
-                report.quality.record(&RegionQuality::measure(
-                    net,
-                    &batch.issuing,
-                    &self.profile,
-                    &receipt.outcome,
-                ));
-                if let Some(pois) = &self.pois {
-                    if report.issued <= self.cfg.lbs_probes {
-                        // The LBS only ever sees the cloaked region.
-                        let category = PoiCategory::ALL[i % PoiCategory::ALL.len()];
-                        report.lbs.record(&nearest_query_with(
-                            net,
-                            pois,
-                            &receipt.payload.segments,
-                            category,
-                            &mut self.lbs_scratch,
-                        ));
-                    }
-                }
-            }
-            report.shard_digests.push(digest);
-        }
-        report.digest = match report.shard_digests[..] {
-            [only] => only,
-            ref all => all
-                .iter()
-                .fold(FNV_OFFSET, |h, d| fnv_fold(h, &d.to_be_bytes())),
+        let batches = &*batches;
+        let (jobs, pass1_err) = if self.cfg.verify {
+            self.check_issued(batches)
+        } else {
+            (Vec::new(), None)
         };
 
-        let (verified, verify_err) = if self.cfg.verify {
-            self.verify(batches)
-        } else {
-            (0, None)
-        };
+        // The settle fan-out. Each leg's state is reached only by its own
+        // task, through a lock no other task takes, and each leg writes
+        // only its own outputs.
+        let (tick, net, profile) = (self.tick, self.sim.network(), &self.profile);
+        let (pois, lbs_probes) = (self.pois.as_ref(), self.cfg.lbs_probes);
+        let observers: Vec<Mutex<&mut Observer>> = self
+            .attack
+            .iter_mut()
+            .flat_map(|leg| leg.nre.iter_mut().chain([&mut leg.engine]))
+            .map(Mutex::new)
+            .collect();
+        let report_leg = Mutex::new((&mut report, &mut self.lbs_scratch));
+        let legs = observers.len() + 1;
+        let dean = &self.dean;
+        let views = fanout::fan_out(&mut self.scratch, legs + jobs.len(), |scratch, t| {
+            if let Some(observer) = observers.get(t) {
+                let mut observer = observer.lock().expect("only this task locks the observer");
+                observer.observe_tick(net, profile, tick, snapshot_refreshed, batches);
+                None
+            } else if t < legs {
+                let (report, lbs_scratch) =
+                    &mut *report_leg.lock().expect("only this task locks the report");
+                record_receipts(report, batches, net, profile, pois, lbs_probes, lbs_scratch);
+                None
+            } else {
+                let (_, payload, keys) = &jobs[t - legs];
+                Some(dean.reduce_with(payload, keys, scratch))
+            }
+        });
+
+        let (verified, verify_err) =
+            check_peeled(tick, &jobs, views.into_iter().flatten(), pass1_err);
         report.verified = verified;
-        if let Some(leg) = self.attack.as_mut() {
-            report.attack = Some(leg.observe_tick(
-                self.sim.network(),
-                &self.profile,
-                self.tick,
-                snapshot_refreshed,
-                batches,
-            ));
-        }
+        report.attack = self.attack.as_mut().map(AttackLeg::finish_tick);
         match verify_err {
             Some(e) => Err(e),
             None => Ok(report),
@@ -1115,16 +1154,13 @@ impl ContinuousPipeline {
     /// Cumulative attack rollup against the engine's receipt stream
     /// (`None` when the attack leg is off).
     pub fn attack_summary(&self) -> Option<&AttackSummary> {
-        self.attack.as_ref().map(|leg| &leg.engine_summary)
+        self.attack.as_ref().map(|leg| &leg.engine.summary)
     }
 
     /// Cumulative attack rollup against the NRE control stream (`None`
     /// when the leg or the baseline control is off).
     pub fn baseline_attack_summary(&self) -> Option<&AttackSummary> {
-        self.attack
-            .as_ref()
-            .filter(|leg| leg.baseline_adversary.is_some())
-            .map(|leg| &leg.baseline_summary)
+        self.nre_observer().map(|nre| &nre.summary)
     }
 
     /// The full per-owner/per-tick attack log (empty when the leg is off
@@ -1136,7 +1172,9 @@ impl ContinuousPipeline {
     /// NRE control cloaks that failed to grow (availability events of
     /// the baseline, excluded from its privacy rollup).
     pub fn baseline_attack_failures(&self) -> usize {
-        self.attack.as_ref().map_or(0, |leg| leg.baseline_failures)
+        self.nre_observer()
+            .and_then(|nre| nre.control.as_ref())
+            .map_or(0, |control| control.failures)
     }
 
     /// Total wall time spent inside the engine adversary's `observe`
@@ -1144,18 +1182,20 @@ impl ContinuousPipeline {
     /// [`AttackSummary::observations`] for the per-receipt cost —
     /// `rcloak attack` prints exactly that, so index-layer wins show up
     /// in the CLI footer without criterion.
-    pub fn attack_observe_time(&self) -> Option<std::time::Duration> {
-        self.attack.as_ref().map(|leg| leg.engine_observe_time)
+    pub fn attack_observe_time(&self) -> Option<Duration> {
+        self.attack.as_ref().map(|leg| leg.engine.observe_time)
     }
 
     /// Total wall time inside the NRE adversary's `observe` calls,
     /// replay inversion included (`None` when the leg or the control
     /// is off).
-    pub fn baseline_observe_time(&self) -> Option<std::time::Duration> {
-        self.attack
-            .as_ref()
-            .filter(|leg| leg.baseline_adversary.is_some())
-            .map(|leg| leg.baseline_observe_time)
+    pub fn baseline_observe_time(&self) -> Option<Duration> {
+        self.nre_observer().map(|nre| nre.observe_time)
+    }
+
+    /// The attack leg's NRE observer, when the leg and its control are on.
+    fn nre_observer(&self) -> Option<&Observer> {
+        self.attack.as_ref().and_then(|leg| leg.nre.as_ref())
     }
 
     /// Runs `ticks` ticks, collecting one report per tick.
@@ -1169,51 +1209,34 @@ impl ContinuousPipeline {
         (0..ticks).map(|_| self.tick()).collect()
     }
 
-    /// The verification leg over every shard's batch.
-    ///
-    /// Pass 1 walks the issued receipts in (shard, receipt) order,
-    /// checking k-anonymity on the issuing shard's snapshot, region
-    /// membership, and grant preservation, and collects each surviving
-    /// receipt's `(payload, keys)` reduction; it stops at its first
-    /// failure. Pass 2 peels every collected reduction in one fan-out,
-    /// each worker through its own kept [`CloakScratch`], and checks
-    /// exact reversibility in (shard, receipt) order. Every collected
-    /// reduction precedes pass 1's failure, so the reported error is the
-    /// first in (shard, receipt) order on either pass.
-    ///
-    /// Returns `(verified, error)`: the number of receipts preceding the
-    /// first failure that passed both passes, and the failure, if any.
-    fn verify(&mut self, batches: &[ShardBatch]) -> (usize, Option<PipelineError>) {
-        let tick = self.tick;
-        let fail = |owner: &str, what: &str| PipelineError {
-            message: format!("tick {tick}: {owner}: {what}"),
-        };
-
-        // (request, payload, the auditor's fetched keys).
-        type ReduceJob<'a> = (&'a AnonymizeRequest, &'a CloakPayload, Vec<(Level, Key256)>);
-        let mut pass1_err = None;
-        let mut jobs: Vec<ReduceJob<'_>> = Vec::new();
-        'shards: for (shard, batch) in self.shards.iter().zip(batches) {
+    /// Verification's pass 1, in (shard, receipt) order: k-anonymity on
+    /// the issuing shard's snapshot, region membership, and grant
+    /// preservation (the auditor registers at an owner's first cloak,
+    /// then fetches the owner's keys). It stops at its first failure and
+    /// returns the peel jobs of the receipts before it, with the failure.
+    fn check_issued<'b>(
+        &mut self,
+        batches: &'b [ShardBatch],
+    ) -> (Vec<PeelJob<'b>>, Option<PipelineError>) {
+        let k = self.profile.top_requirement().k as u64;
+        let mut jobs = Vec::new();
+        for (shard, batch) in self.shards.iter().zip(batches) {
             for (i, request, result) in batch.entries() {
                 let Ok(receipt) = result else { continue };
                 let owner = &request.owner;
+                let fail = |what: &str| Some(violation(self.tick, owner, what));
 
                 // k-anonymity against the snapshot the receipt was issued
                 // under.
                 let users = batch
                     .issuing
                     .users_in(receipt.payload.segments.iter().copied());
-                let k = self.profile.top_requirement().k as u64;
                 if users < k {
-                    pass1_err = Some(fail(
-                        owner,
-                        &format!("region covers {users} users < k={k} at issue time"),
-                    ));
-                    break 'shards;
+                    let what = format!("region covers {users} users < k={k} at issue time");
+                    return (jobs, fail(&what));
                 }
                 if !receipt.payload.contains(request.segment) {
-                    pass1_err = Some(fail(owner, "region does not contain the owner's segment"));
-                    break 'shards;
+                    return (jobs, fail("region does not contain the owner's segment"));
                 }
 
                 // Grant preservation: the auditor is registered only at the
@@ -1224,69 +1247,145 @@ impl ContinuousPipeline {
                         .service
                         .register_requester(owner, AUDITOR, TrustDegree(10), Level(0))
                     {
-                        pass1_err = Some(fail(
-                            owner,
-                            "owner record missing right after anonymization",
-                        ));
-                        break 'shards;
+                        return (jobs, fail("owner record missing right after anonymization"));
                     }
                     self.registered[i] = true;
                 }
                 match shard.service.fetch_keys(owner, AUDITOR) {
                     Ok(keys) => jobs.push((request, &receipt.payload, keys)),
                     Err(e) => {
-                        pass1_err = Some(fail(
-                            owner,
-                            &format!("grant lost across re-anonymization: {e}"),
-                        ));
-                        break 'shards;
+                        let what = format!("grant lost across re-anonymization: {e}");
+                        return (jobs, fail(&what));
                     }
                 }
             }
         }
-
-        // Exact reversibility through the normal key-fetch path.
-        let dean = &self.dean;
-        let views = fanout::fan_out(&mut self.scratch, jobs.len(), |scratch, j| {
-            let (_, payload, keys) = &jobs[j];
-            dean.reduce_with(payload, keys, scratch)
-        });
-        let mut verified = 0;
-        for ((request, _, _), view) in jobs.iter().zip(views) {
-            match view {
-                Ok(view) if view.segments == [request.segment] => verified += 1,
-                Ok(view) => {
-                    return (
-                        verified,
-                        Some(fail(
-                            &request.owner,
-                            &format!(
-                                "deanonymized to {:?}, expected exactly [{}]",
-                                view.segments, request.segment
-                            ),
-                        )),
-                    );
-                }
-                Err(e) => {
-                    return (
-                        verified,
-                        Some(fail(
-                            &request.owner,
-                            &format!("deanonymization failed: {e}"),
-                        )),
-                    );
-                }
-            }
-        }
-        (verified, pass1_err)
+        (jobs, None)
     }
 }
 
+/// A receipt that passed verification's pass 1: its request, its
+/// payload and the auditor's fetched keys, to be peeled.
+type PeelJob<'a> = (&'a AnonymizeRequest, &'a CloakPayload, Vec<(Level, Key256)>);
+
+/// An invariant violation of `owner`'s receipt at `tick`.
+fn violation(tick: u64, owner: &str, what: &str) -> PipelineError {
+    PipelineError {
+        message: format!("tick {tick}: {owner}: {what}"),
+    }
+}
+
+/// Verification's pass 2: checks each job's peeled view for exact
+/// reversibility, in job order. Returns `(verified, error)`: the jobs
+/// before the first failure, and that failure, else `pass1_err`. Every
+/// job precedes pass 1's failure, so the error is the first in (shard,
+/// receipt) order on either pass.
+fn check_peeled(
+    tick: u64,
+    jobs: &[PeelJob<'_>],
+    views: impl IntoIterator<Item = Result<DeanonymizedView, DeanonError>>,
+    pass1_err: Option<PipelineError>,
+) -> (usize, Option<PipelineError>) {
+    let mut verified = 0;
+    for ((request, _, _), view) in jobs.iter().zip(views) {
+        let what = match view {
+            Ok(view) if view.segments == [request.segment] => {
+                verified += 1;
+                continue;
+            }
+            Ok(view) => format!(
+                "deanonymized to {:?}, expected exactly [{}]",
+                view.segments, request.segment
+            ),
+            Err(e) => format!("deanonymization failed: {e}"),
+        };
+        return (verified, Some(violation(tick, &request.owner, &what)));
+    }
+    (verified, pass1_err)
+}
+
+/// The report leg: each shard's receipt digest, the region-quality
+/// rollup against the issuing snapshots, and LBS nearest-POI queries
+/// over the tick's first `lbs_probes` issued receipts (none without
+/// `pois`).
+fn record_receipts(
+    report: &mut TickReport,
+    batches: &[ShardBatch],
+    net: &RoadNetwork,
+    profile: &PrivacyProfile,
+    pois: Option<&PoiStore>,
+    lbs_probes: usize,
+    lbs_scratch: &mut SearchScratch,
+) {
+    for batch in batches {
+        let mut digest = FNV_OFFSET;
+        for (i, request, result) in batch.entries() {
+            let Ok(receipt) = result else {
+                report.failed += 1;
+                continue;
+            };
+            report.issued += 1;
+            digest = fnv_fold(digest, request.owner.as_bytes());
+            digest = fnv_fold(digest, &receipt.payload.encode());
+            report.quality.record(&RegionQuality::measure(
+                net,
+                &batch.issuing,
+                profile,
+                &receipt.outcome,
+            ));
+            if let Some(pois) = pois {
+                if report.issued <= lbs_probes {
+                    // The LBS only ever sees the cloaked region.
+                    let category = PoiCategory::ALL[i % PoiCategory::ALL.len()];
+                    report.lbs.record(&nearest_query_with(
+                        net,
+                        pois,
+                        &receipt.payload.segments,
+                        category,
+                        lbs_scratch,
+                    ));
+                }
+            }
+        }
+        report.shard_digests.push(digest);
+    }
+    report.digest = match report.shard_digests[..] {
+        [only] => only,
+        ref all => all
+            .iter()
+            .fold(FNV_OFFSET, |h, d| fnv_fold(h, &d.to_be_bytes())),
+    };
+}
+
 impl AttackLeg {
-    /// Observes one tick's receipts, and the NRE control grown from the
-    /// same true segments, shard by shard. It reads public information
-    /// only: region, issuing snapshot, tick — the true segment is passed
-    /// solely for scoring.
+    /// Takes this tick's rollups and appends its records to the log:
+    /// for each observed receipt in (shard, receipt) order, the engine
+    /// record, then the NRE record when the control grew.
+    fn finish_tick(&mut self) -> AttackTickSummary {
+        {
+            let mut nre = self.nre.as_mut().map(|o| o.tick_records.drain(..));
+            for record in self.engine.tick_records.drain(..) {
+                self.records.extend(record);
+                self.records
+                    .extend(nre.as_mut().and_then(Iterator::next).flatten());
+            }
+        }
+        AttackTickSummary {
+            engine: std::mem::replace(&mut self.engine.tick, AttackSummary::new()),
+            baseline: self
+                .nre
+                .as_mut()
+                .map(|o| std::mem::replace(&mut o.tick, AttackSummary::new())),
+        }
+    }
+}
+
+impl Observer {
+    /// Observes one tick's receipts shard by shard, in receipt order: on
+    /// the engine stream their regions, on the NRE stream the control
+    /// grown from each receipt's true segment. It reads public
+    /// information only — region, issuing snapshot, tick — and is passed
+    /// the true segment solely for scoring.
     fn observe_tick(
         &mut self,
         net: &RoadNetwork,
@@ -1294,102 +1393,76 @@ impl AttackLeg {
         tick: u64,
         snapshot_fresh: bool,
         batches: &[ShardBatch],
-    ) -> AttackTickSummary {
-        let mut engine_tick = AttackSummary::new();
-        let mut baseline_tick = AttackSummary::new();
-        let limit = self.cfg.owners;
+    ) {
+        let owners = self.owners;
+        let requirement = profile.top_requirement();
         for batch in batches {
             let issuing = &*batch.issuing;
+            let observed = || batch.entries().filter(|&(i, _, _)| i < owners);
             // A shard's observations share its issuing snapshot: announce
-            // it once, together with the shard's observed owners, so each
+            // it once, together with the shard's observed owners, so the
             // adversary prices the occupancy weighting once and packs
             // their movement-reachability masks into one matrix OR-pass
             // up front (each `observe` below then reads its owner's
             // precomputed row).
-            let observed = || {
-                batch
-                    .entries()
-                    .filter(|&(i, _, _)| i < limit)
-                    .map(|(_, request, _)| request.owner.as_str())
-            };
-            self.engine_adversary
-                .begin_tick_population(issuing, snapshot_fresh, observed());
-            if let Some(baseline_adversary) = self.baseline_adversary.as_mut() {
-                baseline_adversary.begin_tick_population(issuing, snapshot_fresh, observed());
-            }
-            for (i, request, result) in batch.entries() {
-                if i >= limit {
-                    continue;
-                }
+            self.adversary.begin_tick_population(
+                issuing,
+                snapshot_fresh,
+                observed().map(|(_, request, _)| request.owner.as_str()),
+            );
+            for (i, request, result) in observed() {
                 let Ok(receipt) = result else { continue };
-                let observe_start = std::time::Instant::now();
-                let observation = self.engine_adversary.observe(
+                let grown;
+                let (region, replay) = match &mut self.control {
+                    None => (&receipt.payload.segments, None),
+                    Some(control) => {
+                        let seed = control.seeds[i];
+                        match random_expansion_with(
+                            net,
+                            issuing,
+                            request.segment,
+                            requirement,
+                            &mut StdRng::seed_from_u64(seed),
+                            &mut control.scratch,
+                        ) {
+                            Ok(outcome) => {
+                                grown = outcome;
+                                (&grown.segments, Some(ReplayProbe { requirement, seed }))
+                            }
+                            Err(_) => {
+                                control.failures += 1;
+                                if self.keep_records {
+                                    self.tick_records.push(None);
+                                }
+                                continue;
+                            }
+                        }
+                    }
+                };
+                let observe_start = Instant::now();
+                let observation = self.adversary.observe(
                     net,
                     &request.owner,
                     Observation {
                         tick,
-                        region: &receipt.payload.segments,
+                        region,
                         snapshot: issuing,
                         snapshot_fresh,
                     },
-                    None,
+                    replay,
                     Some(request.segment),
                 );
-                self.engine_observe_time += observe_start.elapsed();
-                engine_tick.record(&observation);
-                self.engine_summary.record(&observation);
-                if self.cfg.keep_records {
-                    self.records.push(AttackRecord {
-                        scheme: self.engine_label,
+                self.observe_time += observe_start.elapsed();
+                self.tick.record(&observation);
+                self.summary.record(&observation);
+                if self.keep_records {
+                    self.tick_records.push(Some(AttackRecord {
+                        scheme: self.scheme,
                         owner: request.owner.clone(),
                         observation,
-                    });
-                }
-                let Some(baseline_adversary) = self.baseline_adversary.as_mut() else {
-                    continue;
-                };
-                let requirement = profile.top_requirement();
-                let seed = self.baseline_seeds[i];
-                let mut rng = StdRng::seed_from_u64(seed);
-                let Ok(control) = random_expansion_with(
-                    net,
-                    issuing,
-                    request.segment,
-                    requirement,
-                    &mut rng,
-                    &mut self.nre_scratch,
-                ) else {
-                    self.baseline_failures += 1;
-                    continue;
-                };
-                let observe_start = std::time::Instant::now();
-                let observation = baseline_adversary.observe(
-                    net,
-                    &request.owner,
-                    Observation {
-                        tick,
-                        region: &control.segments,
-                        snapshot: issuing,
-                        snapshot_fresh,
-                    },
-                    Some(ReplayProbe { requirement, seed }),
-                    Some(request.segment),
-                );
-                self.baseline_observe_time += observe_start.elapsed();
-                baseline_tick.record(&observation);
-                self.baseline_summary.record(&observation);
-                if self.cfg.keep_records {
-                    self.records.push(AttackRecord {
-                        scheme: "nre",
-                        owner: request.owner.clone(),
-                        observation,
-                    });
+                    }));
                 }
             }
-        }
-        AttackTickSummary {
-            engine: engine_tick,
-            baseline: self.baseline_adversary.is_some().then_some(baseline_tick),
         }
     }
 }
@@ -1514,7 +1587,9 @@ mod tests {
 
     #[test]
     fn receipt_stream_is_deterministic_across_parallelism() {
-        let reports = |shards: usize, parallelism: usize, fault: Option<FaultPlan>| {
+        // Whole reports, then the attack leg's log, cumulative rollups and
+        // NRE failure count.
+        let run = |shards: usize, parallelism: usize, fault: Option<FaultPlan>| {
             let mut p = ContinuousPipeline::sharded(
                 grid_city(7, 7, 100.0),
                 SimConfig {
@@ -1540,17 +1615,27 @@ mod tests {
                 Arc::new(MemStore::new()),
             )
             .unwrap();
-            p.run(5).unwrap()
+            let reports = p.run(5).unwrap();
+            (
+                reports,
+                p.attack_records().to_vec(),
+                p.attack_summary().cloned(),
+                p.baseline_attack_summary().cloned(),
+                p.baseline_attack_failures(),
+            )
         };
         for shards in [1, 3] {
-            let sequential = reports(shards, 1, None);
+            let sequential = run(shards, 1, None);
+            let (reports, records, ..) = &sequential;
             // Ticks differ from each other (cars moved, fresh seeds).
-            assert_ne!(sequential[0].digest, sequential[1].digest);
-            assert!(sequential.iter().all(|r| r.lbs.queries() > 0));
+            assert_ne!(reports[0].digest, reports[1].digest);
+            assert!(reports.iter().all(|r| r.lbs.queries() > 0));
+            assert!(records.iter().any(|r| r.scheme == "rge"));
+            assert!(records.iter().any(|r| r.scheme == "nre"));
             for parallelism in [2, 3] {
                 assert_eq!(
                     sequential,
-                    reports(shards, parallelism, None),
+                    run(shards, parallelism, None),
                     "{shards} shards, {parallelism} workers"
                 );
             }
@@ -1565,9 +1650,9 @@ mod tests {
             cloak_fail: 0.1,
             ..Default::default()
         };
-        let sequential = reports(3, 1, Some(plan.clone()));
+        let sequential = run(3, 1, Some(plan.clone()));
         let total = |pick: fn(&TickHealth) -> u64| -> u64 {
-            sequential.iter().map(|r| pick(&r.health)).sum()
+            sequential.0.iter().map(|r| pick(&r.health)).sum()
         };
         assert!(total(|h| h.journal_retries) > 0);
         assert!(total(|h| h.snapshot_faults) > 0);
@@ -1575,7 +1660,7 @@ mod tests {
         for parallelism in [2, 3] {
             assert_eq!(
                 sequential,
-                reports(3, parallelism, Some(plan.clone())),
+                run(3, parallelism, Some(plan.clone())),
                 "faulty run, {parallelism} workers"
             );
         }
@@ -1891,6 +1976,106 @@ mod tests {
         assert_eq!(report.issued, 0);
         assert_eq!(report.failed, 4);
         assert_eq!(report.health.injected_cloak_failures, 4);
+    }
+
+    /// Verification as `settle` runs it, with the peels on the calling
+    /// thread: pass 1, then pass 2 over the peeled views.
+    fn verify(
+        p: &mut ContinuousPipeline,
+        batches: &[ShardBatch],
+    ) -> (usize, Option<PipelineError>) {
+        let (jobs, pass1_err) = p.check_issued(batches);
+        let views: Vec<_> = jobs
+            .iter()
+            .map(|(_, payload, keys)| p.dean.reduce_with(payload, keys, &mut CloakScratch::new()))
+            .collect();
+        check_peeled(p.tick, &jobs, views, pass1_err)
+    }
+
+    #[test]
+    fn verification_reports_the_first_failure_in_shard_and_receipt_order() {
+        // The segment a hand-made request claims: the owner's own, another
+        // one of its region (pass 1 passes, the peel lands elsewhere), or
+        // one outside its region (pass 1 fails).
+        #[derive(Clone, Copy, PartialEq)]
+        enum Claim {
+            Own,
+            PeelFails,
+            Pass1Fails,
+        }
+        use Claim::*;
+        let cases = [
+            // A peel failure before a pass-1 failure, then one after it.
+            (
+                [&[Own, Own, PeelFails][..], &[Pass1Fails, Own]],
+                2,
+                "deanonymized to",
+            ),
+            (
+                [&[Own, Pass1Fails][..], &[Own, PeelFails]],
+                1,
+                "region does not contain the owner's segment",
+            ),
+        ];
+        for (layout, verified_before, what) in cases {
+            let mut p = sharded(
+                EngineChoice::Rge,
+                PipelineConfig {
+                    tracked_owners: 8,
+                    lbs_probes: 0,
+                    ..Default::default()
+                },
+                2,
+            );
+            let mut batches = Vec::new();
+            let mut first_failure = None;
+            let mut i = 0;
+            for (shard, claims) in layout.iter().enumerate() {
+                let service = Arc::clone(&p.shards[shard].service);
+                let mut batch = ShardBatch {
+                    requests: Vec::new(),
+                    owners: Vec::new(),
+                    results: Vec::new(),
+                    issuing: service.snapshot(),
+                };
+                for (j, &claim) in claims.iter().enumerate() {
+                    let owner = p.tracked[i].owner.clone();
+                    let segment = p.partition.members(shard)[j * 5];
+                    let receipt = service.anonymize_seeded(&owner, segment, None, 1).unwrap();
+                    let region = &receipt.payload.segments;
+                    let claimed = match claim {
+                        Own => segment,
+                        PeelFails => *region.iter().find(|&&s| s != segment).unwrap(),
+                        Pass1Fails => p
+                            .sim
+                            .network()
+                            .segment_ids()
+                            .find(|s| !region.contains(s))
+                            .unwrap(),
+                    };
+                    if claim != Own && first_failure.is_none() {
+                        first_failure = Some(owner.clone());
+                    }
+                    batch
+                        .requests
+                        .push(AnonymizeRequest::new(owner, claimed, 1));
+                    batch.owners.push(i);
+                    batch.results.push(Ok(receipt));
+                    i += 1;
+                }
+                batches.push(batch);
+            }
+            let (verified, err) = verify(&mut p, &batches);
+            let err = err.expect("a hand-made receipt fails");
+            assert_eq!(verified, verified_before, "{err}");
+            let owner = first_failure.unwrap();
+            assert!(
+                err.message.starts_with(&format!("tick 0: {owner}: {what}")),
+                "{err}"
+            );
+            let settled = p.settle(&mut batches, true, 0, TickHealth::default());
+            assert_eq!(settled.unwrap_err(), err);
+        }
     }
 
     #[test]

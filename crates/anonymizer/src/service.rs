@@ -236,10 +236,10 @@ impl<V> ShardedMap<V> {
     }
 }
 
-/// A request's key draw: its `(keys, nonce, epoch)` once its chain
+/// A request's key draw: its `(tick key, nonce, epoch)` once its chain
 /// advance was journaled, or the persistence error that withheld the
-/// epoch.
-pub(crate) type KeyedRequest = Result<(KeyManager, u64, u64), CloakError>;
+/// epoch. The level keys derive from the tick key in the cloak step.
+pub(crate) type KeyedRequest = Result<(Key256, u64, u64), CloakError>;
 
 /// One anonymization request for [`AnonymizerService::anonymize_batch`].
 ///
@@ -470,7 +470,7 @@ impl AnonymizerService {
         profile: Option<&PrivacyProfile>,
         rng: &mut R,
     ) -> Result<AnonymizeReceipt, CloakError> {
-        let keyed = self.draw_keys(owner, profile, rng);
+        let keyed = self.draw_keys(owner, rng);
         self.issue_keyed(
             &self.snapshot(),
             owner,
@@ -550,29 +550,18 @@ impl AnonymizerService {
 
     /// Draws one request's randomness from `rng` — 256 bits of
     /// chain-genesis entropy, then the nonce — ratchets `owner`'s chain
-    /// and derives the new epoch's level keys for `profile` (or the
-    /// default profile). A chain advance that could not be journaled
-    /// yields its [`CloakError::Persistence`] instead of keys.
-    fn draw_keys<R: Rng + ?Sized>(
-        &self,
-        owner: &str,
-        profile: Option<&PrivacyProfile>,
-        rng: &mut R,
-    ) -> KeyedRequest {
-        let profile = profile.unwrap_or(&self.config.default_profile);
+    /// and takes the new epoch's tick key. A chain advance that could not
+    /// be journaled yields its [`CloakError::Persistence`] instead.
+    fn draw_keys<R: Rng + ?Sized>(&self, owner: &str, rng: &mut R) -> KeyedRequest {
         let entropy = Key256::generate(rng);
         let nonce: u64 = rng.gen();
         let chain = self.advance_chain(owner, entropy)?;
-        Ok((
-            chain.level_keys(profile.level_count()),
-            nonce,
-            chain.epoch(),
-        ))
+        Ok((chain.tick_key(), nonce, chain.epoch()))
     }
 
     /// The sequential chain pre-pass of a batch: ratchets every request's
     /// owner chain **in request order** and captures that request's
-    /// `(keys, nonce, epoch)`. Running this before any parallel dispatch
+    /// `(tick key, nonce, epoch)`. Running this before any parallel dispatch
     /// is what keeps a batch bit-identical to sequential execution — the
     /// epoch an owner's n-th request gets must not depend on worker
     /// scheduling. A request whose chain advance could not be journaled
@@ -581,21 +570,17 @@ impl AnonymizerService {
     pub(crate) fn derive_batch_keys(&self, requests: &[AnonymizeRequest]) -> Vec<KeyedRequest> {
         requests
             .iter()
-            .map(|r| {
-                self.draw_keys(
-                    &r.owner,
-                    r.profile.as_ref(),
-                    &mut StdRng::seed_from_u64(r.seed),
-                )
-            })
+            .map(|r| self.draw_keys(&r.owner, &mut StdRng::seed_from_u64(r.seed)))
             .collect()
     }
 
     /// The one cloak step every request goes through: turns a keyed
     /// request into a receipt. A persistence error from the key draw
-    /// passes straight through; otherwise the owner's segment is cloaked
-    /// against `snapshot` with the worker's `scratch` and the receipt is
-    /// recorded.
+    /// passes straight through; otherwise the epoch's level keys derive
+    /// from its tick key for `profile` (or the default profile), exactly
+    /// as [`ChainState::level_keys`] derives them, the owner's segment is
+    /// cloaked against `snapshot` with the worker's `scratch` and the
+    /// receipt is recorded.
     fn issue_keyed(
         &self,
         snapshot: &OccupancySnapshot,
@@ -605,20 +590,22 @@ impl AnonymizerService {
         keyed: &KeyedRequest,
         scratch: &mut CloakScratch,
     ) -> Result<AnonymizeReceipt, CloakError> {
-        let (keys, nonce, epoch) = keyed.as_ref().map_err(Clone::clone)?;
+        let (tick_key, nonce, epoch) = keyed.as_ref().map_err(Clone::clone)?;
+        let profile = profile.unwrap_or(&self.config.default_profile);
+        let keys = KeyManager::derive(profile.level_count(), *tick_key);
         let key_vec: Vec<Key256> = keys.iter().map(|(_, k)| k).collect();
         let cloaked = anonymize_with_retry_scratch(
             &self.net,
             snapshot,
             segment,
-            profile.unwrap_or(&self.config.default_profile),
+            profile,
             &key_vec,
             *nonce,
             self.engine.as_dyn(),
             self.config.max_attempts,
             scratch,
         )?;
-        Ok(self.record_receipt(owner, keys.clone(), *epoch, cloaked))
+        Ok(self.record_receipt(owner, keys, *epoch, cloaked))
     }
 
     /// Cloaks a run of requests against `snapshot`, the handle the caller

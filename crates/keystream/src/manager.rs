@@ -69,12 +69,22 @@ pub struct KeyManager {
 impl KeyManager {
     /// Creates a manager from explicit per-level keys; `keys[i]` serves
     /// level `i + 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than 255 keys: a [`Level`] is one byte.
     pub fn from_keys(keys: Vec<Key256>) -> Self {
+        check_level_count(keys.len());
         KeyManager { keys }
     }
 
     /// Auto-generates keys for levels `1..=levels`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `levels` exceeds 255: a [`Level`] is one byte.
     pub fn generate<R: rand::Rng + ?Sized>(levels: usize, rng: &mut R) -> Self {
+        check_level_count(levels);
         KeyManager {
             keys: (0..levels).map(|_| Key256::generate(rng)).collect(),
         }
@@ -85,7 +95,12 @@ impl KeyManager {
     /// ([`derive_key`](crate::stream::derive_key)): level `i` gets
     /// `derive_key(master, "rc/level-key/" || i)`. Distinct `(master,
     /// level)` pairs cannot collide short of a sponge collision.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `levels` exceeds 255: a [`Level`] is one byte.
     pub fn derive(levels: usize, master: Key256) -> Self {
+        check_level_count(levels);
         KeyManager {
             keys: (0..levels)
                 .map(|i| {
@@ -104,6 +119,10 @@ impl KeyManager {
     /// as `from_seed(seed * 1_000_003 + i)`, under which distinct
     /// `(seed, level)` pairs could collide by shifting the seed along the
     /// multiplier's modular inverse — see the regression test.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `levels` exceeds 255, as [`derive`](Self::derive) does.
     pub fn from_seed(levels: usize, seed: u64) -> Self {
         Self::derive(levels, Key256::from_seed(seed))
     }
@@ -159,6 +178,17 @@ impl KeyManager {
             .enumerate()
             .map(|(i, &k)| (Level(i as u8 + 1), k))
     }
+}
+
+/// Refuses a key count whose top level a one-byte [`Level`] cannot
+/// number, so [`KeyManager::iter`], [`KeyManager::top_level`] and
+/// [`KeyManager::keys_down_to`] never wrap.
+fn check_level_count(levels: usize) {
+    assert!(
+        levels <= u8::MAX as usize,
+        "a KeyManager holds at most {} levels, got {levels}",
+        u8::MAX
+    );
 }
 
 #[cfg(test)]
@@ -249,6 +279,28 @@ mod tests {
         let mut rng = rand::thread_rng();
         let mgr = KeyManager::generate(5, &mut rng);
         assert_eq!(mgr.level_count(), 5);
+    }
+
+    #[test]
+    fn holds_at_most_255_levels() {
+        let mgr = KeyManager::from_seed(255, 1);
+        assert_eq!(mgr.top_level(), Level(255));
+        assert_eq!(mgr.iter().last().map(|(level, _)| level), Some(Level(255)));
+        assert_eq!(mgr.keys_down_to(Level(0)).unwrap()[0].0, Level(255));
+        let keys: Vec<Key256> = mgr.iter().map(|(_, k)| k).collect();
+        assert_eq!(KeyManager::from_keys(keys), mgr);
+    }
+
+    #[test]
+    #[should_panic(expected = "a KeyManager holds at most 255 levels, got 256")]
+    fn from_seed_refuses_256_levels() {
+        KeyManager::from_seed(256, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a KeyManager holds at most 255 levels, got 256")]
+    fn from_keys_refuses_256_keys() {
+        KeyManager::from_keys(vec![Key256::from_seed(1); 256]);
     }
 
     #[test]

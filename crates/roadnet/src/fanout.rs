@@ -14,8 +14,13 @@
 //!   landmark row;
 //! * `mobisim`'s trip planner, whose route pass routes one chunk of a
 //!   batch's trips per task;
-//! * `anonymizer`'s `AnonymizerService::anonymize_batch`, and the
-//!   continuous pipeline's cloak and peel stages.
+//! * `anonymizer`'s `AnonymizerService::anonymize_batch`;
+//! * the continuous pipeline's cloak stage, one task per chunk of a
+//!   shard's requests;
+//! * the pipeline's settle stage, whose first tasks are the report and
+//!   attack legs, each reaching its own state through a lock no other
+//!   task takes, and whose remaining tasks peel one receipt each for
+//!   verification.
 //!
 //! Each of them sizes itself with [`workers`] and, where it splits a
 //! list, with [`chunk_len`].
