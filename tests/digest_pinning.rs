@@ -29,10 +29,14 @@
 //! into one digest per tick (a lone shard's digest is its own, the
 //! unsharded pins above). It is pinned at 2 and 8 shards on a small
 //! generated city, over enough ticks that trips replanned inside a tick
-//! feed the stream as well as every car's setup trip.
+//! feed the stream as well as every car's setup trip. Two more pins
+//! cover the sharded paths those leave out: a 3-shard run under journal,
+//! snapshot and cloak faults (the journal retry ladder, with its health
+//! totals), and a 4-shard RPLE run (one RPLE engine serving every shard).
 
 use anonymizer::{
-    AnonymizerConfig, ContinuousPipeline, EngineChoice, PipelineConfig, ShardedPipeline,
+    AnonymizerConfig, ContinuousPipeline, EngineChoice, FaultPlan, FaultPolicy, PipelineConfig,
+    ShardedPipeline, TickHealth, TickReport,
 };
 use mobisim::SimConfig;
 use roadnet::{city_map, grid_city};
@@ -105,12 +109,14 @@ fn rple_receipt_stream_matches_the_wire_v2_baseline() {
 
 /// The multi-shard configuration pinned below: an 800-segment generated
 /// city split into `shards` partitions, with `batch_parallelism` fixed
-/// so the stream cannot depend on the host's core count.
-fn sharded(shards: usize) -> ShardedPipeline {
+/// so the stream cannot depend on the host's core count. The retry
+/// budget matters only under a fault plan.
+fn sharded(shards: usize, engine: EngineChoice, fault: Option<FaultPlan>) -> ShardedPipeline {
     ShardedPipeline::new(
         city_map(SHARDED_MAP_SEED, 800),
         sharded_sim_config(),
         AnonymizerConfig {
+            engine,
             batch_parallelism: 2,
             ..Default::default()
         },
@@ -118,6 +124,11 @@ fn sharded(shards: usize) -> ShardedPipeline {
             tracked_owners: 16,
             seed: 0x5_4a2d,
             lbs_probes: 0,
+            fault,
+            fault_policy: FaultPolicy {
+                journal_retries: 8,
+                ..Default::default()
+            },
             ..Default::default()
         },
         shards,
@@ -135,16 +146,27 @@ fn sharded_sim_config() -> SimConfig {
     }
 }
 
-fn sharded_digests(shards: usize) -> Vec<u64> {
-    sharded(shards)
+fn sharded_reports(
+    shards: usize,
+    engine: EngineChoice,
+    fault: Option<FaultPlan>,
+) -> Vec<TickReport> {
+    let reports = sharded(shards, engine, fault)
         .run(SHARDED_TICKS)
-        .expect("pinned configuration verifies cleanly")
-        .iter()
-        .map(|r| {
-            assert_eq!(r.shard_digests.len(), shards);
-            r.digest
-        })
-        .collect()
+        .expect("pinned configuration verifies cleanly");
+    for r in &reports {
+        assert_eq!(r.shard_digests.len(), shards);
+        assert_eq!(r.verified, r.issued);
+    }
+    reports
+}
+
+fn sharded_digests(shards: usize) -> Vec<u64> {
+    digests_of(&sharded_reports(shards, EngineChoice::Rge, None))
+}
+
+fn digests_of(reports: &[TickReport]) -> Vec<u64> {
+    reports.iter().map(|r| r.digest).collect()
 }
 
 /// The sharded pins cover both trip-planning paths: every car's setup
@@ -195,6 +217,71 @@ fn eight_shard_receipt_stream_matches_the_baseline() {
             0x9e1a_25f4_562c_0519,
             0x7661_5b46_01ce_55fc,
             0xa159_691f_38eb_dc27,
+        ]
+    );
+}
+
+/// Journal, snapshot and cloak faults over 3 shards: journal retries
+/// re-derive the receipts the faults withheld, stale snapshots keep
+/// serving, and injected cloak failures drop receipts, all in shard and
+/// request order.
+#[test]
+fn faulty_three_shard_stream_matches_the_baseline() {
+    let reports = sharded_reports(
+        3,
+        EngineChoice::Rge,
+        Some(FaultPlan {
+            seed: 5,
+            journal_write_fail: 0.3,
+            snapshot_capture_fail: 0.3,
+            cloak_fail: 0.1,
+            ..Default::default()
+        }),
+    );
+    let total =
+        |pick: fn(&TickHealth) -> u64| -> u64 { reports.iter().map(|r| pick(&r.health)).sum() };
+    let handoffs: usize = reports.iter().map(|r| r.handoffs).sum();
+    assert_eq!(
+        digests_of(&reports),
+        vec![
+            0xefed_9f84_5a36_bfef,
+            0x930b_b290_ae87_52e6,
+            0x5a85_80f8_ae8d_69fd,
+            0xd8f2_2c2f_2dfe_5453,
+            0xa081_b14e_4b1f_4869,
+            0x84da_7c88_329f_f37e,
+            0x27c4_86cd_d9a3_e54a,
+            0xd439_e991_bcd1_cdb0,
+        ]
+    );
+    // Retries, skips, snapshot faults, injected cloak failures.
+    assert_eq!(
+        [
+            total(|h| h.journal_retries),
+            total(|h| h.journal_skips),
+            total(|h| h.snapshot_faults),
+            total(|h| h.injected_cloak_failures),
+        ],
+        [50, 0, 3, 14]
+    );
+    assert_eq!(handoffs, 13, "owners changed shard during the run");
+}
+
+/// One RPLE engine behind 4 shards.
+#[test]
+fn four_shard_rple_stream_matches_the_baseline() {
+    let reports = sharded_reports(4, EngineChoice::Rple { t_len: 12 }, None);
+    assert_eq!(
+        digests_of(&reports),
+        vec![
+            0xae37_e234_a9a2_4795,
+            0xf52f_3219_6ef4_2322,
+            0x89c3_ecac_f0bd_c0a0,
+            0x6c9f_272a_5c41_42db,
+            0x0dcc_9ed6_66d2_966f,
+            0x3871_b981_02bf_0030,
+            0xbaae_dd04_a219_8892,
+            0x2928_f6b3_75f0_5815,
         ]
     );
 }
