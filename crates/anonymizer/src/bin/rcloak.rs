@@ -48,10 +48,10 @@
 //! reuse). Everywhere a `--map FILE` is accepted, the spec
 //! `city:SEED:SEGMENTS` (e.g. `city:7:100000`) generates a synthetic
 //! city of about that many segments in memory instead; with
-//! `--shards N` the map is partitioned N ways, each shard anonymizes the
-//! owners driving inside it against its own masked snapshot, and owners
-//! migrate between shards at tick boundaries. Per-tick metrics go to
-//! `--out` as CSV (with a `handoffs` column); with `--attack MODE` the
+//! `--shards N` the map is partitioned N ways, owners are anonymized
+//! against the masked snapshot of the part their car is in, and switch
+//! part at the tick boundary after their car crosses. Per-tick metrics
+//! go to `--out` as CSV (with a `handoffs` column); with `--attack MODE` the
 //! attack leg runs alongside and the CSV gains its per-tick rollup
 //! columns (engine stream and NRE control — `--no-baseline` disables
 //! the control and leaves its cells empty).
@@ -78,7 +78,7 @@
 //! for `deanonymize` and **level 1 first** for `anonymize` (matching the
 //! paper's `Key_i` numbering).
 
-use anonymizer::{render_regions, render_svg, Engine, EngineChoice};
+use anonymizer::{render_regions, render_svg, AnonymizerService, Engine, EngineChoice};
 use cloak::{anonymize_with_retry, deanonymize, CloakPayload, LevelRequirement, PrivacyProfile};
 use keystream::{Key256, Level};
 use mobisim::{OccupancySnapshot, SimConfig, Simulation};
@@ -351,7 +351,7 @@ fn cmd_anonymize(opts: &Opts) -> Result<(), String> {
         println!("wrote payload to {path}");
     }
     if let Some(path) = opts.get("svg") {
-        let regions = regions_of(&out);
+        let regions = AnonymizerService::level_regions(&out);
         std::fs::write(path, render_svg(net, &regions, 1000))
             .map_err(|e| format!("write {path}: {e}"))?;
         println!("wrote SVG to {path}");
@@ -378,31 +378,6 @@ fn traffic_snapshot(opts: &Opts, net: RoadNetwork) -> (RoadNetwork, OccupancySna
     sim.run(3, 10.0);
     let snapshot = OccupancySnapshot::capture(&sim);
     (sim.network().share_index(), snapshot)
-}
-
-/// Cumulative level regions from an outcome (seed + per-level spans).
-fn regions_of(out: &cloak::AnonymizationOutcome) -> Vec<(Level, Vec<SegmentId>)> {
-    let chain_set: std::collections::HashSet<_> = out.chain.iter().copied().collect();
-    let seed = out
-        .payload
-        .segments
-        .iter()
-        .copied()
-        .find(|s| !chain_set.contains(s))
-        .expect("seed in region");
-    let mut acc = vec![seed];
-    let mut regions = vec![(Level(0), acc.clone())];
-    let mut cursor = 0;
-    for (i, meta) in out.payload.levels.iter().enumerate() {
-        acc.extend(
-            out.chain[cursor..cursor + meta.count as usize]
-                .iter()
-                .copied(),
-        );
-        cursor += meta.count as usize;
-        regions.push((Level(i as u8 + 1), acc.clone()));
-    }
-    regions
 }
 
 fn cmd_deanonymize(opts: &Opts) -> Result<(), CmdError> {
@@ -445,7 +420,7 @@ fn cmd_deanonymize(opts: &Opts) -> Result<(), CmdError> {
 }
 
 fn cmd_batch(opts: &Opts) -> Result<(), CmdError> {
-    use anonymizer::{AnonymizerConfig, AnonymizerService};
+    use anonymizer::AnonymizerConfig;
 
     let net = load_map(opts)?;
     let input = opts

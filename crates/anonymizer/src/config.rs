@@ -35,10 +35,6 @@ pub struct AnonymizerConfig {
     pub default_profile: PrivacyProfile,
     /// Attempts for dead-ended walks before reporting failure.
     pub max_attempts: u32,
-    /// Shards for the owner-record and requester-registry maps. More
-    /// shards mean less lock contention between concurrent requests for
-    /// different owners; values past the worker count buy little.
-    pub shard_count: usize,
     /// Workers for `AnonymizerService::anonymize_batch` and for the
     /// continuous pipeline's per-tick cloak and settle fan-outs
     /// (`0` = all available cores, or 1 when they cannot be counted).
@@ -59,7 +55,6 @@ impl Default for AnonymizerConfig {
                 .build()
                 .expect("default profile is valid"),
             max_attempts: 8,
-            shard_count: 16,
             batch_parallelism: 0,
         }
     }
@@ -75,7 +70,6 @@ mod tests {
         assert_eq!(cfg.default_profile.level_count(), 3);
         assert_eq!(cfg.engine, EngineChoice::Rge);
         assert!(cfg.max_attempts >= 1);
-        assert!(cfg.shard_count >= 1);
         assert_eq!(cfg.batch_parallelism, 0, "0 means all cores");
     }
 

@@ -17,8 +17,8 @@
 //!   invariant verification, and an optional continuous attack leg
 //!   ([`AttackConfig`]) that scores a keyless temporal adversary
 //!   against the receipt stream, over one map partition or N
-//!   ([`Partition`], owner handoff between shards; see the `pipeline`
-//!   module docs),
+//!   ([`Partition`], each part with its own masked snapshot, all served
+//!   by one service; see the `pipeline` module docs),
 //! * [`tournament`] — the scenario tournament: every engine × every
 //!   adversary (including the adaptive Bayesian tracker) × every
 //!   behavior mix, with per-cell entropy trajectories
@@ -26,8 +26,8 @@
 //! * [`render_ascii`] / [`render_svg()`](fn@render_svg) — the map visualizations (the GUI
 //!   substitute; see DESIGN.md §1).
 //!
-//! The whole anonymize path works from `&self` (sharded record maps, an
-//! `Arc`-swapped snapshot), so services are shared across threads through
+//! The whole anonymize path works from `&self` (hash-split record maps,
+//! an `Arc`-swapped snapshot), so services are shared across threads through
 //! a plain `Arc` — see the `service` module docs for the concurrency
 //! model.
 //!

@@ -6,10 +6,9 @@
 //! the snapshot it was issued under* while remaining exactly reversible.
 //! [`ContinuousPipeline`] closes that loop: each [`tick`] advances a
 //! [`mobisim::Simulation`], recaptures the [`OccupancySnapshot`] on a
-//! configurable cadence and swaps it into the running
-//! [`AnonymizerService`] (the lock-free `RwLock<Arc<_>>` swap, now driven
-//! by real churn instead of a synthetic race), re-anonymizes a tracked
-//! owner population with the keyed halves of
+//! configurable cadence into each shard's masked snapshot,
+//! re-anonymizes a tracked owner population on the one
+//! [`AnonymizerService`] with the keyed halves of
 //! [`AnonymizerService::anonymize_batch`] (chain pre-pass, then a cloak
 //! of each request on its own), feeds the fresh cloaked regions into [`lbs`]
 //! nearest-POI queries, and verifies the per-tick invariants:
@@ -34,21 +33,21 @@
 //!
 //! **Shards.** The tick loop is the same for any shard count. The map is
 //! cut into connected parts ([`Partition`]; one part when unsharded,
-//! N with [`ContinuousPipeline::sharded`]), and each part has its own
-//! service, request buffer and snapshot, all journaling through one
-//! shared [`ChainStore`]:
+//! N with [`ContinuousPipeline::sharded`]). A shard is a part, its
+//! request buffer and its masked snapshot; one [`AnonymizerService`],
+//! journaling through one [`ChainStore`], serves every shard and holds
+//! every owner's chain, record and grants:
 //!
 //! * **masked snapshots** — a refresh captures the simulation once and
-//!   copies each part's occupancy into that shard's reclaimed snapshot
-//!   buffer, which is zero outside the part: a shard sees no user
-//!   outside its partition, and the refresh writes each segment once,
-//!   O(segments) for all shards together;
+//!   copies each part's occupancy into that shard's snapshot, in place,
+//!   which is zero outside the part: a shard sees no user outside its
+//!   partition, and the refresh writes each segment once, O(segments)
+//!   for all shards together;
 //! * **owner handoff** — when a tracked car crosses into another part,
-//!   its owner's chain and record (with its captured grants) migrate
-//!   through [`AnonymizerService::export_owner`] /
-//!   [`AnonymizerService::import_owner`] before any request of the tick
-//!   is issued, so epochs stay strictly monotone and grants keep
-//!   working;
+//!   its owner's requests move to that shard's buffer before any request
+//!   of the tick is issued, and are issued under that shard's snapshot
+//!   from then on. Chain and record stay where they are, so epochs stay
+//!   strictly monotone and grants keep working across any crossing;
 //! * **per-shard stages** — every stage checks a receipt against its
 //!   shard's issuing snapshot. The key pass, the journal retry ladder,
 //!   fault injection and verification's checks and key fetches run on
@@ -319,8 +318,8 @@ pub struct TickReport {
     /// Receipts that passed the full invariant check (equals `issued`
     /// when [`PipelineConfig::verify`] is on).
     pub verified: usize,
-    /// Owners migrated across a partition boundary at this tick's
-    /// boundary, before any request was issued (always 0 unsharded).
+    /// Tracked owners whose car crossed into another shard's part at this
+    /// tick's boundary (always 0 unsharded).
     pub handoffs: usize,
     /// The receipt-stream digest: a lone shard's own digest, otherwise
     /// the FNV fold of [`shard_digests`](Self::shard_digests) in shard
@@ -415,21 +414,21 @@ impl TickReport {
     }
 }
 
-/// Drives a simulation, one [`AnonymizerService`] per map partition and
-/// the LBS query layer as one continuously-running system. See the
-/// module docs for the invariants each tick enforces and for how shards
-/// split the work.
+/// Drives a simulation, one [`AnonymizerService`] for every map
+/// partition and the LBS query layer as one continuously-running system.
+/// See the module docs for the invariants each tick enforces and for how
+/// shards split the work.
 pub struct ContinuousPipeline {
     sim: Simulation,
     partition: Partition,
+    service: Arc<AnonymizerService>,
     shards: Vec<Shard>,
     dean: Deanonymizer,
     profile: PrivacyProfile,
     pois: Option<PoiStore>,
     cfg: PipelineConfig,
     tracked: Vec<TrackedOwner>,
-    /// Whether each tracked owner's auditor grant is registered (the
-    /// grant migrates with the owner's record).
+    /// Whether each tracked owner's auditor grant is registered.
     registered: Vec<bool>,
     /// The full-map capture every refresh copies the shards' parts from.
     capture: OccupancySnapshot,
@@ -453,45 +452,37 @@ pub struct ContinuousPipeline {
     tick: u64,
 }
 
-/// One partition's slice of the pipeline.
+/// One partition's slice of the pipeline: its requests and what they
+/// returned this tick, and its masked snapshot.
 struct Shard {
-    service: Arc<AnonymizerService>,
-    /// Requests of the owners this shard holds, in tracked order. Owner
-    /// strings are cloned only when a handoff changes the shard's
-    /// owners; every other tick rewrites segment and seed in place.
+    /// Requests of the owners driving inside this shard's part, in
+    /// tracked order. Owner strings are cloned only when a handoff
+    /// changes the shard's owners; every other tick rewrites segment and
+    /// seed in place.
     requests: Vec<AnonymizeRequest>,
     /// The tracked-owner index behind each request.
     owners: Vec<usize>,
-    /// Snapshot buffer reclaimed from the previous swap
-    /// (`Arc::try_unwrap`). It is zero outside the shard's part, so a
-    /// refresh writes only the part's members into it.
-    spare_snapshot: Option<OccupancySnapshot>,
+    /// What each request returned this tick, in request order; empty between ticks.
+    results: Vec<Issued>,
+    /// The snapshot this shard's requests are issued and checked under:
+    /// the last refresh's occupancy inside the part, zero outside it.
+    snapshot: OccupancySnapshot,
 }
 
-/// One tracked owner: a simulated car and the shard holding its chain.
+/// One tracked owner: a simulated car and the shard its car is in.
 struct TrackedOwner {
     car: CarId,
     owner: String,
-    /// Shard currently holding the owner's chain and record.
+    /// Shard whose part the car is in as of the current tick boundary.
     shard: usize,
     /// The car's segment as of the current tick boundary.
     segment: SegmentId,
 }
 
-/// One shard's batch of a tick: the shard's requests and their
-/// tracked-owner indices (taken from the shard for the tick), what they
-/// returned, and the snapshot they were issued under.
-struct ShardBatch {
-    requests: Vec<AnonymizeRequest>,
-    owners: Vec<usize>,
-    results: Vec<Issued>,
-    issuing: Arc<OccupancySnapshot>,
-}
-
 /// What the service returned for one request.
 type Issued = Result<AnonymizeReceipt, CloakError>;
 
-impl ShardBatch {
+impl Shard {
     /// `(tracked-owner index, request, result)`, in request order.
     fn entries(&self) -> impl Iterator<Item = (usize, &AnonymizeRequest, &Issued)> {
         self.owners
@@ -599,11 +590,9 @@ impl ContinuousPipeline {
 
     /// Builds the pipeline over `shards` partitions of the map
     /// ([`Partition::grow`], clamped to `[1, segments]`), each with its
-    /// own service; every service journals through `store`, keyed by
-    /// owner, so a migrating owner's chain stays one continuous journal
-    /// entry. Each service replays the whole journal, so construction
-    /// then leaves each tracked owner's chain on the one shard its car is
-    /// in. With one shard this is [`with_store`](Self::with_store).
+    /// own masked snapshot, all served by one service that journals
+    /// through `store` and replays its journal once. With one shard this
+    /// is [`with_store`](Self::with_store).
     ///
     /// # Errors
     ///
@@ -625,7 +614,7 @@ impl ContinuousPipeline {
         let partition = Partition::grow(&net, shards, cfg.seed ^ PARTITION_SEED_MASK);
         let workers = fanout::workers(anon_cfg.batch_parallelism);
         let top_simulated_speed = sim_cfg.speed_range.1;
-        // One graph index for the simulation's trip router and every
+        // One graph index for the simulation's trip router and the
         // service.
         let sim = Simulation::new(net.share_index(), sim_cfg);
         let injector = cfg
@@ -636,22 +625,15 @@ impl ContinuousPipeline {
             Some(inj) => Arc::new(FaultyStore::new(store, Arc::clone(inj))),
             None => store,
         };
+        let service = Arc::new(AnonymizerService::with_store(net, anon_cfg, store)?);
         let shards = (0..partition.shards())
-            .map(|_| {
-                let service = AnonymizerService::with_store(
-                    net.share_index(),
-                    anon_cfg.clone(),
-                    Arc::clone(&store),
-                )?;
-                Ok(Shard {
-                    service: Arc::new(service),
-                    requests: Vec::new(),
-                    owners: Vec::new(),
-                    spare_snapshot: None,
-                })
+            .map(|_| Shard {
+                requests: Vec::new(),
+                owners: Vec::new(),
+                results: Vec::new(),
+                snapshot: OccupancySnapshot::uniform(sim.network().segment_count(), 0),
             })
-            .collect::<Result<Vec<_>, JournalError>>()?;
-        let service = &shards[0].service;
+            .collect();
         let dean = Deanonymizer::new(
             service.network_arc(),
             Engine::build(service.network(), service.config().engine),
@@ -675,16 +657,6 @@ impl ContinuousPipeline {
                 }
             })
             .collect();
-        // Every service replayed the whole journal: keep each tracked
-        // owner's chain only where the owner lives, or a stale copy left
-        // on another shard would still derive every later epoch's keys.
-        for t in &tracked {
-            for (p, shard) in shards.iter().enumerate() {
-                if p != t.shard {
-                    shard.service.export_owner(&t.owner);
-                }
-            }
-        }
         let attack = cfg.attack.as_ref().map(|attack_cfg| {
             let owners = attack_cfg.owners.min(tracked.len());
             let adversary_cfg = AdversaryConfig {
@@ -738,6 +710,7 @@ impl ContinuousPipeline {
             registered: vec![false; tracked.len()],
             sim,
             partition,
+            service,
             shards,
             dean,
             profile,
@@ -758,15 +731,12 @@ impl ContinuousPipeline {
         Ok(pipeline)
     }
 
-    /// The first shard's service — the only one when unsharded
-    /// (snapshot swaps and key fetches are `&self`).
+    /// The one service behind every shard, holding every tracked owner's
+    /// chain, record and grants. The pipeline issues each request under
+    /// its shard's snapshot and never writes the service's own snapshot
+    /// slot, which serves direct callers such as `anonymize_batch`.
     pub fn service(&self) -> Arc<AnonymizerService> {
-        Arc::clone(&self.shards[0].service)
-    }
-
-    /// Every shard's service, in shard order.
-    pub fn services(&self) -> Vec<Arc<AnonymizerService>> {
-        self.shards.iter().map(|s| Arc::clone(&s.service)).collect()
+        Arc::clone(&self.service)
     }
 
     /// Number of shards (1 when unsharded).
@@ -794,13 +764,13 @@ impl ContinuousPipeline {
         self.tracked.len()
     }
 
-    /// Owners migrated across partition boundaries so far.
+    /// Partition-boundary crossings of tracked owners so far.
     pub fn handoffs_total(&self) -> u64 {
         self.handoffs_total
     }
 
-    /// The shard currently holding tracked owner `owner` (`None` when
-    /// untracked).
+    /// The shard whose part tracked owner `owner`'s car is in (`None`
+    /// when untracked).
     pub fn owner_shard(&self, owner: &str) -> Option<usize> {
         self.tracked
             .iter()
@@ -808,15 +778,15 @@ impl ContinuousPipeline {
             .map(|t| t.shard)
     }
 
-    /// Tracked owner `owner`'s current chain epoch, read on the shard
-    /// that holds the owner (`None` when untracked or never anonymized).
+    /// Tracked owner `owner`'s current chain epoch (`None` when untracked
+    /// or never anonymized).
     pub fn owner_epoch(&self, owner: &str) -> Option<u64> {
         self.owner_shard(owner)
-            .and_then(|p| self.shards[p].service.owner_epoch(owner))
+            .and_then(|_| self.service.owner_epoch(owner))
     }
 
     /// Advances one tick: step traffic, hand boundary-crossing owners to
-    /// their new shard, swap the snapshots on cadence, derive every
+    /// their new shard, refresh the snapshots on cadence, derive every
     /// shard's keys in shard order, cloak the whole tick's requests in
     /// one fan-out, then settle them: (when configured) verify every
     /// receipt's invariants against its issuing shard's snapshot, with
@@ -856,41 +826,28 @@ impl ContinuousPipeline {
             self.refresh_snapshots();
         }
 
-        // Each shard's request buffers are taken for the tick so their
-        // borrow does not pin `self` across the later stages; they are
-        // restored below on every path.
-        let mut batches = Vec::with_capacity(self.shards.len());
-        let mut keyed = Vec::with_capacity(self.shards.len());
-        for shard in &mut self.shards {
+        // The shards are taken for the tick so their borrow does not pin
+        // `self` across the later stages; they are restored on every path.
+        let mut shards = std::mem::take(&mut self.shards);
+        let mut keyed = Vec::with_capacity(shards.len());
+        for shard in &mut shards {
             for (request, &i) in shard.requests.iter_mut().zip(&shard.owners) {
                 request.segment = self.tracked[i].segment;
                 request.seed = mix_seed(self.cfg.seed, self.tick, i as u64);
             }
-            // The snapshot every receipt of this batch is issued under;
-            // later swaps must never retroactively invalidate them.
-            let issuing = shard.service.snapshot();
-            let requests = std::mem::take(&mut shard.requests);
             // The chain pre-pass, in shard and request order, so journal
             // appends, epochs and journal-fault coins fall the same way
             // at any worker count.
-            keyed.push(shard.service.derive_batch_keys(&requests));
-            batches.push(ShardBatch {
-                requests,
-                owners: std::mem::take(&mut shard.owners),
-                results: Vec::new(),
-                issuing,
-            });
+            keyed.push(self.service.derive_batch_keys(&shard.requests));
         }
-        self.cloak(&mut batches, &keyed);
-        let report = self.settle(&mut batches, snapshot_refreshed, handoffs, health);
-        for (shard, batch) in self.shards.iter_mut().zip(batches) {
-            shard.requests = batch.requests;
-            shard.owners = batch.owners;
-        }
+        self.cloak(&mut shards, &keyed);
+        let report = self.settle(&mut shards, snapshot_refreshed, handoffs, health);
+        shards.iter_mut().for_each(|s| s.results.clear());
+        self.shards = shards;
         report
     }
 
-    /// Every stage after issue, for the batches [`tick`](Self::tick)
+    /// Every stage after issue, for the shards [`tick`](Self::tick)
     /// just issued, in three steps:
     ///
     /// 1. the injected crash, the journal retry ladder and injected
@@ -908,13 +865,13 @@ impl ContinuousPipeline {
     /// attack rollups do not depend on where a tick failed.
     fn settle(
         &mut self,
-        batches: &mut [ShardBatch],
+        shards: &mut [Shard],
         snapshot_refreshed: bool,
         handoffs: usize,
         mut health: TickHealth,
     ) -> Result<TickReport, PipelineError> {
         // Injected crash between ratchet-advance and receipt-issue: the
-        // batches journaled every owner's advance, but no receipt reaches
+        // key pass journaled every owner's advance, but no receipt reaches
         // the stream. This is exactly the window the write-ahead journal
         // exists for — recovery must resume past the journaled epochs.
         if self
@@ -935,12 +892,14 @@ impl ContinuousPipeline {
         // order: retry with backoff, then skip the owner and count it,
         // then abort once the tick's skip budget is blown. A failed
         // advance never committed the chain, so a successful retry
-        // re-derives the same epoch from the same request seed — the
-        // recovered receipt is bit-identical to the one the fault
-        // suppressed, keeping the stream digest on its fault-free value.
-        let policy = &self.cfg.fault_policy;
-        for (shard, batch) in self.shards.iter().zip(batches.iter_mut()) {
-            for (request, slot) in batch.requests.iter().zip(batch.results.iter_mut()) {
+        // re-derives the same epoch from the same request seed and
+        // cloaks against the shard's snapshot — the recovered
+        // receipt is bit-identical to the one the fault suppressed,
+        // keeping the stream digest on its fault-free value.
+        let (policy, service) = (&self.cfg.fault_policy, &self.service);
+        let scratch = &mut self.scratch[0];
+        for shard in shards.iter_mut() {
+            for (request, slot) in shard.requests.iter().zip(shard.results.iter_mut()) {
                 if !matches!(slot, Err(CloakError::Persistence(_))) {
                     continue;
                 }
@@ -951,12 +910,10 @@ impl ContinuousPipeline {
                         ));
                     }
                     health.journal_retries += 1;
-                    *slot = shard.service.anonymize_seeded(
-                        &request.owner,
-                        request.segment,
-                        request.profile.as_ref(),
-                        request.seed,
-                    );
+                    let one = std::slice::from_ref(request);
+                    let keys = service.derive_batch_keys(one);
+                    let mut run = service.anonymize_run_keyed(&shard.snapshot, one, &keys, scratch);
+                    *slot = run.pop().expect("one request, one result");
                     if !matches!(slot, Err(CloakError::Persistence(_))) {
                         break;
                     }
@@ -979,7 +936,7 @@ impl ContinuousPipeline {
         // if the walk dead-ended — an availability event, counted in
         // both `failed` and the health rollup.
         if let Some(injector) = &self.injector {
-            for slot in batches.iter_mut().flat_map(|b| b.results.iter_mut()) {
+            for slot in shards.iter_mut().flat_map(|s| s.results.iter_mut()) {
                 if slot.is_ok() && injector.cloak_fault() {
                     health.injected_cloak_failures += 1;
                     *slot = Err(CloakError::CloakingFailed {
@@ -999,15 +956,15 @@ impl ContinuousPipeline {
             verified: 0,
             handoffs,
             digest: FNV_OFFSET,
-            shard_digests: Vec::with_capacity(batches.len()),
+            shard_digests: Vec::with_capacity(shards.len()),
             quality: QualitySummary::new(),
             lbs: QueryStats::new(),
             attack: None,
             health,
         };
-        let batches = &*batches;
+        let shards = &*shards;
         let (jobs, pass1_err) = if self.cfg.verify {
-            self.check_issued(batches)
+            self.check_issued(shards)
         } else {
             (Vec::new(), None)
         };
@@ -1029,12 +986,12 @@ impl ContinuousPipeline {
         let views = fanout::fan_out(&mut self.scratch, legs + jobs.len(), |scratch, t| {
             if let Some(observer) = observers.get(t) {
                 let mut observer = observer.lock().expect("only this task locks the observer");
-                observer.observe_tick(net, profile, tick, snapshot_refreshed, batches);
+                observer.observe_tick(net, profile, tick, snapshot_refreshed, shards);
                 None
             } else if t < legs {
                 let (report, lbs_scratch) =
                     &mut *report_leg.lock().expect("only this task locks the report");
-                record_receipts(report, batches, net, profile, pois, lbs_probes, lbs_scratch);
+                record_receipts(report, shards, net, profile, pois, lbs_probes, lbs_scratch);
                 None
             } else {
                 let (_, payload, keys) = &jobs[t - legs];
@@ -1054,46 +1011,45 @@ impl ContinuousPipeline {
 
     /// The cloak stage: every shard's keyed requests in one fan-out over
     /// the pipeline's workers. The tasks are `(shard, chunk)` pairs, each
-    /// cloaked against its shard's issuing snapshot with the worker's
-    /// kept scratch, and the results land in each batch in request order.
+    /// cloaked against its shard's snapshot with the worker's kept
+    /// scratch, and the results land in each shard in request order.
     ///
     /// These are [`AnonymizerService::anonymize_batch`]'s keyed halves.
-    /// Tracked owners are distinct across all shards, so no batch
+    /// Tracked owners are distinct across all shards, so no request
     /// repeats an owner and no two tasks store the same owner's record.
-    fn cloak(&mut self, batches: &mut [ShardBatch], keyed: &[Vec<KeyedRequest>]) {
-        let total = batches.iter().map(|b| b.requests.len()).sum();
+    fn cloak(&mut self, shards: &mut [Shard], keyed: &[Vec<KeyedRequest>]) {
+        let total = shards.iter().map(|s| s.requests.len()).sum();
         let chunk = fanout::chunk_len(total, self.scratch.len());
-        let tasks: Vec<(usize, Range<usize>)> = batches
+        let tasks: Vec<(usize, Range<usize>)> = shards
             .iter()
             .enumerate()
-            .flat_map(|(p, batch)| {
-                let len = batch.requests.len();
+            .flat_map(|(p, shard)| {
+                let len = shard.requests.len();
                 (0..len)
                     .step_by(chunk)
                     .map(move |start| (p, start..len.min(start + chunk)))
             })
             .collect();
-        let shards = &self.shards;
-        let issued = &*batches;
+        let service = &self.service;
+        let issued = &*shards;
         let runs = fanout::fan_out(&mut self.scratch, tasks.len(), |scratch, t| {
             let (p, run) = &tasks[t];
-            let batch = &issued[*p];
-            shards[*p].service.anonymize_run_keyed(
-                &batch.issuing,
-                &batch.requests[run.clone()],
+            let shard = &issued[*p];
+            service.anonymize_run_keyed(
+                &shard.snapshot,
+                &shard.requests[run.clone()],
                 &keyed[*p][run.clone()],
                 scratch,
             )
         });
         for ((p, _), run) in tasks.iter().zip(runs) {
-            batches[*p].results.extend(run);
+            shards[*p].results.extend(run);
         }
     }
 
-    /// Moves every owner whose car crossed into another shard's part:
-    /// chain and record leave the old shard's service and land on the
-    /// new one before any request of this tick is issued. Returns the
-    /// number of migrations.
+    /// Moves every owner whose car crossed into another shard's part to
+    /// that shard, whose snapshot its requests are issued under from
+    /// this tick on. Returns the number of crossings.
     fn hand_off_owners(&mut self) -> usize {
         let mut handoffs = 0;
         for t in &mut self.tracked {
@@ -1103,9 +1059,6 @@ impl ContinuousPipeline {
                 .expect("tracked cars exist for the simulation's lifetime");
             let dest = self.partition.shard_of(t.segment);
             if dest != t.shard {
-                if let Some(handoff) = self.shards[t.shard].service.export_owner(&t.owner) {
-                    self.shards[dest].service.import_owner(handoff);
-                }
                 t.shard = dest;
                 handoffs += 1;
             }
@@ -1133,21 +1086,16 @@ impl ContinuousPipeline {
         }
     }
 
-    /// Captures the simulation once and swaps into each shard's service
-    /// that capture masked to the shard's part. Each shard's reclaimed
-    /// buffer is zero outside its part, so only the part's members are
-    /// written, and the steady-state cadence loop rotates two buffers
-    /// per shard instead of allocating.
+    /// Captures the simulation once and copies each shard's part of it
+    /// into the shard's snapshot, which stays zero outside the part. The
+    /// copy is in place: receipts are checked against their snapshot
+    /// within the tick, so nothing holds a snapshot across a refresh.
     fn refresh_snapshots(&mut self) {
         self.sim.capture_into(&mut self.capture);
         for (p, shard) in self.shards.iter_mut().enumerate() {
-            let mut snap = shard
-                .spare_snapshot
-                .take()
-                .unwrap_or_else(|| OccupancySnapshot::uniform(self.capture.segment_count(), 0));
-            snap.copy_segments_from(&self.capture, self.partition.members(p));
-            let previous = shard.service.swap_snapshot(snap);
-            shard.spare_snapshot = Arc::try_unwrap(previous).ok();
+            shard
+                .snapshot
+                .copy_segments_from(&self.capture, self.partition.members(p));
         }
     }
 
@@ -1216,20 +1164,20 @@ impl ContinuousPipeline {
     /// returns the peel jobs of the receipts before it, with the failure.
     fn check_issued<'b>(
         &mut self,
-        batches: &'b [ShardBatch],
+        shards: &'b [Shard],
     ) -> (Vec<PeelJob<'b>>, Option<PipelineError>) {
         let k = self.profile.top_requirement().k as u64;
         let mut jobs = Vec::new();
-        for (shard, batch) in self.shards.iter().zip(batches) {
-            for (i, request, result) in batch.entries() {
+        for shard in shards {
+            for (i, request, result) in shard.entries() {
                 let Ok(receipt) = result else { continue };
                 let owner = &request.owner;
                 let fail = |what: &str| Some(violation(self.tick, owner, what));
 
                 // k-anonymity against the snapshot the receipt was issued
                 // under.
-                let users = batch
-                    .issuing
+                let users = shard
+                    .snapshot
                     .users_in(receipt.payload.segments.iter().copied());
                 if users < k {
                     let what = format!("region covers {users} users < k={k} at issue time");
@@ -1243,7 +1191,7 @@ impl ContinuousPipeline {
                 // owner's first cloak — on every later tick its keys must
                 // keep working across the re-anonymization.
                 if !self.registered[i] {
-                    if !shard
+                    if !self
                         .service
                         .register_requester(owner, AUDITOR, TrustDegree(10), Level(0))
                     {
@@ -1251,7 +1199,7 @@ impl ContinuousPipeline {
                     }
                     self.registered[i] = true;
                 }
-                match shard.service.fetch_keys(owner, AUDITOR) {
+                match self.service.fetch_keys(owner, AUDITOR) {
                     Ok(keys) => jobs.push((request, &receipt.payload, keys)),
                     Err(e) => {
                         let what = format!("grant lost across re-anonymization: {e}");
@@ -1310,16 +1258,16 @@ fn check_peeled(
 /// `pois`).
 fn record_receipts(
     report: &mut TickReport,
-    batches: &[ShardBatch],
+    shards: &[Shard],
     net: &RoadNetwork,
     profile: &PrivacyProfile,
     pois: Option<&PoiStore>,
     lbs_probes: usize,
     lbs_scratch: &mut SearchScratch,
 ) {
-    for batch in batches {
+    for shard in shards {
         let mut digest = FNV_OFFSET;
-        for (i, request, result) in batch.entries() {
+        for (i, request, result) in shard.entries() {
             let Ok(receipt) = result else {
                 report.failed += 1;
                 continue;
@@ -1329,7 +1277,7 @@ fn record_receipts(
             digest = fnv_fold(digest, &receipt.payload.encode());
             report.quality.record(&RegionQuality::measure(
                 net,
-                &batch.issuing,
+                &shard.snapshot,
                 profile,
                 &receipt.outcome,
             ));
@@ -1392,13 +1340,13 @@ impl Observer {
         profile: &PrivacyProfile,
         tick: u64,
         snapshot_fresh: bool,
-        batches: &[ShardBatch],
+        shards: &[Shard],
     ) {
         let owners = self.owners;
         let requirement = profile.top_requirement();
-        for batch in batches {
-            let issuing = &*batch.issuing;
-            let observed = || batch.entries().filter(|&(i, _, _)| i < owners);
+        for shard in shards {
+            let issuing = &shard.snapshot;
+            let observed = || shard.entries().filter(|&(i, _, _)| i < owners);
             // A shard's observations share its issuing snapshot: announce
             // it once, together with the shard's observed owners, so the
             // adversary prices the occupancy weighting once and packs
@@ -1473,7 +1421,7 @@ impl std::fmt::Debug for ContinuousPipeline {
             .field("tick", &self.tick)
             .field("shards", &self.shards.len())
             .field("tracked", &self.tracked.len())
-            .field("engine", &self.shards[0].service.engine().name())
+            .field("engine", &self.service.engine().name())
             .finish()
     }
 }
@@ -1531,12 +1479,10 @@ mod tests {
         for shards in [1, 3] {
             let p = sharded(EngineChoice::Rge, PipelineConfig::default(), shards);
             assert_eq!(p.shard_count(), shards);
-            for service in p.services() {
-                assert!(std::ptr::eq(
-                    p.sim().network().graph_index(),
-                    service.network().graph_index()
-                ));
-            }
+            assert!(std::ptr::eq(
+                p.sim().network().graph_index(),
+                p.service().network().graph_index()
+            ));
         }
     }
 
@@ -1980,11 +1926,8 @@ mod tests {
 
     /// Verification as `settle` runs it, with the peels on the calling
     /// thread: pass 1, then pass 2 over the peeled views.
-    fn verify(
-        p: &mut ContinuousPipeline,
-        batches: &[ShardBatch],
-    ) -> (usize, Option<PipelineError>) {
-        let (jobs, pass1_err) = p.check_issued(batches);
+    fn verify(p: &mut ContinuousPipeline, shards: &[Shard]) -> (usize, Option<PipelineError>) {
+        let (jobs, pass1_err) = p.check_issued(shards);
         let views: Vec<_> = jobs
             .iter()
             .map(|(_, payload, keys)| p.dean.reduce_with(payload, keys, &mut CloakScratch::new()))
@@ -2027,25 +1970,38 @@ mod tests {
                 },
                 2,
             );
-            let mut batches = Vec::new();
-            let mut first_failure = None;
-            let mut i = 0;
+            // Receipts for the owners' own segments, as a tick issues them.
+            let mut shards: Vec<Shard> = Vec::new();
+            let mut keyed = Vec::new();
             for (shard, claims) in layout.iter().enumerate() {
-                let service = Arc::clone(&p.shards[shard].service);
-                let mut batch = ShardBatch {
-                    requests: Vec::new(),
-                    owners: Vec::new(),
+                let first: usize = shards.iter().map(|s| s.owners.len()).sum();
+                let owners: Vec<usize> = (first..first + claims.len()).collect();
+                let requests: Vec<_> = owners
+                    .iter()
+                    .map(|&o| {
+                        let segment = p.partition.members(shard)[(o - first) * 5];
+                        AnonymizeRequest::new(p.tracked[o].owner.clone(), segment, 1)
+                    })
+                    .collect();
+                keyed.push(p.service.derive_batch_keys(&requests));
+                shards.push(Shard {
+                    requests,
+                    owners,
                     results: Vec::new(),
-                    issuing: service.snapshot(),
-                };
-                for (j, &claim) in claims.iter().enumerate() {
-                    let owner = p.tracked[i].owner.clone();
-                    let segment = p.partition.members(shard)[j * 5];
-                    let receipt = service.anonymize_seeded(&owner, segment, None, 1).unwrap();
-                    let region = &receipt.payload.segments;
-                    let claimed = match claim {
-                        Own => segment,
-                        PeelFails => *region.iter().find(|&&s| s != segment).unwrap(),
+                    snapshot: p.shards[shard].snapshot.clone(),
+                });
+            }
+            p.cloak(&mut shards, &keyed);
+            // Each request now claims the segment its case names.
+            let mut first_failure = None;
+            for (shard, claims) in shards.iter_mut().zip(layout) {
+                let (requests, results) = (&mut shard.requests, &shard.results);
+                for ((request, result), &claim) in requests.iter_mut().zip(results).zip(claims) {
+                    let receipt = result.as_ref().expect("the shard's snapshot reaches k");
+                    let (region, own) = (&receipt.payload.segments, request.segment);
+                    request.segment = match claim {
+                        Own => own,
+                        PeelFails => *region.iter().find(|&&s| s != own).unwrap(),
                         Pass1Fails => p
                             .sim
                             .network()
@@ -2054,18 +2010,11 @@ mod tests {
                             .unwrap(),
                     };
                     if claim != Own && first_failure.is_none() {
-                        first_failure = Some(owner.clone());
+                        first_failure = Some(request.owner.clone());
                     }
-                    batch
-                        .requests
-                        .push(AnonymizeRequest::new(owner, claimed, 1));
-                    batch.owners.push(i);
-                    batch.results.push(Ok(receipt));
-                    i += 1;
                 }
-                batches.push(batch);
             }
-            let (verified, err) = verify(&mut p, &batches);
+            let (verified, err) = verify(&mut p, &shards);
             let err = err.expect("a hand-made receipt fails");
             assert_eq!(verified, verified_before, "{err}");
             let owner = first_failure.unwrap();
@@ -2073,7 +2022,7 @@ mod tests {
                 err.message.starts_with(&format!("tick 0: {owner}: {what}")),
                 "{err}"
             );
-            let settled = p.settle(&mut batches, true, 0, TickHealth::default());
+            let settled = p.settle(&mut shards, true, 0, TickHealth::default());
             assert_eq!(settled.unwrap_err(), err);
         }
     }

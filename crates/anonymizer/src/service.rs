@@ -20,9 +20,9 @@
 //! * the occupancy snapshot sits behind an `RwLock<Arc<_>>` that readers
 //!   clone out of in O(1) — [`update_snapshot`] swaps the `Arc` without
 //!   blocking in-flight anonymizations;
-//! * the owner-record and requester-registry maps are sharded N ways by
+//! * the owner-record and requester-registry maps are split 16 ways by
 //!   key hash, each shard its own `RwLock`, so concurrent requests for
-//!   different owners never contend;
+//!   different owners rarely contend;
 //! * each owner's forward-secret [`ChainState`] lives in its own sharded
 //!   map and advances under one shard write lock per anonymization —
 //!   ratchet, journal write, key derivation, and epoch read are a single
@@ -113,10 +113,11 @@ pub struct OwnerRecord {
     pub access: AccessControlProfile,
 }
 
-/// One owner's live state detached for a cross-service migration — see
-/// [`AnonymizerService::export_owner`] /
-/// [`AnonymizerService::import_owner`]. Produced when the sharded
-/// pipeline moves an owner whose car crossed a partition boundary.
+/// One owner's live state detached for a move between two services —
+/// see [`AnonymizerService::export_owner`] /
+/// [`AnonymizerService::import_owner`]. The continuous pipeline serves
+/// every shard from one service and never moves an owner; the traced
+/// replay of `perfbench` still does.
 #[derive(Debug, Clone)]
 pub struct OwnerHandoff {
     /// The migrating owner's identity.
@@ -136,6 +137,11 @@ impl OwnerHandoff {
     }
 }
 
+/// Lock shards of every [`ShardedMap`]. More shards mean less lock
+/// contention between concurrent requests for different owners; values
+/// past the worker count buy little.
+const LOCK_SHARDS: usize = 16;
+
 /// A hash-sharded `String → V` map: each shard is an independent
 /// `RwLock<HashMap>`, so operations on different keys rarely contend and
 /// readers never block readers.
@@ -144,10 +150,9 @@ struct ShardedMap<V> {
 }
 
 impl<V> ShardedMap<V> {
-    fn new(shard_count: usize) -> Self {
-        let shard_count = shard_count.max(1);
+    fn new() -> Self {
         ShardedMap {
-            shards: (0..shard_count)
+            shards: (0..LOCK_SHARDS)
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
         }
@@ -159,18 +164,6 @@ impl<V> ShardedMap<V> {
         &self.shards[(hasher.finish() % self.shards.len() as u64) as usize]
     }
 
-    /// Inserts or updates atomically under one shard write lock: `update`
-    /// runs when the key exists, `insert` builds the value otherwise.
-    fn upsert(&self, key: &str, update: impl FnOnce(&mut V), insert: impl FnOnce() -> V) {
-        let mut shard = self.shard(key).write();
-        match shard.get_mut(key) {
-            Some(v) => update(v),
-            None => {
-                shard.insert(key.to_string(), insert());
-            }
-        }
-    }
-
     /// Inserts `value`, merging state from a previous entry under one
     /// shard write lock when the key already exists.
     fn insert_merging(&self, key: String, mut value: V, merge: impl FnOnce(&V, &mut V)) {
@@ -179,18 +172,6 @@ impl<V> ShardedMap<V> {
             merge(old, &mut value);
         }
         shard.insert(key, value);
-    }
-
-    fn get_cloned(&self, key: &str) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.shard(key).read().get(key).cloned()
-    }
-
-    /// Runs `f` on the value under the shard's write lock.
-    fn update<T>(&self, key: &str, f: impl FnOnce(&mut V) -> T) -> Option<T> {
-        self.shard(key).write().get_mut(key).map(f)
     }
 
     /// Inserts (when absent) then mutates the value, *persists* it, and
@@ -226,9 +207,10 @@ impl<V> ShardedMap<V> {
         self.shard(key).read().get(key).map(f)
     }
 
-    /// Removes and returns the value under the shard's write lock.
-    fn remove(&self, key: &str) -> Option<V> {
-        self.shard(key).write().remove(key)
+    /// Runs `f` on the whole shard map holding `key`, under its write
+    /// lock.
+    fn with_shard<T>(&self, key: &str, f: impl FnOnce(&mut HashMap<String, V>) -> T) -> T {
+        f(&mut self.shard(key).write())
     }
 
     fn len(&self) -> usize {
@@ -356,14 +338,13 @@ impl AnonymizerService {
         let net = Arc::new(net);
         let engine = Engine::build(&net, config.engine);
         let segment_count = net.segment_count();
-        let shards = config.shard_count;
         let service = AnonymizerService {
             net,
             engine,
             snapshot: RwLock::new(Arc::new(OccupancySnapshot::uniform(segment_count, 0))),
-            records: ShardedMap::new(shards),
-            requesters: ShardedMap::new(shards),
-            chains: ShardedMap::new(shards),
+            records: ShardedMap::new(),
+            requesters: ShardedMap::new(),
+            chains: ShardedMap::new(),
             config,
             store,
         };
@@ -409,8 +390,8 @@ impl AnonymizerService {
     /// previously installed snapshot. Once every in-flight reader drops
     /// its handle the caller can reclaim the buffer with
     /// `Arc::try_unwrap` and recapture into it
-    /// ([`mobisim::Simulation::capture_into`]) — the allocation-free
-    /// cadence loop of a continuous pipeline.
+    /// ([`mobisim::Simulation::capture_into`]), so a cadence loop over
+    /// the service's own snapshot allocates nothing.
     pub fn swap_snapshot(&self, snapshot: OccupancySnapshot) -> Arc<OccupancySnapshot> {
         std::mem::replace(&mut *self.snapshot.write(), Arc::new(snapshot))
     }
@@ -684,7 +665,7 @@ impl AnonymizerService {
     /// The stored record for an owner (a clone; records are shared across
     /// shards and threads).
     pub fn owner_record(&self, owner: &str) -> Option<OwnerRecord> {
-        self.records.get_cloned(owner)
+        self.records.read(owner, OwnerRecord::clone)
     }
 
     /// Number of owners with stored records.
@@ -692,21 +673,25 @@ impl AnonymizerService {
         self.records.len()
     }
 
-    /// Detaches an owner's live state for a cross-service handoff (the
-    /// sharded pipeline migrating an owner whose car crossed a partition
-    /// boundary): the in-memory forward-secret chain and the stored
-    /// record (payload, keys, access-control profile). Both are
-    /// *removed* from this service — after the export the owner lives
-    /// nowhere until [`import_owner`](Self::import_owner) lands the
-    /// state on the receiving service. Returns `None` for owners this
-    /// service never saw.
+    /// Detaches an owner's live state to move it to another service:
+    /// the in-memory forward-secret chain, the stored record (payload,
+    /// keys, access-control profile) and the owner's entries in the
+    /// requester registry. All of it is *removed* from this service —
+    /// after the export the owner lives nowhere until
+    /// [`import_owner`](Self::import_owner) lands the state on the
+    /// receiving service. Returns `None` for owners this service never
+    /// saw.
     ///
     /// The journaled chain copy is untouched: when both services share
     /// one [`ChainStore`], the receiver's next ratchet journals over the
     /// same owner key, so crash recovery sees one continuous chain.
     pub fn export_owner(&self, owner: &str) -> Option<OwnerHandoff> {
-        let chain = self.chains.remove(owner);
-        let record = self.records.remove(owner);
+        let chain = self.chains.with_shard(owner, |chains| chains.remove(owner));
+        let record = self.records.with_shard(owner, |records| {
+            records
+                .remove(owner)
+                .inspect(|record| self.sync_grants(record, false))
+        });
         if chain.is_none() && record.is_none() {
             return None;
         }
@@ -720,9 +705,10 @@ impl AnonymizerService {
     /// Lands an [`export_owner`](Self::export_owner) handoff on this
     /// service. The imported chain resumes at its exported epoch — the
     /// next anonymization ratchets strictly forward, so epoch
-    /// monotonicity holds across any number of migrations — and the
-    /// imported record keeps every captured requester grant working
-    /// through the normal [`fetch_keys`](Self::fetch_keys) path.
+    /// monotonicity holds across any number of moves — and the imported
+    /// record keeps every captured requester grant working through the
+    /// normal [`fetch_keys`](Self::fetch_keys) path, with its grants
+    /// entered in this service's requester registry.
     pub fn import_owner(&self, handoff: OwnerHandoff) {
         let OwnerHandoff {
             owner,
@@ -733,7 +719,32 @@ impl AnonymizerService {
             self.chains.insert_merging(owner.clone(), chain, |_, _| {});
         }
         if let Some(record) = record {
-            self.records.insert_merging(owner, record, |_, _| {});
+            self.records.with_shard(&owner, |records| {
+                if let Some(replaced) = records.insert(owner.clone(), record) {
+                    self.sync_grants(&replaced, false);
+                }
+                self.sync_grants(&records[&owner], true);
+            });
+        }
+    }
+
+    /// Enters (`add`) or removes every grant of `record` in the
+    /// requester registry, dropping entries left empty. Callers hold the
+    /// record's records-shard write lock (lock order records →
+    /// requesters).
+    fn sync_grants(&self, record: &OwnerRecord, add: bool) {
+        for (requester, trust) in record.access.requesters() {
+            self.requesters.with_shard(requester, |registry| {
+                let grants = registry.entry(requester.to_string()).or_default();
+                if add {
+                    grants.insert(record.owner.clone(), trust);
+                } else {
+                    grants.remove(&record.owner);
+                }
+                if grants.is_empty() {
+                    registry.remove(requester);
+                }
+            });
         }
     }
 
@@ -748,25 +759,21 @@ impl AnonymizerService {
         trust: TrustDegree,
         floor: Level,
     ) -> bool {
-        // The registry upsert runs while the owner's record shard is
+        // The registry update runs while the owner's record shard is
         // still write-locked, so concurrent re-registrations of the same
         // (owner, requester) pair cannot leave the audit view
         // disagreeing with the access profile. Lock order is always
         // records-shard → requesters-shard; nothing takes them the other
         // way around.
-        self.records
-            .update(owner, |rec| {
-                rec.access.register_requester(requester, trust);
-                rec.access.set_trust_floor(trust, floor);
-                self.requesters.upsert(
-                    requester,
-                    |grants| {
-                        grants.insert(owner.to_string(), trust);
-                    },
-                    || HashMap::from([(owner.to_string(), trust)]),
-                );
-            })
-            .is_some()
+        self.records.with_shard(owner, |records| {
+            let Some(rec) = records.get_mut(owner) else {
+                return false;
+            };
+            rec.access.register_requester(requester, trust);
+            rec.access.set_trust_floor(trust, floor);
+            self.sync_grants(rec, true);
+            true
+        })
     }
 
     /// Audit view of the requester registry: every owner that granted
@@ -836,7 +843,6 @@ impl std::fmt::Debug for AnonymizerService {
         f.debug_struct("AnonymizerService")
             .field("engine", &self.engine)
             .field("owners", &self.records.len())
-            .field("shards", &self.records.shards.len())
             .finish()
     }
 }
@@ -975,6 +981,29 @@ mod tests {
         assert_eq!(fourth.payload.epoch, 4);
         assert_eq!(s.owner_record("alice").unwrap().payload, fourth.payload);
         assert_ne!(s.fetch_keys("alice", "police").unwrap(), keys);
+    }
+
+    #[test]
+    fn moving_an_owner_moves_its_requester_registry_entries() {
+        let (a, b) = (service(), service());
+        for (owner, seed) in [("alice", 1), ("bob", 2)] {
+            a.anonymize_seeded(owner, SegmentId(40), None, seed)
+                .unwrap();
+        }
+        a.register_requester("alice", "police", TrustDegree(10), Level(0));
+        a.register_requester("bob", "police", TrustDegree(9), Level(0));
+        a.register_requester("alice", "friend", TrustDegree(5), Level(2));
+        b.import_owner(a.export_owner("alice").expect("alice lives on a"));
+        let grant = |owner: &str, trust| [(owner.to_string(), TrustDegree(trust))];
+        assert_eq!(a.requester_grants("police"), grant("bob", 9));
+        assert_eq!(a.requester_count(), 1, "friend's emptied entry is dropped");
+        assert_eq!(b.requester_grants("police"), grant("alice", 10));
+        assert_eq!(b.requester_grants("friend"), grant("alice", 5));
+        assert_eq!(b.requester_count(), 2);
+        assert!(a.fetch_keys("alice", "police").is_err());
+        assert_eq!(b.fetch_keys("alice", "police").unwrap().len(), 3);
+        let next = b.anonymize_seeded("alice", SegmentId(40), None, 3).unwrap();
+        assert_eq!(next.payload.epoch, 2, "the chain moved with the owner");
     }
 
     #[test]

@@ -139,6 +139,13 @@ impl AccessControlProfile {
     pub fn requester_count(&self) -> usize {
         self.requesters.len()
     }
+
+    /// Every registered requester with its trust degree, in id order.
+    pub fn requesters(&self) -> impl Iterator<Item = (&str, TrustDegree)> {
+        self.requesters
+            .iter()
+            .map(|(id, &trust)| (id.as_str(), trust))
+    }
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@
 
 use anonymizer::{
     AnonymizerConfig, ContinuousPipeline, EngineChoice, FaultPlan, FaultPolicy, PipelineConfig,
-    ShardedPipeline, TickHealth, TickReport,
+    ShardedPipeline, TickReport,
 };
 use mobisim::SimConfig;
 use roadnet::{city_map, grid_city};
@@ -107,12 +107,27 @@ fn rple_receipt_stream_matches_the_wire_v2_baseline() {
     );
 }
 
-/// The multi-shard configuration pinned below: an 800-segment generated
-/// city split into `shards` partitions, with `batch_parallelism` fixed
-/// so the stream cannot depend on the host's core count. The retry
-/// budget matters only under a fault plan.
-fn sharded(shards: usize, engine: EngineChoice, fault: Option<FaultPlan>) -> ShardedPipeline {
-    ShardedPipeline::new(
+const SHARDED_MAP_SEED: u64 = 11;
+const SHARDED_TICKS: usize = 8;
+
+fn sharded_sim_config() -> SimConfig {
+    SimConfig {
+        cars: 1_600,
+        seed: 42,
+        ..Default::default()
+    }
+}
+
+/// Runs the multi-shard configuration pinned below: an 800-segment
+/// generated city split into `shards` partitions, with
+/// `batch_parallelism` fixed so the stream cannot depend on the host's
+/// core count. The retry budget matters only under a fault plan.
+fn sharded_reports(
+    shards: usize,
+    engine: EngineChoice,
+    fault: Option<FaultPlan>,
+) -> Vec<TickReport> {
+    let mut pipeline = ShardedPipeline::new(
         city_map(SHARDED_MAP_SEED, 800),
         sharded_sim_config(),
         AnonymizerConfig {
@@ -132,26 +147,8 @@ fn sharded(shards: usize, engine: EngineChoice, fault: Option<FaultPlan>) -> Sha
             ..Default::default()
         },
         shards,
-    )
-}
-
-const SHARDED_MAP_SEED: u64 = 11;
-const SHARDED_TICKS: usize = 8;
-
-fn sharded_sim_config() -> SimConfig {
-    SimConfig {
-        cars: 1_600,
-        seed: 42,
-        ..Default::default()
-    }
-}
-
-fn sharded_reports(
-    shards: usize,
-    engine: EngineChoice,
-    fault: Option<FaultPlan>,
-) -> Vec<TickReport> {
-    let reports = sharded(shards, engine, fault)
+    );
+    let reports = pipeline
         .run(SHARDED_TICKS)
         .expect("pinned configuration verifies cleanly");
     for r in &reports {
@@ -159,10 +156,6 @@ fn sharded_reports(
         assert_eq!(r.verified, r.issued);
     }
     reports
-}
-
-fn sharded_digests(shards: usize) -> Vec<u64> {
-    digests_of(&sharded_reports(shards, EngineChoice::Rge, None))
 }
 
 fn digests_of(reports: &[TickReport]) -> Vec<u64> {
@@ -190,7 +183,7 @@ fn sharded_pins_cover_setup_trips_and_in_tick_replans() {
 #[test]
 fn two_shard_receipt_stream_matches_the_baseline() {
     assert_eq!(
-        sharded_digests(2),
+        digests_of(&sharded_reports(2, EngineChoice::Rge, None)),
         vec![
             0xf56d_56bb_d141_01dc,
             0x2806_c2b8_5f15_4f26,
@@ -207,7 +200,7 @@ fn two_shard_receipt_stream_matches_the_baseline() {
 #[test]
 fn eight_shard_receipt_stream_matches_the_baseline() {
     assert_eq!(
-        sharded_digests(8),
+        digests_of(&sharded_reports(8, EngineChoice::Rge, None)),
         vec![
             0xa0e9_3496_6e65_d7b5,
             0xe028_9ac3_0f83_8767,
@@ -238,9 +231,6 @@ fn faulty_three_shard_stream_matches_the_baseline() {
             ..Default::default()
         }),
     );
-    let total =
-        |pick: fn(&TickHealth) -> u64| -> u64 { reports.iter().map(|r| pick(&r.health)).sum() };
-    let handoffs: usize = reports.iter().map(|r| r.handoffs).sum();
     assert_eq!(
         digests_of(&reports),
         vec![
@@ -254,25 +244,27 @@ fn faulty_three_shard_stream_matches_the_baseline() {
             0xd439_e991_bcd1_cdb0,
         ]
     );
-    // Retries, skips, snapshot faults, injected cloak failures.
-    assert_eq!(
-        [
-            total(|h| h.journal_retries),
-            total(|h| h.journal_skips),
-            total(|h| h.snapshot_faults),
-            total(|h| h.injected_cloak_failures),
-        ],
-        [50, 0, 3, 14]
-    );
-    assert_eq!(handoffs, 13, "owners changed shard during the run");
+    // Retries, skips, snapshot faults, injected cloak failures and
+    // owners changing shard, over the run.
+    let totals = reports.iter().fold([0; 5], |sum, r| {
+        let h = &r.health;
+        let tick = [
+            h.journal_retries,
+            h.journal_skips,
+            h.snapshot_faults,
+            h.injected_cloak_failures,
+            r.handoffs as u64,
+        ];
+        std::array::from_fn(|i| sum[i] + tick[i])
+    });
+    assert_eq!(totals, [50, 0, 3, 14, 13]);
 }
 
 /// One RPLE engine behind 4 shards.
 #[test]
 fn four_shard_rple_stream_matches_the_baseline() {
-    let reports = sharded_reports(4, EngineChoice::Rple { t_len: 12 }, None);
     assert_eq!(
-        digests_of(&reports),
+        digests_of(&sharded_reports(4, EngineChoice::Rple { t_len: 12 }, None)),
         vec![
             0xae37_e234_a9a2_4795,
             0xf52f_3219_6ef4_2322,
