@@ -9,7 +9,7 @@
 //! anonymization-cost and region-quality baseline.
 
 use crate::error::{CloakError, StepFailure};
-use crate::frontier::{candidates_into, position_in_sorted};
+use crate::frontier::{candidates_into, insert_sorted, remove_sorted};
 use crate::profile::LevelRequirement;
 use crate::region::RegionState;
 use crate::scratch::StampSet;
@@ -167,16 +167,10 @@ fn advance_frontier(
     frontier: &mut Vec<SegmentId>,
     pick: SegmentId,
 ) {
-    if let Some(at) = position_in_sorted(net, frontier, pick) {
-        frontier.remove(at);
-    }
+    remove_sorted(net, frontier, pick);
     for &n in net.neighbor_segments_csr(pick) {
         if !region.contains(n) && stamp.insert(n.index()) {
-            let key = net.segment(n).length();
-            let at = frontier
-                .binary_search_by(|&s| net.segment(s).length().total_cmp(&key).then(s.cmp(&n)))
-                .unwrap_or_else(|e| e);
-            frontier.insert(at, n);
+            insert_sorted(net, frontier, n);
         }
     }
 }

@@ -33,7 +33,6 @@
 //!    output (B8).
 
 use crate::error::StepFailure;
-use crate::frontier::candidates_into;
 use crate::preassign::PreassignedTables;
 use crate::profile::SpatialTolerance;
 use crate::region::RegionState;
@@ -196,7 +195,9 @@ pub trait ReversibleEngine: Send + Sync {
 }
 
 /// Reversible Global Expansion: per-step transition tables over the whole
-/// cloak × frontier, rebuilt on the fly (paper §III-A).
+/// cloak × frontier (paper §III-A). Their rows and columns come from the
+/// step's [`StepScratch`]: rebuilt from the region at every step, or
+/// tracked across the multi-level protocol's own walks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RgeEngine;
 
@@ -256,18 +257,13 @@ impl ReversibleEngine for RgeEngine {
         tolerance: &SpatialTolerance,
         scratch: &mut StepScratch,
     ) -> Result<StepAccept, StepFailure> {
+        scratch.rge_tables(net, region, last);
         let StepScratch {
-            rows,
-            cols,
-            stamp,
-            draws,
-            ..
+            rows, cols, draws, ..
         } = scratch;
-        candidates_into(net, region, stamp, cols);
         if cols.is_empty() {
             return Err(StepFailure::NoCandidates);
         }
-        region.sorted_by_length_into(net, rows);
         let table = TableView::new(rows, cols);
         let i0 = table
             .row_of(net, last)
@@ -295,18 +291,13 @@ impl ReversibleEngine for RgeEngine {
         hints: &mut HintStack,
         scratch: &mut StepScratch,
     ) -> Result<SegmentId, StepFailure> {
+        scratch.rge_tables(net, region, removed);
         let StepScratch {
-            rows,
-            cols,
-            stamp,
-            draws,
-            ..
+            rows, cols, draws, ..
         } = scratch;
-        candidates_into(net, region, stamp, cols);
         if cols.is_empty() {
             return Err(StepFailure::NoCandidates);
         }
-        region.sorted_by_length_into(net, rows);
         let table = TableView::new(rows, cols);
         if table.col_of(net, removed).is_none() {
             // The removed segment is not on this state's frontier: the
@@ -352,18 +343,13 @@ impl ReversibleEngine for RgeEngine {
         hints: &mut HintStack,
         scratch: &mut StepScratch,
     ) -> usize {
+        scratch.rge_tables(net, region, removed);
         let StepScratch {
-            rows,
-            cols,
-            stamp,
-            draws,
-            ..
+            rows, cols, draws, ..
         } = scratch;
-        candidates_into(net, region, stamp, cols);
         if cols.is_empty() {
             return 0;
         }
-        region.sorted_by_length_into(net, rows);
         let table = TableView::new(rows, cols);
         let n = table.col_count();
         let band = if table.needs_hint() {
@@ -627,6 +613,69 @@ mod tests {
         assert_eq!(region.len(), 1);
         assert!(region.contains(seed_segment));
         Some(chain)
+    }
+
+    /// The protocol's tracked walk, with the ambiguity probe run on the
+    /// same scratch before every backward step: the probe must leave the
+    /// tracked tables exact, so the walk recovers the untracked chain.
+    #[test]
+    fn tracked_walks_survive_ambiguity_probes_between_steps() {
+        let net = grid_city(6, 6, 100.0);
+        let tolerance = SpatialTolerance::Unlimited;
+        let engine = RgeEngine::new();
+        for key_seed in 0..12 {
+            let steps = 14;
+            let untracked = roundtrip(&engine, &net, SegmentId(20), steps, key_seed, tolerance)
+                .expect("RGE forward walks do not dead-end here");
+            let mut scratch = StepScratch::default();
+            let mut region = RegionState::from_segments(&net, [SegmentId(20)]);
+            let (mut last, mut chain, mut hints, mut rounds) =
+                (SegmentId(20), vec![], vec![], vec![]);
+            scratch.begin_walk();
+            for t in 0..steps {
+                let mut s = stream(key_seed, t as u32);
+                let acc = engine
+                    .forward_step(&net, &region, last, &mut s, &tolerance, &mut scratch)
+                    .unwrap();
+                region.insert(&net, acc.segment);
+                hints.extend(acc.hint);
+                rounds.push(acc.draws);
+                chain.push(acc.segment);
+                last = acc.segment;
+            }
+            assert_eq!(chain, untracked, "key {key_seed}: tracked forward walk");
+            let mut hint_stack = HintStack::new(hints);
+            let mut current = last;
+            scratch.begin_walk();
+            for t in (0..steps).rev() {
+                region.remove(&net, current);
+                let mut probe_hints = hint_stack.clone();
+                let probes = engine.ambiguous_predecessors(
+                    &net,
+                    &region,
+                    current,
+                    &mut stream(key_seed, t as u32),
+                    &tolerance,
+                    &mut probe_hints,
+                    &mut scratch,
+                );
+                assert!(probes >= 1, "key {key_seed} step {t}: the true predecessor");
+                current = engine
+                    .backward_step(
+                        &net,
+                        &region,
+                        current,
+                        &mut stream(key_seed, t as u32),
+                        &tolerance,
+                        rounds[t],
+                        &mut hint_stack,
+                        &mut scratch,
+                    )
+                    .unwrap();
+                let expected = if t == 0 { SegmentId(20) } else { chain[t - 1] };
+                assert_eq!(current, expected, "key {key_seed} step {t}");
+            }
+        }
     }
 
     #[test]

@@ -46,6 +46,24 @@ pub fn sort_by_length(net: &RoadNetwork, ids: &mut [SegmentId]) {
     });
 }
 
+/// Inserts `s` into a `(length, id)`-sorted list at its place. The
+/// order is strict (ties broken by id), so the list equals a full
+/// re-sort of its members.
+pub(crate) fn insert_sorted(net: &RoadNetwork, sorted: &mut Vec<SegmentId>, s: SegmentId) {
+    let key = net.segment(s).length();
+    let at = sorted
+        .binary_search_by(|&m| net.segment(m).length().total_cmp(&key).then(m.cmp(&s)))
+        .unwrap_or_else(|e| e);
+    sorted.insert(at, s);
+}
+
+/// Removes `s` from a `(length, id)`-sorted list if it is there.
+pub(crate) fn remove_sorted(net: &RoadNetwork, sorted: &mut Vec<SegmentId>, s: SegmentId) {
+    if let Some(at) = position_in_sorted(net, sorted, s) {
+        sorted.remove(at);
+    }
+}
+
 /// Index of `target` in a `(length, id)`-sorted list, or `None`.
 pub fn position_in_sorted(
     net: &RoadNetwork,

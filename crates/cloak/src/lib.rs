@@ -16,8 +16,8 @@
 //! ## The two algorithms
 //!
 //! * [`RgeEngine`] — **Reversible Global Expansion**: per-step transition
-//!   tables over (cloak × frontier), rebuilt on the fly. Slower
-//!   anonymization, no resident memory.
+//!   tables over (cloak × frontier), kept up to date along each walk.
+//!   Slower anonymization, no resident memory.
 //! * [`RpleEngine`] — **Reversible Pre-assignment-based Local Expansion**:
 //!   collision-free forward/backward transition lists precomputed for the
 //!   whole map (Algorithm 1). Faster per step, `2·E·T` cells resident.

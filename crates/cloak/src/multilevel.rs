@@ -187,6 +187,10 @@ pub fn anonymize_with_scratch(
     let algorithm = engine.algorithm_id();
     region.reset_for(net);
     region.insert(net, user_segment);
+    step.begin_walk();
+    // The snapshot is fixed for the walk, so the region's users are a
+    // running sum over the segments it gains.
+    let mut users = u64::from(snapshot.users_on(user_segment));
     let mut last = user_segment;
     let mut chain = Vec::new();
     let mut level_metas = Vec::new();
@@ -202,7 +206,7 @@ pub fn anonymize_with_scratch(
         hints.clear();
         steps_context_into(ctx, algorithm, level, nonce);
         let step_base = DrawStream::new(key, ctx);
-        while region.users(snapshot) < req.k as u64 || region.len() < req.l as usize {
+        while users < req.k as u64 || region.len() < req.l as usize {
             if added as usize >= MAX_STEPS_PER_LEVEL {
                 return Err(CloakError::CloakingFailed {
                     level,
@@ -214,7 +218,9 @@ pub fn anonymize_with_scratch(
             let accept = engine
                 .forward_step(net, region, last, &mut stream, &req.tolerance, step)
                 .map_err(|reason| CloakError::CloakingFailed { level, reason })?;
-            region.insert(net, accept.segment);
+            if region.insert(net, accept.segment) {
+                users += u64::from(snapshot.users_on(accept.segment));
+            }
             chain.push(accept.segment);
             last = accept.segment;
             added += 1;
@@ -403,6 +409,7 @@ pub fn deanonymize_with_scratch(
     for &s in &payload.segments {
         region.insert(net, s);
     }
+    step.begin_walk();
     let mut current_level = payload.top_level();
     let mut anchor: Option<SegmentId> = None;
 

@@ -98,7 +98,9 @@ impl RegionState {
         self.ids.is_empty()
     }
 
-    /// Total road length of the region in meters.
+    /// Total road length of the region in meters, summed in ascending
+    /// id order (as [`RegionQuality`](crate::metrics::RegionQuality)
+    /// sums a payload's segments), so it depends on the member set alone.
     pub fn total_length(&self) -> f64 {
         self.total_length
     }
@@ -125,7 +127,12 @@ impl RegionState {
         let at = self.ids.partition_point(|&m| m < s);
         self.ids.insert(at, s);
         let seg = net.segment(s);
-        self.total_length += seg.length();
+        self.total_length = if at + 1 == self.ids.len() {
+            // The largest id adds the id-order sum's last term.
+            self.total_length + seg.length()
+        } else {
+            self.sum_lengths(net)
+        };
         self.bbox.expand(net.junction(seg.a()).position());
         self.bbox.expand(net.junction(seg.b()).position());
         true
@@ -142,12 +149,20 @@ impl RegionState {
         self.members[s.index()] = false;
         let at = self.ids.partition_point(|&m| m < s);
         self.ids.remove(at);
-        self.total_length -= net.segment(s).length();
-        if self.total_length < 0.0 {
-            self.total_length = 0.0;
-        }
+        self.total_length = self.sum_lengths(net);
         self.bbox = net.segments_bounding_box(self.iter_ids());
         true
+    }
+
+    /// The members' lengths summed in ascending id order. A running sum
+    /// would depend on the order segments came and went, and the forward
+    /// walk inserts in chain order while the backward walk starts from
+    /// the payload's id order, so a tolerance check within an ulp of its
+    /// limit could decide differently on the two walks.
+    fn sum_lengths(&self, net: &RoadNetwork) -> f64 {
+        self.ids
+            .iter()
+            .fold(0.0, |total, &m| total + net.segment(m).length())
     }
 
     /// Member ids in ascending id order (the public, chain-order-free view

@@ -36,11 +36,11 @@ fn below(state: &mut u64, n: usize) -> usize {
 }
 
 /// The dense reference: membership over every segment, totals kept the
-/// way the protocol defines them (add on insert, subtract and clamp at
-/// zero on remove, box rebuilt in ascending id order on remove).
+/// way the protocol defines them (the total length summed over the
+/// members in ascending id order, box expanded on insert and rebuilt in
+/// ascending id order on remove).
 struct Dense {
     members: Vec<bool>,
-    total_length: f64,
     bbox: BoundingBox,
 }
 
@@ -48,9 +48,14 @@ impl Dense {
     fn new(net: &RoadNetwork) -> Self {
         Dense {
             members: vec![false; net.segment_count()],
-            total_length: 0.0,
             bbox: BoundingBox::empty(),
         }
+    }
+
+    fn total_length(&self, net: &RoadNetwork) -> f64 {
+        self.ids()
+            .into_iter()
+            .fold(0.0, |total, s| total + net.segment(s).length())
     }
 
     fn ids(&self) -> Vec<SegmentId> {
@@ -70,7 +75,6 @@ impl Dense {
         }
         self.members[s.index()] = true;
         let seg = net.segment(s);
-        self.total_length += seg.length();
         self.bbox.expand(net.junction(seg.a()).position());
         self.bbox.expand(net.junction(seg.b()).position());
         true
@@ -81,10 +85,6 @@ impl Dense {
             return false;
         }
         self.members[s.index()] = false;
-        self.total_length -= net.segment(s).length();
-        if self.total_length < 0.0 {
-            self.total_length = 0.0;
-        }
         self.bbox = BoundingBox::empty();
         for m in self.ids() {
             let seg = net.segment(m);
@@ -161,7 +161,7 @@ fn agree(
     prop_assert_eq!(candidates(net, region), model.frontier(net));
     prop_assert_eq!(
         region.total_length().to_bits(),
-        model.total_length.to_bits()
+        model.total_length(net).to_bits()
     );
     prop_assert_eq!(box_bits(region.bounding_box()), box_bits(&model.bbox));
     if full {
@@ -238,4 +238,40 @@ proptest! {
             run_phase(net, &mut region, &mut rng, 120)?;
         }
     }
+}
+
+/// The total length is a function of the member set: insertion order and
+/// removals do not move its bits. A running sum reads
+/// `(0.1 + 0.2) + 0.3 = 0.6000000000000001` in one order and
+/// `(0.3 + 0.2) + 0.1 = 0.6` in the other, and
+/// `((100.1 + 200.7) + 0.3) − 200.7 = 100.39999999999998` after a
+/// removal, where `100.1 + 0.3 = 100.39999999999999`.
+#[test]
+fn total_length_ignores_insertion_order_and_removals() {
+    let mut b = RoadNetworkBuilder::new();
+    let js: Vec<_> = (0..7)
+        .map(|i| b.add_junction(Point::new(i as f64, 0.0)))
+        .collect();
+    let lengths = [0.1, 0.2, 0.3, 100.1, 200.7, 0.3];
+    let ids: Vec<SegmentId> = lengths
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| b.add_segment_with_length(js[i], js[i + 1], len).unwrap())
+        .collect();
+    let net = b.build().unwrap();
+    let bits = |order: &[usize], removed: &[usize]| {
+        let mut region = RegionState::new(&net);
+        for &i in order {
+            region.insert(&net, ids[i]);
+        }
+        for &i in removed {
+            region.remove(&net, ids[i]);
+        }
+        region.total_length().to_bits()
+    };
+    assert_eq!(bits(&[0, 1, 2], &[]), bits(&[2, 1, 0], &[]));
+    assert_eq!(bits(&[0, 1, 2], &[]), ((0.1f64 + 0.2) + 0.3).to_bits());
+    assert_eq!(bits(&[3, 4, 5], &[4]), bits(&[5, 3], &[]));
+    assert_eq!(bits(&[3, 4, 5], &[4]), (100.1f64 + 0.3).to_bits());
+    assert_eq!(bits(&[3], &[3]), 0.0f64.to_bits());
 }

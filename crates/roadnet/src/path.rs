@@ -9,10 +9,13 @@
 use crate::geometry::{BoundingBox, Point};
 use crate::graph::{JunctionId, RoadNetwork, SegmentId};
 use crate::index::GraphIndex;
-use std::cmp::{Ordering, Reverse};
+use radix::RadixHeap;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
+
+mod radix;
 
 /// A shortest route between two junctions.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,7 +172,9 @@ struct Label {
 /// It searches goal-directed over a packed per-junction edge array
 /// (neighbour junction, segment, length). A query's heap entries are
 /// keyed by `(f64 bits, junction id)`: non-negative finite `f64`s order
-/// like their bits. Per-junction labels are generation-stamped and the
+/// like their bits. The heap is a radix heap over those bits that pops
+/// entries in the order a `BinaryHeap` of the same entries would, for
+/// any sequence of keys. Per-junction labels are generation-stamped and the
 /// heap is kept, so a query neither allocates nor clears per-junction
 /// state; only the returned route is allocated, and
 /// [`route_into`](Self::route_into) appends to a caller's buffer instead.
@@ -246,7 +251,7 @@ pub struct TripRouter {
     graph: Arc<RouterGraph>,
     labels: Vec<Label>,
     generation: u32,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    heap: RadixHeap,
     settled: usize,
 }
 
@@ -325,7 +330,7 @@ impl TripRouter {
             labels: vec![Label::default(); graph.positions.len()],
             graph,
             generation: 0,
-            heap: BinaryHeap::new(),
+            heap: RadixHeap::default(),
             settled: 0,
         }
     }
@@ -439,8 +444,8 @@ impl TripRouter {
             ..unreached(src_bound)
         };
         self.heap.clear();
-        self.heap.push(Reverse((src_bound.to_bits(), src)));
-        while let Some(Reverse((key, v))) = self.heap.pop() {
+        self.heap.push(src_bound.to_bits(), src);
+        while let Some((key, v)) = self.heap.pop() {
             if goal {
                 let target_dist = self.labels[dst as usize].dist;
                 if f64::from_bits(key) > target_dist + target_dist * SETTLE_SLACK {
@@ -470,8 +475,7 @@ impl TripRouter {
                     label.prev = v;
                     label.prev_edge = e;
                     label.closed = false;
-                    self.heap
-                        .push(Reverse(((next + label.bound).to_bits(), edge.to)));
+                    self.heap.push((next + label.bound).to_bits(), edge.to);
                 } else if goal && next == label.dist {
                     // Only reached junctions tie: lengths are positive
                     // and never round away in goal mode.
