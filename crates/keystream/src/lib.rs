@@ -48,4 +48,4 @@ pub use key::{Key256, ParseKeyError};
 pub use keyring::{read_keyring, write_keyring, write_keyring_file, KeyringError};
 pub use manager::{KeyError, KeyManager, Level};
 pub use stream::{derive_key, DrawStream};
-pub use tag::Tag128;
+pub use tag::{Tag128, TagPrefix};

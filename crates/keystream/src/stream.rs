@@ -108,37 +108,98 @@ fn chacha_permute(s: &mut [u32; 16]) {
 /// of the trailing block cannot alias two contexts because their
 /// lengths already differ in word 8.
 fn absorb(key: &Key256, context: &[u8], domain: u32) -> [u32; 16] {
-    assert!(
-        context.len() as u64 <= u32::MAX as u64,
-        "context too long to length-delimit"
-    );
-    let mut state = [0u32; 16];
-    for (i, chunk) in key.as_bytes().chunks_exact(4).enumerate() {
-        state[i] = u32::from_le_bytes(chunk.try_into().unwrap());
-    }
-    state[8] = context.len() as u32;
     let head = context.len().min(12);
-    let mut head_bytes = [0u8; 12];
-    head_bytes[..head].copy_from_slice(&context[..head]);
-    for (i, chunk) in head_bytes.chunks_exact(4).enumerate() {
-        state[9 + i] = u32::from_le_bytes(chunk.try_into().unwrap());
+    let mut sponge = Sponge::start(key, context.len(), &context[..head], domain);
+    sponge.absorb(&context[head..]);
+    sponge.finish()
+}
+
+/// An [`absorb`] whose context arrives in pieces: the state after the
+/// key schedule and the first permutation, which read only the key, the
+/// context's length and its first 12 bytes, plus the bytes of a rate
+/// block not yet absorbed. A clone taken before the remainder shares
+/// that first permutation between contexts of one length and head.
+#[derive(Clone)]
+pub(crate) struct Sponge {
+    state: [u32; 16],
+    pending: [u8; RATE_BYTES],
+    filled: usize,
+}
+
+impl Sponge {
+    /// Starts a draw stream's absorption of a `len`-byte context whose
+    /// first `min(len, 12)` bytes are `head`; the rest of the context
+    /// goes to [`absorb`](Self::absorb).
+    pub(crate) fn draw(key: &Key256, len: usize, head: &[u8]) -> Sponge {
+        Sponge::start(key, len, head, DOMAIN_DRAW)
     }
-    // Capacity: the ChaCha constants tweaked by the domain word, where
-    // no absorbed input can reach.
-    state[RATE_WORDS..].copy_from_slice(&CHACHA_CONSTANTS);
-    state[RATE_WORDS] ^= domain;
-    chacha_permute(&mut state);
-    // Sponge-absorb any context remainder into the rate, one
-    // permutation per 48-byte block.
-    for block in context[head..].chunks(RATE_BYTES) {
-        for (i, chunk) in block.chunks(4).enumerate() {
+
+    fn start(key: &Key256, len: usize, head: &[u8], domain: u32) -> Sponge {
+        assert!(
+            len as u64 <= u32::MAX as u64,
+            "context too long to length-delimit"
+        );
+        debug_assert_eq!(head.len(), len.min(12));
+        let mut state = [0u32; 16];
+        for (i, chunk) in key.as_bytes().chunks_exact(4).enumerate() {
+            state[i] = u32::from_le_bytes(chunk.try_into().unwrap());
+        }
+        state[8] = len as u32;
+        let mut head_bytes = [0u8; 12];
+        head_bytes[..head.len()].copy_from_slice(head);
+        for (i, chunk) in head_bytes.chunks_exact(4).enumerate() {
+            state[9 + i] = u32::from_le_bytes(chunk.try_into().unwrap());
+        }
+        // Capacity: the ChaCha constants tweaked by the domain word, where
+        // no absorbed input can reach.
+        state[RATE_WORDS..].copy_from_slice(&CHACHA_CONSTANTS);
+        state[RATE_WORDS] ^= domain;
+        chacha_permute(&mut state);
+        Sponge {
+            state,
+            pending: [0; RATE_BYTES],
+            filled: 0,
+        }
+    }
+
+    /// Absorbs the context's next bytes after its head: one permutation
+    /// per 48-byte block of the remainder.
+    pub(crate) fn absorb(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let take = (RATE_BYTES - self.filled).min(bytes.len());
+            self.pending[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
+            self.filled += take;
+            bytes = &bytes[take..];
+            if self.filled == RATE_BYTES {
+                self.permute_pending();
+            }
+        }
+    }
+
+    /// Absorbs a last partial block, zero-padded, and returns the base
+    /// state.
+    fn finish(mut self) -> [u32; 16] {
+        if self.filled > 0 {
+            self.permute_pending();
+        }
+        self.state
+    }
+
+    /// The draw stream of the absorbed context.
+    pub(crate) fn into_stream(self) -> DrawStream {
+        DrawStream::over(self.finish())
+    }
+
+    fn permute_pending(&mut self) {
+        let block = &self.pending[..self.filled];
+        for (word, chunk) in self.state.iter_mut().zip(block.chunks(4)) {
             let mut w = [0u8; 4];
             w[..chunk.len()].copy_from_slice(chunk);
-            state[i] ^= u32::from_le_bytes(w);
+            *word ^= u32::from_le_bytes(w);
         }
-        chacha_permute(&mut state);
+        chacha_permute(&mut self.state);
+        self.filled = 0;
     }
-    state
 }
 
 /// The ChaCha20 block function over `base`: fold the block counter into
@@ -212,8 +273,13 @@ impl DrawStream {
     /// (for ReverseCloak: the privacy level and request nonce).
     #[inline]
     pub fn new(key: Key256, context: &[u8]) -> Self {
+        DrawStream::over(absorb(&key, context, DOMAIN_DRAW))
+    }
+
+    /// The stream squeezed from an absorbed `base`, at its first draw.
+    fn over(base: [u32; 16]) -> Self {
         DrawStream {
-            base: absorb(&key, context, DOMAIN_DRAW),
+            base,
             block: [0u64; 8],
             cursor: 8,
             next_block: 0,

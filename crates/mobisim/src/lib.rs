@@ -9,7 +9,9 @@
 //! * [`Simulation`] — discrete-time traffic with per-car shortest-path
 //!   trips and automatic re-tripping on arrival, every trip planned by
 //!   one [`roadnet::TripRouter`] per simulation (exactly the routes of
-//!   [`roadnet::shortest_path`], found with a goal-directed search),
+//!   [`roadnet::shortest_path`], found with a goal-directed search, or
+//!   read from [`roadnet::SourceTrees`] on a map small enough to keep
+//!   every source's shortest-path tree),
 //! * [`behavior`] — heterogeneous motion archetypes ([`BehaviorMix`]:
 //!   commuter home↔work cycles on a rush-hour tick schedule, taxi
 //!   random-destination hops, parked cars); the default mix reproduces

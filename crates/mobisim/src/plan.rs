@@ -9,12 +9,16 @@
 //!    junctions, skipping its start, keeping the first one in the start's
 //!    component. The components come from [`TripRouter::connected`], not
 //!    from a search.
-//! 2. **Route.** The destinations are routed in chunks on
-//!    [`fanout::fan_out`], with up to one worker per available core (the
-//!    calling thread is one of them). Each worker has its own
-//!    [`TripRouter`] labels and heap over the one shared router graph,
-//!    and writes segments into its own flat buffer, which the planner
-//!    keeps from batch to batch.
+//! 2. **Route.** On a map small enough for [`SourceTrees`] (a rule
+//!    derived from the map, see [`SourceTrees::new`]), the calling
+//!    thread reads every trip's route from its start's shortest-path
+//!    tree, in trip order: a read copies a route's few segments, far
+//!    less than a fan-out costs. On any other map the destinations are
+//!    routed in chunks on [`fanout::fan_out`], with up to one worker per
+//!    available core (the calling thread is one of them). Each worker
+//!    has its own [`TripRouter`] labels and heap over the one shared
+//!    router graph. Either way, each worker writes segments into its own
+//!    flat buffer, which the planner keeps from batch to batch.
 //! 3. **Commit.** The caller reads the trips back in car order and
 //!    allocates each car's route on the calling thread, so long-lived
 //!    routes never come from a worker thread's allocator arena.
@@ -35,7 +39,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use roadnet::{fanout, JunctionId, RoadNetwork, SegmentId, TripRouter};
+use roadnet::{fanout, JunctionId, RoadNetwork, SegmentId, SourceTrees, TripRouter};
 
 /// Draws per trip before a car gives up and parks until its next step.
 const DRAW_ATTEMPTS: usize = 8;
@@ -76,14 +80,26 @@ struct Worker {
 }
 
 impl Worker {
-    /// Routes `trips[first..last]`.
-    fn route(&mut self, trips: &[Trip], first: usize, last: usize, route_draw_only: bool) {
+    /// Routes `trips[first..last]`, reading the routes from `trees` when
+    /// given and searching with the worker's router otherwise.
+    fn route(
+        &mut self,
+        trips: &[Trip],
+        first: usize,
+        last: usize,
+        route_draw_only: bool,
+        mut trees: Option<&mut SourceTrees>,
+    ) {
         for (i, trip) in trips[first..last].iter().enumerate() {
             let Some(dest) = trip.route_to(route_draw_only) else {
                 continue;
             };
             let start = self.segments.len() as u32;
-            if self.router.route_into(trip.start, dest, &mut self.segments) {
+            let found = match trees.as_deref_mut() {
+                Some(trees) => trees.route_into(trip.start, dest, &mut self.segments),
+                None => self.router.route_into(trip.start, dest, &mut self.segments),
+            };
+            if found {
                 let end = self.segments.len() as u32;
                 self.spans.push(((first + i) as u32, start, end));
             }
@@ -95,8 +111,12 @@ impl Worker {
 #[derive(Debug)]
 pub(crate) struct TripPlanner {
     trips: Vec<Trip>,
-    /// `workers[0]` routes on the calling thread and replays.
+    /// `workers[0]` routes on the calling thread and replays; on a map
+    /// with trees it is the only worker.
     workers: Vec<Worker>,
+    /// The map's per-source trees, where they fit: the route pass reads
+    /// every route from them.
+    trees: Option<SourceTrees>,
     junctions: u32,
     /// Whether draw-only trips are routed: where a connected trip can
     /// lack a route, so the route pass decides the draws.
@@ -107,10 +127,25 @@ pub(crate) struct TripPlanner {
 
 impl TripPlanner {
     /// A planner for `net` with `workers` routing workers (at least one),
-    /// all sharing one [`TripRouter`] graph.
+    /// all sharing one [`TripRouter`] graph, or with one worker and the
+    /// map's [`SourceTrees`] where they fit.
     pub fn new(net: &RoadNetwork, workers: usize) -> TripPlanner {
         let router = TripRouter::new(net);
+        let trees = SourceTrees::new(net, &router);
+        TripPlanner::over(net, router, trees, workers)
+    }
+
+    /// A planner for `net` that reads routes from `trees` when given,
+    /// else searches with `router` (built from `net`) on `workers`
+    /// routing workers.
+    fn over(
+        net: &RoadNetwork,
+        router: TripRouter,
+        trees: Option<SourceTrees>,
+        workers: usize,
+    ) -> TripPlanner {
         let route_draw_only = !router.connected_matches_route();
+        let workers = if trees.is_some() { 1 } else { workers };
         let mut routers: Vec<TripRouter> = (1..workers).map(|_| router.share()).collect();
         routers.insert(0, router);
         TripPlanner {
@@ -123,6 +158,7 @@ impl TripPlanner {
                     spans: Vec::new(),
                 })
                 .collect(),
+            trees,
             junctions: net.junction_count() as u32,
             route_draw_only,
             routed: 0,
@@ -235,8 +271,9 @@ impl TripPlanner {
     }
 
     /// The route pass: every trip with a destination whose route is
-    /// needed, routed on the planner's workers, never more of them than
-    /// there are trips to route.
+    /// needed, read from the trees on the calling thread, or else routed
+    /// on the planner's workers, never more of them than there are trips
+    /// to route.
     fn route_all(&mut self) {
         let trips = &self.trips;
         let route_draw_only = self.route_draw_only;
@@ -249,20 +286,20 @@ impl TripPlanner {
             return;
         }
         let active = self.workers.len().min(routed);
-        let chunk = fanout::chunk_len(trips.len(), active);
-        fanout::fan_out(
-            &mut self.workers[..active],
-            trips.len().div_ceil(chunk),
-            |worker, c| {
-                let first = c * chunk;
-                worker.route(
-                    trips,
-                    first,
-                    trips.len().min(first + chunk),
-                    route_draw_only,
-                );
-            },
-        );
+        if let Some(trees) = &mut self.trees {
+            self.workers[0].route(trips, 0, trips.len(), route_draw_only, Some(trees));
+        } else {
+            let chunk = fanout::chunk_len(trips.len(), active);
+            fanout::fan_out(
+                &mut self.workers[..active],
+                trips.len().div_ceil(chunk),
+                |worker, c| {
+                    let first = c * chunk;
+                    let last = trips.len().min(first + chunk);
+                    worker.route(trips, first, last, route_draw_only, None);
+                },
+            );
+        }
         for (w, worker) in self.workers[..active].iter().enumerate() {
             for &(trip, start, end) in &worker.spans {
                 self.trips[trip as usize].route = Some((w, start, end));
@@ -397,11 +434,19 @@ mod tests {
             .collect()
     }
 
+    /// The planner `new` builds for `net`, and one that searches every
+    /// route even where trees fit.
+    fn planners(net: &RoadNetwork, workers: usize) -> [TripPlanner; 2] {
+        let searching = TripPlanner::over(net, TripRouter::new(net), None, workers);
+        [TripPlanner::new(net, workers), searching]
+    }
+
     /// Runs three batches (the first drawing speeds) through the
-    /// sequential planner and through a batch planner at 1, 2 and 3
-    /// workers, which gets every third drawn trip as draw-only and so
-    /// must match the sequential draws but owes no route; returns how
-    /// many batches each planner replayed.
+    /// sequential planner and through batch planners at 1, 2 and 3
+    /// workers, each as `new` builds it and searching, which get every
+    /// third drawn trip as draw-only and so must match the sequential
+    /// draws but owe no route; returns how many batches each planner
+    /// replayed.
     fn assert_matches_sequential(net: &RoadNetwork, count: usize) -> Vec<usize> {
         let batches: Vec<Vec<Request>> = (0..3).map(|b| requests(net, count, b)).collect();
         let speeds = |b: usize| (b == 0).then_some((8.0, 20.0));
@@ -423,16 +468,25 @@ mod tests {
         let next_draw = rng.gen::<u64>();
         let mut replays = Vec::new();
         for workers in 1..=3 {
-            let mut planner = TripPlanner::new(net, workers);
-            let mut rng = StdRng::seed_from_u64(99);
-            let mut replayed = 0;
-            for (b, batch) in batches.iter().enumerate() {
-                let (got, replay) = planned(&mut planner, batch, &mut rng, speeds(b));
-                assert_eq!(got, expected[b], "{workers} workers, batch {b}");
-                replayed += usize::from(replay.is_some());
+            for mut planner in planners(net, workers) {
+                let trees = planner.trees.is_some();
+                let mut rng = StdRng::seed_from_u64(99);
+                let mut replayed = 0;
+                for (b, batch) in batches.iter().enumerate() {
+                    let (got, replay) = planned(&mut planner, batch, &mut rng, speeds(b));
+                    assert_eq!(
+                        got, expected[b],
+                        "{workers} workers, trees {trees}, batch {b}"
+                    );
+                    replayed += usize::from(replay.is_some());
+                }
+                assert_eq!(
+                    rng.gen::<u64>(),
+                    next_draw,
+                    "{workers} workers, trees {trees}"
+                );
+                replays.push(replayed);
             }
-            assert_eq!(rng.gen::<u64>(), next_draw, "{workers} workers");
-            replays.push(replayed);
         }
         replays
     }
@@ -440,8 +494,50 @@ mod tests {
     #[test]
     fn batches_match_the_sequential_planner_at_every_worker_count() {
         for net in [grid_city(6, 6, 100.0), city_map(5, 800)] {
-            assert_eq!(assert_matches_sequential(&net, 300), [0, 0, 0]);
+            assert_eq!(assert_matches_sequential(&net, 300), [0; 6]);
         }
+    }
+
+    /// `net` with every road `length` long.
+    fn with_lengths(net: &RoadNetwork, length: f64) -> RoadNetwork {
+        let mut b = RoadNetworkBuilder::new();
+        for j in net.junctions() {
+            b.add_junction(j.position());
+        }
+        for seg in net.segments() {
+            b.add_segment_with_length(seg.a(), seg.b(), length).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn small_maps_plan_from_trees_like_the_sequential_planner() {
+        // The rule, not the worker count, picks the trees, and a planner
+        // with trees keeps one worker.
+        for workers in 1..=3 {
+            let planner = TripPlanner::new(&grid_city(12, 12, 100.0), workers);
+            assert!(planner.trees.is_some());
+            assert_eq!(planner.workers.len(), 1);
+            let planner = TripPlanner::new(&city_map(5, 800), workers);
+            assert!(planner.trees.is_none());
+            assert_eq!(planner.workers.len(), workers);
+        }
+        // Squared distances overflow, so the map runs plain Dijkstra and
+        // routes its draw-only trips, but no route overflows.
+        let far = grid_city(5, 5, 1e154);
+        let planner = TripPlanner::new(&far, 2);
+        assert!(planner.trees.is_some() && planner.route_draw_only);
+        assert_eq!(assert_matches_sequential(&far, 200), [0; 6]);
+        // Roads 6e307 m long: two add up to a finite length, three to
+        // infinity, so routes of three roads or more overflow and every
+        // planner replays the same batches.
+        let overflowing = with_lengths(&grid_city(5, 5, 100.0), 6e307);
+        assert!(TripPlanner::new(&overflowing, 2).trees.is_some());
+        let replays = assert_matches_sequential(&overflowing, 120);
+        assert!(
+            replays[0] > 0 && replays.iter().all(|&r| r == replays[0]),
+            "{replays:?}"
+        );
     }
 
     #[test]
@@ -463,10 +559,7 @@ mod tests {
             }
         }
         b.add_junction(Point::new(500.0, 500.0));
-        assert_eq!(
-            assert_matches_sequential(&b.build().unwrap(), 200),
-            [0, 0, 0]
-        );
+        assert_eq!(assert_matches_sequential(&b.build().unwrap(), 200), [0; 6]);
     }
 
     #[test]
@@ -487,6 +580,6 @@ mod tests {
         assert!(TripRouter::new(&net)
             .route(JunctionId(0), JunctionId(2))
             .is_none());
-        assert_eq!(assert_matches_sequential(&net, 60), [3, 3, 3]);
+        assert_eq!(assert_matches_sequential(&net, 60), [3; 6]);
     }
 }

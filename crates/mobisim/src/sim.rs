@@ -25,7 +25,10 @@
 //! order. Each worker is a
 //! [`roadnet::TripRouter`] over one shared router graph, so every route
 //! is the one [`roadnet::shortest_path`] returns and the simulation is
-//! the same at any worker count. Where a route's float length overflows
+//! the same at any worker count. On a map small enough for
+//! [`roadnet::SourceTrees`] the calling thread reads every route from
+//! its start's shortest-path tree instead, the same routes without a
+//! search or a fan-out. Where a route's float length overflows
 //! (only on a map that runs plain Dijkstra), the planner replays the
 //! rest of the batch in sequence.
 //!

@@ -13,7 +13,8 @@
 //! * the [`LandmarkTable`](crate::LandmarkTable) build, one task per
 //!   landmark row;
 //! * `mobisim`'s trip planner, whose route pass routes one chunk of a
-//!   batch's trips per task;
+//!   batch's trips per task on maps too large for
+//!   [`SourceTrees`](crate::SourceTrees);
 //! * `anonymizer`'s `AnonymizerService::anonymize_batch`;
 //! * the continuous pipeline's cloak stage, one task per chunk of a
 //!   shard's requests;

@@ -44,5 +44,7 @@ pub use generate::{
 pub use geometry::{BoundingBox, Point};
 pub use graph::{Junction, JunctionId, RoadNetwork, Segment, SegmentId};
 pub use index::{GraphIndex, IndexBudget, LandmarkTable, ReachIndex, SegmentIndex};
-pub use path::{segment_hop_distance, segments_within_hops, shortest_path, Route, TripRouter};
+pub use path::{
+    segment_hop_distance, segments_within_hops, shortest_path, Route, SourceTrees, TripRouter,
+};
 pub use stats::NetworkStats;

@@ -1,9 +1,11 @@
 //! Shortest-path routing over the road network.
 //!
 //! GTMobiSim-style trip planning uses length-weighted Dijkstra between
-//! junctions: [`shortest_path`] is the one-shot form, and [`TripRouter`]
+//! junctions: [`shortest_path`] is the one-shot form, [`TripRouter`]
 //! answers repeated queries on one map with the same routes while
-//! searching a fraction of it. The cloaking algorithms additionally use
+//! searching a fraction of it, and on a small map [`SourceTrees`] keeps
+//! each source's whole shortest-path tree and reads the same routes
+//! back without searching. The cloaking algorithms additionally use
 //! unweighted segment-hop BFS distances for analysis.
 
 use crate::geometry::{BoundingBox, Point};
@@ -16,6 +18,9 @@ use std::fmt;
 use std::sync::Arc;
 
 mod radix;
+mod trees;
+
+pub use trees::SourceTrees;
 
 /// A shortest route between two junctions.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,34 +89,26 @@ pub fn shortest_path(net: &RoadNetwork, src: JunctionId, dst: JunctionId) -> Opt
     }
     let mut dist = vec![f64::INFINITY; n];
     let mut prev: Vec<Option<(JunctionId, SegmentId)>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[src.index()] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        junction: src.0,
-    });
-    while let Some(HeapEntry { dist: d, junction }) = heap.pop() {
-        let j = JunctionId(junction);
-        if d > dist[j.index()] {
-            continue;
-        }
-        if j == dst {
-            break;
-        }
-        for &s in net.incident_segments(j) {
+    let roads = |j: u32| {
+        let j = JunctionId(j);
+        net.incident_segments(j).iter().map(move |&s| {
             let seg = net.segment(s);
             let other = seg.other_endpoint(j).expect("incident segment endpoint");
-            let nd = d + seg.length();
-            if nd < dist[other.index()] {
-                dist[other.index()] = nd;
-                prev[other.index()] = Some((j, s));
-                heap.push(HeapEntry {
-                    dist: nd,
-                    junction: other.0,
-                });
-            }
-        }
-    }
+            (other.0, seg.length())
+        })
+    };
+    let reached = |w: u32, v: u32, i: usize| {
+        let v = JunctionId(v);
+        prev[w as usize] = Some((v, net.incident_segments(v)[i]));
+    };
+    dijkstra(
+        &mut BinaryHeap::new(),
+        &mut dist,
+        src.0,
+        Some(dst.0),
+        roads,
+        reached,
+    );
     if dist[dst.index()].is_infinite() {
         return None;
     }
@@ -132,6 +129,53 @@ pub fn shortest_path(net: &RoadNetwork, src: JunctionId, dst: JunctionId) -> Opt
         segments,
         length: dist[dst.index()],
     })
+}
+
+/// Dijkstra's loop from `src`, shared by [`shortest_path`] and
+/// [`SourceTrees`]: it pops `(distance, junction)` entries from a binary
+/// heap, skips stale ones, stops when `dst` pops (with `None`, when the
+/// heap is empty), and relaxes each popped junction's roads strictly, in
+/// the order `roads` lists them as `(neighbour, length)`. `reached(w, v,
+/// i)` records that `v`'s `i`-th road now gives `w` its distance. `dist`
+/// must read `f64::INFINITY` for every junction.
+///
+/// A junction's distance and predecessor are final once it pops: every
+/// later key is at least its distance, lengths are never negative, and
+/// an equal distance does not relax. A road of infinite length, or one
+/// whose sum overflows, never relaxes.
+fn dijkstra<R: Iterator<Item = (u32, f64)>>(
+    heap: &mut BinaryHeap<HeapEntry>,
+    dist: &mut [f64],
+    src: u32,
+    dst: Option<u32>,
+    roads: impl Fn(u32) -> R,
+    mut reached: impl FnMut(u32, u32, usize),
+) {
+    heap.clear();
+    dist[src as usize] = 0.0;
+    heap.push(HeapEntry {
+        dist: 0.0,
+        junction: src,
+    });
+    while let Some(HeapEntry { dist: d, junction }) = heap.pop() {
+        if d > dist[junction as usize] {
+            continue;
+        }
+        if Some(junction) == dst {
+            break;
+        }
+        for (i, (other, length)) in roads(junction).enumerate() {
+            let nd = d + length;
+            if nd < dist[other as usize] {
+                dist[other as usize] = nd;
+                reached(other, junction, i);
+                heap.push(HeapEntry {
+                    dist: nd,
+                    junction: other,
+                });
+            }
+        }
+    }
 }
 
 /// Relative amount both bounds are shrunk by (`m` in [`TripRouter`]'s
