@@ -36,7 +36,7 @@ pub struct AnonymizerConfig {
     /// Attempts for dead-ended walks before reporting failure.
     pub max_attempts: u32,
     /// Workers for `AnonymizerService::anonymize_batch` and for the
-    /// continuous pipeline's per-tick cloak and settle fan-outs
+    /// continuous pipeline's per-tick fan-out
     /// (`0` = all available cores, or 1 when they cannot be counted).
     /// The calling thread counts as one of them.
     pub batch_parallelism: usize,

@@ -50,25 +50,31 @@
 //!   strictly monotone and grants keep working across any crossing;
 //! * **per-shard stages** — every stage checks a receipt against its
 //!   shard's issuing snapshot. The key pass, the journal retry ladder,
-//!   fault injection and verification's checks and key fetches run on
-//!   the calling thread in shard order. The report leg (digest, quality,
-//!   LBS) and each attack observer walk the shards in shard order too,
-//!   each inside its own task. A lone shard's digest is its own
+//!   fault injection and verification's checks and key fetches each walk
+//!   the shards in shard order inside one task. The report leg (digest,
+//!   quality, LBS) and each attack observer walk the shards in shard order
+//!   too, each inside its own task. A lone shard's digest is its own
 //!   receipt-stream digest; several shards fold theirs in shard order,
 //!   so sharded digests are their own (masked snapshots change occupancy
 //!   near partition borders);
-//! * **tick fan-outs** — two fan-outs run over the whole tick's
-//!   population at once. The cloak fan-out cloaks every shard's keyed
-//!   requests in `(shard, chunk)` tasks. The settle fan-out runs the
-//!   legs first, longest first — the NRE control, the engine adversary,
-//!   the report leg — and then peels every receipt verification
-//!   collected, one task per receipt. Both use
-//!   [`AnonymizerConfig::batch_parallelism`] workers, the calling thread
-//!   among them, and each worker keeps its scratch across ticks. A leg's
-//!   state is reached only by its own task. Epochs are fixed by the
-//!   sequential key pass before the cloak fan-out starts, every leg
-//!   writes only its own outputs, and results return in task order, so
-//!   reports are identical at any worker count.
+//! * **one tick fan-out** — the anonymizer half of a tick is one fan-out
+//!   over the whole tick's population, whose tasks are the stages in
+//!   order: the key pass, the cloak tasks (one per chunk of a shard's
+//!   requests), the settle task (the injected crash, the retry ladder,
+//!   injected cloak failures, then verification's pass 1), the legs,
+//!   longest first — the NRE control, the engine adversary, the report
+//!   leg — and one peel task per request. A task waits, through
+//!   write-once [`Slot`]s, only for what lower-numbered tasks publish: a
+//!   cloak for its requests' keys, the settle task for every cloak, the
+//!   legs for the final results, the peels for pass 1's jobs. The
+//!   fan-out runs on [`AnonymizerConfig::batch_parallelism`] workers, the
+//!   calling thread among them, and each worker keeps its scratch across
+//!   ticks. A leg's state is reached only by its own task. The key pass
+//!   ratchets the chains and draws their journal coins in request order,
+//!   the settle task, which waits for all of it, draws the retry ladder's
+//!   and the cloak faults' coins in request order, every leg writes only
+//!   its own outputs, and results return in task order, so reports are
+//!   identical at any worker count.
 //!
 //! An optional **attack leg** ([`AttackConfig`], like the LBS leg)
 //! subscribes a keyless [`TemporalAdversary`] to the receipt stream and
@@ -128,7 +134,9 @@ use lbs::{nearest_query_with, PoiCategory, PoiStore, QueryStats, SearchScratch};
 use mobisim::{CarId, OccupancySnapshot, SimConfig, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use roadnet::{fanout, RoadNetwork, SegmentId};
+use roadnet::fanout::{self, Slot};
+use roadnet::{RoadNetwork, SegmentId};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -432,9 +440,8 @@ pub struct ContinuousPipeline {
     registered: Vec<bool>,
     /// The full-map capture every refresh copies the shards' parts from.
     capture: OccupancySnapshot,
-    /// One scratch per worker, kept across ticks (worker 0 is the
-    /// calling thread). The cloak and settle fan-outs share it: they
-    /// never overlap within a tick.
+    /// One scratch per worker of the tick's fan-out, kept across ticks
+    /// (worker 0 is the calling thread).
     scratch: Vec<CloakScratch>,
     /// Scratch for the report leg's LBS queries.
     lbs_scratch: SearchScratch,
@@ -452,18 +459,18 @@ pub struct ContinuousPipeline {
     tick: u64,
 }
 
-/// One partition's slice of the pipeline: its requests and what they
-/// returned this tick, and its masked snapshot.
+/// One partition's slice of the pipeline: its requests and its masked
+/// snapshot.
 struct Shard {
     /// Requests of the owners driving inside this shard's part, in
-    /// tracked order. Owner strings are cloned only when a handoff
-    /// changes the shard's owners; every other tick rewrites segment and
-    /// seed in place.
+    /// tracked order. Each tick rewrites their segment and seed in place;
+    /// a handoff moves a crossing owner's request to its new shard.
     requests: Vec<AnonymizeRequest>,
     /// The tracked-owner index behind each request.
     owners: Vec<usize>,
-    /// What each request returned this tick, in request order; empty between ticks.
-    results: Vec<Issued>,
+    /// Where this shard's requests start in the tick's (shard, request)
+    /// order.
+    start: usize,
     /// The snapshot this shard's requests are issued and checked under:
     /// the last refresh's occupancy inside the part, zero outside it.
     snapshot: OccupancySnapshot,
@@ -483,13 +490,22 @@ struct TrackedOwner {
 type Issued = Result<AnonymizeReceipt, CloakError>;
 
 impl Shard {
-    /// `(tracked-owner index, request, result)`, in request order.
-    fn entries(&self) -> impl Iterator<Item = (usize, &AnonymizeRequest, &Issued)> {
+    /// This shard's positions in the tick's (shard, request) order.
+    fn range(&self) -> Range<usize> {
+        self.start..self.start + self.requests.len()
+    }
+
+    /// `(tracked-owner index, request, result)`, in request order, with
+    /// each result read from the tick's `results`.
+    fn entries<'s, 'r>(
+        &'s self,
+        results: &'r [&'r Issued],
+    ) -> impl Iterator<Item = (usize, &'s AnonymizeRequest, &'r Issued)> {
         self.owners
             .iter()
             .zip(&self.requests)
-            .zip(&self.results)
-            .map(|((&i, request), result)| (i, request, result))
+            .zip(&results[self.range()])
+            .map(|((&i, request), &result)| (i, request, result))
     }
 }
 
@@ -504,7 +520,7 @@ struct AttackLeg {
 }
 
 /// One adversary watching one stream of the attack leg. Each observer
-/// runs as its own task of the tick's settle fan-out.
+/// runs as its own task of the tick's fan-out.
 struct Observer {
     /// The stream's [`AttackRecord::scheme`].
     scheme: &'static str,
@@ -630,7 +646,7 @@ impl ContinuousPipeline {
             .map(|_| Shard {
                 requests: Vec::new(),
                 owners: Vec::new(),
-                results: Vec::new(),
+                start: 0,
                 snapshot: OccupancySnapshot::uniform(sim.network().segment_count(), 0),
             })
             .collect();
@@ -786,12 +802,13 @@ impl ContinuousPipeline {
     }
 
     /// Advances one tick: step traffic, hand boundary-crossing owners to
-    /// their new shard, refresh the snapshots on cadence, derive every
-    /// shard's keys in shard order, cloak the whole tick's requests in
-    /// one fan-out, then settle them: (when configured) verify every
-    /// receipt's invariants against its issuing shard's snapshot, with
-    /// the report, LBS and attack legs running beside verification's
-    /// peel.
+    /// their new shard, refresh the snapshots on cadence, then run the
+    /// anonymizer half as one fan-out of ordered stages:
+    /// derive every request's keys in (shard, request) order, cloak each
+    /// request once its keys are out, settle the results and (when
+    /// configured) verify every receipt's invariants against its issuing
+    /// shard's snapshot, with the report, LBS and attack legs running
+    /// beside verification's peels.
     ///
     /// # Errors
     ///
@@ -826,181 +843,28 @@ impl ContinuousPipeline {
             self.refresh_snapshots();
         }
 
-        // The shards are taken for the tick so their borrow does not pin
-        // `self` across the later stages; they are restored on every path.
-        let mut shards = std::mem::take(&mut self.shards);
-        let mut keyed = Vec::with_capacity(shards.len());
-        for shard in &mut shards {
+        for shard in &mut self.shards {
             for (request, &i) in shard.requests.iter_mut().zip(&shard.owners) {
                 request.segment = self.tracked[i].segment;
                 request.seed = mix_seed(self.cfg.seed, self.tick, i as u64);
             }
-            // The chain pre-pass, in shard and request order, so journal
-            // appends, epochs and journal-fault coins fall the same way
-            // at any worker count.
-            keyed.push(self.service.derive_batch_keys(&shard.requests));
         }
-        self.cloak(&mut shards, &keyed);
-        let report = self.settle(&mut shards, snapshot_refreshed, handoffs, health);
-        shards.iter_mut().for_each(|s| s.results.clear());
-        self.shards = shards;
-        report
-    }
-
-    /// Every stage after issue, for the shards [`tick`](Self::tick)
-    /// just issued, in three steps:
-    ///
-    /// 1. the injected crash, the journal retry ladder and injected
-    ///    cloak failures, in (shard, request) order;
-    /// 2. verification's pass 1 ([`check_issued`](Self::check_issued)),
-    ///    sequential because it registers grants and fetches keys in
-    ///    (shard, receipt) order;
-    /// 3. one fan-out over the kept scratches: first the legs, longest
-    ///    first — the NRE control, the engine adversary, then the report
-    ///    leg ([`record_receipts`]: digest, quality, LBS) — and then one
-    ///    peel task per job pass 1 collected, checked by
-    ///    [`check_peeled`].
-    ///
-    /// The legs run whether or not verification fails, so cumulative
-    /// attack rollups do not depend on where a tick failed.
-    fn settle(
-        &mut self,
-        shards: &mut [Shard],
-        snapshot_refreshed: bool,
-        handoffs: usize,
-        mut health: TickHealth,
-    ) -> Result<TickReport, PipelineError> {
-        // Injected crash between ratchet-advance and receipt-issue: the
-        // key pass journaled every owner's advance, but no receipt reaches
-        // the stream. This is exactly the window the write-ahead journal
-        // exists for — recovery must resume past the journaled epochs.
-        if self
-            .injector
-            .as_ref()
-            .is_some_and(|i| i.crash_due(self.tick))
-        {
-            self.crashed = true;
-            return Err(PipelineError {
-                message: format!(
-                    "tick {}: injected crash between ratchet-advance and receipt-issue",
-                    self.tick
-                ),
-            });
-        }
-
-        // Degradation ladder for journal write failures, in request
-        // order: retry with backoff, then skip the owner and count it,
-        // then abort once the tick's skip budget is blown. A failed
-        // advance never committed the chain, so a successful retry
-        // re-derives the same epoch from the same request seed and
-        // cloaks against the shard's snapshot — the recovered
-        // receipt is bit-identical to the one the fault suppressed,
-        // keeping the stream digest on its fault-free value.
-        let (policy, service) = (&self.cfg.fault_policy, &self.service);
-        let scratch = &mut self.scratch[0];
-        for shard in shards.iter_mut() {
-            for (request, slot) in shard.requests.iter().zip(shard.results.iter_mut()) {
-                if !matches!(slot, Err(CloakError::Persistence(_))) {
-                    continue;
-                }
-                for attempt in 0..policy.journal_retries {
-                    if policy.backoff_base_ms > 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(
-                            policy.backoff_base_ms << attempt.min(16),
-                        ));
-                    }
-                    health.journal_retries += 1;
-                    let one = std::slice::from_ref(request);
-                    let keys = service.derive_batch_keys(one);
-                    let mut run = service.anonymize_run_keyed(&shard.snapshot, one, &keys, scratch);
-                    *slot = run.pop().expect("one request, one result");
-                    if !matches!(slot, Err(CloakError::Persistence(_))) {
-                        break;
-                    }
-                }
-                if matches!(slot, Err(CloakError::Persistence(_))) {
-                    health.journal_skips += 1;
-                }
+        let mut report = self.blank_report(snapshot_refreshed, handoffs);
+        let (stages, scratch) = self.stages(&mut report, health);
+        let views = fanout::fan_out(scratch, stages.tasks(), |scratch, t| stages.run(scratch, t));
+        let (health, verified, verify_err) = match stages.finish(views) {
+            Ok(settled) => settled,
+            Err(abort) => {
+                // The crash, if the plan has one at this tick, is checked
+                // first, so this abort is it.
+                self.crashed = self
+                    .injector
+                    .as_ref()
+                    .is_some_and(|i| i.crash_due(self.tick));
+                return Err(abort);
             }
-        }
-        if health.journal_skips > policy.max_skipped_owners as u64 {
-            return Err(PipelineError {
-                message: format!(
-                    "tick {}: {} owners skipped after journal failures (budget {})",
-                    self.tick, health.journal_skips, policy.max_skipped_owners
-                ),
-            });
-        }
-
-        // Injected per-owner cloak failures: the receipt is dropped as
-        // if the walk dead-ended — an availability event, counted in
-        // both `failed` and the health rollup.
-        if let Some(injector) = &self.injector {
-            for slot in shards.iter_mut().flat_map(|s| s.results.iter_mut()) {
-                if slot.is_ok() && injector.cloak_fault() {
-                    health.injected_cloak_failures += 1;
-                    *slot = Err(CloakError::CloakingFailed {
-                        level: Level(0),
-                        reason: StepFailure::NoCandidates,
-                    });
-                }
-            }
-        }
-
-        let mut report = TickReport {
-            tick: self.tick,
-            clock: self.sim.clock(),
-            snapshot_refreshed,
-            issued: 0,
-            failed: 0,
-            verified: 0,
-            handoffs,
-            digest: FNV_OFFSET,
-            shard_digests: Vec::with_capacity(shards.len()),
-            quality: QualitySummary::new(),
-            lbs: QueryStats::new(),
-            attack: None,
-            health,
         };
-        let shards = &*shards;
-        let (jobs, pass1_err) = if self.cfg.verify {
-            self.check_issued(shards)
-        } else {
-            (Vec::new(), None)
-        };
-
-        // The settle fan-out. Each leg's state is reached only by its own
-        // task, through a lock no other task takes, and each leg writes
-        // only its own outputs.
-        let (tick, net, profile) = (self.tick, self.sim.network(), &self.profile);
-        let (pois, lbs_probes) = (self.pois.as_ref(), self.cfg.lbs_probes);
-        let observers: Vec<Mutex<&mut Observer>> = self
-            .attack
-            .iter_mut()
-            .flat_map(|leg| leg.nre.iter_mut().chain([&mut leg.engine]))
-            .map(Mutex::new)
-            .collect();
-        let report_leg = Mutex::new((&mut report, &mut self.lbs_scratch));
-        let legs = observers.len() + 1;
-        let dean = &self.dean;
-        let views = fanout::fan_out(&mut self.scratch, legs + jobs.len(), |scratch, t| {
-            if let Some(observer) = observers.get(t) {
-                let mut observer = observer.lock().expect("only this task locks the observer");
-                observer.observe_tick(net, profile, tick, snapshot_refreshed, shards);
-                None
-            } else if t < legs {
-                let (report, lbs_scratch) =
-                    &mut *report_leg.lock().expect("only this task locks the report");
-                record_receipts(report, shards, net, profile, pois, lbs_probes, lbs_scratch);
-                None
-            } else {
-                let (_, payload, keys) = &jobs[t - legs];
-                Some(dean.reduce_with(payload, keys, scratch))
-            }
-        });
-
-        let (verified, verify_err) =
-            check_peeled(tick, &jobs, views.into_iter().flatten(), pass1_err);
+        report.health = health;
         report.verified = verified;
         report.attack = self.attack.as_mut().map(AttackLeg::finish_tick);
         match verify_err {
@@ -1009,42 +873,80 @@ impl ContinuousPipeline {
         }
     }
 
-    /// The cloak stage: every shard's keyed requests in one fan-out over
-    /// the pipeline's workers. The tasks are `(shard, chunk)` pairs, each
-    /// cloaked against its shard's snapshot with the worker's kept
-    /// scratch, and the results land in each shard in request order.
-    ///
-    /// These are [`AnonymizerService::anonymize_batch`]'s keyed halves.
-    /// Tracked owners are distinct across all shards, so no request
-    /// repeats an owner and no two tasks store the same owner's record.
-    fn cloak(&mut self, shards: &mut [Shard], keyed: &[Vec<KeyedRequest>]) {
-        let total = shards.iter().map(|s| s.requests.len()).sum();
+    /// This tick's report before its stages fill it in.
+    fn blank_report(&self, snapshot_refreshed: bool, handoffs: usize) -> TickReport {
+        TickReport {
+            tick: self.tick,
+            clock: self.sim.clock(),
+            snapshot_refreshed,
+            issued: 0,
+            failed: 0,
+            verified: 0,
+            handoffs,
+            digest: FNV_OFFSET,
+            shard_digests: Vec::with_capacity(self.shards.len()),
+            quality: QualitySummary::new(),
+            lbs: QueryStats::new(),
+            attack: None,
+            health: TickHealth::default(),
+        }
+    }
+
+    /// The tick's stages over the shards' current requests, with the
+    /// legs reporting into `report`, and the workers' kept scratch for
+    /// their fan-out. `health` holds what the tick counted before them.
+    fn stages<'t>(
+        &'t mut self,
+        report: &'t mut TickReport,
+        health: TickHealth,
+    ) -> (Stages<'t>, &'t mut [CloakScratch]) {
+        let mut total = 0;
+        for shard in &mut self.shards {
+            shard.start = total;
+            total += shard.requests.len();
+        }
         let chunk = fanout::chunk_len(total, self.scratch.len());
-        let tasks: Vec<(usize, Range<usize>)> = shards
+        let chunks = self
+            .shards
             .iter()
             .enumerate()
             .flat_map(|(p, shard)| {
-                let len = shard.requests.len();
-                (0..len)
+                let run = shard.range();
+                run.clone()
                     .step_by(chunk)
-                    .map(move |start| (p, start..len.min(start + chunk)))
+                    .map(move |start| (p, start..run.end.min(start + chunk)))
             })
+            .collect::<Vec<_>>();
+        let cloaked = chunks.iter().map(|_| Slot::new()).collect();
+        let snapshot_refreshed = report.snapshot_refreshed;
+        let mut legs: Vec<Mutex<Leg<'t>>> = self
+            .attack
+            .iter_mut()
+            .flat_map(|leg| leg.nre.iter_mut().chain([&mut leg.engine]))
+            .map(|observer| Mutex::new(Leg::Observe(observer)))
             .collect();
-        let service = &self.service;
-        let issued = &*shards;
-        let runs = fanout::fan_out(&mut self.scratch, tasks.len(), |scratch, t| {
-            let (p, run) = &tasks[t];
-            let shard = &issued[*p];
-            service.anonymize_run_keyed(
-                &shard.snapshot,
-                &shard.requests[run.clone()],
-                &keyed[*p][run.clone()],
-                scratch,
-            )
-        });
-        for ((p, _), run) in tasks.iter().zip(runs) {
-            shards[*p].results.extend(run);
-        }
+        legs.push(Mutex::new(Leg::Report(report, &mut self.lbs_scratch)));
+        let stages = Stages {
+            tick: self.tick,
+            snapshot_refreshed,
+            cfg: &self.cfg,
+            net: self.sim.network(),
+            profile: &self.profile,
+            service: &self.service,
+            dean: &self.dean,
+            injector: self.injector.as_deref(),
+            pois: self.pois.as_ref(),
+            shards: &self.shards,
+            chunks,
+            legs,
+            registered: Mutex::new(&mut self.registered),
+            health,
+            keys: (0..total).map(|_| Slot::new()).collect(),
+            cloaked,
+            settled: Slot::new(),
+            checked: Slot::new(),
+        };
+        (stages, &mut self.scratch)
     }
 
     /// Moves every owner whose car crossed into another shard's part to
@@ -1071,17 +973,22 @@ impl ContinuousPipeline {
     }
 
     /// Refills each shard's request buffer with the owners it holds, in
-    /// tracked order (segment and seed are set per tick).
+    /// tracked order, moving every owner's request to its new shard (segment
+    /// and seed are set per tick). Only the first call, on empty buffers,
+    /// builds the requests.
     fn route_requests(&mut self) {
+        let mut requests: Vec<Option<AnonymizeRequest>> =
+            (0..self.tracked.len()).map(|_| None).collect();
         for shard in &mut self.shards {
-            shard.requests.clear();
-            shard.owners.clear();
+            for (request, i) in shard.requests.drain(..).zip(shard.owners.drain(..)) {
+                requests[i] = Some(request);
+            }
         }
-        for (i, t) in self.tracked.iter().enumerate() {
+        for ((i, t), request) in self.tracked.iter().enumerate().zip(requests) {
             let shard = &mut self.shards[t.shard];
-            shard
-                .requests
-                .push(AnonymizeRequest::new(t.owner.clone(), t.segment, 0));
+            shard.requests.push(
+                request.unwrap_or_else(|| AnonymizeRequest::new(t.owner.clone(), t.segment, 0)),
+            );
             shard.owners.push(i);
         }
     }
@@ -1156,20 +1063,274 @@ impl ContinuousPipeline {
     pub fn run(&mut self, ticks: usize) -> Result<Vec<TickReport>, PipelineError> {
         (0..ticks).map(|_| self.tick()).collect()
     }
+}
+
+/// One tick's anonymizer half as the ordered tasks of one fan-out
+/// ([`run`](Stages::run)). Each stage writes its outputs once into slots
+/// and waits only for slots of lower-numbered tasks:
+///
+/// 1. the key pass, in (shard, request) order, publishing each request's
+///    keys as it derives them;
+/// 2. one cloak task per chunk of a shard's requests, cloaking each
+///    request as soon as its keys are out;
+/// 3. the settle task: once every request is cloaked, the injected
+///    crash, the journal retry ladder and the injected cloak failures, in
+///    (shard, request) order; it publishes the final results (or the
+///    abort), then verification's pass 1;
+/// 4. the legs, longest first — the NRE control, the engine adversary,
+///    the report leg (digest, quality, LBS) — once the final results are
+///    out, each reaching its own state through a lock no other task
+///    takes; none runs on an aborted tick, and all run whether or not
+///    verification fails, so cumulative attack rollups do not depend on
+///    where a tick failed;
+/// 5. one peel task per request, peeling the receipt pass 1 cleared at
+///    its position, if any.
+///
+/// The key pass ratchets the chains and draws their journal coins in
+/// request order, the settle task, which waits for all of it, draws the
+/// retry ladder's and the cloak faults' coins in request order, each leg
+/// writes only its own outputs and results return in task order, so
+/// reports are identical at any worker count.
+struct Stages<'t> {
+    tick: u64,
+    snapshot_refreshed: bool,
+    cfg: &'t PipelineConfig,
+    net: &'t RoadNetwork,
+    profile: &'t PrivacyProfile,
+    service: &'t AnonymizerService,
+    dean: &'t Deanonymizer,
+    injector: Option<&'t FaultInjector>,
+    pois: Option<&'t PoiStore>,
+    shards: &'t [Shard],
+    /// Each cloak task's shard and requests, in the tick's (shard,
+    /// request) order.
+    chunks: Vec<(usize, Range<usize>)>,
+    /// The legs, longest first.
+    legs: Vec<Mutex<Leg<'t>>>,
+    /// Whether each tracked owner's auditor grant is registered; only the
+    /// settle task locks it.
+    registered: Mutex<&'t mut [bool]>,
+    /// What the tick counted before its stages.
+    health: TickHealth,
+    /// Each request's keys, in (shard, request) order.
+    keys: Vec<Slot<KeyedRequest>>,
+    /// Each cloak task's results, in request order.
+    cloaked: Vec<Slot<Vec<Issued>>>,
+    settled: Slot<Settled>,
+    checked: Slot<Checked<'t>>,
+}
+
+/// One leg of the tick: an attack observer, or the report leg with its
+/// LBS query scratch.
+enum Leg<'t> {
+    Observe(&'t mut Observer),
+    Report(&'t mut TickReport, &'t mut SearchScratch),
+}
+
+/// What the settle task publishes: the results it replaced, by position
+/// in the tick's (shard, request) order, and the tick's health; or the
+/// error that aborts the tick.
+type Settled = Result<(BTreeMap<usize, Issued>, TickHealth), PipelineError>;
+
+/// Verification's pass 1: the peel jobs of the receipts before its first
+/// failure, and that failure.
+type Checked<'t> = (Vec<PeelJob<'t>>, Option<PipelineError>);
+
+/// What a peel task returns: the view of the receipt it peeled, if any.
+type Peeled = Option<Result<DeanonymizedView, DeanonError>>;
+
+impl<'t> Stages<'t> {
+    /// The task that settles the tick: the one after the key pass and
+    /// the cloak tasks.
+    fn settle_task(&self) -> usize {
+        1 + self.chunks.len()
+    }
+
+    /// How many tasks the tick's fan-out runs.
+    fn tasks(&self) -> usize {
+        let peels = if self.cfg.verify { self.keys.len() } else { 0 };
+        self.settle_task() + 1 + self.legs.len() + peels
+    }
+
+    /// Runs task `task` with the worker's `scratch`; a peel task returns
+    /// its view.
+    fn run(&self, scratch: &mut CloakScratch, task: usize) -> Peeled {
+        let settle = self.settle_task();
+        let peels = settle + 1 + self.legs.len();
+        match task {
+            0 => self.derive_keys(),
+            t if t < settle => self.cloak(t - 1, scratch),
+            t if t == settle => self.settle(scratch),
+            t if t < peels => self.leg(t - settle - 1),
+            t => return self.peel(t - peels, scratch),
+        }
+        None
+    }
+
+    /// The key pass: ratchets every request's chain in (shard, request)
+    /// order, so journal appends, epochs and journal-fault coins fall the
+    /// same way at any worker count, and publishes each request's keys
+    /// as it derives them.
+    fn derive_keys(&self) {
+        let _guard = Slot::guard(&self.keys);
+        let requests = self.shards.iter().flat_map(|shard| &shard.requests);
+        for (keys, request) in self.keys.iter().zip(requests) {
+            keys.set(self.service.derive_keys(request));
+        }
+    }
+
+    /// Cloak task `c`: its chunk of one shard's requests, each cloaked
+    /// against the shard's snapshot with the worker's kept scratch as
+    /// soon as its keys are out. These are
+    /// [`AnonymizerService::anonymize_batch`]'s keyed halves. Tracked
+    /// owners are distinct across all shards, so no request repeats an
+    /// owner and no two tasks store the same owner's record.
+    fn cloak(&self, c: usize, scratch: &mut CloakScratch) {
+        let _guard = Slot::guard(std::slice::from_ref(&self.cloaked[c]));
+        let (p, run) = &self.chunks[c];
+        let shard = &self.shards[*p];
+        let requests = &shard.requests[run.start - shard.start..run.end - shard.start];
+        let issue = |(request, keys): (_, &Slot<_>)| {
+            self.service
+                .issue_request(&shard.snapshot, request, keys.wait(), scratch)
+        };
+        let issued = requests.iter().zip(&self.keys[run.clone()]).map(issue);
+        self.cloaked[c].set(issued.collect());
+    }
+
+    /// Every request's cloak, in (shard, request) order, each chunk's
+    /// once its task is done.
+    fn cloaks(&self) -> impl Iterator<Item = &Issued> {
+        self.cloaked.iter().flat_map(Slot::wait)
+    }
+
+    /// The settle task: publishes the final results (or the abort), then
+    /// verification's pass 1 over them.
+    fn settle(&self, scratch: &mut CloakScratch) {
+        let _guards = (
+            Slot::guard(std::slice::from_ref(&self.settled)),
+            Slot::guard(std::slice::from_ref(&self.checked)),
+        );
+        self.settled.set(self.retry_and_inject(scratch));
+        self.checked.set(match self.results() {
+            Some(results) if self.cfg.verify => self.check_issued(&results),
+            _ => (Vec::new(), None),
+        });
+    }
+
+    /// Settling, once every request is cloaked: the injected crash, the
+    /// journal retry ladder, then the injected cloak failures, each in
+    /// (shard, request) order.
+    fn retry_and_inject(&self, scratch: &mut CloakScratch) -> Settled {
+        let cloaks: Vec<&Issued> = self.cloaks().collect();
+        // Injected crash between ratchet-advance and receipt-issue: the
+        // key pass journaled every owner's advance, but no receipt reaches
+        // the stream. This is exactly the window the write-ahead journal
+        // exists for — recovery must resume past the journaled epochs.
+        if self.injector.is_some_and(|i| i.crash_due(self.tick)) {
+            return Err(PipelineError {
+                message: format!(
+                    "tick {}: injected crash between ratchet-advance and receipt-issue",
+                    self.tick
+                ),
+            });
+        }
+
+        // Degradation ladder for journal write failures, in request
+        // order: retry with backoff, then skip the owner and count it,
+        // then abort once the tick's skip budget is blown. A failed
+        // advance never committed the chain, so a successful retry
+        // re-derives the same epoch from the same request seed and
+        // cloaks against the shard's snapshot — the recovered
+        // receipt is bit-identical to the one the fault suppressed,
+        // keeping the stream digest on its fault-free value.
+        let policy = &self.cfg.fault_policy;
+        let persisted = |result: &Issued| !matches!(result, Err(CloakError::Persistence(_)));
+        let (mut health, mut fixes) = (self.health, BTreeMap::new());
+        for shard in self.shards {
+            for (g, request) in shard.range().zip(&shard.requests) {
+                if persisted(cloaks[g]) {
+                    continue;
+                }
+                let mut retried = None;
+                for attempt in 0..policy.journal_retries {
+                    if policy.backoff_base_ms > 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(
+                            policy.backoff_base_ms << attempt.min(16),
+                        ));
+                    }
+                    health.journal_retries += 1;
+                    let keys = self.service.derive_keys(request);
+                    let issued =
+                        self.service
+                            .issue_request(&shard.snapshot, request, &keys, scratch);
+                    let done = persisted(&issued);
+                    retried = Some(issued);
+                    if done {
+                        break;
+                    }
+                }
+                if !retried.as_ref().is_some_and(persisted) {
+                    health.journal_skips += 1;
+                }
+                fixes.extend(retried.map(|issued| (g, issued)));
+            }
+        }
+        if health.journal_skips > policy.max_skipped_owners as u64 {
+            return Err(PipelineError {
+                message: format!(
+                    "tick {}: {} owners skipped after journal failures (budget {})",
+                    self.tick, health.journal_skips, policy.max_skipped_owners
+                ),
+            });
+        }
+
+        // Injected per-owner cloak failures: the receipt is dropped as
+        // if the walk dead-ended — an availability event, counted in
+        // both `failed` and the health rollup.
+        if let Some(injector) = self.injector {
+            for (g, &cloak) in cloaks.iter().enumerate() {
+                let issued = fixes.get(&g).unwrap_or(cloak);
+                if issued.is_ok() && injector.cloak_fault() {
+                    health.injected_cloak_failures += 1;
+                    let failed = CloakError::CloakingFailed {
+                        level: Level(0),
+                        reason: StepFailure::NoCandidates,
+                    };
+                    fixes.insert(g, Err(failed));
+                }
+            }
+        }
+        Ok((fixes, health))
+    }
+
+    /// The tick's final results in (shard, request) order, once the
+    /// settle task published them: each request's cloak, unless settling
+    /// replaced it. `None` when the tick aborted.
+    fn results(&self) -> Option<Vec<&Issued>> {
+        let (fixes, _) = self.settled.wait().as_ref().ok()?;
+        let results = self.cloaks().enumerate();
+        Some(
+            results
+                .map(|(g, cloak)| fixes.get(&g).unwrap_or(cloak))
+                .collect(),
+        )
+    }
 
     /// Verification's pass 1, in (shard, receipt) order: k-anonymity on
     /// the issuing shard's snapshot, region membership, and grant
     /// preservation (the auditor registers at an owner's first cloak,
     /// then fetches the owner's keys). It stops at its first failure and
     /// returns the peel jobs of the receipts before it, with the failure.
-    fn check_issued<'b>(
-        &mut self,
-        shards: &'b [Shard],
-    ) -> (Vec<PeelJob<'b>>, Option<PipelineError>) {
+    fn check_issued(&self, results: &[&Issued]) -> Checked<'t> {
         let k = self.profile.top_requirement().k as u64;
+        let mut registered = self
+            .registered
+            .lock()
+            .expect("only the settle task locks the grant flags");
         let mut jobs = Vec::new();
-        for shard in shards {
-            for (i, request, result) in shard.entries() {
+        for shard in self.shards {
+            for (i, request, result) in shard.entries(results) {
                 let Ok(receipt) = result else { continue };
                 let owner = &request.owner;
                 let fail = |what: &str| Some(violation(self.tick, owner, what));
@@ -1190,17 +1351,17 @@ impl ContinuousPipeline {
                 // Grant preservation: the auditor is registered only at the
                 // owner's first cloak — on every later tick its keys must
                 // keep working across the re-anonymization.
-                if !self.registered[i] {
+                if !registered[i] {
                     if !self
                         .service
                         .register_requester(owner, AUDITOR, TrustDegree(10), Level(0))
                     {
                         return (jobs, fail("owner record missing right after anonymization"));
                     }
-                    self.registered[i] = true;
+                    registered[i] = true;
                 }
                 match self.service.fetch_keys(owner, AUDITOR) {
-                    Ok(keys) => jobs.push((request, &receipt.payload, keys)),
+                    Ok(keys) => jobs.push((request, Arc::clone(&receipt.payload), keys)),
                     Err(e) => {
                         let what = format!("grant lost across re-anonymization: {e}");
                         return (jobs, fail(&what));
@@ -1210,11 +1371,66 @@ impl ContinuousPipeline {
         }
         (jobs, None)
     }
+
+    /// Leg task `l`, once the final results are out; no leg runs on an
+    /// aborted tick.
+    fn leg(&self, l: usize) {
+        let Some(results) = self.results() else {
+            return;
+        };
+        let (net, profile, shards) = (self.net, self.profile, self.shards);
+        match &mut *self.legs[l].lock().expect("only this task locks its leg") {
+            Leg::Observe(observer) => observer.observe_tick(
+                net,
+                profile,
+                self.tick,
+                self.snapshot_refreshed,
+                shards,
+                &results,
+            ),
+            Leg::Report(report, lbs_scratch) => record_receipts(
+                report,
+                shards,
+                &results,
+                net,
+                profile,
+                self.pois,
+                self.cfg.lbs_probes,
+                lbs_scratch,
+            ),
+        }
+    }
+
+    /// Peel task `j`: verification's pass 2 for the `j`-th receipt pass 1
+    /// cleared, if there is one.
+    fn peel(&self, j: usize, scratch: &mut CloakScratch) -> Peeled {
+        let (_, payload, keys) = self.checked.wait().0.get(j)?;
+        Some(self.dean.reduce_with(payload, keys, scratch))
+    }
+
+    /// Ends the tick once its fan-out returned the peels' `views`: the
+    /// settle task's abort, or the tick's health, its verified receipts
+    /// and verification's first failure.
+    fn finish(
+        self,
+        views: Vec<Peeled>,
+    ) -> Result<(TickHealth, usize, Option<PipelineError>), PipelineError> {
+        let published = "the settle task publishes before it returns";
+        let (_, health) = self.settled.into_inner().expect(published)?;
+        let (jobs, pass1_err) = self.checked.into_inner().expect(published);
+        let (verified, err) =
+            check_peeled(self.tick, &jobs, views.into_iter().flatten(), pass1_err);
+        Ok((health, verified, err))
+    }
 }
 
 /// A receipt that passed verification's pass 1: its request, its
 /// payload and the auditor's fetched keys, to be peeled.
-type PeelJob<'a> = (&'a AnonymizeRequest, &'a CloakPayload, Vec<(Level, Key256)>);
+type PeelJob<'a> = (
+    &'a AnonymizeRequest,
+    Arc<CloakPayload>,
+    Vec<(Level, Key256)>,
+);
 
 /// An invariant violation of `owner`'s receipt at `tick`.
 fn violation(tick: u64, owner: &str, what: &str) -> PipelineError {
@@ -1252,13 +1468,15 @@ fn check_peeled(
     (verified, pass1_err)
 }
 
-/// The report leg: each shard's receipt digest, the region-quality
-/// rollup against the issuing snapshots, and LBS nearest-POI queries
-/// over the tick's first `lbs_probes` issued receipts (none without
-/// `pois`).
+/// The report leg over the tick's final `results`: each shard's receipt
+/// digest, the region-quality rollup against the issuing snapshots, and
+/// LBS nearest-POI queries over the tick's first `lbs_probes` issued
+/// receipts (none without `pois`).
+#[allow(clippy::too_many_arguments)]
 fn record_receipts(
     report: &mut TickReport,
     shards: &[Shard],
+    results: &[&Issued],
     net: &RoadNetwork,
     profile: &PrivacyProfile,
     pois: Option<&PoiStore>,
@@ -1267,7 +1485,7 @@ fn record_receipts(
 ) {
     for shard in shards {
         let mut digest = FNV_OFFSET;
-        for (i, request, result) in shard.entries() {
+        for (i, request, result) in shard.entries(results) {
             let Ok(receipt) = result else {
                 report.failed += 1;
                 continue;
@@ -1329,7 +1547,7 @@ impl AttackLeg {
 }
 
 impl Observer {
-    /// Observes one tick's receipts shard by shard, in receipt order: on
+    /// Observes one tick's final `results` shard by shard, in receipt order: on
     /// the engine stream their regions, on the NRE stream the control
     /// grown from each receipt's true segment. It reads public
     /// information only — region, issuing snapshot, tick — and is passed
@@ -1341,12 +1559,13 @@ impl Observer {
         tick: u64,
         snapshot_fresh: bool,
         shards: &[Shard],
+        results: &[&Issued],
     ) {
         let owners = self.owners;
         let requirement = profile.top_requirement();
         for shard in shards {
             let issuing = &shard.snapshot;
-            let observed = || shard.entries().filter(|&(i, _, _)| i < owners);
+            let observed = || shard.entries(results).filter(|&(i, _, _)| i < owners);
             // A shard's observations share its issuing snapshot: announce
             // it once, together with the shard's observed owners, so the
             // adversary prices the occupancy weighting once and packs
@@ -1924,15 +2143,32 @@ mod tests {
         assert_eq!(report.health.injected_cloak_failures, 4);
     }
 
-    /// Verification as `settle` runs it, with the peels on the calling
+    /// The tick's stages over `p`'s shards with every request's cloak
+    /// already out, as `cloaked` holds them.
+    fn settling<'t>(
+        p: &'t mut ContinuousPipeline,
+        report: &'t mut TickReport,
+        cloaked: &[Issued],
+    ) -> (Stages<'t>, &'t mut [CloakScratch]) {
+        let (stages, scratch) = p.stages(report, TickHealth::default());
+        for (slot, (_, run)) in stages.cloaked.iter().zip(&stages.chunks) {
+            slot.set(cloaked[run.clone()].to_vec());
+        }
+        (stages, scratch)
+    }
+
+    /// Verification as the settle and peel tasks run it, on the calling
     /// thread: pass 1, then pass 2 over the peeled views.
-    fn verify(p: &mut ContinuousPipeline, shards: &[Shard]) -> (usize, Option<PipelineError>) {
-        let (jobs, pass1_err) = p.check_issued(shards);
-        let views: Vec<_> = jobs
-            .iter()
-            .map(|(_, payload, keys)| p.dean.reduce_with(payload, keys, &mut CloakScratch::new()))
+    fn verify(p: &mut ContinuousPipeline, cloaked: &[Issued]) -> (usize, Option<PipelineError>) {
+        let mut report = p.blank_report(true, 0);
+        let (stages, _) = settling(p, &mut report, cloaked);
+        let scratch = &mut CloakScratch::new();
+        stages.settle(scratch);
+        let views = (0..cloaked.len())
+            .map(|j| stages.peel(j, scratch))
             .collect();
-        check_peeled(p.tick, &jobs, views, pass1_err)
+        let (_, verified, err) = stages.finish(views).expect("no fault plan, no abort");
+        (verified, err)
     }
 
     #[test]
@@ -1970,9 +2206,9 @@ mod tests {
                 },
                 2,
             );
-            // Receipts for the owners' own segments, as a tick issues them.
+            // Receipts for the owners' own segments, as a tick's key and
+            // cloak tasks issue them.
             let mut shards: Vec<Shard> = Vec::new();
-            let mut keyed = Vec::new();
             for (shard, claims) in layout.iter().enumerate() {
                 let first: usize = shards.iter().map(|s| s.owners.len()).sum();
                 let owners: Vec<usize> = (first..first + claims.len()).collect();
@@ -1983,20 +2219,31 @@ mod tests {
                         AnonymizeRequest::new(p.tracked[o].owner.clone(), segment, 1)
                     })
                     .collect();
-                keyed.push(p.service.derive_batch_keys(&requests));
                 shards.push(Shard {
                     requests,
                     owners,
-                    results: Vec::new(),
+                    start: 0,
                     snapshot: p.shards[shard].snapshot.clone(),
                 });
             }
-            p.cloak(&mut shards, &keyed);
+            p.shards = shards;
+            let cloaked: Vec<Issued> = {
+                let mut report = p.blank_report(true, 0);
+                let (stages, scratch) = p.stages(&mut report, TickHealth::default());
+                let cloaks = stages.settle_task();
+                fanout::fan_out(scratch, cloaks, |scratch, t| stages.run(scratch, t));
+                let cloaked = stages.cloaked.into_iter();
+                cloaked
+                    .flat_map(|c| c.into_inner().expect("cloaked"))
+                    .collect()
+            };
             // Each request now claims the segment its case names.
             let mut first_failure = None;
-            for (shard, claims) in shards.iter_mut().zip(layout) {
-                let (requests, results) = (&mut shard.requests, &shard.results);
-                for ((request, result), &claim) in requests.iter_mut().zip(results).zip(claims) {
+            for (shard, claims) in p.shards.iter_mut().zip(layout) {
+                let results = &cloaked[shard.range()];
+                for ((request, result), &claim) in
+                    shard.requests.iter_mut().zip(results).zip(claims)
+                {
                     let receipt = result.as_ref().expect("the shard's snapshot reaches k");
                     let (region, own) = (&receipt.payload.segments, request.segment);
                     request.segment = match claim {
@@ -2014,7 +2261,7 @@ mod tests {
                     }
                 }
             }
-            let (verified, err) = verify(&mut p, &shards);
+            let (verified, err) = verify(&mut p, &cloaked);
             let err = err.expect("a hand-made receipt fails");
             assert_eq!(verified, verified_before, "{err}");
             let owner = first_failure.unwrap();
@@ -2022,8 +2269,147 @@ mod tests {
                 err.message.starts_with(&format!("tick 0: {owner}: {what}")),
                 "{err}"
             );
-            let settled = p.settle(&mut shards, true, 0, TickHealth::default());
-            assert_eq!(settled.unwrap_err(), err);
+            // The same receipts through the fan-out, from the settle task on.
+            let mut report = p.blank_report(true, 0);
+            let (stages, scratch) = settling(&mut p, &mut report, &cloaked);
+            let first = stages.settle_task();
+            let views = fanout::fan_out(scratch, stages.tasks() - first, |scratch, t| {
+                stages.run(scratch, first + t)
+            });
+            let (_, _, settled) = stages.finish(views).expect("no fault plan, no abort");
+            assert_eq!(settled, Some(err));
+        }
+    }
+
+    /// The attack leg's observable state: the record log, both cumulative
+    /// rollups, the NRE failure count and both observe timers.
+    type AttackState = (
+        Vec<AttackRecord>,
+        Option<AttackSummary>,
+        Option<AttackSummary>,
+        usize,
+        Option<Duration>,
+        Option<Duration>,
+    );
+
+    fn attack_state(p: &ContinuousPipeline) -> AttackState {
+        (
+            p.attack_records().to_vec(),
+            p.attack_summary().cloned(),
+            p.baseline_attack_summary().cloned(),
+            p.baseline_attack_failures(),
+            p.attack_observe_time(),
+            p.baseline_observe_time(),
+        )
+    }
+
+    fn attacked(
+        parallelism: usize,
+        shards: usize,
+        fault: Option<FaultPlan>,
+        fault_policy: FaultPolicy,
+    ) -> ContinuousPipeline {
+        ContinuousPipeline::sharded(
+            grid_city(7, 7, 100.0),
+            SimConfig {
+                cars: 200,
+                seed: 11,
+                ..Default::default()
+            },
+            AnonymizerConfig {
+                batch_parallelism: parallelism,
+                ..Default::default()
+            },
+            PipelineConfig {
+                tracked_owners: 12,
+                lbs_probes: 0,
+                attack: Some(AttackConfig::default()),
+                fault,
+                fault_policy,
+                ..Default::default()
+            },
+            shards,
+            Arc::new(MemStore::new()),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn recovered_journal_faults_leave_the_attack_leg_as_fault_free() {
+        // The legs read the results after the retry ladder, so journal
+        // faults that every retry recovers change nothing they record.
+        let policy = FaultPolicy {
+            journal_retries: 8,
+            ..Default::default()
+        };
+        let plan = FaultPlan {
+            seed: 9,
+            journal_write_fail: 0.4,
+            ..Default::default()
+        };
+        for shards in [1, 3] {
+            for parallelism in [1, 2, 3] {
+                let run = |fault: Option<FaultPlan>| {
+                    let mut p = attacked(parallelism, shards, fault, policy.clone());
+                    let reports = p.run(4).unwrap();
+                    assert!(reports.iter().all(|r| r.health.journal_skips == 0));
+                    let retries: u64 = reports.iter().map(|r| r.health.journal_retries).sum();
+                    let mut state = attack_state(&p);
+                    // Wall times differ from run to run; the rest must not.
+                    (state.4, state.5) = (None, None);
+                    (state, retries)
+                };
+                let (clean, _) = run(None);
+                let (faulty, retries) = run(Some(plan.clone()));
+                assert!(retries > 0, "{shards} shards, {parallelism} workers");
+                assert!(!clean.0.is_empty());
+                assert_eq!(clean, faulty, "{shards} shards, {parallelism} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn aborted_ticks_run_no_leg() {
+        // An injected crash at tick 3.
+        let crash = FaultPlan {
+            crash_at_tick: Some(3),
+            ..Default::default()
+        };
+        // Journal faults with no retries and a budget of three skipped
+        // owners: some later tick skips four and aborts.
+        let journal = FaultPlan {
+            seed: 3,
+            journal_write_fail: 0.2,
+            ..Default::default()
+        };
+        let strict = FaultPolicy {
+            journal_retries: 0,
+            max_skipped_owners: 3,
+            ..Default::default()
+        };
+        for parallelism in [1, 2] {
+            for (plan, policy, what) in [
+                (&crash, FaultPolicy::default(), "injected crash"),
+                (&journal, strict.clone(), "owners skipped"),
+            ] {
+                let mut p = attacked(parallelism, 1, Some(plan.clone()), policy);
+                let mut before = attack_state(&p);
+                let mut ticks = 0;
+                let err = loop {
+                    match p.tick() {
+                        Ok(_) => before = attack_state(&p),
+                        Err(e) => break e,
+                    }
+                    ticks += 1;
+                };
+                assert!(err.message.contains(what), "{err}");
+                assert!(
+                    ticks >= 2,
+                    "{what}: legs ran before the abort ({ticks} ticks)"
+                );
+                assert!(!before.0.is_empty());
+                assert_eq!(before, attack_state(&p), "{what}, {parallelism} workers");
+            }
         }
     }
 

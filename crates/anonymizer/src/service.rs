@@ -540,19 +540,16 @@ impl AnonymizerService {
         Ok((chain.tick_key(), nonce, chain.epoch()))
     }
 
-    /// The sequential chain pre-pass of a batch: ratchets every request's
-    /// owner chain **in request order** and captures that request's
-    /// `(tick key, nonce, epoch)`. Running this before any parallel dispatch
-    /// is what keeps a batch bit-identical to sequential execution — the
-    /// epoch an owner's n-th request gets must not depend on worker
-    /// scheduling. A request whose chain advance could not be journaled
-    /// carries its [`CloakError::Persistence`] instead of keys: it never
-    /// reaches the cloak and no receipt is issued for it.
-    pub(crate) fn derive_batch_keys(&self, requests: &[AnonymizeRequest]) -> Vec<KeyedRequest> {
-        requests
-            .iter()
-            .map(|r| self.draw_keys(&r.owner, &mut StdRng::seed_from_u64(r.seed)))
-            .collect()
+    /// One request's chain step: ratchets its owner's chain and captures
+    /// the request's `(tick key, nonce, epoch)`, drawn from its seed.
+    /// Batches run it for every request **in request order** before any
+    /// parallel dispatch: the epoch an owner's n-th request gets must not
+    /// depend on worker scheduling. A request whose chain advance could
+    /// not be journaled carries its [`CloakError::Persistence`] instead
+    /// of keys: it never reaches the cloak and no receipt is issued for
+    /// it.
+    pub(crate) fn derive_keys(&self, request: &AnonymizeRequest) -> KeyedRequest {
+        self.draw_keys(&request.owner, &mut StdRng::seed_from_u64(request.seed))
     }
 
     /// The one cloak step every request goes through: turns a keyed
@@ -589,32 +586,25 @@ impl AnonymizerService {
         Ok(self.record_receipt(owner, keys, *epoch, cloaked))
     }
 
-    /// Cloaks a run of requests against `snapshot`, the handle the caller
-    /// took once for its whole batch, one request after another through
-    /// the worker's `scratch`. `keyed` is the run's slice of the
-    /// [`derive_batch_keys`](Self::derive_batch_keys) pre-pass, so
-    /// receipts are bit-identical to the sequential path.
-    pub(crate) fn anonymize_run_keyed(
+    /// Cloaks one request against `snapshot`, the handle the caller took
+    /// for its whole batch, with its [`derive_keys`](Self::derive_keys)
+    /// step's result and the worker's `scratch`, so receipts are
+    /// bit-identical to the sequential path.
+    pub(crate) fn issue_request(
         &self,
         snapshot: &OccupancySnapshot,
-        requests: &[AnonymizeRequest],
-        keyed: &[KeyedRequest],
+        request: &AnonymizeRequest,
+        keyed: &KeyedRequest,
         scratch: &mut CloakScratch,
-    ) -> Vec<Result<AnonymizeReceipt, CloakError>> {
-        requests
-            .iter()
-            .zip(keyed)
-            .map(|(r, keyed)| {
-                self.issue_keyed(
-                    snapshot,
-                    &r.owner,
-                    r.segment,
-                    r.profile.as_ref(),
-                    keyed,
-                    scratch,
-                )
-            })
-            .collect()
+    ) -> Result<AnonymizeReceipt, CloakError> {
+        self.issue_keyed(
+            snapshot,
+            &request.owner,
+            request.segment,
+            request.profile.as_ref(),
+            keyed,
+            scratch,
+        )
     }
 
     /// Anonymizes a batch of requests, fanned across worker threads in
@@ -647,7 +637,7 @@ impl AnonymizerService {
         // Chain pre-pass first: epochs are assigned in request order
         // before any worker runs, so batch scheduling can never reorder
         // an owner's ratchet sequence.
-        let keyed = self.derive_batch_keys(requests);
+        let keyed: Vec<KeyedRequest> = requests.iter().map(|r| self.derive_keys(r)).collect();
         let snapshot = self.snapshot();
         let chunk = fanout::chunk_len(requests.len(), workers);
         let mut scratch: Vec<CloakScratch> = (0..workers).map(|_| CloakScratch::new()).collect();
@@ -656,7 +646,11 @@ impl AnonymizerService {
             requests.len().div_ceil(chunk),
             |scratch, c| {
                 let run = c * chunk..requests.len().min((c + 1) * chunk);
-                self.anonymize_run_keyed(&snapshot, &requests[run.clone()], &keyed[run], scratch)
+                requests[run.clone()]
+                    .iter()
+                    .zip(&keyed[run])
+                    .map(|(request, keyed)| self.issue_request(&snapshot, request, keyed, scratch))
+                    .collect::<Vec<_>>()
             },
         );
         runs.into_iter().flatten().collect()
@@ -957,14 +951,11 @@ mod tests {
         let requests: Vec<AnonymizeRequest> = (0..3)
             .map(|i| AnonymizeRequest::new("alice", SegmentId(40), 7 + i))
             .collect();
-        let keyed = s.derive_batch_keys(&requests);
+        let keyed: Vec<KeyedRequest> = requests.iter().map(|r| s.derive_keys(r)).collect();
         let snapshot = s.snapshot();
         let mut scratch = CloakScratch::new();
         let mut cloak = |i: usize| {
-            let run = i..i + 1;
-            s.anonymize_run_keyed(&snapshot, &requests[run.clone()], &keyed[run], &mut scratch)
-                .pop()
-                .unwrap()
+            s.issue_request(&snapshot, &requests[i], &keyed[i], &mut scratch)
                 .unwrap()
         };
         let third = cloak(2);
