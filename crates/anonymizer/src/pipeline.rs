@@ -1675,6 +1675,18 @@ mod tests {
     }
 
     fn sharded(engine: EngineChoice, cfg: PipelineConfig, shards: usize) -> ContinuousPipeline {
+        let anonymizer = AnonymizerConfig {
+            engine,
+            ..Default::default()
+        };
+        sharded_on(anonymizer, cfg, shards)
+    }
+
+    fn sharded_on(
+        anonymizer: AnonymizerConfig,
+        cfg: PipelineConfig,
+        shards: usize,
+    ) -> ContinuousPipeline {
         ContinuousPipeline::sharded(
             grid_city(7, 7, 100.0),
             SimConfig {
@@ -1682,15 +1694,37 @@ mod tests {
                 seed: 11,
                 ..Default::default()
             },
-            AnonymizerConfig {
-                engine,
-                ..Default::default()
-            },
+            anonymizer,
             cfg,
             shards,
             Arc::new(MemStore::new()),
         )
         .unwrap()
+    }
+
+    fn workers(batch_parallelism: usize) -> AnonymizerConfig {
+        AnonymizerConfig {
+            batch_parallelism,
+            ..Default::default()
+        }
+    }
+
+    /// The attack leg's record log, both cumulative rollups and the NRE
+    /// failure count.
+    fn attack_state(
+        p: &ContinuousPipeline,
+    ) -> (
+        Vec<AttackRecord>,
+        Option<AttackSummary>,
+        Option<AttackSummary>,
+        usize,
+    ) {
+        (
+            p.attack_records().to_vec(),
+            p.attack_summary().cloned(),
+            p.baseline_attack_summary().cloned(),
+            p.baseline_attack_failures(),
+        )
     }
 
     #[test]
@@ -1755,17 +1789,8 @@ mod tests {
         // Whole reports, then the attack leg's log, cumulative rollups and
         // NRE failure count.
         let run = |shards: usize, parallelism: usize, fault: Option<FaultPlan>| {
-            let mut p = ContinuousPipeline::sharded(
-                grid_city(7, 7, 100.0),
-                SimConfig {
-                    cars: 200,
-                    seed: 11,
-                    ..Default::default()
-                },
-                AnonymizerConfig {
-                    batch_parallelism: parallelism,
-                    ..Default::default()
-                },
+            let mut p = sharded_on(
+                workers(parallelism),
                 PipelineConfig {
                     tracked_owners: 24,
                     attack: Some(AttackConfig::default()),
@@ -1777,21 +1802,12 @@ mod tests {
                     ..Default::default()
                 },
                 shards,
-                Arc::new(MemStore::new()),
-            )
-            .unwrap();
-            let reports = p.run(5).unwrap();
-            (
-                reports,
-                p.attack_records().to_vec(),
-                p.attack_summary().cloned(),
-                p.baseline_attack_summary().cloned(),
-                p.baseline_attack_failures(),
-            )
+            );
+            (p.run(5).unwrap(), attack_state(&p))
         };
         for shards in [1, 3] {
             let sequential = run(shards, 1, None);
-            let (reports, records, ..) = &sequential;
+            let (reports, (records, ..)) = &sequential;
             // Ticks differ from each other (cars moved, fresh seeds).
             assert_ne!(reports[0].digest, reports[1].digest);
             assert!(reports.iter().all(|r| r.lbs.queries() > 0));
@@ -1988,13 +2004,14 @@ mod tests {
 
     #[test]
     fn journal_fault_retries_recover_the_fault_free_digest() {
-        for shards in [1, 3] {
+        for (shards, parallelism) in [1, 3].into_iter().flat_map(|s| [(s, 1), (s, 2), (s, 3)]) {
             let run = |fault: Option<FaultPlan>| {
-                let mut p = sharded(
-                    EngineChoice::Rge,
+                let mut p = sharded_on(
+                    workers(parallelism),
                     PipelineConfig {
                         tracked_owners: 6,
                         lbs_probes: 0,
+                        attack: Some(AttackConfig::default()),
                         fault,
                         fault_policy: FaultPolicy {
                             journal_retries: 8,
@@ -2004,19 +2021,17 @@ mod tests {
                     },
                     shards,
                 );
-                p.run(4).unwrap()
+                (p.run(4).unwrap(), attack_state(&p))
             };
-            let clean = run(None);
-            let faulty = run(Some(FaultPlan {
+            let at = format!("{shards} shards, {parallelism} workers");
+            let (clean, clean_attack) = run(None);
+            let (faulty, faulty_attack) = run(Some(FaultPlan {
                 seed: 9,
                 journal_write_fail: 0.4,
                 ..Default::default()
             }));
             let retries: u64 = faulty.iter().map(|r| r.health.journal_retries).sum();
-            assert!(
-                retries > 0,
-                "{shards} shards: p=0.4 over 24 requests injects failures"
-            );
+            assert!(retries > 0, "{at}: p=0.4 over 24 requests injects failures");
             assert!(faulty.iter().all(|r| r.health.journal_skips == 0));
             // A recovered owner's chain never advanced on the failed
             // write, so the retry re-derives the same epoch and the
@@ -2030,12 +2045,16 @@ mod tests {
                     .iter()
                     .map(|r| (r.digest, r.issued, r.failed))
                     .collect::<Vec<_>>(),
-                "{shards} shards"
+                "{at}"
             );
             assert!(faulty.iter().all(|r| r.verified == r.issued));
             if shards == 1 {
                 assert!(faulty.iter().all(|r| r.failed == 0));
             }
+            // The legs read the results after the retry ladder, so they
+            // record what the fault-free run records.
+            assert!(!clean_attack.0.is_empty());
+            assert_eq!(clean_attack, faulty_attack, "{at}");
         }
     }
 
@@ -2281,93 +2300,6 @@ mod tests {
         }
     }
 
-    /// The attack leg's observable state: the record log, both cumulative
-    /// rollups, the NRE failure count and both observe timers.
-    type AttackState = (
-        Vec<AttackRecord>,
-        Option<AttackSummary>,
-        Option<AttackSummary>,
-        usize,
-        Option<Duration>,
-        Option<Duration>,
-    );
-
-    fn attack_state(p: &ContinuousPipeline) -> AttackState {
-        (
-            p.attack_records().to_vec(),
-            p.attack_summary().cloned(),
-            p.baseline_attack_summary().cloned(),
-            p.baseline_attack_failures(),
-            p.attack_observe_time(),
-            p.baseline_observe_time(),
-        )
-    }
-
-    fn attacked(
-        parallelism: usize,
-        shards: usize,
-        fault: Option<FaultPlan>,
-        fault_policy: FaultPolicy,
-    ) -> ContinuousPipeline {
-        ContinuousPipeline::sharded(
-            grid_city(7, 7, 100.0),
-            SimConfig {
-                cars: 200,
-                seed: 11,
-                ..Default::default()
-            },
-            AnonymizerConfig {
-                batch_parallelism: parallelism,
-                ..Default::default()
-            },
-            PipelineConfig {
-                tracked_owners: 12,
-                lbs_probes: 0,
-                attack: Some(AttackConfig::default()),
-                fault,
-                fault_policy,
-                ..Default::default()
-            },
-            shards,
-            Arc::new(MemStore::new()),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn recovered_journal_faults_leave_the_attack_leg_as_fault_free() {
-        // The legs read the results after the retry ladder, so journal
-        // faults that every retry recovers change nothing they record.
-        let policy = FaultPolicy {
-            journal_retries: 8,
-            ..Default::default()
-        };
-        let plan = FaultPlan {
-            seed: 9,
-            journal_write_fail: 0.4,
-            ..Default::default()
-        };
-        for shards in [1, 3] {
-            for parallelism in [1, 2, 3] {
-                let run = |fault: Option<FaultPlan>| {
-                    let mut p = attacked(parallelism, shards, fault, policy.clone());
-                    let reports = p.run(4).unwrap();
-                    assert!(reports.iter().all(|r| r.health.journal_skips == 0));
-                    let retries: u64 = reports.iter().map(|r| r.health.journal_retries).sum();
-                    let mut state = attack_state(&p);
-                    // Wall times differ from run to run; the rest must not.
-                    (state.4, state.5) = (None, None);
-                    (state, retries)
-                };
-                let (clean, _) = run(None);
-                let (faulty, retries) = run(Some(plan.clone()));
-                assert!(retries > 0, "{shards} shards, {parallelism} workers");
-                assert!(!clean.0.is_empty());
-                assert_eq!(clean, faulty, "{shards} shards, {parallelism} workers");
-            }
-        }
-    }
-
     #[test]
     fn aborted_ticks_run_no_leg() {
         // An injected crash at tick 3.
@@ -2392,12 +2324,28 @@ mod tests {
                 (&crash, FaultPolicy::default(), "injected crash"),
                 (&journal, strict.clone(), "owners skipped"),
             ] {
-                let mut p = attacked(parallelism, 1, Some(plan.clone()), policy);
-                let mut before = attack_state(&p);
+                let mut p = sharded_on(
+                    workers(parallelism),
+                    PipelineConfig {
+                        tracked_owners: 12,
+                        lbs_probes: 0,
+                        attack: Some(AttackConfig::default()),
+                        fault: Some(plan.clone()),
+                        fault_policy: policy,
+                        ..Default::default()
+                    },
+                    1,
+                );
+                // The attack state and both observe timers.
+                let state = |p: &ContinuousPipeline| {
+                    let timers = (p.attack_observe_time(), p.baseline_observe_time());
+                    (attack_state(p), timers)
+                };
+                let mut before = state(&p);
                 let mut ticks = 0;
                 let err = loop {
                     match p.tick() {
-                        Ok(_) => before = attack_state(&p),
+                        Ok(_) => before = state(&p),
                         Err(e) => break e,
                     }
                     ticks += 1;
@@ -2407,8 +2355,9 @@ mod tests {
                     ticks >= 2,
                     "{what}: legs ran before the abort ({ticks} ticks)"
                 );
-                assert!(!before.0.is_empty());
-                assert_eq!(before, attack_state(&p), "{what}, {parallelism} workers");
+                let ((records, ..), _) = &before;
+                assert!(!records.is_empty());
+                assert_eq!(before, state(&p), "{what}, {parallelism} workers");
             }
         }
     }

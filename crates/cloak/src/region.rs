@@ -1,6 +1,6 @@
 //! The evolving cloaking region during (de)anonymization.
 
-use roadnet::{BoundingBox, Point, RoadNetwork, SegmentId};
+use roadnet::{BoundingBox, RoadNetwork, SegmentId};
 
 /// A mutable cloaking region: a set of segments with cached totals.
 ///
@@ -141,12 +141,7 @@ impl RegionState {
     /// Removes a segment. Returns whether it was present.
     ///
     /// The bounding box is recomputed from the remaining members (boxes do
-    /// not shrink incrementally), unless both endpoints of the removed
-    /// segment lie strictly inside it on both axes and no side is zero.
-    /// The remaining members then still reach every side, and a nonzero
-    /// side's bits are fixed by its value, so no bit of the box can
-    /// change. (A zero side may be `0.0` or `-0.0`, whichever the
-    /// expansion order met first, so it is always rebuilt.)
+    /// not shrink incrementally).
     pub fn remove(&mut self, net: &RoadNetwork, s: SegmentId) -> bool {
         if s.index() >= self.members.len() || !self.members[s.index()] {
             return false;
@@ -155,12 +150,7 @@ impl RegionState {
         let at = self.ids.partition_point(|&m| m < s);
         self.ids.remove(at);
         self.total_length = self.sum_lengths(net);
-        let seg = net.segment(s);
-        let (a, b) = (net.junction(seg.a()), net.junction(seg.b()));
-        if !strictly_inside(&self.bbox, a.position()) || !strictly_inside(&self.bbox, b.position())
-        {
-            self.bbox = net.segments_bounding_box(self.iter_ids());
-        }
+        self.bbox = net.segments_bounding_box(self.iter_ids());
         true
     }
 
@@ -215,17 +205,6 @@ impl RegionState {
     }
 }
 
-/// Whether `p` lies strictly inside `bbox` on both axes, and no side of
-/// the box is zero.
-fn strictly_inside(bbox: &BoundingBox, p: Point) -> bool {
-    let (min, max) = (bbox.min, bbox.max);
-    ![min.x, min.y, max.x, max.y].contains(&0.0)
-        && min.x < p.x
-        && p.x < max.x
-        && min.y < p.y
-        && p.y < max.y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,83 +240,6 @@ mod tests {
         assert!(r.bounding_box().diagonal() > small.diagonal());
         r.remove(&net, far);
         assert_eq!(r.bounding_box().diagonal(), small.diagonal());
-    }
-
-    #[test]
-    fn remove_keeps_the_box_a_rebuild_would_give() {
-        use roadnet::builder::RoadNetworkBuilder;
-        let bits = |b: &BoundingBox| [b.min.x, b.min.y, b.max.x, b.max.y].map(f64::to_bits);
-        // Removes `gone` from a region holding `members`, inserted in that
-        // order, and checks the box against a rebuild in id order.
-        let check = |net: &RoadNetwork, members: &[SegmentId], gone: SegmentId| {
-            let mut r = RegionState::from_segments(net, members.iter().copied());
-            let before = *r.bounding_box();
-            assert!(r.remove(net, gone));
-            let rebuilt = net.segments_bounding_box(r.iter_ids());
-            assert_eq!(bits(r.bounding_box()), bits(&rebuilt), "removing {gone}");
-            before
-        };
-        // A 4×4 lattice away from the axes: junction (row, col) sits at
-        // (10 + 10·col, 10 + 10·row).
-        let mut b = RoadNetworkBuilder::new();
-        let j: Vec<Vec<_>> = (0..4)
-            .map(|row| {
-                (0..4)
-                    .map(|col| {
-                        b.add_junction(Point::new(
-                            10.0 + 10.0 * col as f64,
-                            10.0 + 10.0 * row as f64,
-                        ))
-                    })
-                    .collect()
-            })
-            .collect();
-        let inner = b.add_segment(j[1][1], j[1][2]).unwrap();
-        let spoke = b.add_segment(j[0][1], j[1][1]).unwrap();
-        let right = b.add_segment(j[1][2], j[1][3]).unwrap();
-        let left = b.add_segment(j[2][0], j[2][1]).unwrap();
-        let top = b.add_segment(j[3][1], j[2][1]).unwrap();
-        let net = b.build().unwrap();
-        let all = [right, top, inner, left, spoke];
-        // Interior: both endpoints strictly inside, the box stays.
-        let before = check(&net, &all, inner);
-        let mut r = RegionState::from_segments(&net, all);
-        r.remove(&net, inner);
-        assert_eq!(bits(r.bounding_box()), bits(&before));
-        // Shared endpoint: `spoke` shares `inner`'s endpoint but reaches
-        // the bottom side, which only it holds: the box shrinks.
-        let before = check(&net, &all, spoke);
-        let mut r = RegionState::from_segments(&net, all);
-        r.remove(&net, spoke);
-        assert!(r.bounding_box().min.y > before.min.y);
-        // Boundary: `right` alone holds the right side, `left` the left.
-        check(&net, &all, right);
-        check(&net, &all, left);
-        check(&net, &[inner, right], inner);
-        check(&net, &[inner], inner);
-
-        // Signed zeros on the left side: `pos` has x = 0.0 and `neg` has
-        // x = -0.0, so the side's sign depends on the expansion order. An
-        // interior segment's removal still rebuilds it in id order.
-        let mut b = RoadNetworkBuilder::new();
-        let far = b.add_junction(Point::new(3.0, 3.5));
-        let pos_end = b.add_junction(Point::new(0.0, 3.5));
-        let neg_end = b.add_junction(Point::new(-0.0, 0.5));
-        let q0 = b.add_junction(Point::new(1.0, 1.0));
-        let q1 = b.add_junction(Point::new(2.0, 2.0));
-        let pos = b.add_segment(pos_end, far).unwrap();
-        let neg = b.add_segment(neg_end, far).unwrap();
-        let interior = b.add_segment(q0, q1).unwrap();
-        let net = b.build().unwrap();
-        for order in [
-            [neg, pos, interior],
-            [pos, neg, interior],
-            [interior, neg, pos],
-        ] {
-            check(&net, &order, interior);
-            check(&net, &order, pos);
-            check(&net, &order, neg);
-        }
     }
 
     #[test]
