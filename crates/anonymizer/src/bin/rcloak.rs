@@ -833,9 +833,9 @@ fn cmd_attack(opts: &Opts) -> Result<(), CmdError> {
             nre.mean_entropy(),
         );
     }
-    // Per-mode observe() cost footer: the graph-index wins (packed
-    // movement masks, batched correlation weights) are visible from the
-    // CLI without running the criterion benches.
+    // Per-mode observe() cost footer: the graph-index win (packed
+    // movement masks) is visible from the CLI without running the
+    // criterion benches.
     let per_obs = |time: Option<std::time::Duration>, observations: u64| {
         time.map(|t| t.as_secs_f64() * 1e6 / observations.max(1) as f64)
     };

@@ -1565,19 +1565,7 @@ impl Observer {
         let requirement = profile.top_requirement();
         for shard in shards {
             let issuing = &shard.snapshot;
-            let observed = || shard.entries(results).filter(|&(i, _, _)| i < owners);
-            // A shard's observations share its issuing snapshot: announce
-            // it once, together with the shard's observed owners, so the
-            // adversary prices the occupancy weighting once and packs
-            // their movement-reachability masks into one matrix OR-pass
-            // up front (each `observe` below then reads its owner's
-            // precomputed row).
-            self.adversary.begin_tick_population(
-                issuing,
-                snapshot_fresh,
-                observed().map(|(_, request, _)| request.owner.as_str()),
-            );
-            for (i, request, result) in observed() {
+            for (i, request, result) in shard.entries(results).filter(|&(i, _, _)| i < owners) {
                 let Ok(receipt) = result else { continue };
                 let grown;
                 let (region, replay) = match &mut self.control {

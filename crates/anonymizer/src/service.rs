@@ -354,11 +354,6 @@ impl AnonymizerService {
         Ok(service)
     }
 
-    /// The chain store journaling this service's ratchet advances.
-    pub fn chain_store(&self) -> &Arc<dyn ChainStore> {
-        &self.store
-    }
-
     /// The network the service operates on.
     pub fn network(&self) -> &RoadNetwork {
         &self.net

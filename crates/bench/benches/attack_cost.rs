@@ -145,96 +145,6 @@ fn bench_replay_inversion(c: &mut Criterion) {
     group.finish();
 }
 
-/// The PR 6 population cells: one tick of observations over a 16-owner
-/// population under the full adversary (`All`), with per-owner
-/// `begin_tick` + live mask unions vs `begin_tick_population` packing
-/// every owner's movement mask in one OR-pass up front. Observations
-/// are bit-identical (property-tested in
-/// `crates/cloak/tests/batch_prop.rs`); the delta is the batched mask
-/// matrix vs per-observe unions.
-fn bench_observe_batched(c: &mut Criterion) {
-    let net = grid_city(12, 12, 100.0);
-    let snapshot = OccupancySnapshot::uniform(net.segment_count(), 2);
-    let requirement = LevelRequirement::with_k(8);
-    const OWNERS: usize = 16;
-    const TICKS: usize = 4;
-    let owners: Vec<String> = (0..OWNERS).map(|i| format!("owner-{i}")).collect();
-    // Per-tick, per-owner regions: each owner shuttles between two
-    // nearby segments, region drawn by the keyless expansion (region
-    // shape is all the adversary sees; the draw just has to be cheap
-    // and deterministic).
-    let regions: Vec<Vec<Vec<SegmentId>>> = (0..TICKS)
-        .map(|t| {
-            (0..OWNERS)
-                .map(|i| {
-                    let seg = SegmentId((40 + i * 9 + t) as u32);
-                    let mut rng = StdRng::seed_from_u64((t * 1000 + i) as u64);
-                    random_expansion(&net, &snapshot, seg, &requirement, &mut rng)
-                        .expect("grid expansions succeed")
-                        .segments
-                })
-                .collect()
-        })
-        .collect();
-    let mut group = c.benchmark_group("observe_batched");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(200));
-    group.measurement_time(std::time::Duration::from_secs(1));
-    group.bench_function("per_owner", |b| {
-        let mut adversary = TemporalAdversary::new(&net, AdversaryConfig::default());
-        let mut tick = 0u64;
-        b.iter(|| {
-            tick += 1;
-            let round = &regions[(tick as usize - 1) % TICKS];
-            adversary.begin_tick(&snapshot, true);
-            let mut acc = 0usize;
-            for (owner, region) in owners.iter().zip(round) {
-                let obs = adversary.observe(
-                    &net,
-                    owner,
-                    Observation {
-                        tick,
-                        region,
-                        snapshot: &snapshot,
-                        snapshot_fresh: true,
-                    },
-                    None,
-                    None,
-                );
-                acc += obs.support;
-            }
-            black_box(acc)
-        })
-    });
-    group.bench_function("batched", |b| {
-        let mut adversary = TemporalAdversary::new(&net, AdversaryConfig::default());
-        let mut tick = 0u64;
-        b.iter(|| {
-            tick += 1;
-            let round = &regions[(tick as usize - 1) % TICKS];
-            adversary.begin_tick_population(&snapshot, true, owners.iter().map(String::as_str));
-            let mut acc = 0usize;
-            for (owner, region) in owners.iter().zip(round) {
-                let obs = adversary.observe(
-                    &net,
-                    owner,
-                    Observation {
-                        tick,
-                        region,
-                        snapshot: &snapshot,
-                        snapshot_fresh: true,
-                    },
-                    None,
-                    None,
-                );
-                acc += obs.support;
-            }
-            black_box(acc)
-        })
-    });
-    group.finish();
-}
-
 /// The movement model's per-observation kernel, reference vs packed:
 /// mark everything within `h` hops of the candidate support, then test
 /// each region segment. The packed path ORs precomputed masks instead
@@ -277,7 +187,6 @@ criterion_group!(
     benches,
     bench_observe_modes,
     bench_replay_inversion,
-    bench_observe_batched,
     bench_movement_prune
 );
 criterion_main!(benches);

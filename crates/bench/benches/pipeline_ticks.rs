@@ -113,9 +113,8 @@ fn write_json_point() {
         (EngineChoice::Rple { t_len: 12 }, "rple"),
     ] {
         // (mode name, verify, attack leg): the `attacked` cells price a
-        // tick with the full adversary + NRE control riding along, both
-        // set up once per tick for the whole population
-        // (`TemporalAdversary::begin_tick_population`).
+        // tick with the full adversary + NRE control riding along, each
+        // observing every tracked owner's receipt.
         for (mode, verify, attack) in [
             ("raw", false, false),
             ("verified", true, false),

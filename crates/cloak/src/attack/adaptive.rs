@@ -269,17 +269,6 @@ impl AdaptiveTracker {
         (word >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Occupancy likelihood of a segment under the issuing snapshot
-    /// (smoothed when the snapshot may lag the owner's movement).
-    fn likelihood(obs: &Observation<'_>, s: SegmentId) -> f64 {
-        let users = obs.snapshot.users_on(s) as f64;
-        if obs.snapshot_fresh {
-            users
-        } else {
-            users + 0.5
-        }
-    }
-
     /// Re-seeds the particle system uniformly over the observed region
     /// — the documented degeneracy fallback. Never leaves the set empty.
     fn reinject(ps: &mut ParticleSet, region: &[SegmentId], particles: usize) {
@@ -313,20 +302,7 @@ impl AdaptiveTracker {
         // An empty region admits no posterior: report zeros (not NaN)
         // and leave the owner's state untouched.
         if region.is_empty() {
-            return AttackObservation {
-                tick: obs.tick,
-                region_size: 0,
-                peel_frontier,
-                support: 0,
-                entropy_bits: 0.0,
-                user_entropy_bits: 0.0,
-                region_entropy_bits: 0.0,
-                guess: SegmentId(0),
-                guess_correct: None,
-                true_in_support: None,
-                reset: true,
-                movement_fallback: false,
-            };
+            return AttackObservation::empty(obs.tick, peel_frontier);
         }
         let n = self.cfg.particles;
         let mut ps = self.owners.remove(owner).unwrap_or_default();
@@ -336,7 +312,7 @@ impl AdaptiveTracker {
         if !ps.warm {
             Self::reinject(&mut ps, region, n);
             for (w, &seg) in ps.weights.iter_mut().zip(&ps.segs) {
-                *w = Self::likelihood(&obs, seg);
+                *w = obs.occupancy_weight(seg);
             }
             if ps.weights.iter().all(|&w| w == 0.0) {
                 ps.weights.fill(1.0);
@@ -532,7 +508,7 @@ impl AdaptiveTracker {
             }
             let mut lik_total = 0.0;
             for &s in &self.allowed {
-                lik_total += Self::likelihood(obs, s);
+                lik_total += obs.occupancy_weight(s);
             }
             // Uninformative observation (all-zero occupancy inside the
             // reachable set): propose uniformly, weight unchanged.
@@ -553,7 +529,7 @@ impl AdaptiveTracker {
                     let mut x = self.rand01() * lik_total;
                     let mut chosen = *self.allowed.last().expect("non-empty");
                     for &s in &self.allowed {
-                        let l = Self::likelihood(obs, s);
+                        let l = obs.occupancy_weight(s);
                         if x < l {
                             chosen = s;
                             break;

@@ -45,23 +45,16 @@
 //! "complete knowledge about the location perturbation algorithm"
 //! includes the ability to re-run it.
 //!
-//! This module is an *evaluation harness*, but since PR 5 its inner
-//! loops lean on the network's precomputed
-//! [`roadnet::GraphIndex`]: the movement model's per-tick
-//! reachability question is answered by OR-ing word-packed
-//! [`roadnet::ReachIndex`] masks and testing region bits instead of
-//! re-running a breadth-first expansion per owner
+//! This module is an *evaluation harness*, but its inner loops lean on
+//! the network's precomputed [`roadnet::GraphIndex`]: the movement
+//! model's per-tick reachability question is answered by OR-ing
+//! word-packed [`roadnet::ReachIndex`] masks and testing region bits
+//! instead of re-running a breadth-first expansion per owner
 //! ([`ReachScratch`] survives as the reference implementation and the
-//! fallback for pathological hop budgets), and a pipeline observing
-//! many owners against one snapshot calls
-//! [`TemporalAdversary::begin_tick`] — or the owner-batched
-//! [`TemporalAdversary::begin_tick_population`], which additionally ORs
-//! the whole population's movement masks into one row-major bitset
-//! matrix — so the occupancy weighting and reachability pruning are
-//! computed once per tick rather than once per owner. All shortcuts
-//! are bit-exact: every attack metric is identical to the unindexed
-//! per-owner path (unit-tested below and property-tested in
-//! `crates/cloak/tests/batch_prop.rs`).
+//! fallback for pathological hop budgets; the two are unit-tested
+//! equal below). Every [`TemporalAdversary::observe`] works from the
+//! [`Observation`] it is given and the owner's own carried support;
+//! nothing is set up per tick.
 //!
 //! # Example
 //!
@@ -237,6 +230,21 @@ pub struct Observation<'a> {
     pub snapshot_fresh: bool,
 }
 
+impl Observation<'_> {
+    /// Occupancy weight of segment `s` under the issuing snapshot: its
+    /// user count. A fresh snapshot counted the owner on its segment,
+    /// so an empty segment is impossible; a stale one may lag the
+    /// owner's movement, so the count is smoothed by `+0.5`.
+    pub(crate) fn occupancy_weight(&self, s: SegmentId) -> f64 {
+        let users = self.snapshot.users_on(s) as f64;
+        if self.snapshot_fresh {
+            users
+        } else {
+            users + 0.5
+        }
+    }
+}
+
 /// The adversary's knowledge that a scheme is *replayable*: its
 /// perturbation draws from randomness the adversary can reconstruct (no
 /// secret key). Given this, the adversary re-runs the algorithm from
@@ -298,6 +306,30 @@ pub struct AttackObservation {
     /// [`IndexBudget`](roadnet::IndexBudget)). The fallback is
     /// bit-identical but costs a BFS per owner instead of word ops.
     pub movement_fallback: bool,
+}
+
+impl AttackObservation {
+    /// The report for an empty observed region, which admits no
+    /// posterior: zeros (not NaN), flagged as a reset. The guess and
+    /// soundness fields stay unscored — there is nothing to guess over,
+    /// and scoring would spuriously break a sound attack's
+    /// `soundness() == 1.0`.
+    pub(crate) fn empty(tick: u64, peel_frontier: usize) -> Self {
+        AttackObservation {
+            tick,
+            region_size: 0,
+            peel_frontier,
+            support: 0,
+            entropy_bits: 0.0,
+            user_entropy_bits: 0.0,
+            region_entropy_bits: 0.0,
+            guess: SegmentId(0),
+            guess_correct: None,
+            true_in_support: None,
+            reset: true,
+            movement_fallback: false,
+        }
+    }
 }
 
 /// Running rollup of [`AttackObservation`]s for one observed stream.
@@ -516,12 +548,6 @@ struct OwnerState {
     /// Sorted candidate segments with nonzero posterior mass.
     support: Vec<SegmentId>,
     warm: bool,
-    /// Row of the population mask matrix holding this owner's movement
-    /// mask, precomputed by
-    /// [`TemporalAdversary::begin_tick_population`]. Consumed (taken) by
-    /// the first `observe` of the tick, so a row can never outlive the
-    /// support it was computed from.
-    mask_row: Option<usize>,
 }
 
 /// Stamped scratch for the h-hop reachability expansion (reused across
@@ -612,12 +638,6 @@ pub struct TemporalAdversary {
     reach_index: Option<Arc<ReachIndex>>,
     /// OR-accumulator for the candidate set's packed reach masks.
     reach_union: Vec<u64>,
-    /// Row-major matrix of per-owner movement masks, one bitset row per
-    /// owner listed in [`begin_tick_population`](Self::begin_tick_population)
-    /// — the whole population's reachability computed as one OR-pass.
-    mask_matrix: Vec<u64>,
-    /// Words per `mask_matrix` row.
-    mask_words: usize,
     /// Scratch for the single-pass articulation-point peel frontier.
     peel: PeelScratch,
     peel_out: Vec<SegmentId>,
@@ -627,14 +647,6 @@ pub struct TemporalAdversary {
     /// Candidate/weight buffers reused across observations.
     candidates: Vec<SegmentId>,
     weights: Vec<f64>,
-    /// Per-tick occupancy weights (`w[s]` for every segment), filled by
-    /// [`begin_tick`](Self::begin_tick) so a pipeline batching many
-    /// owners against one snapshot prices the weighting once per tick.
-    tick_weights: Vec<f64>,
-    /// Weight for segments beyond the tick snapshot's range.
-    tick_fallback: f64,
-    /// Whether `tick_weights` holds the current tick's snapshot.
-    tick_weights_ready: bool,
     /// Counter feeding the deterministic guess sampler.
     draws: u64,
     /// The trajectory particle filter, present iff the mode is
@@ -693,97 +705,29 @@ impl TemporalAdversary {
             reach: ReachScratch::default(),
             reach_index,
             reach_union: Vec::new(),
-            mask_matrix: Vec::new(),
-            mask_words: 0,
             peel: PeelScratch::new(),
             peel_out: Vec::new(),
             replay_scratch: ExpansionScratch::new(),
             survivors: Vec::new(),
             candidates: Vec::new(),
             weights: Vec::new(),
-            tick_weights: Vec::new(),
-            tick_fallback: 0.0,
-            tick_weights_ready: false,
             draws: 0,
             adaptive,
         }
     }
 
-    /// Announces the snapshot all of this tick's observations share, so
-    /// the occupancy weighting is computed once per tick instead of
-    /// once per owner. Purely an amortization: subsequent
-    /// [`observe`](Self::observe) calls read the cached per-segment
-    /// weights and produce bit-identical metrics; callers that skip
-    /// `begin_tick` (single-owner probes, the benches) keep the
-    /// per-candidate path. The caller must pass the same snapshot and
-    /// freshness flag it will put in the tick's [`Observation`]s.
-    pub fn begin_tick(&mut self, snapshot: &OccupancySnapshot, snapshot_fresh: bool) {
-        self.tick_fallback = if snapshot_fresh { 0.0 } else { 0.5 };
-        self.tick_weights.clear();
-        self.tick_weights
-            .extend((0..snapshot.segment_count()).map(|i| {
-                let users = snapshot.users_on(SegmentId(i as u32)) as f64;
-                if snapshot_fresh {
-                    users
-                } else {
-                    users + 0.5
-                }
-            }));
-        self.tick_weights_ready = true;
-        // A fresh tick invalidates any population mask rows a previous
-        // tick computed but never consumed.
-        for state in self.owners.values_mut() {
-            state.mask_row = None;
-        }
-        self.mask_matrix.clear();
-    }
-
-    /// [`begin_tick`](Self::begin_tick) plus the whole population's
-    /// movement masks: for every listed warm owner, the h-hop
-    /// reachability of its candidate set is ORed from the packed
-    /// [`ReachIndex`] masks into one row-major bitset matrix, so the
-    /// tick's per-owner `observe` calls read a precomputed row instead
-    /// of re-running the OR-pass. Combined with the shared occupancy
-    /// sweep of `begin_tick`, this prices the tick's matrix/bitset work
-    /// once for the population.
-    ///
-    /// Purely an amortization, like `begin_tick`: each owner's row is
-    /// exactly what `observe` would have computed (and is consumed on
-    /// first use, so repeated observations fall back to the live path) —
-    /// metrics are bit-identical either way. Owners not yet tracked, or
-    /// not listed here, simply keep the per-owner path. No-op for modes
-    /// without a movement model and on networks where the hop budget
-    /// exceeds the packed index cap.
+    /// Does nothing: [`observe`](Self::observe) needs nothing from it. It
+    /// weights candidates from each [`Observation`]'s own snapshot and
+    /// ORs each owner's movement masks itself. Kept for callers that
+    /// announce each tick (perfbench's traced replay).
     pub fn begin_tick_population<'a, I>(
         &mut self,
-        snapshot: &OccupancySnapshot,
-        snapshot_fresh: bool,
-        owners: I,
+        _snapshot: &OccupancySnapshot,
+        _snapshot_fresh: bool,
+        _owners: I,
     ) where
         I: IntoIterator<Item = &'a str>,
     {
-        self.begin_tick(snapshot, snapshot_fresh);
-        if !(self.cfg.mode.has_memory() && self.cfg.mode.uses_movement()) {
-            return;
-        }
-        let Some(index) = self.reach_index.clone() else {
-            return;
-        };
-        for owner in owners {
-            let Some(state) = self.owners.get_mut(owner) else {
-                continue;
-            };
-            if !state.warm {
-                continue;
-            }
-            index.union_into(state.support.iter().copied(), &mut self.reach_union);
-            if self.mask_words == 0 {
-                self.mask_words = self.reach_union.len();
-            }
-            let row = self.mask_matrix.len() / self.mask_words.max(1);
-            self.mask_matrix.extend_from_slice(&self.reach_union);
-            state.mask_row = Some(row);
-        }
     }
 
     /// The adversary's configuration.
@@ -816,11 +760,9 @@ impl TemporalAdversary {
         self.adaptive.as_ref()
     }
 
-    /// Drops all per-owner state (the adversary starts cold again) and
-    /// invalidates any [`begin_tick`](Self::begin_tick) weight cache.
+    /// Drops all per-owner state (the adversary starts cold again).
     pub fn reset(&mut self) {
         self.owners.clear();
-        self.tick_weights_ready = false;
         if let Some(filter) = &mut self.adaptive {
             filter.reset();
         }
@@ -851,26 +793,10 @@ impl TemporalAdversary {
         if let Some(filter) = &mut self.adaptive {
             return filter.observe(net, owner, obs, replay, truth, peel_frontier);
         }
-        // An empty observed region admits no posterior: report zeros
-        // (not NaN) and leave the owner's temporal state untouched. The
-        // guess/soundness fields stay unscored — there is nothing to
-        // guess over, and scoring would spuriously break a sound
-        // attack's `soundness() == 1.0`.
+        // An empty observed region admits no posterior: report zeros and
+        // leave the owner's temporal state untouched.
         if obs.region.is_empty() {
-            return AttackObservation {
-                tick: obs.tick,
-                region_size: 0,
-                peel_frontier,
-                support: 0,
-                entropy_bits: 0.0,
-                user_entropy_bits: 0.0,
-                region_entropy_bits: 0.0,
-                guess: SegmentId(0),
-                guess_correct: None,
-                true_in_support: None,
-                reset: true,
-                movement_fallback: false,
-            };
+            return AttackObservation::empty(obs.tick, peel_frontier);
         }
         let mode = self.cfg.mode;
         let mut state = self.owners.remove(owner).unwrap_or_default();
@@ -886,23 +812,8 @@ impl TemporalAdversary {
                     // Packed path: OR the candidates' precomputed h-hop
                     // masks, then test each region bit — word ops over
                     // the index instead of a per-owner BFS. Identical
-                    // set to the scratch expansion (unit-tested). When
-                    // `begin_tick_population` already ORed this owner's
-                    // row into the mask matrix, consume it instead of
-                    // re-running the pass — taking the row ties it to
-                    // the support it was computed from.
-                    match state.mask_row.take() {
-                        Some(row) => {
-                            let start = row * self.mask_words;
-                            self.reach_union.clear();
-                            self.reach_union.extend_from_slice(
-                                &self.mask_matrix[start..start + self.mask_words],
-                            );
-                        }
-                        None => {
-                            index.union_into(state.support.iter().copied(), &mut self.reach_union)
-                        }
-                    }
+                    // set to the scratch expansion (unit-tested).
+                    index.union_into(state.support.iter().copied(), &mut self.reach_union);
                     let union = &self.reach_union;
                     self.candidates.extend(
                         obs.region
@@ -949,29 +860,8 @@ impl TemporalAdversary {
         self.weights.clear();
         self.weights.resize(self.candidates.len(), 1.0);
         if mode.uses_snapshot() {
-            if self.tick_weights_ready {
-                // Batched path: the per-segment weights were computed
-                // once for the whole tick in `begin_tick`.
-                for (w, &c) in self.weights.iter_mut().zip(&self.candidates) {
-                    *w = self
-                        .tick_weights
-                        .get(c.index())
-                        .copied()
-                        .unwrap_or(self.tick_fallback);
-                }
-            } else {
-                for (w, &c) in self.weights.iter_mut().zip(&self.candidates) {
-                    let users = obs.snapshot.users_on(c) as f64;
-                    // A fresh snapshot counted the owner on its segment,
-                    // so empty segments are impossible; a stale one may
-                    // lag the owner's movement, so soften the prune to
-                    // smoothing.
-                    *w = if obs.snapshot_fresh {
-                        users
-                    } else {
-                        users + 0.5
-                    };
-                }
+            for (w, &c) in self.weights.iter_mut().zip(&self.candidates) {
+                *w = obs.occupancy_weight(c);
             }
             if self.weights.iter().all(|&w| w == 0.0) {
                 reset = true;
@@ -1425,41 +1315,48 @@ mod tests {
     }
 
     #[test]
-    fn begin_tick_batching_is_bit_identical() {
-        // Batched occupancy weighting (begin_tick once per tick) must
-        // reproduce the per-owner path exactly, fresh and stale.
-        let net = grid_city(8, 8, 100.0);
-        let mut counts = vec![0u32; net.segment_count()];
-        for (i, c) in counts.iter_mut().enumerate() {
-            *c = (i % 4) as u32; // include empty segments
-        }
-        let snapshot = OccupancySnapshot::from_counts(counts);
-        let profile = PrivacyProfile::builder()
-            .level(LevelRequirement::with_k(6))
-            .build()
-            .unwrap();
-        let path: Vec<SegmentId> = (0..5).map(|i| SegmentId(40 + (i % 2))).collect();
-        let stream = keyed_stream(&net, &snapshot, &profile, &path);
-        for mode in [AdversaryMode::Correlate, AdversaryMode::All] {
+    fn each_observation_is_weighted_by_its_own_snapshot() {
+        // An adversary primed once through `begin_tick_population` must
+        // report exactly what an unprimed one does on every later tick:
+        // each observation weighs its candidates by the snapshot it
+        // carries, fresh or stale, never by the priming one. The later
+        // snapshots are non-uniform, because a uniform one normalizes to
+        // the same posterior as any other uniform one.
+        let net = grid_city(6, 6, 100.0);
+        let uniform = OccupancySnapshot::uniform(net.segment_count(), 1);
+        let region: Vec<SegmentId> = (10..18).map(SegmentId).collect();
+        let crowded: Vec<OccupancySnapshot> = [12usize, 15, 11, 16]
+            .iter()
+            .map(|&hot| {
+                let mut counts = vec![1u32; net.segment_count()];
+                counts[hot] = 40;
+                OccupancySnapshot::from_counts(counts)
+            })
+            .collect();
+        for mode in [
+            AdversaryMode::Correlate,
+            AdversaryMode::All,
+            AdversaryMode::Adaptive,
+        ] {
             let cfg = AdversaryConfig {
                 mode,
                 ..Default::default()
             };
-            let mut plain = TemporalAdversary::new(&net, cfg.clone());
-            let mut batched = TemporalAdversary::new(&net, cfg);
-            for (fresh, (tick, region, seg)) in
-                stream.iter().enumerate().map(|(i, o)| (i % 2 == 0, o))
-            {
+            let mut primed = TemporalAdversary::new(&net, cfg.clone());
+            let mut unprimed = TemporalAdversary::new(&net, cfg);
+            primed.begin_tick_population(&uniform, true, ["alice"]);
+            let ticks = std::iter::once((&uniform, true))
+                .chain(crowded.iter().zip([true, false, false, true]));
+            for (tick, (snapshot, snapshot_fresh)) in (1u64..).zip(ticks) {
                 let observation = Observation {
-                    tick: *tick,
-                    region,
-                    snapshot: &snapshot,
-                    snapshot_fresh: fresh,
+                    tick,
+                    region: &region,
+                    snapshot,
+                    snapshot_fresh,
                 };
-                let a = plain.observe(&net, "alice", observation, None, Some(*seg));
-                batched.begin_tick(&snapshot, fresh);
-                let b = batched.observe(&net, "alice", observation, None, Some(*seg));
-                assert_eq!(a, b, "{mode:?}: batched weighting diverged at tick {tick}");
+                let a = primed.observe(&net, "alice", observation, None, Some(SegmentId(12)));
+                let b = unprimed.observe(&net, "alice", observation, None, Some(SegmentId(12)));
+                assert_eq!(a, b, "{mode:?}: tick {tick} used the priming snapshot");
             }
         }
     }

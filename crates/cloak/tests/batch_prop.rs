@@ -1,28 +1,18 @@
-//! Property tests for scratch reuse and the owner-batched adversary.
+//! Property tests for scratch reuse.
 //!
-//! * A run of requests cloaked through one reused [`CloakScratch`]
-//!   ([`cloak::anonymize_with_retry_scratch`], the path every service
-//!   request takes) must match a fresh scratch per request, for both
-//!   engines and owner counts of 0, 1 and sizes that are not a multiple
-//!   of any SIMD lane width: no state leaks from one request to the
-//!   next, also after a failed one.
-//! * The batched adversary evaluation
-//!   ([`cloak::attack::temporal::TemporalAdversary::begin_tick_population`])
-//!   must be bit-identical to the per-owner path for every adversary
-//!   mode.
+//! A run of requests cloaked through one reused [`CloakScratch`]
+//! ([`cloak::anonymize_with_retry_scratch`], the path every service
+//! request takes) must match a fresh scratch per request, for both
+//! engines and owner counts of 0, 1 and sizes that are not a multiple of
+//! any SIMD lane width: no state leaks from one request to the next,
+//! also after a failed one.
 
-use cloak::attack::temporal::{
-    AdversaryConfig, AdversaryMode, Observation, ReplayProbe, TemporalAdversary,
-};
 use cloak::{
-    anonymize_with_retry_scratch, deanonymize_with_scratch, random_expansion, CloakError,
-    CloakScratch, LevelRequirement, PrivacyProfile, ReversibleEngine, RgeEngine, RpleEngine,
-    SpatialTolerance,
+    anonymize_with_retry_scratch, deanonymize_with_scratch, CloakError, CloakScratch,
+    LevelRequirement, PrivacyProfile, ReversibleEngine, RgeEngine, RpleEngine, SpatialTolerance,
 };
 use keystream::{Key256, KeyManager, Level};
 use mobisim::OccupancySnapshot;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use roadnet::{city_map, grid_city, RoadNetwork, SegmentId};
 
 /// No request, a single one, and two run lengths that are not a
@@ -231,80 +221,4 @@ fn rge_tracked_tables_survive_reused_scratch_and_failed_walks() {
 fn rple_reused_scratch_survives_failed_walks() {
     let net = city_map(5, 1500);
     tracked_tables_survive_reuse(&RpleEngine::build(&net, 8), &net);
-}
-
-#[test]
-fn batched_adversary_observe_matches_per_owner() {
-    let net = grid_city(8, 8, 100.0);
-    let req = LevelRequirement::with_k(6);
-    for mode in [
-        AdversaryMode::Peel,
-        AdversaryMode::Correlate,
-        AdversaryMode::Move,
-        AdversaryMode::All,
-    ] {
-        for &n in OWNER_COUNTS {
-            let cfg = AdversaryConfig {
-                mode,
-                ..Default::default()
-            };
-            let mut batched = TemporalAdversary::new(&net, cfg.clone());
-            let mut solo = TemporalAdversary::new(&net, cfg);
-            let owners: Vec<String> = (0..n).map(|i| format!("owner-{i}")).collect();
-            for tick in 1..=4u64 {
-                let fresh = tick % 2 == 1;
-                let snapshot =
-                    OccupancySnapshot::uniform(net.segment_count(), ((tick % 3) + 1) as u32);
-                // The batched adversary packs the whole population's
-                // reachability masks up front; the per-owner adversary
-                // computes each mask inside `observe`.
-                batched.begin_tick_population(&snapshot, fresh, owners.iter().map(String::as_str));
-                solo.begin_tick(&snapshot, fresh);
-                for (i, owner) in owners.iter().enumerate() {
-                    let seed = tick * 1000 + i as u64;
-                    let true_segment = SegmentId(((i * 11 + tick as usize) % 100) as u32);
-                    let region = random_expansion(
-                        &net,
-                        &snapshot,
-                        true_segment,
-                        &req,
-                        &mut StdRng::seed_from_u64(seed),
-                    )
-                    .unwrap()
-                    .segments;
-                    let a = batched.observe(
-                        &net,
-                        owner,
-                        Observation {
-                            tick,
-                            region: &region,
-                            snapshot: &snapshot,
-                            snapshot_fresh: fresh,
-                        },
-                        Some(ReplayProbe {
-                            requirement: &req,
-                            seed,
-                        }),
-                        Some(true_segment),
-                    );
-                    let b = solo.observe(
-                        &net,
-                        owner,
-                        Observation {
-                            tick,
-                            region: &region,
-                            snapshot: &snapshot,
-                            snapshot_fresh: fresh,
-                        },
-                        Some(ReplayProbe {
-                            requirement: &req,
-                            seed,
-                        }),
-                        Some(true_segment),
-                    );
-                    assert_eq!(a, b, "mode {mode:?}, {n} owners, tick {tick}, {owner}");
-                }
-            }
-        }
-    }
 }

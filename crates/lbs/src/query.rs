@@ -36,7 +36,7 @@ use std::collections::BinaryHeap;
 
 /// The LBS answer: candidates plus the work the server did (the paper's
 /// query-processing cost axes).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CandidateAnswer {
     /// POIs that could be the answer for some position in the region.
     pub candidates: Vec<Poi>,
@@ -154,7 +154,8 @@ impl PartialOrd for HeapEntry {
 
 /// Pooled buffers for the LBS region-distance search: a flat distance
 /// array keyed by junction index (generation-stamped, so resets are
-/// `O(1)`), a segment-visit stamp array, and a reusable binary heap.
+/// `O(1)`), a segment-visit stamp array, a reusable binary heap, and the
+/// per-query landmark buffers of the indexed searches.
 ///
 /// # Reuse contract
 ///
@@ -165,25 +166,8 @@ impl PartialOrd for HeapEntry {
 /// size and the heap to the search's high-water mark.
 #[derive(Debug, Clone, Default)]
 pub struct SearchScratch {
-    dist: Vec<f64>,
-    dist_stamp: Vec<u32>,
-    seg_stamp: Vec<u32>,
-    epoch: u32,
-    heap: BinaryHeap<HeapEntry>,
-    /// Per-landmark min/max distance to the query region's junctions.
-    lm_region_min: Vec<f64>,
-    lm_region_max: Vec<f64>,
-    /// Per-landmark min/max distance to the queried category's POI
-    /// segment endpoints (the goal set of the directed search).
-    lm_target_min: Vec<f64>,
-    lm_target_max: Vec<f64>,
-    /// The landmarks that actually discriminate region from goal set
-    /// for this query (checked per popped junction, so kept few).
-    lm_selected: Vec<u32>,
-    /// The goal set's junction ids (two per category POI, in store
-    /// order) and their landmark-routed distance upper bounds.
-    lm_endpoints: Vec<u32>,
-    lm_endpoint_ub: Vec<f64>,
+    search: Search,
+    landmarks: Landmarks,
 }
 
 impl SearchScratch {
@@ -191,8 +175,24 @@ impl SearchScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    fn begin(&mut self, junctions: usize, segments: usize) {
+/// The Dijkstra state of one region-distance search.
+#[derive(Debug, Clone, Default)]
+struct Search {
+    dist: Vec<f64>,
+    dist_stamp: Vec<u32>,
+    seg_stamp: Vec<u32>,
+    epoch: u32,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl Search {
+    /// Starts a new search from the region: every endpoint of a region
+    /// segment is a possible exit at distance 0 (the user could be
+    /// anywhere on the segment, including its ends).
+    fn start(&mut self, net: &RoadNetwork, region: &[SegmentId]) {
+        let (junctions, segments) = (net.junction_count(), net.segment_count());
         if self.dist.len() < junctions {
             self.dist.resize(junctions, 0.0);
             self.dist_stamp.resize(junctions, 0);
@@ -207,6 +207,15 @@ impl SearchScratch {
             self.epoch = 1;
         }
         self.heap.clear();
+        for &s in region {
+            let seg = net.segment(s);
+            for j in [seg.a(), seg.b()] {
+                if self.get(j).is_none_or(|d| d > 0.0) {
+                    self.set(j, 0.0);
+                    self.heap.push(HeapEntry { d: 0.0, j: j.0 });
+                }
+            }
+        }
     }
 
     fn get(&self, j: JunctionId) -> Option<f64> {
@@ -229,76 +238,188 @@ impl SearchScratch {
     }
 }
 
-/// Multi-source Dijkstra from all junctions of the region's segments;
-/// leaves road distance from the *nearest region segment* to every
-/// junction reached within `limit` meters in `scratch`, returning the
-/// number of segments the search expanded.
-fn region_distances(
-    net: &RoadNetwork,
-    region: &[SegmentId],
-    limit: f64,
-    scratch: &mut SearchScratch,
-) -> usize {
-    scratch.begin(net.junction_count(), net.segment_count());
-    for &s in region {
-        let seg = net.segment(s);
-        for j in [seg.a(), seg.b()] {
-            // Any region endpoint is a possible exit at distance 0 (the
-            // user could be anywhere on the segment, including its ends).
-            if scratch.get(j).is_none_or(|d| d > 0.0) {
-                scratch.set(j, 0.0);
-                scratch.heap.push(HeapEntry { d: 0.0, j: j.0 });
-            }
-        }
-    }
-    let mut visited_segments = 0usize;
-    while let Some(HeapEntry { d, j }) = scratch.heap.pop() {
-        let j = JunctionId(j);
-        if scratch.get(j).is_some_and(|cur| d > cur) {
-            continue;
-        }
-        if d > limit {
-            continue;
-        }
-        for &s in net.incident_segments(j) {
-            if scratch.visit_segment(s) {
-                visited_segments += 1;
-            }
-            let seg = net.segment(s);
-            let other = seg.other_endpoint(j).expect("incident endpoint");
-            let nd = d + seg.length();
-            if nd <= limit && scratch.get(other).is_none_or(|cur| nd < cur) {
-                scratch.set(other, nd);
-                scratch.heap.push(HeapEntry { d: nd, j: other.0 });
-            }
-        }
-    }
-    visited_segments
+/// The per-query landmark buffers of the indexed searches.
+#[derive(Debug, Clone, Default)]
+struct Landmarks {
+    /// Per-landmark min/max distance to the query region's junctions.
+    region_min: Vec<f64>,
+    region_max: Vec<f64>,
+    /// Per-landmark min/max distance to the queried category's POI
+    /// segment endpoints (the goal set of the directed search).
+    target_min: Vec<f64>,
+    target_max: Vec<f64>,
+    /// The landmarks that actually discriminate region from goal set
+    /// for this query (checked per popped junction, so kept few).
+    selected: Vec<u32>,
+    /// The goal set's junction ids (two per category POI, in store
+    /// order) and their landmark-routed distance upper bounds.
+    endpoints: Vec<u32>,
+    endpoint_ub: Vec<f64>,
 }
 
-/// Fills `min`/`max` with, per landmark, the distance envelope over the
-/// junctions of the region's segments (∞/∞ for an empty region or a
-/// landmark reaching none of them).
-fn region_landmark_profile(
-    net: &RoadNetwork,
-    table: &LandmarkTable,
-    region: &[SegmentId],
-    min: &mut Vec<f64>,
-    max: &mut Vec<f64>,
-) {
+/// How many landmarks the per-junction pruning bound consults. The
+/// selection keeps only the most discriminating ones, so the check
+/// stays a handful of flops on the Dijkstra's hottest line.
+const SELECTED_LANDMARKS: usize = 4;
+
+impl Landmarks {
+    /// Profiles the goal set — the endpoints of every segment carrying a
+    /// POI of `category` — and the region against the landmark table,
+    /// then selects the landmarks that separate the two. Returns whether
+    /// the category has any POI at all (the region is left unprofiled
+    /// when it has none).
+    fn profile(
+        &mut self,
+        net: &RoadNetwork,
+        table: &LandmarkTable,
+        store: &PoiStore,
+        category: PoiCategory,
+        region: &[SegmentId],
+    ) -> bool {
+        reset_envelope(table, &mut self.target_min, &mut self.target_max);
+        // Gather the goal junctions once (the endpoint upper bounds reuse
+        // the list), widening the envelope by each one's row.
+        self.endpoints.clear();
+        for poi in store.iter().filter(|p| p.category == category) {
+            let seg = net.segment(poi.segment);
+            for j in [seg.a(), seg.b()] {
+                self.endpoints.push(j.0);
+                envelope(table.at(j), &mut self.target_min, &mut self.target_max);
+            }
+        }
+        if self.endpoints.is_empty() {
+            return false;
+        }
+        reset_envelope(table, &mut self.region_min, &mut self.region_max);
+        for &s in region {
+            let seg = net.segment(s);
+            for j in [seg.a(), seg.b()] {
+                envelope(table.at(j), &mut self.region_min, &mut self.region_max);
+            }
+        }
+        if region.is_empty() {
+            self.region_max.fill(f64::INFINITY);
+        }
+        self.select();
+        true
+    }
+
+    /// Picks up to [`SELECTED_LANDMARKS`] landmarks that separate the
+    /// region envelope from the goal envelope — the only ones whose
+    /// triangle bound can ever prune anything for this query. Using a
+    /// subset is always sound (the bound over fewer landmarks is merely
+    /// weaker).
+    fn select(&mut self) {
+        let (r_min, r_max) = (&self.region_min, &self.region_max);
+        let (t_min, t_max) = (&self.target_min, &self.target_max);
+        let mut scored: [(f64, u32); SELECTED_LANDMARKS] = [(0.0, u32::MAX); SELECTED_LANDMARKS];
+        for l in 0..r_min.len() {
+            let mut score = 0.0f64;
+            if t_min[l].is_finite() && r_max[l].is_finite() {
+                score = score.max(t_min[l] - r_max[l]);
+            }
+            if t_max[l].is_finite() {
+                if r_min[l].is_finite() {
+                    score = score.max(r_min[l] - t_max[l]);
+                } else {
+                    // The landmark reaches every goal endpoint but no
+                    // region junction: the strongest possible
+                    // discriminator.
+                    score = f64::INFINITY;
+                }
+            }
+            if score > scored[SELECTED_LANDMARKS - 1].0 {
+                scored[SELECTED_LANDMARKS - 1] = (score, l as u32);
+                scored.sort_by(|a, b| b.0.total_cmp(&a.0));
+            }
+        }
+        self.selected.clear();
+        self.selected.extend(
+            scored
+                .iter()
+                .filter(|&&(score, l)| score > 0.0 && l != u32::MAX)
+                .map(|&(_, l)| l),
+        );
+    }
+
+    /// Landmark lower bound on the distance from junction `j` to the
+    /// profiled goal set, over the selected landmarks. Infinite when some
+    /// landmark proves every goal endpoint unreachable from `j`; `0.0`
+    /// when the landmarks say nothing.
+    fn goal_lower_bound(&self, table: &LandmarkTable, j: JunctionId) -> f64 {
+        let mut lb = 0.0f64;
+        let row = table.at(j);
+        for &l in &self.selected {
+            let l = l as usize;
+            let (tmin, tmax) = (self.target_min[l], self.target_max[l]);
+            let dj = row[l];
+            if dj.is_finite() {
+                if tmin.is_finite() {
+                    lb = lb.max(tmin - dj);
+                }
+                if tmax.is_finite() {
+                    lb = lb.max(dj - tmax);
+                }
+            } else if tmax.is_finite() {
+                // The landmark reaches every goal endpoint but not `j`:
+                // `j` lies in a different component from the whole goal
+                // set.
+                return f64::INFINITY;
+            }
+        }
+        lb
+    }
+
+    /// A landmark upper bound on the nearest-POI distance: region →
+    /// landmark → POI endpoint (+ the POI's offset along its segment).
+    /// Only worth its per-POI scan when the landmarks discriminate
+    /// region from goal set (some landmark selected) — with goals
+    /// surrounding the region the first real hit lands long before any
+    /// bound would matter, so it is ∞ otherwise.
+    fn nearest_upper_bound(
+        &mut self,
+        net: &RoadNetwork,
+        table: &LandmarkTable,
+        store: &PoiStore,
+        category: PoiCategory,
+    ) -> f64 {
+        let mut best = f64::INFINITY;
+        if self.selected.is_empty() {
+            return best;
+        }
+        // ub[e] = min over landmarks of d(region, landmark) +
+        // d(landmark, endpoint e), one endpoint's row at a time.
+        let r_min = &self.region_min;
+        self.endpoint_ub.clear();
+        self.endpoint_ub.extend(self.endpoints.iter().map(|&j| {
+            let row = table.at(JunctionId(j));
+            r_min
+                .iter()
+                .zip(row)
+                .filter(|(rm, _)| rm.is_finite())
+                .fold(f64::INFINITY, |ub, (&rm, &d)| ub.min(rm + d))
+        }));
+        for (poi, ub) in store
+            .iter()
+            .filter(|p| p.category == category)
+            .zip(self.endpoint_ub.chunks_exact(2))
+        {
+            let seg = net.segment(poi.segment);
+            let via_a = ub[0] + poi.offset;
+            let via_b = ub[1] + (seg.length() - poi.offset).max(0.0);
+            best = best.min(via_a.min(via_b));
+        }
+        best
+    }
+}
+
+/// Empties a per-landmark `min`/`max` envelope (∞/−∞ for every
+/// landmark).
+fn reset_envelope(table: &LandmarkTable, min: &mut Vec<f64>, max: &mut Vec<f64>) {
     min.clear();
     min.resize(table.count(), f64::INFINITY);
     max.clear();
     max.resize(table.count(), f64::NEG_INFINITY);
-    for &s in region {
-        let seg = net.segment(s);
-        for j in [seg.a(), seg.b()] {
-            envelope(table.at(j), min, max);
-        }
-    }
-    if region.is_empty() {
-        max.fill(f64::INFINITY);
-    }
 }
 
 /// Widens the per-landmark `min`/`max` envelope by one junction's row.
@@ -311,146 +432,61 @@ fn envelope(row: &[f64], min: &mut [f64], max: &mut [f64]) {
     }
 }
 
-/// How many landmarks the per-junction pruning bound consults. The
-/// selection keeps only the most discriminating ones, so the check
-/// stays a handful of flops on the Dijkstra's hottest line.
-const SELECTED_LANDMARKS: usize = 4;
-
-/// Picks up to [`SELECTED_LANDMARKS`] landmarks that separate the
-/// region envelope from the goal envelope — the only ones whose
-/// triangle bound can ever prune anything for this query. Using a
-/// subset is always sound (the bound over fewer landmarks is merely
-/// weaker).
-fn select_landmarks(
-    r_min: &[f64],
-    r_max: &[f64],
-    t_min: &[f64],
-    t_max: &[f64],
-    out: &mut Vec<u32>,
-) {
-    out.clear();
-    let mut scored: [(f64, u32); SELECTED_LANDMARKS] = [(0.0, u32::MAX); SELECTED_LANDMARKS];
-    for l in 0..r_min.len() {
-        let mut score = 0.0f64;
-        if t_min[l].is_finite() && r_max[l].is_finite() {
-            score = score.max(t_min[l] - r_max[l]);
-        }
-        if t_max[l].is_finite() {
-            if r_min[l].is_finite() {
-                score = score.max(r_min[l] - t_max[l]);
-            } else {
-                // The landmark reaches every goal endpoint but no region
-                // junction: the strongest possible discriminator.
-                score = f64::INFINITY;
-            }
-        }
-        if score > scored[SELECTED_LANDMARKS - 1].0 {
-            scored[SELECTED_LANDMARKS - 1] = (score, l as u32);
-            scored.sort_by(|a, b| b.0.total_cmp(&a.0));
-        }
-    }
-    out.extend(
-        scored
-            .iter()
-            .filter(|&&(score, l)| score > 0.0 && l != u32::MAX)
-            .map(|&(_, l)| l),
-    );
-}
-
-/// Fills `min`/`max` with, per landmark, the distance envelope over the
-/// endpoints of every segment carrying a POI of `category` — the goal
-/// set of the directed search. Returns whether the category has any POI
-/// at all.
-fn category_landmark_profile(
+/// Multi-source Dijkstra from all junctions of the region's segments;
+/// leaves road distance from the *nearest region segment* to every
+/// junction reached within `limit` meters in `search`, returning the
+/// number of segments the search expanded.
+fn region_distances(
     net: &RoadNetwork,
-    table: &LandmarkTable,
-    store: &PoiStore,
-    category: PoiCategory,
-    endpoints: &mut Vec<u32>,
-    min: &mut Vec<f64>,
-    max: &mut Vec<f64>,
-) -> bool {
-    min.clear();
-    min.resize(table.count(), f64::INFINITY);
-    max.clear();
-    max.resize(table.count(), f64::NEG_INFINITY);
-    // Gather the goal junctions once (the endpoint upper bounds reuse the
-    // list), widening the envelope by each one's row.
-    endpoints.clear();
-    for poi in store.iter().filter(|p| p.category == category) {
-        let seg = net.segment(poi.segment);
-        for j in [seg.a(), seg.b()] {
-            endpoints.push(j.0);
-            envelope(table.at(j), min, max);
+    region: &[SegmentId],
+    limit: f64,
+    search: &mut Search,
+) -> usize {
+    search.start(net, region);
+    let mut visited_segments = 0usize;
+    while let Some(HeapEntry { d, j }) = search.heap.pop() {
+        let j = JunctionId(j);
+        if search.get(j).is_some_and(|cur| d > cur) {
+            continue;
+        }
+        if d > limit {
+            continue;
+        }
+        for &s in net.incident_segments(j) {
+            if search.visit_segment(s) {
+                visited_segments += 1;
+            }
+            let seg = net.segment(s);
+            let other = seg.other_endpoint(j).expect("incident endpoint");
+            let nd = d + seg.length();
+            if nd <= limit && search.get(other).is_none_or(|cur| nd < cur) {
+                search.set(other, nd);
+                search.heap.push(HeapEntry { d: nd, j: other.0 });
+            }
         }
     }
-    !endpoints.is_empty()
-}
-
-/// Landmark lower bound on the distance from junction `j` to the goal
-/// set profiled in `t_min`/`t_max`, over the `sel`ected landmarks.
-/// Infinite when some landmark proves every goal endpoint unreachable
-/// from `j`; `0.0` when the landmarks say nothing.
-fn goal_lower_bound(
-    table: &LandmarkTable,
-    j: JunctionId,
-    t_min: &[f64],
-    t_max: &[f64],
-    sel: &[u32],
-) -> f64 {
-    let mut lb = 0.0f64;
-    let row = table.at(j);
-    for &l in sel {
-        let l = l as usize;
-        let (tmin, tmax) = (t_min[l], t_max[l]);
-        let dj = row[l];
-        if dj.is_finite() {
-            if tmin.is_finite() {
-                lb = lb.max(tmin - dj);
-            }
-            if tmax.is_finite() {
-                lb = lb.max(dj - tmax);
-            }
-        } else if tmax.is_finite() {
-            // The landmark reaches every goal endpoint but not `j`:
-            // `j` lies in a different component from the whole goal set.
-            return f64::INFINITY;
-        }
-    }
-    lb
+    visited_segments
 }
 
 /// [`region_distances`] with landmark goal-direction: junctions that
 /// provably cannot reach any goal endpoint within `limit` (triangle
-/// inequality against `t_min`/`t_max`) are not expanded. Distances of
-/// every junction the answer can depend on — goal endpoints within
+/// inequality against the profiled goal set) are not expanded. Distances
+/// of every junction the answer can depend on — goal endpoints within
 /// `limit` — are identical to the reference search; the visited counter
 /// reflects the (smaller) work actually done.
-#[allow(clippy::too_many_arguments)]
 fn region_distances_goal(
     net: &RoadNetwork,
     table: &LandmarkTable,
     region: &[SegmentId],
     limit: f64,
-    t_min: &[f64],
-    t_max: &[f64],
-    sel: &[u32],
-    scratch: &mut SearchScratch,
+    landmarks: &Landmarks,
+    search: &mut Search,
 ) -> usize {
-    scratch.begin(net.junction_count(), net.segment_count());
-    for &s in region {
-        let seg = net.segment(s);
-        for j in [seg.a(), seg.b()] {
-            if scratch.get(j).is_none_or(|d| d > 0.0) {
-                scratch.set(j, 0.0);
-                scratch.heap.push(HeapEntry { d: 0.0, j: j.0 });
-            }
-        }
-    }
+    search.start(net, region);
     let mut visited_segments = 0usize;
-    while let Some(HeapEntry { d, j }) = scratch.heap.pop() {
+    while let Some(HeapEntry { d, j }) = search.heap.pop() {
         let j = JunctionId(j);
-        if scratch.get(j).is_some_and(|cur| d > cur) {
+        if search.get(j).is_some_and(|cur| d > cur) {
             continue;
         }
         if d > limit {
@@ -461,9 +497,9 @@ fn region_distances_goal(
         // cannot change any distance the answer reads. The incident
         // segments still count as examined (the server looked at them),
         // keeping the work metric monotone in the budget.
-        let prune = d + goal_lower_bound(table, j, t_min, t_max, sel) > limit;
+        let prune = d + landmarks.goal_lower_bound(table, j) > limit;
         for &s in net.incident_segments(j) {
-            if scratch.visit_segment(s) {
+            if search.visit_segment(s) {
                 visited_segments += 1;
             }
             if prune {
@@ -472,9 +508,9 @@ fn region_distances_goal(
             let seg = net.segment(s);
             let other = seg.other_endpoint(j).expect("incident endpoint");
             let nd = d + seg.length();
-            if nd <= limit && scratch.get(other).is_none_or(|cur| nd < cur) {
-                scratch.set(other, nd);
-                scratch.heap.push(HeapEntry { d: nd, j: other.0 });
+            if nd <= limit && search.get(other).is_none_or(|cur| nd < cur) {
+                search.set(other, nd);
+                search.heap.push(HeapEntry { d: nd, j: other.0 });
             }
         }
     }
@@ -494,10 +530,10 @@ fn region_distances_goal(
 /// Returns the segments examined and the exact nearest-POI distance
 /// (∞ when no POI of the category is reachable).
 ///
-/// `best_seed` is any upper bound on the nearest-POI distance (the
-/// caller derives one from the landmark table); the running best only
-/// shrinks from there as real hits are scored, so the search never
-/// explores past the true expansion bound plus the seed's slack.
+/// `best_seed` is any upper bound on the nearest-POI distance
+/// ([`Landmarks::nearest_upper_bound`]); the running best only shrinks
+/// from there as real hits are scored, so the search never explores past
+/// the true expansion bound plus the seed's slack.
 #[allow(clippy::too_many_arguments)]
 fn region_distances_nearest_goal(
     net: &RoadNetwork,
@@ -507,12 +543,10 @@ fn region_distances_nearest_goal(
     region: &[SegmentId],
     diameter: f64,
     best_seed: f64,
-    t_min: &[f64],
-    t_max: &[f64],
-    sel: &[u32],
-    scratch: &mut SearchScratch,
+    landmarks: &Landmarks,
+    search: &mut Search,
 ) -> (usize, f64) {
-    scratch.begin(net.junction_count(), net.segment_count());
+    search.start(net, region);
     // A category POI on a region segment pins d* to 0 immediately (the
     // same short-circuit `poi_distance` applies).
     let mut best = if store
@@ -523,19 +557,10 @@ fn region_distances_nearest_goal(
     } else {
         best_seed
     };
-    for &s in region {
-        let seg = net.segment(s);
-        for j in [seg.a(), seg.b()] {
-            if scratch.get(j).is_none_or(|d| d > 0.0) {
-                scratch.set(j, 0.0);
-                scratch.heap.push(HeapEntry { d: 0.0, j: j.0 });
-            }
-        }
-    }
     let mut visited_segments = 0usize;
-    while let Some(HeapEntry { d, j }) = scratch.heap.pop() {
+    while let Some(HeapEntry { d, j }) = search.heap.pop() {
         let j = JunctionId(j);
-        if scratch.get(j).is_some_and(|cur| d > cur) {
+        if search.get(j).is_some_and(|cur| d > cur) {
             continue;
         }
         // Keys pop in non-decreasing order: once the frontier passes the
@@ -544,9 +569,9 @@ fn region_distances_nearest_goal(
         if d > bound {
             break;
         }
-        let prune = d + goal_lower_bound(table, j, t_min, t_max, sel) > bound;
+        let prune = d + landmarks.goal_lower_bound(table, j) > bound;
         for &s in net.incident_segments(j) {
-            if scratch.visit_segment(s) {
+            if search.visit_segment(s) {
                 visited_segments += 1;
             }
             let seg = net.segment(s);
@@ -567,9 +592,9 @@ fn region_distances_nearest_goal(
             }
             let other = seg.other_endpoint(j).expect("incident endpoint");
             let nd = d + seg.length();
-            if nd <= bound && scratch.get(other).is_none_or(|cur| nd < cur) {
-                scratch.set(other, nd);
-                scratch.heap.push(HeapEntry { d: nd, j: other.0 });
+            if nd <= bound && search.get(other).is_none_or(|cur| nd < cur) {
+                search.set(other, nd);
+                search.heap.push(HeapEntry { d: nd, j: other.0 });
             }
         }
     }
@@ -577,10 +602,10 @@ fn region_distances_nearest_goal(
 }
 
 /// Shortest road distance from the region to a POI, given the junction
-/// distances left in `scratch` (`None` when the POI is out of range).
+/// distances left in `search` (`None` when the POI is out of range).
 fn poi_distance(
     net: &RoadNetwork,
-    scratch: &SearchScratch,
+    search: &Search,
     region: &[SegmentId],
     poi: &Poi,
 ) -> Option<f64> {
@@ -588,8 +613,8 @@ fn poi_distance(
         return Some(0.0);
     }
     let seg = net.segment(poi.segment);
-    let via_a = scratch.get(seg.a()).map(|d| d + poi.offset);
-    let via_b = scratch
+    let via_a = search.get(seg.a()).map(|d| d + poi.offset);
+    let via_b = search
         .get(seg.b())
         .map(|d| d + (seg.length() - poi.offset).max(0.0));
     match (via_a, via_b) {
@@ -637,52 +662,24 @@ pub fn range_query_with(
     scratch: &mut SearchScratch,
 ) -> CandidateAnswer {
     let table = net.landmark_table();
-    let mut t_min = std::mem::take(&mut scratch.lm_target_min);
-    let mut t_max = std::mem::take(&mut scratch.lm_target_max);
-    let mut r_min = std::mem::take(&mut scratch.lm_region_min);
-    let mut r_max = std::mem::take(&mut scratch.lm_region_max);
-    let mut sel = std::mem::take(&mut scratch.lm_selected);
-    let mut endpoints = std::mem::take(&mut scratch.lm_endpoints);
-    let any = category_landmark_profile(
-        net,
-        table,
-        store,
-        category,
-        &mut endpoints,
-        &mut t_min,
-        &mut t_max,
-    );
-    let answer = if !any {
+    let SearchScratch { search, landmarks } = scratch;
+    if !landmarks.profile(net, table, store, category, region) {
         // No POI of the category exists: the reference search would
         // expand the whole radius ball only to filter everything out.
-        CandidateAnswer {
-            candidates: Vec::new(),
-            segments_visited: 0,
-        }
-    } else {
-        region_landmark_profile(net, table, region, &mut r_min, &mut r_max);
-        select_landmarks(&r_min, &r_max, &t_min, &t_max, &mut sel);
-        let visited =
-            region_distances_goal(net, table, region, radius, &t_min, &t_max, &sel, scratch);
-        let mut candidates: Vec<Poi> = store
-            .iter()
-            .filter(|p| p.category == category)
-            .filter(|p| poi_distance(net, scratch, region, p).is_some_and(|d| d <= radius))
-            .copied()
-            .collect();
-        candidates.sort_by_key(|p| p.id);
-        CandidateAnswer {
-            candidates,
-            segments_visited: visited,
-        }
-    };
-    scratch.lm_target_min = t_min;
-    scratch.lm_target_max = t_max;
-    scratch.lm_region_min = r_min;
-    scratch.lm_region_max = r_max;
-    scratch.lm_selected = sel;
-    scratch.lm_endpoints = endpoints;
-    answer
+        return CandidateAnswer::default();
+    }
+    let visited = region_distances_goal(net, table, region, radius, landmarks, search);
+    let mut candidates: Vec<Poi> = store
+        .iter()
+        .filter(|p| p.category == category)
+        .filter(|p| poi_distance(net, search, region, p).is_some_and(|d| d <= radius))
+        .copied()
+        .collect();
+    candidates.sort_by_key(|p| p.id);
+    CandidateAnswer {
+        candidates,
+        segments_visited: visited,
+    }
 }
 
 /// The pre-index [`range_query`] search: a radius-bounded multi-source
@@ -696,11 +693,12 @@ pub fn range_query_reference_with(
     radius: f64,
     scratch: &mut SearchScratch,
 ) -> CandidateAnswer {
-    let visited = region_distances(net, region, radius, scratch);
+    let search = &mut scratch.search;
+    let visited = region_distances(net, region, radius, search);
     let mut candidates: Vec<Poi> = store
         .iter()
         .filter(|p| p.category == category)
-        .filter(|p| poi_distance(net, scratch, region, p).is_some_and(|d| d <= radius))
+        .filter(|p| poi_distance(net, search, region, p).is_some_and(|d| d <= radius))
         .copied()
         .collect();
     candidates.sort_by_key(|p| p.id);
@@ -732,13 +730,13 @@ pub fn nearest_query(
 /// any scratch state.
 ///
 /// Goal-directed via the network's landmark table: one self-bounding
-/// Dijkstra discovers the nearest-POI distance as it runs and stops at
-/// the exact expansion bound (instead of the reference's doubling
-/// restarts), while landmark *lower* bounds prune frontier junctions
-/// that cannot reach any POI of the category in budget. The candidate
-/// set, the distances and the tie-breaks equal
-/// [`nearest_query_reference_with`] exactly — including the
-/// reference's give-up behavior when its 24-doubling budget would be
+/// Dijkstra (see [`region_distances_nearest_goal`]) discovers the
+/// nearest-POI distance as it runs and stops at the exact expansion
+/// bound (instead of the reference's doubling restarts), while landmark
+/// *lower* bounds prune frontier junctions that cannot reach any POI of
+/// the category in budget. The candidate set, the distances and the
+/// tie-breaks equal [`nearest_query_reference_with`] exactly — including
+/// the reference's give-up behavior when its 24-doubling budget would be
 /// exhausted.
 pub fn nearest_query_with(
     net: &RoadNetwork,
@@ -748,122 +746,27 @@ pub fn nearest_query_with(
     scratch: &mut SearchScratch,
 ) -> CandidateAnswer {
     let table = net.landmark_table();
-    let mut t_min = std::mem::take(&mut scratch.lm_target_min);
-    let mut t_max = std::mem::take(&mut scratch.lm_target_max);
-    let mut r_min = std::mem::take(&mut scratch.lm_region_min);
-    let mut r_max = std::mem::take(&mut scratch.lm_region_max);
-    let mut sel = std::mem::take(&mut scratch.lm_selected);
-    let mut endpoints = std::mem::take(&mut scratch.lm_endpoints);
-    let mut endpoint_ub = std::mem::take(&mut scratch.lm_endpoint_ub);
-    let any = category_landmark_profile(
-        net,
-        table,
-        store,
-        category,
-        &mut endpoints,
-        &mut t_min,
-        &mut t_max,
-    );
-    let answer = if !any {
+    let SearchScratch { search, landmarks } = scratch;
+    if !landmarks.profile(net, table, store, category, region) {
         // No POI of the category at all — the reference ends empty.
-        CandidateAnswer {
-            candidates: Vec::new(),
-            segments_visited: 0,
-        }
-    } else {
-        region_landmark_profile(net, table, region, &mut r_min, &mut r_max);
-        select_landmarks(&r_min, &r_max, &t_min, &t_max, &mut sel);
-        nearest_query_indexed(
-            net,
-            store,
-            region,
-            category,
-            table,
-            &t_min,
-            &t_max,
-            &r_min,
-            &sel,
-            &endpoints,
-            &mut endpoint_ub,
-            scratch,
-        )
-    };
-    scratch.lm_target_min = t_min;
-    scratch.lm_target_max = t_max;
-    scratch.lm_region_min = r_min;
-    scratch.lm_region_max = r_max;
-    scratch.lm_selected = sel;
-    scratch.lm_endpoints = endpoints;
-    scratch.lm_endpoint_ub = endpoint_ub;
-    answer
-}
-
-/// The indexed nearest search: one self-bounding goal-directed Dijkstra
-/// (see [`region_distances_nearest_goal`]) instead of the reference's
-/// doubling restarts.
-#[allow(clippy::too_many_arguments)]
-fn nearest_query_indexed(
-    net: &RoadNetwork,
-    store: &PoiStore,
-    region: &[SegmentId],
-    category: PoiCategory,
-    table: &LandmarkTable,
-    t_min: &[f64],
-    t_max: &[f64],
-    r_min: &[f64],
-    sel: &[u32],
-    endpoints: &[u32],
-    endpoint_ub: &mut Vec<f64>,
-    scratch: &mut SearchScratch,
-) -> CandidateAnswer {
+        return CandidateAnswer::default();
+    }
     // Region "diameter" upper bound: total road length of the region (a
     // safe overestimate of the longest internal detour).
     let diameter: f64 = region.iter().map(|&s| net.segment(s).length()).sum();
-    // Landmark upper bound on the nearest-POI distance, seeding the
-    // search's self-shrinking budget: region → landmark → POI endpoint
-    // (+ the POI's offset along its segment). Only worth its per-POI
-    // scan when the landmarks discriminate region from goal set (`sel`
-    // non-empty) — with goals surrounding the region the first real hit
-    // lands long before any seed would matter.
-    let mut best_seed = f64::INFINITY;
-    if !sel.is_empty() {
-        // ub[e] = min over landmarks of d(region, landmark) +
-        // d(landmark, endpoint e), one endpoint's row at a time.
-        endpoint_ub.clear();
-        endpoint_ub.extend(endpoints.iter().map(|&j| {
-            let row = table.at(JunctionId(j));
-            r_min
-                .iter()
-                .zip(row)
-                .filter(|(rm, _)| rm.is_finite())
-                .fold(f64::INFINITY, |ub, (&rm, &d)| ub.min(rm + d))
-        }));
-        for (poi, ub) in store
-            .iter()
-            .filter(|p| p.category == category)
-            .zip(endpoint_ub.chunks_exact(2))
-        {
-            let seg = net.segment(poi.segment);
-            let via_a = ub[0] + poi.offset;
-            let via_b = ub[1] + (seg.length() - poi.offset).max(0.0);
-            best_seed = best_seed.min(via_a.min(via_b));
-        }
-    }
+    let best_seed = landmarks.nearest_upper_bound(net, table, store, category);
     let (visited, d_star) = region_distances_nearest_goal(
-        net, table, store, category, region, diameter, best_seed, t_min, t_max, sel, scratch,
+        net, table, store, category, region, diameter, best_seed, landmarks, search,
     );
     if !d_star.is_finite() {
         // No reachable POI of the category: the reference exhausts its
         // 24 doublings and answers empty.
-        return CandidateAnswer {
-            candidates: Vec::new(),
-            segments_visited: 0,
-        };
+        return CandidateAnswer::default();
     }
     let mut with_d: Vec<(f64, Poi)> = store
         .iter()
         .filter(|p| p.category == category)
-        .filter_map(|p| poi_distance(net, scratch, region, p).map(|d| (d, *p)))
+        .filter_map(|p| poi_distance(net, search, region, p).map(|d| (d, *p)))
         .collect();
     let bound = d_star + diameter;
     // Mirror the reference's doubling schedule: it only answers once
@@ -880,10 +783,7 @@ fn nearest_query_indexed(
         limit *= 2.0;
     }
     if !covered {
-        return CandidateAnswer {
-            candidates: Vec::new(),
-            segments_visited: 0,
-        };
+        return CandidateAnswer::default();
     }
     with_d.retain(|(d, _)| *d <= bound);
     with_d.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.id.cmp(&b.1.id)));
@@ -904,17 +804,18 @@ pub fn nearest_query_reference_with(
     category: PoiCategory,
     scratch: &mut SearchScratch,
 ) -> CandidateAnswer {
+    let search = &mut scratch.search;
     // Region "diameter" upper bound: total road length of the region (a
     // safe overestimate of the longest internal detour).
     let diameter: f64 = region.iter().map(|&s| net.segment(s).length()).sum();
     // Grow the search limit until at least one POI is found (doubling).
     let mut limit = diameter.max(100.0);
     for _ in 0..24 {
-        let visited = region_distances(net, region, limit, scratch);
+        let visited = region_distances(net, region, limit, search);
         let mut with_d: Vec<(f64, Poi)> = store
             .iter()
             .filter(|p| p.category == category)
-            .filter_map(|p| poi_distance(net, scratch, region, p).map(|d| (d, *p)))
+            .filter_map(|p| poi_distance(net, search, region, p).map(|d| (d, *p)))
             .collect();
         if let Some(d_star) = with_d.iter().map(|(d, _)| *d).min_by(|a, b| a.total_cmp(b)) {
             let bound = d_star + diameter;
@@ -929,10 +830,7 @@ pub fn nearest_query_reference_with(
         }
         limit *= 2.0;
     }
-    CandidateAnswer {
-        candidates: Vec::new(),
-        segments_visited: 0,
-    }
+    CandidateAnswer::default()
 }
 
 /// Client-side refinement: given the true segment, pick the actual
@@ -954,10 +852,11 @@ pub fn refine_nearest_with(
     true_segment: SegmentId,
     scratch: &mut SearchScratch,
 ) -> Option<Poi> {
-    region_distances(net, &[true_segment], f64::INFINITY, scratch);
+    let search = &mut scratch.search;
+    region_distances(net, &[true_segment], f64::INFINITY, search);
     candidates
         .iter()
-        .filter_map(|p| poi_distance(net, scratch, &[true_segment], p).map(|d| (d, *p)))
+        .filter_map(|p| poi_distance(net, search, &[true_segment], p).map(|d| (d, *p)))
         .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.id.cmp(&b.1.id)))
         .map(|(_, p)| p)
 }
