@@ -182,6 +182,25 @@ mod tests {
         }
     }
 
+    /// The journal compatibility pin: `FileStore` records persist chain
+    /// states verbatim, so the genesis and the ratchet must derive the
+    /// same states in every build that reads an existing journal. A
+    /// change that moves these fingerprints strands every journaled
+    /// chain, and needs a journal record version.
+    #[test]
+    fn ratcheted_states_match_the_journal_pin() {
+        let mut chain = ChainState::genesis("alice", &Key256::from_seed(7));
+        let mut fingerprints = vec![chain.state_key().fingerprint()];
+        for _ in 0..5 {
+            chain.ratchet();
+            fingerprints.push(chain.state_key().fingerprint());
+        }
+        assert_eq!(
+            fingerprints,
+            ["cc58ea7f", "d7b82c25", "48dfade5", "94a2a705", "e9fd69e9", "d393dae2"]
+        );
+    }
+
     #[test]
     fn debug_leaks_no_key_material() {
         let chain = ChainState::genesis("erin", &Key256::from_seed(4));

@@ -40,6 +40,7 @@ pub mod keyring;
 pub mod manager;
 pub mod stream;
 pub mod tag;
+pub mod work;
 
 pub use access::{AccessControlProfile, AccessError, TrustDegree};
 pub use chain::ChainState;
@@ -49,3 +50,4 @@ pub use keyring::{read_keyring, write_keyring, write_keyring_file, KeyringError}
 pub use manager::{KeyError, KeyManager, Level};
 pub use stream::{derive_key, DrawStream};
 pub use tag::{Tag128, TagPrefix};
+pub use work::WorkCounts;

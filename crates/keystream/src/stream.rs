@@ -155,6 +155,7 @@ impl Sponge {
         state[RATE_WORDS..].copy_from_slice(&CHACHA_CONSTANTS);
         state[RATE_WORDS] ^= domain;
         chacha_permute(&mut state);
+        crate::work::absorbed();
         Sponge {
             state,
             pending: [0; RATE_BYTES],
@@ -198,6 +199,7 @@ impl Sponge {
             *word ^= u32::from_le_bytes(w);
         }
         chacha_permute(&mut self.state);
+        crate::work::absorbed();
         self.filled = 0;
     }
 }
@@ -213,6 +215,7 @@ fn chacha_block(base: &[u32; 16], counter: u64) -> [u64; 8] {
     input[14] ^= (counter >> 32) as u32;
     let mut t = input;
     chacha_permute(&mut t);
+    crate::work::squeezed();
     let mut out = [0u64; 8];
     for (i, slot) in out.iter_mut().enumerate() {
         let lo = t[2 * i].wrapping_add(input[2 * i]) as u64;

@@ -93,6 +93,7 @@ impl TagPrefix {
             (self.context_len, self.message_len),
             "tag prefix made for other lengths"
         );
+        crate::work::tagged();
         let mut sponge = self.sponge.clone();
         sponge.absorb(&TAG_DOMAIN[12..]);
         sponge.absorb(&(context.len() as u64).to_le_bytes());
