@@ -274,15 +274,20 @@ fn cmd_keys(opts: &Opts) -> Result<(), String> {
             u8::MAX
         ));
     }
-    // Auto key generation, like the GUI button; seeded only when asked.
-    // Seeded keys go through the sponge-derived grid (`KeyManager::
-    // from_seed`), which domain-separates every (seed, level) pair.
+    // Auto key generation, like the GUI button, from operating-system
+    // entropy; seeded only when asked. Seeded keys go through the
+    // sponge-derived grid (`KeyManager::from_seed`), which
+    // domain-separates every (seed, level) pair.
     let mgr = match opts.get("seed") {
         Some(s) => {
             let seed: u64 = s.parse().map_err(|_| "--seed expects a number")?;
             keystream::KeyManager::from_seed(levels, seed)
         }
-        None => keystream::KeyManager::generate(levels, &mut rand::thread_rng()),
+        None => {
+            let mut os = keystream::entropy::OsEntropy::new()
+                .map_err(|e| format!("read {}: {e}", keystream::entropy::SOURCE))?;
+            keystream::KeyManager::generate(levels, &mut os)
+        }
     };
     if let Some(path) = opts.get("out") {
         // Owner-only (0o600) creation: the keyring is secret material.

@@ -44,7 +44,8 @@
 //!     service.network().segment_count(),
 //!     1,
 //! ));
-//! let receipt = service.anonymize_owner("alice", SegmentId(17), None, &mut rand::thread_rng())?;
+//! let mut os = keystream::entropy::OsEntropy::new()?; // unseeded: OS entropy
+//! let receipt = service.anonymize_owner("alice", SegmentId(17), None, &mut os)?;
 //!
 //! // Grant a requester full access and reduce to the exact segment.
 //! service.register_requester("alice", "police", TrustDegree(10), Level(0));

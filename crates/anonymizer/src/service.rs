@@ -218,10 +218,10 @@ impl<V> ShardedMap<V> {
     }
 }
 
-/// A request's key draw: its `(tick key, nonce, epoch)` once its chain
-/// advance was journaled, or the persistence error that withheld the
-/// epoch. The level keys derive from the tick key in the cloak step.
-pub(crate) type KeyedRequest = Result<(Key256, u64, u64), CloakError>;
+/// A request's key draw: its epoch's level keys, nonce and epoch once its
+/// chain advance was journaled, or the persistence error that withheld
+/// the epoch.
+pub(crate) type KeyedRequest = Result<(KeyManager, u64, u64), CloakError>;
 
 /// One anonymization request for [`AnonymizerService::anonymize_batch`].
 ///
@@ -271,7 +271,8 @@ impl AnonymizeRequest {
 /// let snapshot = OccupancySnapshot::uniform(net.segment_count(), 1);
 /// let service = AnonymizerService::new(net, AnonymizerConfig::default());
 /// service.update_snapshot(snapshot);
-/// let receipt = service.anonymize_owner("alice", SegmentId(17), None, &mut rand::thread_rng())?;
+/// let mut os = keystream::entropy::OsEntropy::new()?; // unseeded: OS entropy
+/// let receipt = service.anonymize_owner("alice", SegmentId(17), None, &mut os)?;
 /// assert!(receipt.payload.region_size() >= 20);
 /// # Ok(())
 /// # }
@@ -446,7 +447,10 @@ impl AnonymizerService {
         profile: Option<&PrivacyProfile>,
         rng: &mut R,
     ) -> Result<AnonymizeReceipt, CloakError> {
-        let keyed = self.draw_keys(owner, rng);
+        let levels = profile
+            .unwrap_or(&self.config.default_profile)
+            .level_count();
+        let keyed = self.draw_keys(owner, levels, rng);
         self.issue_keyed(
             &self.snapshot(),
             owner,
@@ -485,9 +489,9 @@ impl AnonymizerService {
         )
     }
 
-    /// Stamps the chain `epoch` into a cloak outcome, stores the owner
-    /// record and returns the receipt; record and receipt share one
-    /// payload allocation. Re-anonymizing rotates payload and keys but
+    /// Stores the owner record of a cloak outcome (whose payload carries
+    /// its chain epoch) and returns the receipt; record and receipt share
+    /// one payload allocation. Re-anonymizing rotates payload and keys but
     /// keeps the owner's access-control profile, so existing requester
     /// grants (and the requester registry audit view) stay consistent.
     /// A stored record of a later epoch stays: epochs grow in request
@@ -498,10 +502,9 @@ impl AnonymizerService {
         &self,
         owner: &str,
         keys: KeyManager,
-        epoch: u64,
-        (mut outcome, attempts): (AnonymizationOutcome, u32),
+        (outcome, attempts): (AnonymizationOutcome, u32),
     ) -> AnonymizeReceipt {
-        outcome.payload.epoch = epoch;
+        let epoch = outcome.payload.epoch;
         let payload = Arc::new(outcome.payload.clone());
         let record = OwnerRecord {
             owner: owner.to_string(),
@@ -526,17 +529,18 @@ impl AnonymizerService {
 
     /// Draws one request's randomness from `rng` — 256 bits of
     /// chain-genesis entropy, then the nonce — ratchets `owner`'s chain
-    /// and takes the new epoch's tick key. A chain advance that could not
-    /// be journaled yields its [`CloakError::Persistence`] instead.
-    fn draw_keys<R: Rng + ?Sized>(&self, owner: &str, rng: &mut R) -> KeyedRequest {
+    /// and derives the new epoch's `levels` level keys. A chain advance
+    /// that could not be journaled yields its [`CloakError::Persistence`]
+    /// instead.
+    fn draw_keys<R: Rng + ?Sized>(&self, owner: &str, levels: usize, rng: &mut R) -> KeyedRequest {
         let entropy = Key256::generate(rng);
         let nonce: u64 = rng.gen();
         let chain = self.advance_chain(owner, entropy)?;
-        Ok((chain.tick_key(), nonce, chain.epoch()))
+        Ok((chain.level_keys(levels), nonce, chain.epoch()))
     }
 
     /// One request's chain step: ratchets its owner's chain and captures
-    /// the request's `(tick key, nonce, epoch)`, drawn from its seed.
+    /// the request's `(level keys, nonce, epoch)`, drawn from its seed.
     /// Batches run it for every request **in request order** before any
     /// parallel dispatch: the epoch an owner's n-th request gets must not
     /// depend on worker scheduling. A request whose chain advance could
@@ -544,15 +548,22 @@ impl AnonymizerService {
     /// of keys: it never reaches the cloak and no receipt is issued for
     /// it.
     pub(crate) fn derive_keys(&self, request: &AnonymizeRequest) -> KeyedRequest {
-        self.draw_keys(&request.owner, &mut StdRng::seed_from_u64(request.seed))
+        let profile = request
+            .profile
+            .as_ref()
+            .unwrap_or(&self.config.default_profile);
+        self.draw_keys(
+            &request.owner,
+            profile.level_count(),
+            &mut StdRng::seed_from_u64(request.seed),
+        )
     }
 
     /// The one cloak step every request goes through: turns a keyed
     /// request into a receipt. A persistence error from the key draw
-    /// passes straight through; otherwise the epoch's level keys derive
-    /// from its tick key for `profile` (or the default profile), exactly
-    /// as [`ChainState::level_keys`] derives them, the owner's segment is
-    /// cloaked against `snapshot` with the worker's `scratch` and the
+    /// passes straight through; otherwise the owner's segment is cloaked
+    /// under the epoch's level keys for `profile` (or the default
+    /// profile) against `snapshot` with the worker's `scratch`, and the
     /// receipt is recorded.
     fn issue_keyed(
         &self,
@@ -563,9 +574,8 @@ impl AnonymizerService {
         keyed: &KeyedRequest,
         scratch: &mut CloakScratch,
     ) -> Result<AnonymizeReceipt, CloakError> {
-        let (tick_key, nonce, epoch) = keyed.as_ref().map_err(Clone::clone)?;
+        let (keys, nonce, epoch) = keyed.as_ref().map_err(Clone::clone)?;
         let profile = profile.unwrap_or(&self.config.default_profile);
-        let keys = KeyManager::derive(profile.level_count(), *tick_key);
         let key_vec: Vec<Key256> = keys.iter().map(|(_, k)| k).collect();
         let cloaked = anonymize_with_retry_scratch(
             &self.net,
@@ -574,11 +584,12 @@ impl AnonymizerService {
             profile,
             &key_vec,
             *nonce,
+            *epoch,
             self.engine.as_dyn(),
             self.config.max_attempts,
             scratch,
         )?;
-        Ok(self.record_receipt(owner, keys, *epoch, cloaked))
+        Ok(self.record_receipt(owner, keys.clone(), cloaked))
     }
 
     /// Cloaks one request against `snapshot`, the handle the caller took

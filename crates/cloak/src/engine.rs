@@ -5,10 +5,13 @@
 //! segment just removed, identify its predecessor in the chain). The
 //! protocol follows the paper's de-anonymization discipline directly:
 //!
-//! 1. **Per-step substreams.** Step `t` of a level draws from an
-//!    independent keyed stream derived from `(key, level, t, nonce)`, so
-//!    the backward walk — which visits steps in reverse order — can replay
-//!    any step's draws without knowing how many draws other steps used.
+//! 1. **One sequence per level.** A level's steps read one keyed stream
+//!    `R_1, R_2, …` in order, as the paper's walk does: a forward step
+//!    reads exactly the draws of its rounds, and the next step goes on
+//!    from there. Each step's draw count travels encrypted in the
+//!    payload, so the backward walk replays the level's draws forward
+//!    once and hands each step exactly its own
+//!    ([`ReversibleEngine::backward_from_draws`]).
 //! 2. **Deterministic core selection.** `forward_core(anchor)` consumes
 //!    draws in rounds; a round is *voided* when its candidate is
 //!    inadmissible (empty RPLE slot, already in the region, spatial
@@ -96,26 +99,37 @@ impl HintStack {
     }
 }
 
-/// Lazily materialized draw sequence of one step's substream, so multiple
-/// hypothesis simulations can replay the same rounds. The backing buffer
-/// is borrowed from the caller's [`StepScratch`] (cleared on wrap) so
-/// steps allocate nothing at steady state.
-struct DrawCache<'a> {
-    stream: &'a mut DrawStream,
-    draws: &'a mut Vec<u64>,
+/// The draws one step reads. A forward step or an ambiguity probe pulls
+/// them from its stream as first needed and keeps them, so several
+/// hypothesis simulations replay the same rounds (the buffer is borrowed
+/// from the caller's [`StepScratch`], so steps allocate nothing at steady
+/// state). A backward step reads the step's recorded draws and nothing
+/// beyond: a hypothesis that needs more rounds than the step used cannot
+/// be the step's.
+enum StepDraws<'a> {
+    Stream {
+        stream: &'a mut DrawStream,
+        cache: &'a mut Vec<u64>,
+    },
+    Recorded(&'a [u64]),
 }
 
-impl<'a> DrawCache<'a> {
-    fn new(stream: &'a mut DrawStream, draws: &'a mut Vec<u64>) -> Self {
-        draws.clear();
-        DrawCache { stream, draws }
+impl<'a> StepDraws<'a> {
+    fn stream(stream: &'a mut DrawStream, cache: &'a mut Vec<u64>) -> Self {
+        cache.clear();
+        StepDraws::Stream { stream, cache }
     }
 
-    fn get(&mut self, i: usize) -> u64 {
-        while self.draws.len() <= i {
-            self.draws.push(self.stream.next_u64());
+    fn get(&mut self, i: usize) -> Option<u64> {
+        match self {
+            StepDraws::Stream { stream, cache } => {
+                while cache.len() <= i {
+                    cache.push(stream.next_u64());
+                }
+                Some(cache[i])
+            }
+            StepDraws::Recorded(draws) => draws.get(i).copied(),
         }
-        self.draws[i]
     }
 }
 
@@ -155,14 +169,34 @@ pub trait ReversibleEngine: Send + Sync {
 
     /// One backward transition: the region is `CloakA_t` (the removed
     /// segment already taken out), `removed` is the segment step `t`
-    /// added, and `expected_round` is the forward step's recorded
-    /// accepting round (1-based; carried encrypted in the payload).
-    /// Returns the chain's previous segment.
+    /// added, and `draws` are exactly the draws step `t` read, so their
+    /// count is the forward step's accepting round. Returns the chain's
+    /// previous segment.
     ///
     /// # Errors
     ///
     /// Fails when no predecessor is consistent (wrong key or corrupted
     /// payload) or required hints are missing.
+    #[allow(clippy::too_many_arguments)]
+    fn backward_from_draws(
+        &self,
+        net: &RoadNetwork,
+        region: &RegionState,
+        removed: SegmentId,
+        draws: &[u64],
+        tolerance: &SpatialTolerance,
+        hints: &mut HintStack,
+        scratch: &mut StepScratch,
+    ) -> Result<SegmentId, StepFailure>;
+
+    /// [`backward_from_draws`](Self::backward_from_draws) for a step that
+    /// reads `stream` from its start: takes the step's `expected_round`
+    /// draws (1-based; carried encrypted in the payload) from it. A round
+    /// beyond [`MAX_REDRAWS`] matches no hypothesis.
+    ///
+    /// # Errors
+    ///
+    /// As [`backward_from_draws`](Self::backward_from_draws).
     #[allow(clippy::too_many_arguments)]
     fn backward_step(
         &self,
@@ -174,7 +208,20 @@ pub trait ReversibleEngine: Send + Sync {
         expected_round: u32,
         hints: &mut HintStack,
         scratch: &mut StepScratch,
-    ) -> Result<SegmentId, StepFailure>;
+    ) -> Result<SegmentId, StepFailure> {
+        let rounds = if expected_round as usize <= MAX_REDRAWS {
+            expected_round as usize
+        } else {
+            0
+        };
+        let mut draws = std::mem::take(&mut scratch.draws);
+        draws.clear();
+        draws.extend((0..rounds).map(|_| stream.next_u64()));
+        let result =
+            self.backward_from_draws(net, region, removed, &draws, tolerance, hints, scratch);
+        scratch.draws = draws;
+        result
+    }
 
     /// Ablation probe: how many predecessor hypotheses are consistent with
     /// `removed` when the backward walk may **not** filter by accepting
@@ -216,14 +263,14 @@ impl RgeEngine {
         region: &RegionState,
         table: TableView<'_>,
         tolerance: &SpatialTolerance,
-        cache: &mut DrawCache<'_>,
+        draws: &mut StepDraws<'_>,
         i_s: usize,
     ) -> Option<(usize, SegmentId)> {
         let (m, n) = (table.row_count(), table.col_count());
         let q_mod = table.hint_modulus();
         let band = i_s / n;
         for r in 0..MAX_REDRAWS {
-            let rv = cache.get(r);
+            let rv = draws.get(r)?;
             if m > n && ((rv / n as u64) % q_mod as u64) as usize != band {
                 continue;
             }
@@ -268,8 +315,8 @@ impl ReversibleEngine for RgeEngine {
         let i0 = table
             .row_of(net, last)
             .expect("chain anchor must be in the region");
-        let mut cache = DrawCache::new(stream, draws);
-        let (round, cand) = Self::simulate_row(net, region, table, tolerance, &mut cache, i0)
+        let mut draws = StepDraws::stream(stream, draws);
+        let (round, cand) = Self::simulate_row(net, region, table, tolerance, &mut draws, i0)
             .ok_or(StepFailure::RedrawBudgetExhausted)?;
         let band = i0 / table.col_count();
         Ok(StepAccept {
@@ -280,21 +327,18 @@ impl ReversibleEngine for RgeEngine {
         })
     }
 
-    fn backward_step(
+    fn backward_from_draws(
         &self,
         net: &RoadNetwork,
         region: &RegionState,
         removed: SegmentId,
-        stream: &mut DrawStream,
+        draws: &[u64],
         tolerance: &SpatialTolerance,
-        expected_round: u32,
         hints: &mut HintStack,
         scratch: &mut StepScratch,
     ) -> Result<SegmentId, StepFailure> {
         scratch.rge_tables(net, region, removed);
-        let StepScratch {
-            rows, cols, draws, ..
-        } = scratch;
+        let StepScratch { rows, cols, .. } = scratch;
         if cols.is_empty() {
             return Err(StepFailure::NoCandidates);
         }
@@ -317,15 +361,16 @@ impl ReversibleEngine for RgeEngine {
             return Err(StepFailure::Collision);
         }
         let band_rows = (band * n)..((band * n + n).min(table.row_count()));
-        let mut cache = DrawCache::new(stream, draws);
+        let expected_round = draws.len();
+        let mut draws = StepDraws::Recorded(draws);
         // Exactly one row of the band can first-accept `removed` at the
         // expected round: same-round selections of distinct rows hit
         // distinct columns (the table's no-collision property).
         for i_s in band_rows {
             if let Some((r, cand)) =
-                Self::simulate_row(net, region, table, tolerance, &mut cache, i_s)
+                Self::simulate_row(net, region, table, tolerance, &mut draws, i_s)
             {
-                if cand == removed && r as u32 + 1 == expected_round {
+                if cand == removed && r + 1 == expected_round {
                     return Ok(table.rows()[i_s]);
                 }
             }
@@ -364,11 +409,11 @@ impl ReversibleEngine for RgeEngine {
             return 0;
         }
         let band_rows = (band * n)..((band * n + n).min(table.row_count()));
-        let mut cache = DrawCache::new(stream, draws);
+        let mut draws = StepDraws::stream(stream, draws);
         band_rows
             .filter(|&i_s| {
                 matches!(
-                    Self::simulate_row(net, region, table, tolerance, &mut cache, i_s),
+                    Self::simulate_row(net, region, table, tolerance, &mut draws, i_s),
                     Some((_, cand)) if cand == removed
                 )
             })
@@ -407,13 +452,13 @@ impl RpleEngine {
         net: &RoadNetwork,
         region: &RegionState,
         tolerance: &SpatialTolerance,
-        cache: &mut DrawCache<'_>,
+        draws: &mut StepDraws<'_>,
         s: SegmentId,
     ) -> Option<(usize, SegmentId)> {
         let t_len = self.tables.t_len();
         let ft = self.tables.forward_list(s);
         for r in 0..MAX_REDRAWS {
-            let rv = cache.get(r);
+            let rv = draws.get(r)?;
             let idx = (rv % t_len as u64) as usize;
             let cand = match ft[idx] {
                 Some(c) if !region.contains(c) => c,
@@ -480,9 +525,9 @@ impl ReversibleEngine for RpleEngine {
         if !any_admissible {
             return Err(StepFailure::NoCandidates);
         }
-        let mut cache = DrawCache::new(stream, &mut scratch.draws);
+        let mut draws = StepDraws::stream(stream, &mut scratch.draws);
         let (round, cand) = self
-            .simulate_anchor(net, region, tolerance, &mut cache, last)
+            .simulate_anchor(net, region, tolerance, &mut draws, last)
             .ok_or(StepFailure::RedrawBudgetExhausted)?;
         Ok(StepAccept {
             segment: cand,
@@ -492,26 +537,26 @@ impl ReversibleEngine for RpleEngine {
         })
     }
 
-    fn backward_step(
+    fn backward_from_draws(
         &self,
         net: &RoadNetwork,
         region: &RegionState,
         removed: SegmentId,
-        stream: &mut DrawStream,
+        draws: &[u64],
         tolerance: &SpatialTolerance,
-        expected_round: u32,
         _hints: &mut HintStack,
         scratch: &mut StepScratch,
     ) -> Result<SegmentId, StepFailure> {
-        let StepScratch { draws, hyp, .. } = scratch;
+        let hyp = &mut scratch.hyp;
         self.hypotheses_into(region, removed, hyp);
-        let mut cache = DrawCache::new(stream, draws);
+        let expected_round = draws.len();
+        let mut draws = StepDraws::Recorded(draws);
         // Exactly one predecessor can first-accept `removed` at the
         // expected round: two anchors accepting at the same round would
         // need the same `BT[removed]` cell (the pre-assignment duality).
         for &s in hyp.iter() {
-            if let Some((r, cand)) = self.simulate_anchor(net, region, tolerance, &mut cache, s) {
-                if cand == removed && r as u32 + 1 == expected_round {
+            if let Some((r, cand)) = self.simulate_anchor(net, region, tolerance, &mut draws, s) {
+                if cand == removed && r + 1 == expected_round {
                     return Ok(s);
                 }
             }
@@ -531,11 +576,11 @@ impl ReversibleEngine for RpleEngine {
     ) -> usize {
         let StepScratch { draws, hyp, .. } = scratch;
         self.hypotheses_into(region, removed, hyp);
-        let mut cache = DrawCache::new(stream, draws);
+        let mut draws = StepDraws::stream(stream, draws);
         hyp.iter()
             .filter(|&&s| {
                 matches!(
-                    self.simulate_anchor(net, region, tolerance, &mut cache, s),
+                    self.simulate_anchor(net, region, tolerance, &mut draws, s),
                     Some((_, cand)) if cand == removed
                 )
             })

@@ -110,8 +110,9 @@ pub enum DecodeError {
     },
     /// The payload does not open with the `RCLK` magic.
     BadMagic,
-    /// The version byte is not the current wire version. Version 1
-    /// (epoch-less) payloads are retired and must be re-anonymized.
+    /// The version byte is not the current wire version. Versions 1
+    /// (epoch-less) and 2 (per-step draw lanes, no whole-receipt tag)
+    /// are retired and must be re-anonymized.
     UnsupportedVersion(u8),
     /// An embedded length/count field claims more elements than the
     /// remaining input could possibly hold — hostile or corrupt, and
@@ -162,7 +163,7 @@ impl fmt::Display for DecodeError {
             DecodeError::BadMagic => write!(f, "bad magic (not an RCLK payload)"),
             DecodeError::UnsupportedVersion(v) => write!(
                 f,
-                "unsupported version {v} (expected 2; epoch-less v1 payloads \
+                "unsupported version {v} (expected 3; v1 and v2 payloads \
                  are retired and must be re-anonymized)"
             ),
             DecodeError::HostileLength {
@@ -213,8 +214,9 @@ pub enum DeanonError {
         /// The level actually supplied.
         got: Level,
     },
-    /// No segment in the region matches the level's bootstrap tag — the
-    /// key is wrong (or the payload was tampered with).
+    /// The level's tag does not match: the key is wrong, or (at the top
+    /// level, whose tag authenticates the whole receipt) the payload was
+    /// forged or tampered with.
     WrongKey(Level),
     /// The backward walk failed to identify a predecessor — wrong key or
     /// corrupted payload.

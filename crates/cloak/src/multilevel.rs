@@ -15,7 +15,7 @@ use crate::payload::{CloakPayload, LevelMeta};
 use crate::profile::PrivacyProfile;
 use crate::region::RegionState;
 use crate::scratch::CloakScratch;
-use keystream::{tag, DrawStream, Key256, Level};
+use keystream::{DrawStream, Key256, Level, Tag128};
 use mobisim::OccupancySnapshot;
 use roadnet::{RoadNetwork, SegmentId};
 
@@ -61,57 +61,71 @@ pub struct DeanonymizedView {
     pub anchor: SegmentId,
 }
 
-/// Writes the per-level walk context into `ctx` (cleared first). One
-/// base stream is absorbed from this context per level; each expansion
-/// step then [`DrawStream::fork`]s its own counter lane off that base
-/// (the step index is public walk structure, so it lives in the counter
-/// rather than costing an absorption per step), and the level's round
-/// and hint metadata encrypt under the reserved lanes below.
-fn steps_context_into(ctx: &mut Vec<u8>, algorithm: u8, level: Level, nonce: u64) {
-    ctx.clear();
-    ctx.extend_from_slice(b"rc/step/");
-    ctx.push(algorithm);
-    ctx.push(level.0);
-    ctx.extend_from_slice(&nonce.to_le_bytes());
+/// The 12-byte context of a level's stream, so its absorption is one
+/// permutation: everything a request varies (algorithm, level, nonce)
+/// sits in it, and everything a level varies after that sits in the
+/// block counter (its draw position, metadata lane or tagged segment).
+fn level_stream(key: Key256, algorithm: u8, level: Level, nonce: u64) -> DrawStream {
+    let mut ctx = [0u8; 12];
+    ctx[..2].copy_from_slice(b"rc");
+    ctx[2] = algorithm;
+    ctx[3] = level.0;
+    ctx[4..].copy_from_slice(&nonce.to_le_bytes());
+    DrawStream::new(key, &ctx)
 }
 
-/// Reserved fork lanes of the per-level base stream for the round and
-/// hint metadata keystreams. Step lanes are `1..=MAX_STEPS_PER_LEVEL`
-/// (100 000), so the top of the `u32` lane space can never collide with
-/// a walk step.
-const ROUNDS_LANE: u32 = u32::MAX - 1;
-const HINTS_LANE: u32 = u32::MAX;
+/// Fork lanes of a level's stream beside its draws, which are the
+/// parent lane: the metadata keystream, and one tag block per segment.
+const META_LANE: u32 = 0;
+const TAG_LANE: u32 = 1;
 
-fn tag_context_into(ctx: &mut Vec<u8>, level: Level, nonce: u64) {
-    ctx.clear();
-    ctx.extend_from_slice(b"rc/tag/");
-    ctx.push(level.0);
-    ctx.extend_from_slice(&nonce.to_le_bytes());
+/// A level's metadata keystream, 32-bit words in order (low half of each
+/// draw first): the top level's anchor position, then the rounds, then
+/// the hints.
+struct MetaMask {
+    stream: DrawStream,
+    high: Option<u32>,
 }
 
-/// XORs `words` against the keystream of the given fork `lane` of the
-/// per-level base stream (the symmetric encrypt/decrypt of round and
-/// hint metadata), returning a fresh `Vec`.
-fn xor_lane(base: &DrawStream, lane: u32, words: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(words.len());
-    xor_lane_into(&mut out, base, lane, words);
-    out
-}
-
-/// Like [`xor_lane`], writing into a caller-owned buffer (cleared
-/// first). Each u64 draw masks two u32 words (low half first), so the
-/// keystream is consumed at its native width.
-fn xor_lane_into(out: &mut Vec<u32>, base: &DrawStream, lane: u32, words: &[u32]) {
-    let mut ks = base.fork(lane);
-    out.clear();
-    out.reserve(words.len());
-    for pair in words.chunks(2) {
-        let draw = ks.next_u64();
-        out.push(pair[0] ^ (draw as u32));
-        if let Some(&hi) = pair.get(1) {
-            out.push(hi ^ ((draw >> 32) as u32));
+impl MetaMask {
+    fn new(level: &DrawStream) -> MetaMask {
+        MetaMask {
+            stream: level.fork(META_LANE),
+            high: None,
         }
     }
+
+    fn next(&mut self) -> u32 {
+        match self.high.take() {
+            Some(high) => high,
+            None => {
+                let draw = self.stream.next_u64();
+                self.high = Some((draw >> 32) as u32);
+                draw as u32
+            }
+        }
+    }
+
+    /// XORs `words` with the next keystream words into `out` (cleared
+    /// first): encryption and decryption alike.
+    fn apply_into(&mut self, out: &mut Vec<u32>, words: &[u32]) {
+        out.clear();
+        out.extend(words.iter().map(|w| w ^ self.next()));
+    }
+
+    fn apply(&mut self, words: &[u32]) -> Vec<u32> {
+        let mut out = Vec::with_capacity(words.len());
+        self.apply_into(&mut out, words);
+        out
+    }
+}
+
+/// The top level's tag: a MAC, keyed by its stream, over every byte of
+/// the encoded payload except that tag.
+fn authenticate(top: &DrawStream, payload: &CloakPayload) -> Tag128 {
+    let mut mac = top.authenticator();
+    payload.emit(&mut |bytes| mac.absorb(bytes), false);
+    mac.finish()
 }
 
 /// Anonymizes `user_segment` under `profile`, driving level `Li` with
@@ -168,6 +182,34 @@ pub fn anonymize_with_scratch(
     engine: &dyn ReversibleEngine,
     scratch: &mut CloakScratch,
 ) -> Result<AnonymizationOutcome, CloakError> {
+    anonymize_at_epoch(
+        net,
+        snapshot,
+        user_segment,
+        profile,
+        keys,
+        nonce,
+        0,
+        engine,
+        scratch,
+    )
+}
+
+/// [`anonymize_with_scratch`] for a receipt of chain `epoch`: the epoch
+/// is bound into the top level's tag with every other byte, so it is
+/// stamped before the tag is computed.
+#[allow(clippy::too_many_arguments)]
+fn anonymize_at_epoch(
+    net: &RoadNetwork,
+    snapshot: &OccupancySnapshot,
+    user_segment: SegmentId,
+    profile: &PrivacyProfile,
+    keys: &[Key256],
+    nonce: u64,
+    epoch: u64,
+    engine: &dyn ReversibleEngine,
+    scratch: &mut CloakScratch,
+) -> Result<AnonymizationOutcome, CloakError> {
     if keys.len() != profile.level_count() {
         return Err(CloakError::KeyCountMismatch {
             expected: profile.level_count(),
@@ -180,9 +222,9 @@ pub fn anonymize_with_scratch(
     let CloakScratch {
         region,
         step,
-        ctx,
         rounds,
         hints,
+        ..
     } = scratch;
     let algorithm = engine.algorithm_id();
     region.reset_for(net);
@@ -195,17 +237,18 @@ pub fn anonymize_with_scratch(
     let mut chain = Vec::new();
     let mut level_metas = Vec::new();
     let mut per_level = Vec::new();
+    let mut top = None;
 
     for (idx, req) in profile.requirements().iter().enumerate() {
         let level = Level(idx as u8 + 1);
-        let key = keys[idx];
         let mut added = 0u32;
         let mut draws = 0u32;
         let mut voided = 0u32;
         rounds.clear();
         hints.clear();
-        steps_context_into(ctx, algorithm, level, nonce);
-        let step_base = DrawStream::new(key, ctx);
+        let base = level_stream(keys[idx], algorithm, level, nonce);
+        // The level's one sequence: each step reads on from the last.
+        let mut stream = base.clone();
         while users < req.k as u64 || region.len() < req.l as usize {
             if added as usize >= MAX_STEPS_PER_LEVEL {
                 return Err(CloakError::CloakingFailed {
@@ -213,8 +256,6 @@ pub fn anonymize_with_scratch(
                     reason: crate::error::StepFailure::StepLimit,
                 });
             }
-            let step_no = added + 1;
-            let mut stream = step_base.fork(step_no);
             let accept = engine
                 .forward_step(net, region, last, &mut stream, &req.tolerance, step)
                 .map_err(|reason| CloakError::CloakingFailed { level, reason })?;
@@ -231,17 +272,25 @@ pub fn anonymize_with_scratch(
                 hints.push(h);
             }
         }
-        tag_context_into(ctx, level, nonce);
-        let tag = tag::compute(key, ctx, &last.0.to_le_bytes());
-        let enc_rounds = xor_lane(&step_base, ROUNDS_LANE, rounds);
-        let enc_hints = xor_lane(&step_base, HINTS_LANE, hints);
-        level_metas.push(LevelMeta {
+        debug_assert_eq!(stream.draws_consumed(), u64::from(draws));
+        let mut meta = LevelMeta {
             count: added,
-            tag,
+            tag: Tag128([0; 16]),
             tolerance: req.tolerance,
-            enc_rounds,
-            enc_hints,
-        });
+            enc_rounds: Vec::new(),
+            enc_hints: Vec::new(),
+        };
+        if idx + 1 < profile.level_count() {
+            let mut mask = MetaMask::new(&base);
+            meta.enc_rounds = mask.apply(rounds);
+            meta.enc_hints = mask.apply(hints);
+            meta.tag = base.tag(TAG_LANE, last.0);
+        } else {
+            // The top level's metadata opens with the anchor position,
+            // known once the region is: sealed below.
+            top = Some(base);
+        }
+        level_metas.push(meta);
         per_level.push(LevelStats {
             level,
             added,
@@ -250,16 +299,30 @@ pub fn anonymize_with_scratch(
         });
     }
 
+    let segments = region.to_sorted_ids();
+    let mut payload = CloakPayload {
+        algorithm,
+        nonce,
+        epoch,
+        segments,
+        enc_anchor: 0,
+        levels: level_metas,
+    };
+    if let Some(base) = top {
+        let anchor = payload
+            .segments
+            .binary_search(&last)
+            .expect("the chain's last segment is in the region");
+        let mut mask = MetaMask::new(&base);
+        payload.enc_anchor = anchor as u32 ^ mask.next();
+        let meta = payload.levels.last_mut().expect("a top level");
+        meta.enc_rounds = mask.apply(rounds);
+        meta.enc_hints = mask.apply(hints);
+        let tag = authenticate(&base, &payload);
+        payload.levels.last_mut().expect("a top level").tag = tag;
+    }
     Ok(AnonymizationOutcome {
-        payload: CloakPayload {
-            algorithm,
-            nonce,
-            // Chain position is a service-level concern: callers running a
-            // forward-secret chain stamp the epoch after anonymization.
-            epoch: 0,
-            segments: region.to_sorted_ids(),
-            levels: level_metas,
-        },
+        payload,
         chain,
         per_level,
     })
@@ -293,6 +356,7 @@ pub fn anonymize_with_retry(
         profile,
         keys,
         nonce,
+        0,
         engine,
         max_attempts,
         &mut CloakScratch::default(),
@@ -300,7 +364,9 @@ pub fn anonymize_with_retry(
 }
 
 /// [`anonymize_with_retry`] with caller-owned scratch buffers (see
-/// [`anonymize_with_scratch`]).
+/// [`anonymize_with_scratch`]), for a receipt of the owner's chain
+/// `epoch` (0 outside a chain): the epoch is authenticated with the rest
+/// of the receipt, so it is fixed before the cloak, not stamped after.
 ///
 /// # Errors
 ///
@@ -313,6 +379,7 @@ pub fn anonymize_with_retry_scratch(
     profile: &PrivacyProfile,
     keys: &[Key256],
     nonce: u64,
+    epoch: u64,
     engine: &dyn ReversibleEngine,
     max_attempts: u32,
     scratch: &mut CloakScratch,
@@ -320,13 +387,14 @@ pub fn anonymize_with_retry_scratch(
     let mut last_err = None;
     for attempt in 0..max_attempts.max(1) {
         let derived = nonce.wrapping_add((attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        match anonymize_with_scratch(
+        match anonymize_at_epoch(
             net,
             snapshot,
             user_segment,
             profile,
             keys,
             derived,
+            epoch,
             engine,
             scratch,
         ) {
@@ -401,9 +469,9 @@ pub fn deanonymize_with_scratch(
     let CloakScratch {
         region,
         step,
-        ctx,
         rounds,
         hints,
+        draws,
     } = scratch;
     region.reset_for(net);
     for &s in &payload.segments {
@@ -414,69 +482,67 @@ pub fn deanonymize_with_scratch(
     let mut anchor: Option<SegmentId> = None;
 
     for &(level, key) in keys {
-        if level != current_level {
-            return Err(DeanonError::NonContiguousKeys {
-                expected: current_level,
-                got: level,
-            });
-        }
-        if level.0 == 0 {
+        if level != current_level || level.0 == 0 {
             return Err(DeanonError::NonContiguousKeys {
                 expected: current_level,
                 got: level,
             });
         }
         let meta = &payload.levels[level.index() - 1];
-        tag_context_into(ctx, level, payload.nonce);
+        let base = level_stream(key, payload.algorithm, level, payload.nonce);
+        let mut mask = MetaMask::new(&base);
 
-        // Identify the level's last-added segment: verify against the
-        // running anchor when we have one, otherwise search the region for
-        // the unique tag match (the top level's bootstrap).
+        // Identify the level's last-added segment. Below the top, check
+        // the anchor the level above handed down against the level's
+        // tag. At the top, the tag authenticates the whole receipt, and
+        // the metadata names the anchor's position in the region.
         let last = match anchor {
             Some(a) => {
-                if !tag::verify(key, ctx, &a.0.to_le_bytes(), meta.tag) {
+                if base.tag(TAG_LANE, a.0) != meta.tag {
                     return Err(DeanonError::WrongKey(level));
                 }
                 a
             }
             None => {
-                // Every candidate's tag shares its first permutation.
-                let tags = tag::TagPrefix::new(key, ctx.len(), 4);
-                let mut matches = region
-                    .iter_ids()
-                    .filter(|s| tags.compute(ctx, &s.0.to_le_bytes()) == meta.tag);
-                let found = matches.next().ok_or(DeanonError::WrongKey(level))?;
-                if matches.next().is_some() {
-                    // Two segments share a 128-bit tag: astronomically
-                    // unlikely unless the payload was crafted.
-                    return Err(DeanonError::MalformedPayload(
-                        "ambiguous bootstrap tag".into(),
-                    ));
+                if authenticate(&base, payload) != meta.tag {
+                    return Err(DeanonError::WrongKey(level));
                 }
-                found
+                let position = mask.next() ^ payload.enc_anchor;
+                *payload.segments.get(position as usize).ok_or_else(|| {
+                    DeanonError::MalformedPayload("anchor outside the region".into())
+                })?
             }
         };
 
-        // Decrypt the level's round numbers and quotient hints, then walk
-        // backward.
-        steps_context_into(ctx, payload.algorithm, level, payload.nonce);
-        let step_base = DrawStream::new(key, ctx);
-        xor_lane_into(rounds, &step_base, ROUNDS_LANE, &meta.enc_rounds);
-        xor_lane_into(hints, &step_base, HINTS_LANE, &meta.enc_hints);
+        // Decrypt the level's draw counts and quotient hints, replay its
+        // draws forward once, then walk backward, handing each step
+        // exactly the draws it read.
+        mask.apply_into(rounds, &meta.enc_rounds);
+        mask.apply_into(hints, &meta.enc_hints);
+        if let Some(t) = rounds
+            .iter()
+            .rposition(|&r| r == 0 || r as usize > crate::engine::MAX_REDRAWS)
+        {
+            return Err(DeanonError::ReversalFailed { level, step: t + 1 });
+        }
+        let total: usize = rounds.iter().map(|&r| r as usize).sum();
+        let mut stream = base;
+        draws.clear();
+        draws.extend((0..total).map(|_| stream.next_u64()));
         let mut hint_stack = HintStack::new(std::mem::take(hints));
         let mut current = last;
+        let mut end = total;
         let mut walk = || -> Result<SegmentId, DeanonError> {
             for t in (1..=meta.count).rev() {
                 region.remove(net, current);
-                let mut stream = step_base.fork(t);
+                let start = end - rounds[t as usize - 1] as usize;
                 current = engine
-                    .backward_step(
+                    .backward_from_draws(
                         net,
                         region,
                         current,
-                        &mut stream,
+                        &draws[start..end],
                         &meta.tolerance,
-                        rounds[t as usize - 1],
                         &mut hint_stack,
                         step,
                     )
@@ -484,6 +550,7 @@ pub fn deanonymize_with_scratch(
                         level,
                         step: t as usize,
                     })?;
+                end = start;
             }
             Ok(current)
         };
@@ -869,24 +936,28 @@ pub fn ambiguity_profile(
     engine: &dyn ReversibleEngine,
 ) -> AmbiguityReport {
     let payload = &outcome.payload;
-    let algorithm = payload.algorithm;
     let mut region = RegionState::from_segments(net, payload.segments.iter().copied());
     let mut step_scratch = crate::scratch::StepScratch::default();
-    let mut ctx = Vec::new();
     let mut report = AmbiguityReport::default();
     let mut chain_end = outcome.chain.len();
     for (idx, meta) in payload.levels.iter().enumerate().rev() {
         let level = Level(idx as u8 + 1);
-        let key = keys[idx];
-        steps_context_into(&mut ctx, algorithm, level, payload.nonce);
-        let step_base = DrawStream::new(key, &ctx);
-        let hints = xor_lane(&step_base, HINTS_LANE, &meta.enc_hints);
-        let mut hint_stack = HintStack::new(hints);
+        let base = level_stream(keys[idx], payload.algorithm, level, payload.nonce);
+        let mut mask = MetaMask::new(&base);
+        if idx + 1 == payload.levels.len() {
+            mask.next(); // the anchor position
+        }
+        let rounds = mask.apply(&meta.enc_rounds);
+        let mut hint_stack = HintStack::new(mask.apply(&meta.enc_hints));
+        let mut end: u64 = rounds.iter().map(|&r| u64::from(r)).sum();
         for t in (1..=meta.count).rev() {
             let removed = outcome.chain[chain_end - 1];
             chain_end -= 1;
             region.remove(net, removed);
-            let mut stream = step_base.fork(t);
+            end -= u64::from(rounds[t as usize - 1]);
+            // Without round metadata a hypothesis may read past the
+            // step's own draws, into the steps after it.
+            let mut stream = base.at(end);
             let count = engine.ambiguous_predecessors(
                 net,
                 &region,

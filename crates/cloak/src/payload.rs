@@ -6,21 +6,33 @@
 //!
 //! * `count`: how many segments the level added (region sizes per level
 //!   are observable by key holders anyway),
-//! * `tag`: a keyed tag identifying the level's last-added segment to a
-//!   key holder (the backward walk's bootstrap, DESIGN.md §3.4),
-//! * `enc_hints`: quotient hints for RGE steps with `|CloakA| > |CanA|`,
-//!   XOR-encrypted under the level key (pseudorandom noise without it).
+//! * `tag`: below the top level, a keyed tag of the level's last-added
+//!   segment, which a key holder checks against the anchor the level
+//!   above handed down; at the top level, a MAC over the whole encoded
+//!   receipt,
+//! * `enc_rounds` and `enc_hints`: each step's draw count and the RGE
+//!   quotient hints, XOR-encrypted under the level key (pseudorandom
+//!   noise without it),
+//!
+//! and `enc_anchor`, the top level's last-added segment's position in
+//! the region, encrypted under the top level key.
 //!
 //! The codec is a hand-rolled length-prefixed binary format (no serde
 //! format dependency): `"RCLK" | version | algorithm | nonce | epoch |
-//! segments | levels`.
+//! segments | level count | enc_anchor (when there are levels) | levels`.
 //!
-//! Wire version 2 added the `epoch` field: the owner's forward-secret
-//! chain position at anonymization time. v1 payloads (no epoch) are
-//! rejected explicitly rather than mis-parsed — the epoch tells a
-//! requester *which* granted key set opens a receipt, so a silent
-//! epoch-less parse would be a correctness hazard, not a compatibility
-//! feature.
+//! **Wire v3** (current) replaced v2's key schedule: a level's walk reads
+//! one draw stream in order, its tags are one block of that stream, and
+//! the top level's tag authenticates every other byte of the receipt
+//! (see `docs/ARCHITECTURE.md`, "Wire v3"). The peel finds the top level's
+//! anchor from `enc_anchor` instead of searching the region for a
+//! matching tag. A bit flip or a splice anywhere fails decode or the
+//! top level's MAC, so every key holder rejects it before walking.
+//!
+//! Wire v2 added the `epoch` field: the owner's forward-secret chain
+//! position at anonymization time, which tells a requester *which*
+//! granted key set opens a receipt. v1 and v2 payloads are rejected at
+//! decode with a re-anonymize hint rather than mis-parsed.
 
 use crate::error::DecodeError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -30,26 +42,30 @@ use serde::{Deserialize, Serialize};
 
 /// Magic bytes opening every payload.
 pub const MAGIC: &[u8; 4] = b"RCLK";
-/// Current wire version. Version 2 added the chain `epoch` field; v1
-/// payloads are rejected at decode.
-pub const VERSION: u8 = 2;
+/// Current wire version. Version 2 added the chain `epoch` field and
+/// version 3 the encrypted top anchor and whole-receipt authentication;
+/// v1 and v2 payloads are rejected at decode.
+pub const VERSION: u8 = 3;
 
 /// Per-level public metadata.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LevelMeta {
     /// Segments this level added to the region.
     pub count: u32,
-    /// Keyed tag of the level's last-added segment.
+    /// Keyed tag of the level's last-added segment; at the top level, a
+    /// MAC over the rest of the encoded receipt.
     pub tag: Tag128,
     /// The level's spatial tolerance `σs`. Public profile metadata: the
     /// backward walk replays tolerance-voided rounds, so key holders need
     /// it; to others it only bounds what the region's extent already
     /// reveals.
     pub tolerance: crate::profile::SpatialTolerance,
-    /// Encrypted accepting-round numbers, one per step in forward step
-    /// order. These let the backward walk filter predecessor hypotheses
-    /// by exact round, where ambiguity is structurally impossible; they
-    /// are pseudorandom noise without the level key.
+    /// Encrypted accepting-round numbers (each step's draw count), one
+    /// per step in forward step order. They place every step's draws in
+    /// the level's one stream, and let the backward walk filter
+    /// predecessor hypotheses by exact round, where ambiguity is
+    /// structurally impossible; they are pseudorandom noise without the
+    /// level key.
     pub enc_rounds: Vec<u32>,
     /// Encrypted quotient hints, in forward step order.
     pub enc_hints: Vec<u32>,
@@ -69,6 +85,10 @@ pub struct CloakPayload {
     pub epoch: u64,
     /// The cloaking region, sorted by segment id (chain order withheld).
     pub segments: Vec<SegmentId>,
+    /// The top level's last-added segment's index in `segments`,
+    /// encrypted under the top level key (0, and absent from the wire,
+    /// when there are no levels).
+    pub enc_anchor: u32,
     /// Metadata for levels `L1..`, in level order.
     pub levels: Vec<LevelMeta>,
 }
@@ -92,46 +112,59 @@ impl CloakPayload {
     /// Serializes the payload.
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(
-            24 + 4 * self.segments.len()
+            30 + 4 * self.segments.len()
                 + self
                     .levels
                     .iter()
-                    .map(|l| 24 + 4 * l.enc_hints.len())
+                    .map(|l| 33 + 4 * (l.enc_rounds.len() + l.enc_hints.len()))
                     .sum::<usize>(),
         );
-        b.put_slice(MAGIC);
-        b.put_u8(VERSION);
-        b.put_u8(self.algorithm);
-        b.put_u64_le(self.nonce);
-        b.put_u64_le(self.epoch);
-        b.put_u32_le(self.segments.len() as u32);
+        self.emit(&mut |bytes| b.put_slice(bytes), true);
+        b.freeze()
+    }
+
+    /// Writes the encoding through `put`, field by field; with `top_tag`
+    /// off it leaves out the top level's tag, which is then exactly the
+    /// message that tag authenticates. Re-encoding a decoded payload
+    /// gives back its bytes (decode accepts only canonical input), so
+    /// issuer and peel authenticate the same bytes.
+    pub(crate) fn emit(&self, put: &mut dyn FnMut(&[u8]), top_tag: bool) {
+        put(MAGIC);
+        put(&[VERSION, self.algorithm]);
+        put(&self.nonce.to_le_bytes());
+        put(&self.epoch.to_le_bytes());
+        put(&(self.segments.len() as u32).to_le_bytes());
         for s in &self.segments {
-            b.put_u32_le(s.0);
+            put(&s.0.to_le_bytes());
         }
-        b.put_u8(self.levels.len() as u8);
-        for level in &self.levels {
-            b.put_u32_le(level.count);
-            b.put_slice(&level.tag.0);
+        put(&[self.levels.len() as u8]);
+        if !self.levels.is_empty() {
+            put(&self.enc_anchor.to_le_bytes());
+        }
+        for (i, level) in self.levels.iter().enumerate() {
+            put(&level.count.to_le_bytes());
+            if top_tag || i + 1 < self.levels.len() {
+                put(&level.tag.0);
+            }
             match level.tolerance {
-                crate::profile::SpatialTolerance::Unlimited => b.put_u8(0),
+                crate::profile::SpatialTolerance::Unlimited => put(&[0]),
                 crate::profile::SpatialTolerance::TotalLength(v) => {
-                    b.put_u8(1);
-                    b.put_f64_le(v);
+                    put(&[1]);
+                    put(&v.to_le_bytes());
                 }
                 crate::profile::SpatialTolerance::BboxDiagonal(v) => {
-                    b.put_u8(2);
-                    b.put_f64_le(v);
+                    put(&[2]);
+                    put(&v.to_le_bytes());
                 }
             }
             for r in &level.enc_rounds {
-                b.put_u32_le(*r);
+                put(&r.to_le_bytes());
             }
-            b.put_u32_le(level.enc_hints.len() as u32);
+            put(&(level.enc_hints.len() as u32).to_le_bytes());
             for h in &level.enc_hints {
-                b.put_u32_le(*h);
+                put(&h.to_le_bytes());
             }
         }
-        b.freeze()
     }
 
     /// Deserializes a payload.
@@ -201,6 +234,12 @@ impl CloakPayload {
         }
         need(data.remaining(), "level count", 1)?;
         let level_count = data.get_u8() as usize;
+        let enc_anchor = if level_count > 0 {
+            need(data.remaining(), "anchor", 4)?;
+            data.get_u32_le()
+        } else {
+            0
+        };
         let mut levels = Vec::with_capacity(level_count);
         let mut total_added = 0u64;
         for _ in 0..level_count {
@@ -266,6 +305,7 @@ impl CloakPayload {
             nonce,
             epoch,
             segments,
+            enc_anchor,
             levels,
         })
     }
@@ -281,6 +321,7 @@ mod tests {
             nonce: 0xdead_beef_cafe_f00d,
             epoch: 42,
             segments: vec![SegmentId(2), SegmentId(5), SegmentId(9), SegmentId(14)],
+            enc_anchor: 0x5eed_a0c4,
             levels: vec![
                 LevelMeta {
                     count: 2,
@@ -348,24 +389,30 @@ mod tests {
         );
     }
 
-    /// A captured v1 payload — the v2 byte-string with the 8 epoch bytes
-    /// spliced out and the version byte rewound — must fail decode with a
-    /// clear unsupported-version error, not mis-parse the segment count
-    /// out of the nonce's tail.
+    /// Captured v1 and v2 payloads must fail decode with an
+    /// unsupported-version error that says what to do, not mis-parse:
+    /// v2 bytes are a v3 receipt without the encrypted anchor, v1 bytes a
+    /// v2 receipt without the epoch.
     #[test]
-    fn rejects_captured_v1_payload_bytes() {
-        let mut v1 = sample().encode().to_vec();
-        v1[4] = 1; // version byte back to v1
-        v1.drain(14..22); // strip the epoch (after magic+ver+algo+nonce)
-        match CloakPayload::decode(&v1) {
-            Err(DecodeError::UnsupportedVersion(1)) => {
-                let msg = DecodeError::UnsupportedVersion(1).to_string();
-                assert!(
-                    msg.contains("re-anonymized"),
-                    "error should tell the caller what to do: {msg}"
-                );
+    fn rejects_captured_v1_and_v2_payload_bytes() {
+        let mut v2 = sample().encode().to_vec();
+        v2[4] = 2;
+        let anchor_at = 26 + 4 * sample().segments.len() + 1;
+        v2.drain(anchor_at..anchor_at + 4);
+        let mut v1 = v2.clone();
+        v1[4] = 1;
+        v1.drain(14..22); // the epoch, after magic, version, algorithm, nonce
+        for (version, bytes) in [(1, v1), (2, v2)] {
+            match CloakPayload::decode(&bytes) {
+                Err(DecodeError::UnsupportedVersion(v)) if v == version => {
+                    let msg = DecodeError::UnsupportedVersion(v).to_string();
+                    assert!(
+                        msg.contains("re-anonymized") && msg.contains("expected 3"),
+                        "error should tell the caller what to do: {msg}"
+                    );
+                }
+                other => panic!("v{version} bytes must be rejected, got {other:?}"),
             }
-            other => panic!("v1 bytes must be rejected, got {other:?}"),
         }
     }
 
@@ -395,8 +442,9 @@ mod tests {
     fn rejects_hostile_level_counts_before_allocating() {
         let p = sample();
         let bytes = p.encode();
-        // The first level's `count` field follows segments + level count.
-        let count_at = 26 + 4 * p.segments.len() + 1;
+        // The first level's `count` field follows segments, the level
+        // count and the encrypted anchor.
+        let count_at = 26 + 4 * p.segments.len() + 1 + 4;
         let mut v = bytes.to_vec();
         v[count_at..count_at + 4].copy_from_slice(&0xfff_ffffu32.to_le_bytes());
         match CloakPayload::decode(&v) {
@@ -444,6 +492,7 @@ mod tests {
             nonce: 1,
             epoch: 0,
             segments: vec![SegmentId(0)],
+            enc_anchor: 0,
             levels: vec![],
         };
         let back = CloakPayload::decode(&p.encode()).unwrap();

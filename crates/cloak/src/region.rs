@@ -14,8 +14,8 @@ use roadnet::{BoundingBox, RoadNetwork, SegmentId};
 /// so a step costs `O(region)`, not `O(segments)`.
 /// [`reset_for`](RegionState::reset_for) clears only the listed bits.
 /// The list stays in ascending id order because the payload's segment
-/// order, the deanonymizer's bootstrap tag search and the bounding
-/// box's expansion order all follow it.
+/// order (which the top level's encrypted anchor position indexes) and
+/// the bounding box's expansion order both follow it.
 ///
 /// The bitset stays because `contains` is the engines' innermost test.
 /// A list-only variant that binary-searches the list measured within

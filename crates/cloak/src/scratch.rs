@@ -237,12 +237,12 @@ pub struct CloakScratch {
     pub(crate) region: RegionState,
     /// Engine per-step buffers.
     pub(crate) step: StepScratch,
-    /// Context bytes for deriving keyed streams (`rc/step/…` etc.).
-    pub(crate) ctx: Vec<u8>,
     /// Plain (decrypted) per-step accepting rounds of one level.
     pub(crate) rounds: Vec<u32>,
     /// Plain (decrypted) quotient hints of one level.
     pub(crate) hints: Vec<u32>,
+    /// One level's draws, replayed forward for its backward walk.
+    pub(crate) draws: Vec<u64>,
 }
 
 impl CloakScratch {
@@ -282,7 +282,7 @@ mod tests {
     #[test]
     fn scratches_construct() {
         let c = CloakScratch::new();
-        assert!(c.ctx.is_empty());
+        assert!(c.draws.is_empty() && c.rounds.is_empty());
         let s = StepScratch::new();
         assert!(s.rows.is_empty() && s.cols.is_empty() && s.hyp.is_empty());
     }

@@ -60,6 +60,7 @@ fn reused_scratch_matches_fresh(engine: &dyn ReversibleEngine) {
                     profile,
                     &keys,
                     nonce,
+                    i as u64,
                     engine,
                     MAX_ATTEMPTS,
                     scratch,
@@ -152,6 +153,7 @@ fn tracked_tables_survive_reuse(engine: &dyn ReversibleEngine, net: &RoadNetwork
                 profile,
                 &level_keys,
                 0x1d ^ i,
+                i,
                 engine,
                 MAX_ATTEMPTS,
                 scratch,

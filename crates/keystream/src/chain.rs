@@ -66,7 +66,9 @@ impl ChainState {
     }
 
     /// Advances the chain one epoch: the state is replaced by its one-way
-    /// image, erasing the previous epoch's secret from this value.
+    /// image, erasing the previous epoch's secret from this value. The
+    /// derivation is wire v2's, byte for byte, so `FileStore` journals
+    /// written by earlier builds keep ratcheting to the same states.
     pub fn ratchet(&mut self) {
         self.state = derive_key(self.state, b"rc/chain/ratchet");
         self.epoch += 1;
@@ -77,17 +79,13 @@ impl ChainState {
         self.epoch
     }
 
-    /// The current epoch's master key. Derived through a context disjoint
-    /// from the ratchet's, so handing this key out reveals nothing about
-    /// the chain's next state.
-    pub fn tick_key(&self) -> Key256 {
-        derive_key(self.state, b"rc/chain/tick-key")
-    }
-
     /// Per-level keys for the current epoch: `levels` keys derived from
-    /// [`tick_key`](Self::tick_key) via [`KeyManager::derive`].
+    /// the epoch's state via [`KeyManager::derive`], one absorption for
+    /// all of them. Its context (`rc/levels`) is disjoint from the
+    /// ratchet's, so handing the keys out reveals nothing about the
+    /// chain's next state.
     pub fn level_keys(&self, levels: usize) -> KeyManager {
-        KeyManager::derive(levels, self.tick_key())
+        KeyManager::derive(levels, self.state)
     }
 
     /// Raw state access for the journal only: the WAL must persist the
@@ -139,12 +137,13 @@ mod tests {
     #[test]
     fn ratchet_advances_epoch_and_changes_every_key() {
         let mut chain = ChainState::genesis("alice", &Key256::from_seed(1));
-        let mut tick_keys = std::collections::HashSet::new();
+        let mut keys = std::collections::HashSet::new();
         let mut states = std::collections::HashSet::new();
         for epoch in 1..=100u64 {
             chain.ratchet();
             assert_eq!(chain.epoch(), epoch);
-            assert!(tick_keys.insert(chain.tick_key()), "tick key repeated");
+            let top = chain.level_keys(1).key_for(crate::Level(1)).unwrap();
+            assert!(keys.insert(top), "level key repeated");
             assert!(states.insert(chain.clone()), "chain state repeated");
         }
     }
@@ -165,21 +164,28 @@ mod tests {
     }
 
     #[test]
-    fn ratcheted_state_does_not_recover_past_tick_keys() {
+    fn ratcheted_state_does_not_recover_past_level_keys() {
         // Forward secrecy at the unit level: after a ratchet, no
         // derivation from the *current* state reproduces the previous
-        // epoch's tick key (the chain only runs forward).
+        // epoch's keys (the chain only runs forward).
         let mut chain = ChainState::genesis("dave", &Key256::from_seed(3));
         chain.ratchet();
-        let past = chain.tick_key();
+        let past = chain.level_keys(3);
         chain.ratchet();
-        assert_ne!(chain.tick_key(), past);
+        assert_ne!(chain.level_keys(3), past);
         // Even ratcheting a copy further never cycles back.
         let mut probe = chain.clone();
         for _ in 0..64 {
             probe.ratchet();
-            assert_ne!(probe.tick_key(), past);
+            assert_ne!(probe.level_keys(3), past);
         }
+        // The level keys are not the ratchet's output either.
+        let mut next = chain.clone();
+        next.ratchet();
+        assert!(chain
+            .level_keys(3)
+            .iter()
+            .all(|(_, k)| k != *next.state_key()));
     }
 
     /// The journal compatibility pin: `FileStore` records persist chain
@@ -206,6 +212,6 @@ mod tests {
         let chain = ChainState::genesis("erin", &Key256::from_seed(4));
         let dbg = format!("{chain:?}");
         assert!(dbg.contains("epoch:0"));
-        assert!(!dbg.contains(&chain.tick_key().to_hex()));
+        assert!(!dbg.contains(&chain.state_key().to_hex()));
     }
 }

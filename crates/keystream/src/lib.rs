@@ -14,9 +14,12 @@
 //! * [`ChainState`] — the forward-secret per-owner chain: a hash-forward
 //!   ratchet whose per-epoch keys make past receipts unrecoverable from
 //!   current state,
-//! * [`tag`] — keyed tags used by the payload to bootstrap reversal,
+//! * [`tag`] — keyed tags, and the [`Authenticator`] that binds a whole
+//!   receipt to its top level's key,
 //! * [`KeyManager`] / [`AccessControlProfile`] — the owner-side key store
-//!   and the trust-based entitlement logic of the paper's toolkit.
+//!   and the trust-based entitlement logic of the paper's toolkit,
+//! * [`entropy`] — operating-system entropy for unseeded keys,
+//! * [`work`] — exact per-thread counts of the permutations and tags.
 //!
 //! ```
 //! use keystream::{DrawStream, Key256, KeyManager, Level};
@@ -34,6 +37,7 @@
 
 pub mod access;
 pub mod chain;
+pub mod entropy;
 pub mod journal;
 pub mod key;
 pub mod keyring;
@@ -48,6 +52,6 @@ pub use journal::{ChainStore, FileStore, JournalError, MemStore};
 pub use key::{Key256, ParseKeyError};
 pub use keyring::{read_keyring, write_keyring, write_keyring_file, KeyringError};
 pub use manager::{KeyError, KeyManager, Level};
-pub use stream::{derive_key, DrawStream};
-pub use tag::{Tag128, TagPrefix};
+pub use stream::{derive_key, derive_keys, DrawStream};
+pub use tag::{Authenticator, Tag128};
 pub use work::WorkCounts;

@@ -52,13 +52,14 @@ impl Error for KeyError {}
 /// Holds the per-level access keys of one location data owner.
 ///
 /// ```
-/// use keystream::{KeyManager, Level};
-/// let mut rng = rand::thread_rng();
-/// let mgr = KeyManager::generate(4, &mut rng); // levels L1..L4
+/// use keystream::{entropy::OsEntropy, KeyManager, Level};
+/// let mut os = OsEntropy::new()?; // operating-system entropy
+/// let mgr = KeyManager::generate(4, &mut os); // levels L1..L4
 /// assert_eq!(mgr.level_count(), 4);
 /// let k2 = mgr.key_for(Level(2)).unwrap();
 /// assert_eq!(mgr.keys_down_to(Level(2)).unwrap().len(), 2); // Key4, Key3
 /// # let _ = k2;
+/// # Ok::<(), std::io::Error>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KeyManager {
@@ -90,11 +91,11 @@ impl KeyManager {
         }
     }
 
-    /// Derives per-level keys from a 256-bit master key, domain-separating
-    /// each level through the keyed sponge
-    /// ([`derive_key`](crate::stream::derive_key)): level `i` gets
-    /// `derive_key(master, "rc/level-key/" || i)`. Distinct `(master,
-    /// level)` pairs cannot collide short of a sponge collision.
+    /// Derives per-level keys from a 256-bit master key through the keyed
+    /// sponge ([`derive_keys`](crate::stream::derive_keys)): one absorption
+    /// of `master` under `rc/levels`, then level `i` takes the `i`-th
+    /// 32-byte key squeezed, two per block. Distinct `(master, level)`
+    /// pairs cannot collide short of a PRF collision.
     ///
     /// # Panics
     ///
@@ -102,14 +103,7 @@ impl KeyManager {
     pub fn derive(levels: usize, master: Key256) -> Self {
         check_level_count(levels);
         KeyManager {
-            keys: (0..levels)
-                .map(|i| {
-                    let mut ctx = Vec::with_capacity(21);
-                    ctx.extend_from_slice(b"rc/level-key/");
-                    ctx.extend_from_slice(&(i as u64 + 1).to_le_bytes());
-                    crate::stream::derive_key(master, &ctx)
-                })
-                .collect(),
+            keys: crate::stream::derive_keys(master, b"rc/levels", levels),
         }
     }
 

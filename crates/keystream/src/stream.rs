@@ -18,20 +18,25 @@
 //!    (draw streams and [`derive_key`] can never alias).
 //! 2. **Context absorption.** The context is **length delimited**: its
 //!    length rides in word 8 and its first 12 bytes in words 9..12 of
-//!    the initial state; any remainder is sponge-absorbed into the
-//!    48-byte rate, one permutation per block. Distinct `(key, context)`
-//!    pairs can never alias through zero padding (`b"level-1"` vs
+//!    the initial state, so a context of at most 12 bytes costs one
+//!    permutation; any remainder is sponge-absorbed into the 48-byte
+//!    rate, one permutation per block. Distinct `(key, context)` pairs
+//!    can never alias through zero padding (`b"level-1"` vs
 //!    `b"level-1\0"` was a collision class of the earlier xoshiro
 //!    stand-in).
 //! 3. **Counter-mode squeeze.** Output blocks are the textbook ChaCha20
 //!    block function over the absorbed state: XOR a block counter into
 //!    the capacity, permute, and add the input state word-wise
 //!    (the feed-forward that makes the permutation one-way), yielding
-//!    64 output bytes — eight `u64` draws — per permutation.
+//!    64 output bytes — eight `u64` draws — per permutation. The
+//!    counter's high word names a *lane* ([`DrawStream::fork`],
+//!    [`DrawStream::tag`]), so one absorbed state serves a level's
+//!    draws, its metadata keystream and its tags without overlap.
 //!
-//! Remaining gap: *unseeded* key generation ([`crate::key::Key256::generate`])
-//! still draws from the caller's `rand` shim, which is not a CSPRNG — see
-//! the README's shim caveat.
+//! Every permutation is counted per thread in [`crate::work`]. Unseeded
+//! keys come from the operating system through [`crate::entropy`],
+//! expanded by this same PRF; the `rand` shim's generator, which is not
+//! a CSPRNG, only ever sees seeded (reproducible) paths.
 
 use crate::key::Key256;
 
@@ -63,6 +68,11 @@ const RATE_BYTES: usize = RATE_WORDS * 4;
 const DOMAIN_DRAW: u32 = 0x01;
 /// Domain word for 256-bit key derivation.
 const DOMAIN_DERIVE: u32 = 0x02;
+/// Domain word an [`Authenticator`](crate::tag::Authenticator) XORs into
+/// capacity word 15 of a draw stream's absorbed state: a word the block
+/// counter never touches, so its permutation inputs differ from every
+/// block function input of that state.
+const DOMAIN_AUTH: u32 = 0x03;
 
 #[inline]
 fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
@@ -114,11 +124,10 @@ fn absorb(key: &Key256, context: &[u8], domain: u32) -> [u32; 16] {
     sponge.finish()
 }
 
-/// An [`absorb`] whose context arrives in pieces: the state after the
-/// key schedule and the first permutation, which read only the key, the
-/// context's length and its first 12 bytes, plus the bytes of a rate
-/// block not yet absorbed. A clone taken before the remainder shares
-/// that first permutation between contexts of one length and head.
+/// A sponge's state while it absorbs: the permuted state plus the bytes
+/// of a rate block not yet absorbed. [`absorb`] runs one over a key and
+/// context; an [`Authenticator`](crate::tag::Authenticator) runs one
+/// from a draw stream's absorbed state over a whole message.
 #[derive(Clone)]
 pub(crate) struct Sponge {
     state: [u32; 16],
@@ -127,13 +136,6 @@ pub(crate) struct Sponge {
 }
 
 impl Sponge {
-    /// Starts a draw stream's absorption of a `len`-byte context whose
-    /// first `min(len, 12)` bytes are `head`; the rest of the context
-    /// goes to [`absorb`](Self::absorb).
-    pub(crate) fn draw(key: &Key256, len: usize, head: &[u8]) -> Sponge {
-        Sponge::start(key, len, head, DOMAIN_DRAW)
-    }
-
     fn start(key: &Key256, len: usize, head: &[u8], domain: u32) -> Sponge {
         assert!(
             len as u64 <= u32::MAX as u64,
@@ -186,9 +188,31 @@ impl Sponge {
         self.state
     }
 
-    /// The draw stream of the absorbed context.
-    pub(crate) fn into_stream(self) -> DrawStream {
-        DrawStream::over(self.finish())
+    /// A sponge that goes on from a draw stream's absorbed `base`, keyed
+    /// by it, under [`DOMAIN_AUTH`]: the start of an authenticator.
+    pub(crate) fn resume(base: &[u32; 16]) -> Sponge {
+        let mut state = *base;
+        state[15] ^= DOMAIN_AUTH;
+        Sponge {
+            state,
+            pending: [0; RATE_BYTES],
+            filled: 0,
+        }
+    }
+
+    /// Pads what was absorbed with `10*` (so the last block is never
+    /// empty and no two inputs pad alike), permutes it in, and returns
+    /// the first 16 bytes of the rate.
+    pub(crate) fn seal(mut self) -> [u8; 16] {
+        self.pending[self.filled..].fill(0);
+        self.pending[self.filled] = 0x01;
+        self.filled = RATE_BYTES;
+        self.permute_pending();
+        let mut out = [0u8; 16];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(&self.state) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+        out
     }
 
     fn permute_pending(&mut self) {
@@ -208,6 +232,15 @@ impl Sponge {
 /// the capacity, permute, and add the input state word-wise. The
 /// feed-forward makes recovering `base` from output infeasible, so all
 /// 16 words — eight `u64` draws — are output.
+/// The first block counter of fork lane `lane`.
+fn lane_start(lane: u32) -> u64 {
+    assert!(
+        lane < u32::MAX,
+        "lane u32::MAX wraps onto the parent stream"
+    );
+    (u64::from(lane) + 1) << 32
+}
+
 #[inline]
 fn chacha_block(base: &[u32; 16], counter: u64) -> [u64; 8] {
     let mut input = *base;
@@ -237,9 +270,26 @@ fn chacha_block(base: &[u32; 16], counter: u64) -> [u64; 8] {
 #[inline]
 pub fn derive_key(key: Key256, context: &[u8]) -> Key256 {
     let base = absorb(&key, context, DOMAIN_DERIVE);
-    let block = chacha_block(&base, 0);
+    key_of(&chacha_block(&base, 0)[..4])
+}
+
+/// Derives `n` keys from `key` under one `context`: one absorption,
+/// then two keys per squeezed block, in order. The first is
+/// [`derive_key`]`(key, context)`.
+pub fn derive_keys(key: Key256, context: &[u8], n: usize) -> Vec<Key256> {
+    let base = absorb(&key, context, DOMAIN_DERIVE);
+    let mut keys = Vec::with_capacity(n);
+    for counter in 0..n.div_ceil(2) {
+        let block = chacha_block(&base, counter as u64);
+        keys.extend(block.chunks_exact(4).map(key_of).take(n - keys.len()));
+    }
+    keys
+}
+
+/// The key whose bytes are four draws, little-endian.
+fn key_of(draws: &[u64]) -> Key256 {
     let mut bytes = [0u8; 32];
-    for (chunk, d) in bytes.chunks_mut(8).zip(&block) {
+    for (chunk, d) in bytes.chunks_mut(8).zip(draws) {
         chunk.copy_from_slice(&d.to_le_bytes());
     }
     Key256::from_bytes(bytes)
@@ -268,6 +318,8 @@ pub struct DrawStream {
     cursor: usize,
     /// Counter of the next block to generate.
     next_block: u64,
+    /// Counter of this stream's first block: 0, or its fork lane's.
+    first_block: u64,
     drawn: u64,
 }
 
@@ -281,11 +333,16 @@ impl DrawStream {
 
     /// The stream squeezed from an absorbed `base`, at its first draw.
     fn over(base: [u32; 16]) -> Self {
+        DrawStream::in_lane(base, 0)
+    }
+
+    fn in_lane(base: [u32; 16], first_block: u64) -> Self {
         DrawStream {
             base,
             block: [0u64; 8],
             cursor: 8,
-            next_block: 0,
+            next_block: first_block,
+            first_block,
             drawn: 0,
         }
     }
@@ -297,19 +354,53 @@ impl DrawStream {
     /// `1 << 32`; parent and substreams can therefore never overlap
     /// (each would have to consume over 2³⁵ draws first).
     ///
-    /// ReverseCloak's engines fork one lane per expansion step — the
-    /// step index is public protocol structure, not secret input, so it
-    /// belongs in the counter, and a level pays one context absorption
-    /// for its whole walk instead of one per step.
+    /// ReverseCloak's levels draw their walk from the parent and read
+    /// their metadata keystream from a fork, so a level pays one context
+    /// absorption for all of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is `u32::MAX`, whose counters would wrap onto
+    /// the parent's.
     #[inline]
     pub fn fork(&self, lane: u32) -> DrawStream {
-        DrawStream {
-            base: self.base,
-            block: [0u64; 8],
-            cursor: 8,
-            next_block: (u64::from(lane) + 1) << 32,
-            drawn: 0,
+        DrawStream::in_lane(self.base, lane_start(lane))
+    }
+
+    /// The keyed tag of `message` in `lane`: the first 16 bytes of the
+    /// one block at counter `(lane + 1) << 32 | message`. One block
+    /// function call; distinct messages and lanes never share a block,
+    /// and the lane's counters are those of [`fork`](Self::fork)`(lane)`,
+    /// so a lane serves either tags or a forked stream, never both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is `u32::MAX`, as [`fork`](Self::fork) does.
+    pub fn tag(&self, lane: u32, message: u32) -> crate::tag::Tag128 {
+        crate::work::tagged();
+        let block = chacha_block(&self.base, lane_start(lane) | u64::from(message));
+        let mut out = [0u8; 16];
+        out[..8].copy_from_slice(&block[0].to_le_bytes());
+        out[8..].copy_from_slice(&block[1].to_le_bytes());
+        crate::tag::Tag128(out)
+    }
+
+    /// A MAC keyed by this stream's absorbed state: see
+    /// [`Authenticator`](crate::tag::Authenticator).
+    pub fn authenticator(&self) -> crate::tag::Authenticator {
+        crate::tag::Authenticator::new(Sponge::resume(&self.base))
+    }
+
+    /// This stream positioned at its `draw`-th draw (counted from its
+    /// first, not from where it stands): what a fresh copy yields after
+    /// `draw` draws, paying only for the block it lands in.
+    pub fn at(&self, draw: u64) -> DrawStream {
+        let mut stream = DrawStream::in_lane(self.base, self.first_block + draw / 8);
+        for _ in 0..draw % 8 {
+            stream.next_u64();
         }
+        stream.drawn = draw;
+        stream
     }
 
     /// The next pseudo-random draw `R_i`.
@@ -509,14 +600,70 @@ mod tests {
     }
 
     #[test]
+    fn derive_keys_extend_derive_key_two_per_block() {
+        let key = Key256::from_seed(8);
+        let keys = derive_keys(key, b"rc/levels", 5);
+        assert_eq!(keys.len(), 5);
+        assert_eq!(keys[0], derive_key(key, b"rc/levels"));
+        assert_eq!(derive_keys(key, b"rc/levels", 2), keys[..2]);
+        let unique: std::collections::HashSet<Key256> = keys.iter().copied().collect();
+        assert_eq!(unique.len(), 5);
+        assert!(derive_keys(key, b"rc/levels", 0).is_empty());
+        // One absorption, then ⌈n/2⌉ blocks.
+        let before = crate::work::counts();
+        derive_keys(key, b"rc/levels", 3);
+        let spent = crate::work::counts().since(before);
+        assert_eq!((spent.absorbing, spent.squeezing), (1, 2));
+    }
+
+    #[test]
+    fn tags_are_one_block_of_their_lane() {
+        let stream = DrawStream::new(Key256::from_seed(30), b"level");
+        let before = crate::work::counts();
+        let t = stream.tag(1, 42);
+        let spent = crate::work::counts().since(before);
+        assert_eq!((spent.absorbing, spent.squeezing, spent.tags), (0, 1, 1));
+        // The tag is the head of the lane's block `message`.
+        let block = stream.fork(1).at(42 * 8).take_draws(2);
+        assert_eq!(t.0[..8], block[0].to_le_bytes());
+        assert_eq!(t.0[8..], block[1].to_le_bytes());
+        assert_ne!(t, stream.tag(1, 43));
+        assert_ne!(t, stream.tag(2, 42));
+        assert_ne!(
+            t,
+            DrawStream::new(Key256::from_seed(31), b"level").tag(1, 42)
+        );
+    }
+
+    #[test]
+    fn at_skips_to_a_draw_of_its_own_lane() {
+        let base = DrawStream::new(Key256::from_seed(32), b"walk");
+        let all = base.clone().take_draws(40);
+        for draw in [0, 1, 7, 8, 9, 23, 39] {
+            let mut s = base.at(draw);
+            assert_eq!(s.draws_consumed(), draw);
+            assert_eq!(s.next_u64(), all[draw as usize], "draw {draw}");
+        }
+        // Positioned within its lane, wherever the original stands.
+        let lane = base.fork(3);
+        let mut moved = lane.clone();
+        moved.take_draws(5);
+        assert_eq!(moved.at(2).take_draws(3), lane.clone().take_draws(5)[2..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "wraps onto the parent")]
+    fn the_last_lane_is_refused() {
+        DrawStream::new(Key256::from_seed(1), b"x").fork(u32::MAX);
+    }
+
+    #[test]
     fn derive_key_is_length_delimited_too() {
         let key = Key256::from_seed(4);
         assert_ne!(derive_key(key, b"a"), derive_key(key, b"a\0"));
         assert_ne!(derive_key(key, b""), derive_key(key, b"\0"));
     }
 
-    /// The SSSE3 permutation must be bit-exact with the scalar
-    /// reference — every draw everywhere depends on it.
     /// The permutation must actually be ChaCha20: pin one quarter-round
     /// test vector from RFC 7539 §2.1.1.
     #[test]

@@ -1,14 +1,17 @@
-//! Keyed tags (PRF-MACs) over short messages.
+//! Keyed tags (PRF-MACs).
 //!
-//! The cloaked payload carries one tag per privacy level that lets a key
-//! holder identify that level's last-added segment (DESIGN.md §3.4). To
-//! anyone without the key the tag is pseudorandom.
+//! The cloaked payload carries one tag per privacy level. Below the top
+//! level a tag names the level's last-added segment to a key holder
+//! ([`DrawStream::tag`]); the top level's tag is an [`Authenticator`] over
+//! the whole encoded receipt, so every key holder rejects a forged or
+//! spliced receipt before walking it. To anyone without the key a tag is
+//! pseudorandom.
 //!
 //! Like [`crate::stream`], this is a simulation-grade PRF: swap in
 //! HMAC-SHA256 for production.
 
 use crate::key::Key256;
-use crate::stream::Sponge;
+use crate::stream::{DrawStream, Sponge};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -30,7 +33,9 @@ impl fmt::Display for Tag128 {
 }
 
 /// Computes the keyed tag of `message` under `key` in the given domain
-/// separation `context`.
+/// separation `context`: the first two draws of a [`DrawStream`] whose
+/// context frames `reversecloak-tag`, the context's length, the context,
+/// the message's length and the message, in that order.
 ///
 /// ```
 /// use keystream::{tag, Key256};
@@ -40,74 +45,23 @@ impl fmt::Display for Tag128 {
 /// assert_eq!(t1, t2);
 /// assert_ne!(t1, tag::compute(key, b"level-3", b"segment:43"));
 /// ```
-pub fn compute(key: Key256, context: &[u8], message: &[u8]) -> Tag128 {
-    TagPrefix::new(key, context.len(), message.len()).compute(context, message)
-}
-
-/// Domain separation of tags from draw streams: every tag's input
-/// starts with these bytes.
-const TAG_DOMAIN: &[u8; 16] = b"reversecloak-tag";
-
-/// [`compute`] for many tags under one key, context length and message
-/// length, such as a region search for the one segment whose tag
-/// matches.
 ///
-/// A tag absorbs `reversecloak-tag`, the context's length, the context,
-/// the message's length and the message, framed in that order, into a
-/// [`DrawStream`](crate::DrawStream) and takes its first two draws. The
-/// absorption's first permutation reads only the key, the framed length
-/// and the frame's first 12 bytes (`reversecloak`), so it is the same
-/// for every tag of these lengths: it is paid once here. Each
-/// [`compute`](Self::compute) then frames the rest through a stack
-/// buffer, and costs two permutations for a framed input of up to 60
-/// bytes (the pipeline's tags frame 52) and no allocation.
-#[derive(Clone)]
-pub struct TagPrefix {
-    sponge: Sponge,
-    context_len: usize,
-    message_len: usize,
-}
-
-impl TagPrefix {
-    /// The shared first permutation of tags under `key` of a
-    /// `context_len`-byte context and a `message_len`-byte message.
-    pub fn new(key: Key256, context_len: usize, message_len: usize) -> TagPrefix {
-        let framed = TAG_DOMAIN.len() + 8 + context_len + 8 + message_len;
-        TagPrefix {
-            sponge: Sponge::draw(&key, framed, &TAG_DOMAIN[..12]),
-            context_len,
-            message_len,
-        }
-    }
-
-    /// `compute(key, context, message)` for the key this prefix was made
-    /// with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `context` or `message` is not of the length the prefix
-    /// was made for.
-    pub fn compute(&self, context: &[u8], message: &[u8]) -> Tag128 {
-        assert_eq!(
-            (context.len(), message.len()),
-            (self.context_len, self.message_len),
-            "tag prefix made for other lengths"
-        );
-        crate::work::tagged();
-        let mut sponge = self.sponge.clone();
-        sponge.absorb(&TAG_DOMAIN[12..]);
-        sponge.absorb(&(context.len() as u64).to_le_bytes());
-        sponge.absorb(context);
-        sponge.absorb(&(message.len() as u64).to_le_bytes());
-        sponge.absorb(message);
-        let mut stream = sponge.into_stream();
-        let a = stream.next_u64();
-        let b = stream.next_u64();
-        let mut out = [0u8; 16];
-        out[..8].copy_from_slice(&a.to_le_bytes());
-        out[8..].copy_from_slice(&b.to_le_bytes());
-        Tag128(out)
-    }
+/// The cloak's receipts do not use it: a level's tags are one block of
+/// its own stream ([`DrawStream::tag`]) and the top level's is an
+/// [`Authenticator`].
+pub fn compute(key: Key256, context: &[u8], message: &[u8]) -> Tag128 {
+    crate::work::tagged();
+    let mut framed = Vec::with_capacity(32 + context.len() + message.len());
+    framed.extend_from_slice(b"reversecloak-tag");
+    framed.extend_from_slice(&(context.len() as u64).to_le_bytes());
+    framed.extend_from_slice(context);
+    framed.extend_from_slice(&(message.len() as u64).to_le_bytes());
+    framed.extend_from_slice(message);
+    let mut stream = DrawStream::new(key, &framed);
+    let mut out = [0u8; 16];
+    out[..8].copy_from_slice(&stream.next_u64().to_le_bytes());
+    out[8..].copy_from_slice(&stream.next_u64().to_le_bytes());
+    Tag128(out)
 }
 
 /// Verifies that `tag` is the tag of `message`.
@@ -115,10 +69,52 @@ pub fn verify(key: Key256, context: &[u8], message: &[u8], tag: Tag128) -> bool 
     compute(key, context, message) == tag
 }
 
+/// A MAC over a message of any length, keyed by a draw stream's absorbed
+/// state ([`DrawStream::authenticator`]).
+///
+/// It is a keyed sponge: it starts from the stream's secret base with a
+/// domain word in a capacity word no block counter touches, absorbs the
+/// message 48 bytes per permutation, pads with `10*` and outputs 16
+/// bytes of the rate after the last permutation. A message of `n` bytes
+/// costs `n / 48 + 1` permutations, and the key was paid for when the
+/// stream was absorbed. Pieces absorbed in turn authenticate their
+/// concatenation, so a caller frames its message as it likes.
+///
+/// ```
+/// use keystream::{DrawStream, Key256};
+/// let stream = DrawStream::new(Key256::from_seed(5), b"level");
+/// let mut mac = stream.authenticator();
+/// mac.absorb(b"whole ");
+/// mac.absorb(b"receipt");
+/// let mut once = stream.authenticator();
+/// once.absorb(b"whole receipt");
+/// assert_eq!(mac.finish(), once.finish());
+/// ```
+#[derive(Clone)]
+pub struct Authenticator {
+    sponge: Sponge,
+}
+
+impl Authenticator {
+    pub(crate) fn new(sponge: Sponge) -> Authenticator {
+        Authenticator { sponge }
+    }
+
+    /// Absorbs the message's next bytes.
+    pub fn absorb(&mut self, bytes: &[u8]) {
+        self.sponge.absorb(bytes);
+    }
+
+    /// The tag of everything absorbed.
+    pub fn finish(self) -> Tag128 {
+        crate::work::tagged();
+        Tag128(self.sponge.seal())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::DrawStream;
 
     #[test]
     fn deterministic_and_message_sensitive() {
@@ -159,61 +155,41 @@ mod tests {
         }
     }
 
-    /// The reference framing: the whole input in one allocated buffer,
-    /// absorbed by [`DrawStream::new`].
-    fn framed_reference(key: Key256, context: &[u8], message: &[u8]) -> Tag128 {
-        let mut framed = Vec::new();
-        framed.extend_from_slice(b"reversecloak-tag");
-        framed.extend_from_slice(&(context.len() as u64).to_le_bytes());
-        framed.extend_from_slice(context);
-        framed.extend_from_slice(&(message.len() as u64).to_le_bytes());
-        framed.extend_from_slice(message);
-        let mut stream = DrawStream::new(key, &framed);
-        let (a, b) = (stream.next_u64(), stream.next_u64());
-        let mut out = [0u8; 16];
-        out[..8].copy_from_slice(&a.to_le_bytes());
-        out[8..].copy_from_slice(&b.to_le_bytes());
-        Tag128(out)
-    }
-
     #[test]
-    fn shared_prefix_tags_match_the_framed_reference() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x7a9);
-        let mut bytes = |len: usize| (0..len).map(|_| rng.gen::<u8>()).collect::<Vec<u8>>();
-        // The pipeline's 16-byte context and 4-byte ids frame 52 bytes;
-        // the other lengths put the frame's end on, just past and well
-        // beyond a 48-byte rate block, and leave the context empty.
-        for (context_len, message_len) in [
-            (16, 4),
-            (0, 0),
-            (0, 4),
-            (16, 8),
-            (17, 4),
-            (40, 0),
-            (64, 33),
-            (100, 4),
-        ] {
-            for seed in 0..6 {
-                let key = Key256::from_seed(seed * 131 + context_len as u64);
-                let context = bytes(context_len);
-                let prefix = TagPrefix::new(key, context_len, message_len);
-                // One prefix serves every message of its lengths.
-                for _ in 0..8 {
-                    let message = bytes(message_len);
-                    let expected = framed_reference(key, &context, &message);
-                    assert_eq!(prefix.compute(&context, &message), expected);
-                    assert_eq!(compute(key, &context, &message), expected);
-                }
-            }
+    fn authenticators_bind_every_byte_and_the_length() {
+        let stream = DrawStream::new(Key256::from_seed(6), b"level");
+        let mac = |message: &[u8]| {
+            let mut a = stream.authenticator();
+            a.absorb(message);
+            a.finish()
+        };
+        let message: Vec<u8> = (0..150u8).collect();
+        let t = mac(&message);
+        // Bit flips anywhere, and padding-like extensions, change the tag.
+        for i in [0, 47, 48, 95, 149] {
+            let mut flipped = message.clone();
+            flipped[i] ^= 0x10;
+            assert_ne!(mac(&flipped), t, "flip at {i}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "tag prefix made for other lengths")]
-    fn a_prefix_refuses_other_lengths() {
-        TagPrefix::new(Key256::from_seed(1), 16, 4).compute(&[0; 16], &[0; 5]);
+        let mut extended = message.clone();
+        extended.push(0x01);
+        assert_ne!(mac(&extended), t);
+        extended.pop();
+        extended.push(0);
+        assert_ne!(mac(&extended), t);
+        assert_ne!(mac(b""), mac(b"\x01"));
+        // Keyed by the stream: another key or context, another tag.
+        let other = DrawStream::new(Key256::from_seed(7), b"level");
+        let mut a = other.authenticator();
+        a.absorb(&message);
+        assert_ne!(a.finish(), t);
+        // Not the level's own tag block, nor its draws.
+        assert_ne!(mac(b""), stream.tag(0, 0));
+        // n / 48 + 1 permutations, none of them a squeeze.
+        let before = crate::work::counts();
+        mac(&message);
+        let spent = crate::work::counts().since(before);
+        assert_eq!((spent.absorbing, spent.squeezing, spent.tags), (4, 0, 1));
     }
 
     #[test]

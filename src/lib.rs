@@ -44,7 +44,8 @@
 //! service.update_snapshot(snapshot);
 //!
 //! // One-off request: cloak, grant a requester full access, recover.
-//! let receipt = service.anonymize_owner("alice", SegmentId(17), None, &mut rand::thread_rng())?;
+//! let mut os = keystream::entropy::OsEntropy::new()?; // unseeded: OS entropy
+//! let receipt = service.anonymize_owner("alice", SegmentId(17), None, &mut os)?;
 //! service.register_requester("alice", "police", TrustDegree(10), Level(0));
 //! let keys = service.fetch_keys("alice", "police")?;
 //! let dean = Deanonymizer::new(

@@ -18,10 +18,20 @@
 //!   `0x5527_b17e_13ee_f68c`. Those constants are unreachable by any
 //!   current build: the keystream is now a ChaCha20-class sponge, keys
 //!   come from the per-owner forward-secret chain, and payloads encode
-//!   wire v2 (with the chain epoch). v1 payload bytes are explicitly
-//!   rejected at decode.
-//! * **Wire v2** (current): pinned below from the first trusted build of
-//!   the forward-secret keystream.
+//!   the chain epoch. v1 payload bytes are explicitly rejected at decode.
+//! * **Wire v2** (retired): pinned from the first trusted build of the
+//!   forward-secret keystream. Each level's walk forked one counter lane
+//!   per step, keys came from five separate derivations per receipt, and
+//!   the peel searched the top level's region for its tag. First RGE
+//!   digest was `0x80b0_db4a_cb22_03c2`, first RPLE
+//!   `0x4d8a_3233_7429_d395`; the sharded pins below were re-pinned in
+//!   the same change. v2 payload bytes are rejected at decode.
+//! * **Wire v3** (current): pinned below. A level reads one draw stream
+//!   in order, contexts are at most 12 bytes, tags are one block of the
+//!   level's stream, the top level's anchor position rides encrypted in
+//!   its metadata, and the top level's tag authenticates the whole
+//!   receipt. The chain ratchet is v2's byte for byte, so journals carry
+//!   over; the faulty 3-shard run's health totals did not move.
 //!
 //! # Sharded streams
 //!
@@ -78,31 +88,31 @@ fn digests(engine: EngineChoice) -> Vec<u64> {
 }
 
 #[test]
-fn rge_receipt_stream_matches_the_wire_v2_baseline() {
+fn rge_receipt_stream_matches_the_wire_v3_baseline() {
     assert_eq!(
         digests(EngineChoice::Rge),
         vec![
-            0x80b0_db4a_cb22_03c2,
-            0x8abc_8fb3_46ae_24ed,
-            0x45e0_1569_0f5d_b844,
-            0x84ba_02b9_0b5c_1c54,
-            0x9bf8_eea3_2748_8aed,
-            0x69a6_08af_9f9c_ddd5,
+            0xf118_bc48_3094_670b,
+            0x089b_386b_06b8_8f42,
+            0x3380_bc15_6956_319a,
+            0x5e73_2d6a_806a_f219,
+            0xd0ec_c22b_51da_033f,
+            0xeeb4_ca8e_b7c8_cc0e,
         ]
     );
 }
 
 #[test]
-fn rple_receipt_stream_matches_the_wire_v2_baseline() {
+fn rple_receipt_stream_matches_the_wire_v3_baseline() {
     assert_eq!(
         digests(EngineChoice::Rple { t_len: 12 }),
         vec![
-            0x4d8a_3233_7429_d395,
-            0x3ea2_27cb_a300_88b1,
-            0xd288_6a78_07e8_0d87,
-            0xcb7e_5a0b_a2e9_4502,
-            0xd28f_15d0_4369_be8d,
-            0x17d3_11e0_64c5_c3d9,
+            0x22a0_86b7_f527_3b39,
+            0x98ea_3cdf_4e20_a25e,
+            0xe19f_5f6f_f4ab_2faf,
+            0x20b2_4ac6_88b5_51b3,
+            0x548b_b15d_30ca_5a35,
+            0xf5e5_c657_3019_7d1e,
         ]
     );
 }
@@ -185,14 +195,14 @@ fn two_shard_receipt_stream_matches_the_baseline() {
     assert_eq!(
         digests_of(&sharded_reports(2, EngineChoice::Rge, None)),
         vec![
-            0xf56d_56bb_d141_01dc,
-            0x2806_c2b8_5f15_4f26,
-            0x6c9e_f317_719d_7c16,
-            0xef44_1d96_e0d7_a79a,
-            0x6042_dff7_d3ea_5a66,
-            0xeb1d_1b27_7bdc_80ba,
-            0xd0d5_59a4_5e2e_02d1,
-            0x5e72_3a0a_e12c_7a95,
+            0xad53_4362_b885_9d8c,
+            0x999f_1830_0e3d_ed92,
+            0x715e_5362_1fa4_f01d,
+            0x0498_be7a_4dc5_feee,
+            0xad03_4bce_fa4f_3840,
+            0x7390_58e2_ef33_dfc9,
+            0x3b83_9313_552d_3381,
+            0x90d5_87b0_bd41_8733,
         ]
     );
 }
@@ -202,14 +212,14 @@ fn eight_shard_receipt_stream_matches_the_baseline() {
     assert_eq!(
         digests_of(&sharded_reports(8, EngineChoice::Rge, None)),
         vec![
-            0xa0e9_3496_6e65_d7b5,
-            0xe028_9ac3_0f83_8767,
-            0x3a3a_cee0_4412_4ca7,
-            0xf903_a8da_8f59_eabc,
-            0x6588_7106_1fde_c5cd,
-            0x9e1a_25f4_562c_0519,
-            0x7661_5b46_01ce_55fc,
-            0xa159_691f_38eb_dc27,
+            0x13ef_1d99_63c7_e4e0,
+            0x711d_2be0_103c_d7aa,
+            0x601d_8820_0a76_b440,
+            0x19e5_33f0_c845_ea30,
+            0x4ba7_eae6_44b8_dea6,
+            0xada4_fc41_8340_4865,
+            0xc811_ba7f_794e_1daf,
+            0xb9a4_527c_9e29_76af,
         ]
     );
 }
@@ -234,14 +244,14 @@ fn faulty_three_shard_stream_matches_the_baseline() {
     assert_eq!(
         digests_of(&reports),
         vec![
-            0xefed_9f84_5a36_bfef,
-            0x930b_b290_ae87_52e6,
-            0x5a85_80f8_ae8d_69fd,
-            0xd8f2_2c2f_2dfe_5453,
-            0xa081_b14e_4b1f_4869,
-            0x84da_7c88_329f_f37e,
-            0x27c4_86cd_d9a3_e54a,
-            0xd439_e991_bcd1_cdb0,
+            0x01cc_eabf_525d_2455,
+            0x16ee_36c8_3746_5bc9,
+            0xe143_e385_b9c5_b2d3,
+            0x3bb7_1c42_42bb_af80,
+            0xbebe_5290_76f6_c6da,
+            0x7814_09fe_e838_8d9d,
+            0x6bf5_73a4_b511_ec6e,
+            0x5d7e_2933_474b_3680,
         ]
     );
     // Retries, skips, snapshot faults, injected cloak failures and
@@ -266,14 +276,14 @@ fn four_shard_rple_stream_matches_the_baseline() {
     assert_eq!(
         digests_of(&sharded_reports(4, EngineChoice::Rple { t_len: 12 }, None)),
         vec![
-            0xae37_e234_a9a2_4795,
-            0xf52f_3219_6ef4_2322,
-            0x89c3_ecac_f0bd_c0a0,
-            0x6c9f_272a_5c41_42db,
-            0x0dcc_9ed6_66d2_966f,
-            0x3871_b981_02bf_0030,
-            0xbaae_dd04_a219_8892,
-            0x2928_f6b3_75f0_5815,
+            0x8cb0_09a9_0c91_dd31,
+            0xcaea_db44_3c7a_b2cd,
+            0xfc9d_a228_432d_76f8,
+            0xdf89_5ae1_6a10_e395,
+            0x40d5_efb2_343d_d841,
+            0x14ed_0f08_5900_095a,
+            0x6c39_5d3b_c90d_cff3,
+            0xb1a3_8707_bf2e_f514,
         ]
     );
 }

@@ -137,14 +137,14 @@ fn grid_work_per_receipt_matches_the_pin() {
         [
             Work {
                 receipts: 192,
-                absorbing: 7294,
-                squeezing: 5048,
-                tags: 1918,
+                absorbing: 2986,
+                squeezing: 2854,
+                tags: 1152,
             },
             Work {
                 receipts: 192,
-                absorbing: 4224,
-                squeezing: 2621,
+                absorbing: 1781,
+                squeezing: 1715,
                 tags: 576,
             },
         ],
@@ -159,14 +159,14 @@ fn city_work_per_receipt_matches_the_pin() {
         [
             Work {
                 receipts: 384,
-                absorbing: 16746,
-                squeezing: 17290,
-                tags: 5994,
+                absorbing: 6942,
+                squeezing: 7178,
+                tags: 2304,
             },
             Work {
                 receipts: 384,
-                absorbing: 8448,
-                squeezing: 7760,
+                absorbing: 4047,
+                squeezing: 4165,
                 tags: 1152,
             },
         ],
