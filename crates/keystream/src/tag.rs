@@ -2,7 +2,7 @@
 //!
 //! The cloaked payload carries one tag per privacy level. Below the top
 //! level a tag names the level's last-added segment to a key holder
-//! ([`DrawStream::tag`]); the top level's tag is an [`Authenticator`] over
+//! ([`DrawStream::tag`](crate::DrawStream::tag)); the top level's tag is an [`Authenticator`] over
 //! the whole encoded receipt, so every key holder rejects a forged or
 //! spliced receipt before walking it. To anyone without the key a tag is
 //! pseudorandom.
@@ -10,8 +10,7 @@
 //! Like [`crate::stream`], this is a simulation-grade PRF: swap in
 //! HMAC-SHA256 for production.
 
-use crate::key::Key256;
-use crate::stream::{DrawStream, Sponge};
+use crate::stream::Sponge;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -32,45 +31,8 @@ impl fmt::Display for Tag128 {
     }
 }
 
-/// Computes the keyed tag of `message` under `key` in the given domain
-/// separation `context`: the first two draws of a [`DrawStream`] whose
-/// context frames `reversecloak-tag`, the context's length, the context,
-/// the message's length and the message, in that order.
-///
-/// ```
-/// use keystream::{tag, Key256};
-/// let key = Key256::from_seed(4);
-/// let t1 = tag::compute(key, b"level-3", b"segment:42");
-/// let t2 = tag::compute(key, b"level-3", b"segment:42");
-/// assert_eq!(t1, t2);
-/// assert_ne!(t1, tag::compute(key, b"level-3", b"segment:43"));
-/// ```
-///
-/// The cloak's receipts do not use it: a level's tags are one block of
-/// its own stream ([`DrawStream::tag`]) and the top level's is an
-/// [`Authenticator`].
-pub fn compute(key: Key256, context: &[u8], message: &[u8]) -> Tag128 {
-    crate::work::tagged();
-    let mut framed = Vec::with_capacity(32 + context.len() + message.len());
-    framed.extend_from_slice(b"reversecloak-tag");
-    framed.extend_from_slice(&(context.len() as u64).to_le_bytes());
-    framed.extend_from_slice(context);
-    framed.extend_from_slice(&(message.len() as u64).to_le_bytes());
-    framed.extend_from_slice(message);
-    let mut stream = DrawStream::new(key, &framed);
-    let mut out = [0u8; 16];
-    out[..8].copy_from_slice(&stream.next_u64().to_le_bytes());
-    out[8..].copy_from_slice(&stream.next_u64().to_le_bytes());
-    Tag128(out)
-}
-
-/// Verifies that `tag` is the tag of `message`.
-pub fn verify(key: Key256, context: &[u8], message: &[u8], tag: Tag128) -> bool {
-    compute(key, context, message) == tag
-}
-
 /// A MAC over a message of any length, keyed by a draw stream's absorbed
-/// state ([`DrawStream::authenticator`]).
+/// state ([`DrawStream::authenticator`](crate::DrawStream::authenticator)).
 ///
 /// It is a keyed sponge: it starts from the stream's secret base with a
 /// domain word in a capacity word no block counter touches, absorbs the
@@ -115,43 +77,15 @@ impl Authenticator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DrawStream, Key256};
 
     #[test]
-    fn deterministic_and_message_sensitive() {
-        let key = Key256::from_seed(11);
-        let t = compute(key, b"c", b"m");
-        assert_eq!(t, compute(key, b"c", b"m"));
-        assert_ne!(t, compute(key, b"c", b"m2"));
-        assert_ne!(t, compute(key, b"c2", b"m"));
-        assert_ne!(t, compute(Key256::from_seed(12), b"c", b"m"));
-    }
-
-    #[test]
-    fn framing_prevents_boundary_ambiguity() {
-        let key = Key256::from_seed(11);
-        // ("ab", "c") vs ("a", "bc") must differ.
-        assert_ne!(compute(key, b"ab", b"c"), compute(key, b"a", b"bc"));
-        // Empty pieces are fine and distinct.
-        assert_ne!(compute(key, b"", b"x"), compute(key, b"x", b""));
-    }
-
-    #[test]
-    fn verify_roundtrip() {
-        let key = Key256::from_seed(2);
-        let t = compute(key, b"lvl", b"seg:7");
-        assert!(verify(key, b"lvl", b"seg:7", t));
-        assert!(!verify(key, b"lvl", b"seg:8", t));
-        assert!(!verify(Key256::from_seed(3), b"lvl", b"seg:7", t));
-    }
-
-    #[test]
-    fn tags_spread_over_messages() {
-        // No collisions among a few thousand distinct messages.
-        let key = Key256::from_seed(1);
+    fn tags_spread_over_segments() {
+        // No collisions among a few thousand segment ids of one lane.
+        let stream = DrawStream::new(Key256::from_seed(1), b"coll");
         let mut seen = std::collections::HashSet::new();
         for i in 0..4096u32 {
-            let t = compute(key, b"coll", &i.to_le_bytes());
-            assert!(seen.insert(t), "collision at {i}");
+            assert!(seen.insert(stream.tag(1, i)), "collision at {i}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! Property and statistical tests of the keyed stream and tags: the
 //! pseudo-randomness the privacy argument rests on.
 
-use keystream::{tag, DrawStream, Key256, KeyManager, Level};
+use keystream::{DrawStream, Key256, KeyManager, Level};
 use proptest::prelude::*;
 
 proptest! {
@@ -59,24 +59,32 @@ proptest! {
     }
 
     #[test]
-    fn tags_commit_to_all_inputs(
+    fn receipt_tags_commit_to_all_inputs(
         key_seed in any::<u64>(),
-        ctx in proptest::collection::vec(any::<u8>(), 0..24),
-        msg in proptest::collection::vec(any::<u8>(), 0..24),
+        ctx in proptest::collection::vec(any::<u8>(), 0..12),
+        msg in proptest::collection::vec(any::<u8>(), 0..120),
         flip_msg in any::<bool>(),
-        flip_at in 0usize..24,
+        flip_at in 0usize..120,
     ) {
-        let key = Key256::from_seed(key_seed);
-        let t = tag::compute(key, &ctx, &msg);
-        prop_assert!(tag::verify(key, &ctx, &msg, t));
-        // Flipping one bit anywhere breaks verification.
+        let mac = |ctx: &[u8], msg: &[u8]| {
+            let mut a = DrawStream::new(Key256::from_seed(key_seed), ctx).authenticator();
+            a.absorb(msg);
+            a.finish()
+        };
+        let t = mac(&ctx, &msg);
+        prop_assert_eq!(t, mac(&ctx, &msg));
+        // Flipping one bit of the context or the message changes the tag.
         let (mut ctx2, mut msg2) = (ctx.clone(), msg.clone());
         let target = if flip_msg { &mut msg2 } else { &mut ctx2 };
         if !target.is_empty() {
             let i = flip_at % target.len();
             target[i] ^= 0x80;
-            prop_assert!(!tag::verify(key, &ctx2, &msg2, t));
+            prop_assert_ne!(mac(&ctx2, &msg2), t);
         }
+        // So does every segment's tag block, and no segment's equals it.
+        let stream = DrawStream::new(Key256::from_seed(key_seed), &ctx);
+        prop_assert_ne!(stream.tag(1, flip_at as u32), stream.tag(1, flip_at as u32 + 1));
+        prop_assert_ne!(stream.tag(1, flip_at as u32), t);
     }
 
     #[test]
