@@ -112,7 +112,7 @@ impl CloakPayload {
     /// Serializes the payload.
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(
-            30 + 4 * self.segments.len()
+            31 + 4 * self.segments.len()
                 + self
                     .levels
                     .iter()

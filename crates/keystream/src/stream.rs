@@ -228,10 +228,6 @@ impl Sponge {
     }
 }
 
-/// The ChaCha20 block function over `base`: fold the block counter into
-/// the capacity, permute, and add the input state word-wise. The
-/// feed-forward makes recovering `base` from output infeasible, so all
-/// 16 words — eight `u64` draws — are output.
 /// The first block counter of fork lane `lane`.
 fn lane_start(lane: u32) -> u64 {
     assert!(
@@ -241,6 +237,10 @@ fn lane_start(lane: u32) -> u64 {
     (u64::from(lane) + 1) << 32
 }
 
+/// The ChaCha20 block function over `base`: fold the block counter into
+/// the capacity, permute, and add the input state word-wise. The
+/// feed-forward makes recovering `base` from output infeasible, so all
+/// 16 words — eight `u64` draws — are output.
 #[inline]
 fn chacha_block(base: &[u32; 16], counter: u64) -> [u64; 8] {
     let mut input = *base;
