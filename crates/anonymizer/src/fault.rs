@@ -13,13 +13,12 @@
 //! * [`FaultPlan`] — what to inject, with per-category probabilities;
 //! * [`FaultInjector`] — the seeded coin, shared between the pipeline
 //!   and the store wrapper;
-//! * [`FaultyStore`] — wraps any [`ChainStore`] and refuses operations
-//!   when the injector says so (the pipeline installs it automatically
-//!   when a plan is configured);
+//! * [`FaultyStore`] — wraps any [`ChainStore`] and refuses journal
+//!   writes when the injector says so (the pipeline installs it
+//!   automatically when a plan is configured);
 //! * [`FaultPolicy`] — the tick-level degradation ladder the pipeline
-//!   applies to persistence failures: retry with backoff, then skip the
-//!   owner and count it, then abort the tick once the skip budget is
-//!   blown;
+//!   applies to persistence failures: retry, then skip the owner and
+//!   count it, then abort the tick once the skip budget is blown;
 //! * [`TickHealth`] — the per-tick health counters surfaced in
 //!   [`crate::TickReport::health`].
 //!
@@ -44,8 +43,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Probability that a [`ChainStore::record`] write fails.
     pub journal_write_fail: f64,
-    /// Probability that a [`ChainStore::compact`] fails.
-    pub compact_fail: f64,
     /// Probability that a cadence snapshot capture fails (the pipeline
     /// keeps serving the stale snapshot and counts the fault).
     pub snapshot_capture_fail: f64,
@@ -63,7 +60,6 @@ impl Default for FaultPlan {
         FaultPlan {
             seed: 0xfa_017,
             journal_write_fail: 0.0,
-            compact_fail: 0.0,
             snapshot_capture_fail: 0.0,
             cloak_fail: 0.0,
             crash_at_tick: None,
@@ -72,15 +68,12 @@ impl Default for FaultPlan {
 }
 
 /// The tick-level degradation ladder for persistence failures:
-/// retry-with-backoff → skip-owner-and-count → abort.
+/// retry → skip-owner-and-count → abort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPolicy {
     /// Re-anonymization attempts per owner after a persistence failure
     /// (the chain did not advance, so a retry re-derives the same epoch).
     pub journal_retries: u32,
-    /// Backoff before retry `n` is `backoff_base_ms << n` milliseconds
-    /// (0 keeps harness runs instant).
-    pub backoff_base_ms: u64,
     /// Owners that may be skipped in one tick after exhausting retries
     /// before the tick aborts with a [`crate::PipelineError`].
     pub max_skipped_owners: usize,
@@ -90,7 +83,6 @@ impl Default for FaultPolicy {
     fn default() -> Self {
         FaultPolicy {
             journal_retries: 2,
-            backoff_base_ms: 0,
             max_skipped_owners: usize::MAX,
         }
     }
@@ -102,7 +94,6 @@ impl FaultPolicy {
     pub fn strict() -> Self {
         FaultPolicy {
             journal_retries: 0,
-            backoff_base_ms: 0,
             max_skipped_owners: 0,
         }
     }
@@ -135,7 +126,6 @@ impl TickHealth {
 /// Per-category draw domains: decisions in one category never perturb
 /// another's stream.
 const DOMAIN_JOURNAL: u64 = 0x6a75_726e;
-const DOMAIN_COMPACT: u64 = 0x636f_6d70;
 const DOMAIN_SNAPSHOT: u64 = 0x736e_6170;
 const DOMAIN_CLOAK: u64 = 0x636c_6f61;
 
@@ -150,11 +140,9 @@ const DOMAIN_CLOAK: u64 = 0x636c_6f61;
 pub struct FaultInjector {
     plan: FaultPlan,
     journal_draws: AtomicU64,
-    compact_draws: AtomicU64,
     snapshot_draws: AtomicU64,
     cloak_draws: AtomicU64,
     injected_journal: AtomicU64,
-    injected_compact: AtomicU64,
 }
 
 impl FaultInjector {
@@ -163,11 +151,9 @@ impl FaultInjector {
         FaultInjector {
             plan,
             journal_draws: AtomicU64::new(0),
-            compact_draws: AtomicU64::new(0),
             snapshot_draws: AtomicU64::new(0),
             cloak_draws: AtomicU64::new(0),
             injected_journal: AtomicU64::new(0),
-            injected_compact: AtomicU64::new(0),
         }
     }
 
@@ -203,15 +189,6 @@ impl FaultInjector {
         hit
     }
 
-    /// Should the next compaction fail?
-    pub fn compact_fault(&self) -> bool {
-        let hit = self.roll(DOMAIN_COMPACT, &self.compact_draws, self.plan.compact_fail);
-        if hit {
-            self.injected_compact.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
     /// Should this cadence snapshot capture fail?
     pub fn snapshot_fault(&self) -> bool {
         self.roll(
@@ -235,17 +212,14 @@ impl FaultInjector {
     pub fn injected_journal_faults(&self) -> u64 {
         self.injected_journal.load(Ordering::Relaxed)
     }
-
-    /// Compaction failures injected so far.
-    pub fn injected_compact_faults(&self) -> u64 {
-        self.injected_compact.load(Ordering::Relaxed)
-    }
 }
 
 /// A [`ChainStore`] wrapper that consults a [`FaultInjector`] before
-/// delegating — the harness's stand-in for a flaky disk. Loads always
-/// pass through: recovery reads are the thing being tested, not the
-/// thing being broken.
+/// each journal write — the harness's stand-in for a flaky disk. Loads
+/// always pass through: recovery reads are the thing being tested, not
+/// the thing being broken. Compactions pass through too: neither the
+/// service nor the pipeline calls [`ChainStore::compact`], and a
+/// compacting store compacts inside its own `record`.
 pub struct FaultyStore {
     inner: Arc<dyn ChainStore>,
     injector: Arc<FaultInjector>,
@@ -281,9 +255,6 @@ impl ChainStore for FaultyStore {
     }
 
     fn compact(&self) -> Result<(), JournalError> {
-        if self.injector.compact_fault() {
-            return Err(JournalError::Injected("compaction refused".to_string()));
-        }
         self.inner.compact()
     }
 }
@@ -346,7 +317,6 @@ mod tests {
             assert!(!inj.journal_write_fault());
             assert!(!inj.snapshot_fault());
             assert!(!inj.cloak_fault());
-            assert!(!inj.compact_fault());
         }
         assert_eq!(inj.injected_journal_faults(), 0);
     }
@@ -367,7 +337,7 @@ mod tests {
         ));
         assert_eq!(injector.injected_journal_faults(), 1);
         assert!(store.load().unwrap().is_empty(), "nothing was recorded");
-        assert!(store.compact().is_ok(), "compact not in this plan");
+        assert!(store.compact().is_ok(), "compactions pass through");
     }
 
     #[test]

@@ -117,17 +117,17 @@
 //! ```
 
 use crate::config::AnonymizerConfig;
-use crate::deanonymizer::Deanonymizer;
 use crate::fault::{FaultInjector, FaultPlan, FaultPolicy, FaultyStore, TickHealth};
-use crate::service::{AnonymizeReceipt, AnonymizeRequest, AnonymizerService, Engine, KeyedRequest};
+use crate::service::{AnonymizeReceipt, AnonymizeRequest, AnonymizerService, KeyedRequest};
 use crate::shard::Partition;
 use cloak::attack::temporal::{
     AdversaryConfig, AdversaryMode, AttackObservation, AttackSummary, Observation, ReplayProbe,
     TemporalAdversary,
 };
 use cloak::{
-    random_expansion_with, CloakError, CloakPayload, CloakScratch, DeanonError, DeanonymizedView,
-    ExpansionScratch, PrivacyProfile, QualitySummary, RegionQuality, StepFailure,
+    deanonymize_with_scratch, random_expansion_with, CloakError, CloakPayload, CloakScratch,
+    DeanonError, DeanonymizedView, ExpansionScratch, PrivacyProfile, QualitySummary, RegionQuality,
+    StepFailure,
 };
 use keystream::{ChainStore, JournalError, Key256, Level, MemStore, TrustDegree};
 use lbs::{nearest_query_with, PoiCategory, PoiStore, QueryStats, SearchScratch};
@@ -431,8 +431,6 @@ pub struct ContinuousPipeline {
     partition: Partition,
     service: Arc<AnonymizerService>,
     shards: Vec<Shard>,
-    dean: Deanonymizer,
-    profile: PrivacyProfile,
     pois: Option<PoiStore>,
     cfg: PipelineConfig,
     tracked: Vec<TrackedOwner>,
@@ -650,11 +648,6 @@ impl ContinuousPipeline {
                 snapshot: OccupancySnapshot::uniform(sim.network().segment_count(), 0),
             })
             .collect();
-        let dean = Deanonymizer::new(
-            service.network_arc(),
-            Engine::build(service.network(), service.config().engine),
-        );
-        let profile = service.config().default_profile.clone();
         let pois = (cfg.lbs_probes > 0).then(|| {
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x1b5_0001);
             PoiStore::generate(service.network(), cfg.poi_count.max(1), &mut rng)
@@ -728,8 +721,6 @@ impl ContinuousPipeline {
             partition,
             service,
             shards,
-            dean,
-            profile,
             pois,
             cfg,
             tracked,
@@ -931,9 +922,8 @@ impl ContinuousPipeline {
             snapshot_refreshed,
             cfg: &self.cfg,
             net: self.sim.network(),
-            profile: &self.profile,
+            profile: &self.service.config().default_profile,
             service: &self.service,
-            dean: &self.dean,
             injector: self.injector.as_deref(),
             pois: self.pois.as_ref(),
             shards: &self.shards,
@@ -1098,7 +1088,6 @@ struct Stages<'t> {
     net: &'t RoadNetwork,
     profile: &'t PrivacyProfile,
     service: &'t AnonymizerService,
-    dean: &'t Deanonymizer,
     injector: Option<&'t FaultInjector>,
     pois: Option<&'t PoiStore>,
     shards: &'t [Shard],
@@ -1253,12 +1242,7 @@ impl<'t> Stages<'t> {
                     continue;
                 }
                 let mut retried = None;
-                for attempt in 0..policy.journal_retries {
-                    if policy.backoff_base_ms > 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(
-                            policy.backoff_base_ms << attempt.min(16),
-                        ));
-                    }
+                for _ in 0..policy.journal_retries {
                     health.journal_retries += 1;
                     let keys = self.service.derive_keys(request);
                     let issued =
@@ -1405,7 +1389,10 @@ impl<'t> Stages<'t> {
     /// cleared, if there is one.
     fn peel(&self, j: usize, scratch: &mut CloakScratch) -> Peeled {
         let (_, payload, keys) = self.checked.wait().0.get(j)?;
-        Some(self.dean.reduce_with(payload, keys, scratch))
+        let (net, engine) = (self.service.network(), self.service.engine());
+        Some(deanonymize_with_scratch(
+            net, payload, keys, engine, scratch,
+        ))
     }
 
     /// Ends the tick once its fan-out returned the peels' `views`: the
@@ -2061,7 +2048,6 @@ mod tests {
                     fault_policy: FaultPolicy {
                         journal_retries: 2,
                         max_skipped_owners,
-                        ..Default::default()
                     },
                     ..Default::default()
                 },
@@ -2305,7 +2291,6 @@ mod tests {
         let strict = FaultPolicy {
             journal_retries: 0,
             max_skipped_owners: 3,
-            ..Default::default()
         };
         for parallelism in [1, 2] {
             for (plan, policy, what) in [

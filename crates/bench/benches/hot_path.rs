@@ -6,16 +6,12 @@
 //! * **single-owner cloak** — one full `anonymize` with a throwaway
 //!   [`cloak::CloakScratch`] per call vs one reused across calls;
 //! * **LBS nearest query** — one `nearest_query` with a throwaway
-//!   [`lbs::SearchScratch`] vs one reused across calls, and the PR 5
-//!   graph-index cells: the landmark-directed search
-//!   (`nearest_query_with`) vs the doubling reference
-//!   (`nearest_query_reference_with`), on a dense category and on a
-//!   sparse far-away one (where goal direction matters most).
+//!   [`lbs::SearchScratch`] vs one reused across calls, and the
+//!   landmark-directed search (`nearest_query_with`) on a dense category
+//!   and on a sparse far-away one (where goal direction matters most).
 //!
-//! The `fresh`/`reused` and `indexed`/`reference` variants compute
-//! bit-identical candidate sets (property-tested in
-//! `crates/lbs/tests/indexed_prop.rs`), so the deltas are pure
-//! allocator traffic and pure search work respectively.
+//! The `fresh`/`reused` variants compute bit-identical candidate sets,
+//! so their delta is pure allocator traffic.
 //!
 //! The `keyed_draw` group prices the keystream primitive itself —
 //! stream initialization (sponge absorption) plus draws, and the
@@ -30,7 +26,7 @@ use cloak::{
 };
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use keystream::{derive_key, DrawStream, Key256, KeyManager};
-use lbs::{nearest_query_reference_with, nearest_query_with, PoiCategory, PoiStore, SearchScratch};
+use lbs::{nearest_query_with, PoiCategory, PoiStore, SearchScratch};
 use mobisim::OccupancySnapshot;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -154,12 +150,11 @@ fn bench_lbs_nearest(c: &mut Criterion) {
     group.finish();
 }
 
-/// The PR 5 speedup cells: landmark-directed nearest search vs the
-/// doubling reference, identical candidates. `dense` queries a common
-/// category (POIs everywhere — the win is one bounded search instead of
-/// doubling restarts); `sparse_far` queries a category with a single
-/// remote POI (the win adds frontier pruning toward the goal).
-fn bench_lbs_indexed_vs_reference(c: &mut Criterion) {
+/// The landmark-directed nearest search per query. `dense` queries a
+/// common category (POIs everywhere: one bounded search); `sparse_far`
+/// queries a category with a single remote POI (frontier pruning toward
+/// the goal).
+fn bench_lbs_indexed(c: &mut Criterion) {
     let net = grid_city(16, 16, 100.0);
     // Build the one-time graph index outside the timed region: the
     // bench prices the per-query cost, which is what a serving loop
@@ -180,11 +175,6 @@ fn bench_lbs_indexed_vs_reference(c: &mut Criterion) {
         ("dense", &dense, PoiCategory::Restaurant),
         ("sparse_far", &sparse, PoiCategory::Hospital),
     ] {
-        group.bench_with_input(BenchmarkId::new(label, "reference"), &(), |b, ()| {
-            b.iter(|| {
-                nearest_query_reference_with(&net, store, &region, category, &mut scratch).len()
-            })
-        });
         group.bench_with_input(BenchmarkId::new(label, "indexed"), &(), |b, ()| {
             b.iter(|| nearest_query_with(&net, store, &region, category, &mut scratch).len())
         });
@@ -281,7 +271,7 @@ criterion_group!(
     bench_adjacency,
     bench_single_cloak,
     bench_lbs_nearest,
-    bench_lbs_indexed_vs_reference,
+    bench_lbs_indexed,
     bench_keyed_draw
 );
 

@@ -754,12 +754,6 @@ impl TemporalAdversary {
         self.adaptive.as_ref().map(|f| f.stats())
     }
 
-    /// The underlying particle filter, when the mode is
-    /// [`AdversaryMode::Adaptive`].
-    pub fn adaptive_tracker(&self) -> Option<&crate::attack::adaptive::AdaptiveTracker> {
-        self.adaptive.as_ref()
-    }
-
     /// Drops all per-owner state (the adversary starts cold again).
     pub fn reset(&mut self) {
         self.owners.clear();

@@ -189,40 +189,6 @@ pub trait ReversibleEngine: Send + Sync {
         scratch: &mut StepScratch,
     ) -> Result<SegmentId, StepFailure>;
 
-    /// [`backward_from_draws`](Self::backward_from_draws) for a step that
-    /// reads `stream` from its start: takes the step's `expected_round`
-    /// draws (1-based; carried encrypted in the payload) from it. A round
-    /// beyond [`MAX_REDRAWS`] matches no hypothesis.
-    ///
-    /// # Errors
-    ///
-    /// As [`backward_from_draws`](Self::backward_from_draws).
-    #[allow(clippy::too_many_arguments)]
-    fn backward_step(
-        &self,
-        net: &RoadNetwork,
-        region: &RegionState,
-        removed: SegmentId,
-        stream: &mut DrawStream,
-        tolerance: &SpatialTolerance,
-        expected_round: u32,
-        hints: &mut HintStack,
-        scratch: &mut StepScratch,
-    ) -> Result<SegmentId, StepFailure> {
-        let rounds = if expected_round as usize <= MAX_REDRAWS {
-            expected_round as usize
-        } else {
-            0
-        };
-        let mut draws = std::mem::take(&mut scratch.draws);
-        draws.clear();
-        draws.extend((0..rounds).map(|_| stream.next_u64()));
-        let result =
-            self.backward_from_draws(net, region, removed, &draws, tolerance, hints, scratch);
-        scratch.draws = draws;
-        result
-    }
-
     /// Ablation probe: how many predecessor hypotheses are consistent with
     /// `removed` when the backward walk may **not** filter by accepting
     /// round — the paper's "collision" count. A value above 1 means a
@@ -488,14 +454,6 @@ impl RpleEngine {
         out.sort_unstable();
         out.dedup();
     }
-
-    /// Predecessor hypotheses for `removed` (allocating convenience over
-    /// the internal buffer-reusing walk the backward step performs).
-    pub fn hypotheses(&self, region: &RegionState, removed: SegmentId) -> Vec<SegmentId> {
-        let mut out = Vec::new();
-        self.hypotheses_into(region, removed, &mut out);
-        out
-    }
 }
 
 impl ReversibleEngine for RpleEngine {
@@ -638,15 +596,14 @@ mod tests {
         let mut current = *chain.last().expect("at least one step");
         for t in (0..steps).rev() {
             region.remove(net, current);
-            let mut s = stream(key_seed, t as u32);
+            let draws = stream(key_seed, t as u32).take_draws(rounds[t] as usize);
             let prev = engine
-                .backward_step(
+                .backward_from_draws(
                     net,
                     &region,
                     current,
-                    &mut s,
+                    &draws,
                     &tolerance,
-                    rounds[t],
                     &mut hint_stack,
                     &mut scratch,
                 )
@@ -706,13 +663,12 @@ mod tests {
                 );
                 assert!(probes >= 1, "key {key_seed} step {t}: the true predecessor");
                 current = engine
-                    .backward_step(
+                    .backward_from_draws(
                         &net,
                         &region,
                         current,
-                        &mut stream(key_seed, t as u32),
+                        &stream(key_seed, t as u32).take_draws(rounds[t] as usize),
                         &tolerance,
-                        rounds[t],
                         &mut hint_stack,
                         &mut scratch,
                     )
@@ -913,14 +869,12 @@ mod tests {
         let mut recovered = vec![];
         for t in (0..8).rev() {
             region.remove(&net, current);
-            let mut s = stream(8, t as u32);
-            match engine.backward_step(
+            match engine.backward_from_draws(
                 &net,
                 &region,
                 current,
-                &mut s,
+                &stream(8, t as u32).take_draws(1),
                 &tolerance,
-                1,
                 &mut hint_stack,
                 &mut scratch,
             ) {
@@ -951,8 +905,11 @@ mod tests {
             &net,
             [SegmentId(0), SegmentId(1), SegmentId(2), SegmentId(9)],
         );
-        let cols = crate::frontier::candidates(&net, &region);
-        let table = crate::table::TransitionTable::from_sorted(region.sorted_by_length(&net), cols);
+        let (rows, cols) = (
+            region.sorted_by_length(&net),
+            crate::frontier::candidates(&net, &region),
+        );
+        let table = TableView::new(&rows, &cols);
         for pick in 0..table.col_count() {
             let mut seen = std::collections::HashSet::new();
             for i in 0..table.row_count().min(table.col_count()) {

@@ -152,4 +152,4 @@ pub use preassign::PreassignedTables;
 pub use profile::{LevelRequirement, PrivacyProfile, PrivacyProfileBuilder, SpatialTolerance};
 pub use region::RegionState;
 pub use scratch::{CloakScratch, StepScratch};
-pub use table::{TableView, TransitionTable};
+pub use table::TableView;

@@ -20,17 +20,6 @@ pub enum SpatialTolerance {
 }
 
 impl SpatialTolerance {
-    /// Whether a region consisting of `segments` (with the candidate
-    /// already included) still satisfies the tolerance.
-    pub fn allows(&self, net: &RoadNetwork, total_length: f64, bbox: &BoundingBox) -> bool {
-        let _ = net;
-        match *self {
-            SpatialTolerance::Unlimited => true,
-            SpatialTolerance::TotalLength(max) => total_length <= max,
-            SpatialTolerance::BboxDiagonal(max) => bbox.diagonal() <= max,
-        }
-    }
-
     /// Whether adding `candidate` to a region with the given running
     /// totals would still satisfy the tolerance.
     pub fn allows_extended(
@@ -276,8 +265,6 @@ mod tests {
         let net = grid_city(3, 3, 100.0);
         let t = SpatialTolerance::TotalLength(250.0);
         let bb = net.bounding_box();
-        assert!(t.allows(&net, 200.0, &bb));
-        assert!(!t.allows(&net, 250.1, &bb));
         // Extending a 200 m region by a 100 m segment exceeds 250.
         assert!(!t.allows_extended(&net, 200.0, &bb, SegmentId(0)));
         assert!(t.allows_extended(&net, 100.0, &bb, SegmentId(0)));
@@ -288,7 +275,6 @@ mod tests {
         let net = grid_city(3, 3, 100.0);
         let t = SpatialTolerance::BboxDiagonal(150.0);
         let small = net.segments_bounding_box([SegmentId(0)]);
-        assert!(t.allows(&net, 9999.0, &small));
         // A candidate far away blows the diagonal.
         let far = net.segment_ids().last().expect("grid has segments");
         assert!(!t.allows_extended(&net, 0.0, &small, far));
@@ -298,7 +284,6 @@ mod tests {
     fn unlimited_allows_everything() {
         let net = grid_city(2, 2, 10.0);
         let t = SpatialTolerance::Unlimited;
-        assert!(t.allows(&net, f64::MAX, &net.bounding_box()));
         assert!(t.allows_extended(&net, f64::MAX, &net.bounding_box(), SegmentId(0)));
     }
 

@@ -18,9 +18,9 @@ use crate::frontier::position_in_sorted;
 use roadnet::{RoadNetwork, SegmentId};
 use std::fmt;
 
-/// A borrowed transition-table view: the same cell algebra as
-/// [`TransitionTable`] over slices the caller owns (engine scratch
-/// buffers), so building a per-step table costs no allocation.
+/// A transition table for one expansion step, borrowed over row and
+/// column slices the caller owns (engine scratch buffers), so building a
+/// per-step table costs no allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableView<'a> {
     rows: &'a [SegmentId],
@@ -117,114 +117,13 @@ impl<'a> TableView<'a> {
     pub fn col_of(&self, net: &RoadNetwork, s: SegmentId) -> Option<usize> {
         position_in_sorted(net, self.cols, s)
     }
-}
-
-/// A transition table for one expansion step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TransitionTable {
-    rows: Vec<SegmentId>,
-    cols: Vec<SegmentId>,
-}
-
-impl TransitionTable {
-    /// Builds the table from *already `(length, id)`-sorted* row and
-    /// column segment lists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either list is empty.
-    pub fn from_sorted(rows: Vec<SegmentId>, cols: Vec<SegmentId>) -> Self {
-        assert!(!rows.is_empty(), "transition table needs at least one row");
-        assert!(
-            !cols.is_empty(),
-            "transition table needs at least one column"
-        );
-        TransitionTable { rows, cols }
-    }
-
-    /// The table as a borrowed [`TableView`] (what the engines build
-    /// directly from scratch buffers on the hot path).
-    pub fn view(&self) -> TableView<'_> {
-        TableView {
-            rows: &self.rows,
-            cols: &self.cols,
-        }
-    }
-
-    /// Row segments (the cloaking region, shortest first).
-    pub fn rows(&self) -> &[SegmentId] {
-        &self.rows
-    }
-
-    /// Column segments (the frontier, shortest first).
-    pub fn cols(&self) -> &[SegmentId] {
-        &self.cols
-    }
-
-    /// `|CloakA|`.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `|CanA|`.
-    pub fn col_count(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// The transition value in cell `(i, j)` (0-based).
-    pub fn value(&self, i: usize, j: usize) -> usize {
-        self.view().value(i, j)
-    }
-
-    /// The quotient-hint modulus: how many row "bands" share each residue.
-    /// 1 when `|CloakA| ≤ |CanA|` (no hint needed).
-    pub fn hint_modulus(&self) -> usize {
-        self.view().hint_modulus()
-    }
-
-    /// Whether backward lookups need a quotient hint.
-    pub fn needs_hint(&self) -> bool {
-        self.view().needs_hint()
-    }
-
-    /// Forward transition: from row `i`, the unique column whose cell
-    /// value equals `pick`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range or `pick ≥ |CanA|`.
-    pub fn forward_col(&self, i: usize, pick: usize) -> usize {
-        self.view().forward_col(i, pick)
-    }
-
-    /// Backward transition: from column `j` and `pick`, the unique row in
-    /// band `hint` whose cell value equals `pick` — `None` when that row
-    /// index falls outside the table (the draw cannot have produced this
-    /// column).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range or `pick ≥ |CanA|`.
-    pub fn backward_row(&self, j: usize, pick: usize, hint: usize) -> Option<usize> {
-        self.view().backward_row(j, pick, hint)
-    }
-
-    /// The row index of segment `s`, if present.
-    pub fn row_of(&self, net: &RoadNetwork, s: SegmentId) -> Option<usize> {
-        self.view().row_of(net, s)
-    }
-
-    /// The column index of segment `s`, if present.
-    pub fn col_of(&self, net: &RoadNetwork, s: SegmentId) -> Option<usize> {
-        self.view().col_of(net, s)
-    }
 
     /// Renders the table like paper Figure 2 (rows/columns labelled with
     /// segment ids, cells holding transition values).
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("        ");
-        for c in &self.cols {
+        for c in self.cols {
             out.push_str(&format!("{:>6}", c.to_string()));
         }
         out.push('\n');
@@ -239,7 +138,7 @@ impl TransitionTable {
     }
 }
 
-impl fmt::Display for TransitionTable {
+impl fmt::Display for TableView<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.render())
     }
@@ -249,8 +148,10 @@ impl fmt::Display for TransitionTable {
 mod tests {
     use super::*;
 
-    fn table(m: usize, n: usize) -> TransitionTable {
-        TransitionTable::from_sorted(
+    /// Row and column lists for an `m × n` table (rows `s0..`, columns
+    /// `s100..`).
+    fn lists(m: usize, n: usize) -> (Vec<SegmentId>, Vec<SegmentId>) {
+        (
             (0..m as u32).map(SegmentId).collect(),
             (100..100 + n as u32).map(SegmentId).collect(),
         )
@@ -260,7 +161,8 @@ mod tests {
     fn paper_figure2_values() {
         // 3×3 table: cell (i,j) = (i + j) mod 3 (0-based), matching the
         // paper's ((i−1)+(j−1)) mod |CanA| in 1-based indexing.
-        let t = table(3, 3);
+        let (rows, cols) = lists(3, 3);
+        let t = TableView::new(&rows, &cols);
         let expect = [[0, 1, 2], [1, 2, 0], [2, 0, 1]];
         for (i, row) in expect.iter().enumerate() {
             for (j, &v) in row.iter().enumerate() {
@@ -274,10 +176,9 @@ mod tests {
         // CloakA = {s8, s9, s11}, CanA = {s6, s10, s14}; last added s8 is
         // row 1 (0-based row index 1 in the paper's ordering by length —
         // here we emulate with explicit lists), R = 5 ⇒ pick = 5 mod 3 = 2.
-        let t = TransitionTable::from_sorted(
-            vec![SegmentId(9), SegmentId(8), SegmentId(11)],
-            vec![SegmentId(6), SegmentId(14), SegmentId(10)],
-        );
+        let rows = [SegmentId(9), SegmentId(8), SegmentId(11)];
+        let cols = [SegmentId(6), SegmentId(14), SegmentId(10)];
+        let t = TableView::new(&rows, &cols);
         let pick = 5 % t.col_count();
         // Forward: row of s8 (index 1) → column with value 2 is (2,2)'s
         // row-1 cell: j = (2 + 3 - 1) % 3 = 1 → s14. Transition s8 → s14.
@@ -292,7 +193,8 @@ mod tests {
     #[test]
     fn rows_are_complete_residue_systems() {
         for (m, n) in [(1, 1), (3, 5), (5, 3), (7, 7), (10, 4)] {
-            let t = table(m, n);
+            let (rows, cols) = lists(m, n);
+            let t = TableView::new(&rows, &cols);
             for i in 0..m {
                 let mut seen = vec![false; n];
                 for j in 0..n {
@@ -306,7 +208,8 @@ mod tests {
     #[test]
     fn columns_unique_when_cloak_not_larger() {
         for (m, n) in [(3, 3), (3, 5), (6, 9)] {
-            let t = table(m, n);
+            let (rows, cols) = lists(m, n);
+            let t = TableView::new(&rows, &cols);
             assert!(!t.needs_hint());
             for j in 0..n {
                 let mut seen = std::collections::HashSet::new();
@@ -320,7 +223,8 @@ mod tests {
     #[test]
     fn forward_backward_are_inverse() {
         for (m, n) in [(1, 1), (3, 3), (2, 7), (9, 4), (12, 5)] {
-            let t = table(m, n);
+            let (rows, cols) = lists(m, n);
+            let t = TableView::new(&rows, &cols);
             for i in 0..m {
                 for pick in 0..n {
                     let j = t.forward_col(i, pick);
@@ -335,7 +239,8 @@ mod tests {
 
     #[test]
     fn backward_row_rejects_out_of_band() {
-        let t = table(3, 5);
+        let (rows, cols) = lists(3, 5);
+        let t = TableView::new(&rows, &cols);
         // hint 1 would address rows 5..9 which do not exist.
         for j in 0..5 {
             for pick in 0..5 {
@@ -347,20 +252,24 @@ mod tests {
 
     #[test]
     fn hint_modulus() {
-        assert_eq!(table(3, 5).hint_modulus(), 1);
-        assert_eq!(table(5, 5).hint_modulus(), 1);
-        assert_eq!(table(6, 5).hint_modulus(), 2);
-        assert_eq!(table(11, 5).hint_modulus(), 3);
-        assert!(table(6, 5).needs_hint());
+        let modulus = |m, n| {
+            let (rows, cols) = lists(m, n);
+            let t = TableView::new(&rows, &cols);
+            (t.hint_modulus(), t.needs_hint())
+        };
+        assert_eq!(modulus(3, 5), (1, false));
+        assert_eq!(modulus(5, 5), (1, false));
+        assert_eq!(modulus(6, 5), (2, true));
+        assert_eq!(modulus(11, 5), (3, true));
     }
 
     #[test]
     fn row_col_lookup_by_segment() {
         use roadnet::grid_city;
         let net = grid_city(3, 3, 100.0);
-        let rows = vec![SegmentId(0), SegmentId(1)];
-        let cols = vec![SegmentId(2), SegmentId(3), SegmentId(4)];
-        let t = TransitionTable::from_sorted(rows, cols);
+        let rows = [SegmentId(0), SegmentId(1)];
+        let cols = [SegmentId(2), SegmentId(3), SegmentId(4)];
+        let t = TableView::new(&rows, &cols);
         assert_eq!(t.row_of(&net, SegmentId(1)), Some(1));
         assert_eq!(t.col_of(&net, SegmentId(4)), Some(2));
         assert_eq!(t.row_of(&net, SegmentId(4)), None);
@@ -369,7 +278,8 @@ mod tests {
 
     #[test]
     fn render_contains_labels_and_values() {
-        let t = table(2, 3);
+        let (rows, cols) = lists(2, 3);
+        let t = TableView::new(&rows, &cols);
         let s = t.render();
         assert!(s.contains("s0"));
         assert!(s.contains("s102"));
@@ -379,12 +289,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one row")]
     fn empty_rows_panic() {
-        let _ = TransitionTable::from_sorted(vec![], vec![SegmentId(0)]);
+        let _ = TableView::new(&[], &[SegmentId(0)]);
     }
 
     #[test]
     #[should_panic(expected = "pick out of range")]
     fn bad_pick_panics() {
-        table(2, 3).forward_col(0, 3);
+        let (rows, cols) = lists(2, 3);
+        TableView::new(&rows, &cols).forward_col(0, 3);
     }
 }

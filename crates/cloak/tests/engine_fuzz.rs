@@ -120,11 +120,11 @@ proptest! {
             for t in (0..chain.len()).rev() {
                 let removed = chain[t];
                 region.remove(&net, removed);
-                let mut s = stream(key_seed, t as u32);
+                let draws = stream(key_seed, t as u32).take_draws(rounds[t] as usize);
                 let prev = engine
-                    .backward_step(
-                        &net, &region, removed, &mut s, &tolerance, rounds[t],
-                        &mut hint_stack, &mut scratch,
+                    .backward_from_draws(
+                        &net, &region, removed, &draws, &tolerance, &mut hint_stack,
+                        &mut scratch,
                     )
                     .unwrap_or_else(|e| {
                         panic!("{}: accepted step {t} failed to reverse: {e}", engine.name())
@@ -176,9 +176,10 @@ proptest! {
                         let mut hints =
                             HintStack::new(vec![(op >> 7) as u32; (op % 3) as usize]);
                         let before = region.len();
-                        let result = engine.backward_step(
-                            &net, &region, removed, &mut s, &tolerance,
-                            (op >> 11) as u32 % 64, &mut hints, &mut scratch,
+                        let draws = s.take_draws((op >> 11) as usize % 64);
+                        let result = engine.backward_from_draws(
+                            &net, &region, removed, &draws, &tolerance, &mut hints,
+                            &mut scratch,
                         );
                         prop_assert_eq!(region.len(), before);
                         if let Ok(prev) = result {
@@ -232,19 +233,17 @@ proptest! {
             // True round: exact recovery, twice (stateless determinism).
             for _ in 0..2 {
                 let mut hints = HintStack::new(acc.hint.into_iter().collect());
-                let mut s = stream(key_seed, 0);
-                let prev = engine.backward_step(
-                    &net, &region, acc.segment, &mut s, &tolerance, acc.draws,
-                    &mut hints, &mut scratch,
+                let draws = stream(key_seed, 0).take_draws(acc.draws as usize);
+                let prev = engine.backward_from_draws(
+                    &net, &region, acc.segment, &draws, &tolerance, &mut hints, &mut scratch,
                 );
                 prop_assert_eq!(prev.ok(), Some(base), "{}", engine.name());
             }
             // Mutated round: fail closed or land on a real segment.
             let mut hints = HintStack::new(acc.hint.into_iter().collect());
-            let mut s = stream(key_seed, 0);
-            if let Ok(prev) = engine.backward_step(
-                &net, &region, acc.segment, &mut s, &tolerance,
-                acc.draws.wrapping_add(round_delta), &mut hints, &mut scratch,
+            let draws = stream(key_seed, 0).take_draws((acc.draws + round_delta) as usize);
+            if let Ok(prev) = engine.backward_from_draws(
+                &net, &region, acc.segment, &draws, &tolerance, &mut hints, &mut scratch,
             ) {
                 prop_assert!((prev.0 as usize) < net.segment_count());
             }
@@ -263,17 +262,15 @@ fn degenerate_states_fail_closed() {
     for engine in engines(&net) {
         let region = RegionState::from_segments(&net, [SegmentId(0)]);
         let mut scratch = StepScratch::default();
-        // Backward with `removed` never in the region, round 0, no hints:
-        // must not panic, must not invent mass.
+        // Backward with `removed` never in the region, no draws, no
+        // hints: must not panic, must not invent mass.
         let mut hints = HintStack::new(Vec::new());
-        let mut s = stream(7, 0);
-        let _ = engine.backward_step(
+        let _ = engine.backward_from_draws(
             &net,
             &region,
             SegmentId(5),
-            &mut s,
+            &[],
             &tolerance,
-            0,
             &mut hints,
             &mut scratch,
         );

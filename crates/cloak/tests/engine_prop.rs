@@ -48,15 +48,14 @@ fn roundtrip(
     let mut current = *chain.last().expect("steps >= 1");
     for t in (0..steps).rev() {
         region.remove(net, current);
-        let mut s = step_stream(key_seed, t as u32);
+        let draws = step_stream(key_seed, t as u32).take_draws(rounds[t] as usize);
         let prev = engine
-            .backward_step(
+            .backward_from_draws(
                 net,
                 &region,
                 current,
-                &mut s,
+                &draws,
                 &tolerance,
-                rounds[t],
                 &mut hint_stack,
                 &mut scratch,
             )

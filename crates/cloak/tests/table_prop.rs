@@ -1,12 +1,14 @@
 //! Algebraic property tests of the RGE transition table — the structure
 //! the paper's no-collision argument rests on.
 
-use cloak::TransitionTable;
+use cloak::TableView;
 use proptest::prelude::*;
 use roadnet::SegmentId;
 
-fn table(m: usize, n: usize) -> TransitionTable {
-    TransitionTable::from_sorted(
+/// Row and column lists for an `m × n` table (rows `s0..`, columns
+/// `s1000..`).
+fn lists(m: usize, n: usize) -> (Vec<SegmentId>, Vec<SegmentId>) {
+    (
         (0..m as u32).map(SegmentId).collect(),
         (1000..1000 + n as u32).map(SegmentId).collect(),
     )
@@ -17,7 +19,8 @@ proptest! {
 
     #[test]
     fn every_row_is_a_complete_residue_system(m in 1usize..40, n in 1usize..40) {
-        let t = table(m, n);
+        let (rows, cols) = lists(m, n);
+        let t = TableView::new(&rows, &cols);
         for i in 0..m {
             let mut seen = vec![false; n];
             for j in 0..n {
@@ -31,7 +34,8 @@ proptest! {
 
     #[test]
     fn columns_have_distinct_values_within_each_band(m in 1usize..40, n in 1usize..40) {
-        let t = table(m, n);
+        let (rows, cols) = lists(m, n);
+        let t = TableView::new(&rows, &cols);
         for j in 0..n {
             // Within a quotient band (n consecutive rows) column values
             // are pairwise distinct — the no-collision property the
@@ -47,7 +51,8 @@ proptest! {
 
     #[test]
     fn forward_then_backward_is_identity(m in 1usize..40, n in 1usize..40) {
-        let t = table(m, n);
+        let (rows, cols) = lists(m, n);
+        let t = TableView::new(&rows, &cols);
         for i in 0..m {
             for pick in 0..n {
                 let j = t.forward_col(i, pick);
@@ -60,7 +65,8 @@ proptest! {
 
     #[test]
     fn backward_rejects_rows_outside_the_table(m in 1usize..20, n in 1usize..20) {
-        let t = table(m, n);
+        let (rows, cols) = lists(m, n);
+        let t = TableView::new(&rows, &cols);
         let oob_hint = m.div_ceil(n); // one band past the last
         for j in 0..n {
             for pick in 0..n {
@@ -71,7 +77,8 @@ proptest! {
 
     #[test]
     fn forward_is_injective_per_pick_within_band(m in 2usize..40, n in 2usize..40) {
-        let t = table(m, n);
+        let (rows, cols) = lists(m, n);
+        let t = TableView::new(&rows, &cols);
         for pick in 0..n {
             for band_start in (0..m).step_by(n) {
                 let mut seen = std::collections::HashSet::new();
@@ -88,7 +95,8 @@ proptest! {
 
     #[test]
     fn hint_modulus_covers_all_rows(m in 1usize..60, n in 1usize..60) {
-        let t = table(m, n);
+        let (rows, cols) = lists(m, n);
+        let t = TableView::new(&rows, &cols);
         prop_assert!(t.hint_modulus() * n >= m);
         prop_assert!((t.hint_modulus() - 1) * n < m || t.hint_modulus() == 1);
         prop_assert_eq!(t.needs_hint(), m > n);

@@ -32,9 +32,9 @@
 //! the `*_with` variants — allocation-free at steady state, identical
 //! answers. Both paths consult the network's landmark index
 //! ([`roadnet::GraphIndex`], built lazily on first query) to direct and
-//! bound the search; the un-indexed searches survive as
-//! [`nearest_query_reference_with`] / [`range_query_reference_with`]
-//! and are property-tested to return exactly equal candidates:
+//! bound the search; `tests/indexed_prop.rs` property-tests them against
+//! a plain multi-source Dijkstra of its own, which must return exactly
+//! equal candidates:
 //!
 //! ```
 //! use lbs::{nearest_query, nearest_query_with, PoiCategory, PoiStore, SearchScratch};
@@ -59,7 +59,6 @@ pub mod query;
 
 pub use poi::{Poi, PoiCategory, PoiId, PoiStore};
 pub use query::{
-    nearest_query, nearest_query_reference_with, nearest_query_with, range_query,
-    range_query_reference_with, range_query_with, refine_nearest, refine_nearest_with,
-    CandidateAnswer, QueryStats, SearchScratch,
+    nearest_query, nearest_query_with, range_query, range_query_with, refine_nearest,
+    refine_nearest_with, CandidateAnswer, QueryStats, SearchScratch,
 };

@@ -24,9 +24,9 @@
 //! the category's POI endpoints prune frontier junctions that provably
 //! cannot reach any relevant POI in budget. The pruning is conservative
 //! (triangle inequality), so **candidate sets, distances and tie-breaks
-//! are exactly those of the reference search** — kept alongside as
-//! [`nearest_query_reference_with`] / [`range_query_reference_with`]
-//! and property-tested equal in `tests/indexed_prop.rs`. Only the
+//! are exactly those of a plain multi-source Dijkstra** with a doubling
+//! limit; `tests/indexed_prop.rs` keeps that search as its reference
+//! and property-tests the two equal. Only the
 //! [`CandidateAnswer::segments_visited`] work counter differs (it
 //! reports the work actually done, which is the point).
 
@@ -436,10 +436,19 @@ fn envelope(row: &[f64], min: &mut [f64], max: &mut [f64]) {
 /// leaves road distance from the *nearest region segment* to every
 /// junction reached within `limit` meters in `search`, returning the
 /// number of segments the search expanded.
+///
+/// `goal_lower_bound(j)` bounds from below the distance from junction
+/// `j` to any junction whose distance the caller reads. A popped
+/// junction whose distance plus that bound overshoots `limit` is not
+/// relaxed: no path through it can change a distance the answer reads. Its incident
+/// segments still count as examined (the server looked at them),
+/// keeping the work metric monotone in the budget. `|_| 0.0` never
+/// prunes, because a popped junction is already within `limit`.
 fn region_distances(
     net: &RoadNetwork,
     region: &[SegmentId],
     limit: f64,
+    goal_lower_bound: impl Fn(JunctionId) -> f64,
     search: &mut Search,
 ) -> usize {
     search.start(net, region);
@@ -452,52 +461,7 @@ fn region_distances(
         if d > limit {
             continue;
         }
-        for &s in net.incident_segments(j) {
-            if search.visit_segment(s) {
-                visited_segments += 1;
-            }
-            let seg = net.segment(s);
-            let other = seg.other_endpoint(j).expect("incident endpoint");
-            let nd = d + seg.length();
-            if nd <= limit && search.get(other).is_none_or(|cur| nd < cur) {
-                search.set(other, nd);
-                search.heap.push(HeapEntry { d: nd, j: other.0 });
-            }
-        }
-    }
-    visited_segments
-}
-
-/// [`region_distances`] with landmark goal-direction: junctions that
-/// provably cannot reach any goal endpoint within `limit` (triangle
-/// inequality against the profiled goal set) are not expanded. Distances
-/// of every junction the answer can depend on — goal endpoints within
-/// `limit` — are identical to the reference search; the visited counter
-/// reflects the (smaller) work actually done.
-fn region_distances_goal(
-    net: &RoadNetwork,
-    table: &LandmarkTable,
-    region: &[SegmentId],
-    limit: f64,
-    landmarks: &Landmarks,
-    search: &mut Search,
-) -> usize {
-    search.start(net, region);
-    let mut visited_segments = 0usize;
-    while let Some(HeapEntry { d, j }) = search.heap.pop() {
-        let j = JunctionId(j);
-        if search.get(j).is_some_and(|cur| d > cur) {
-            continue;
-        }
-        if d > limit {
-            continue;
-        }
-        // Any path through `j` to a goal endpoint is at least
-        // `d + lb` long; if that overshoots the budget, relaxing `j`
-        // cannot change any distance the answer reads. The incident
-        // segments still count as examined (the server looked at them),
-        // keeping the work metric monotone in the budget.
-        let prune = d + landmarks.goal_lower_bound(table, j) > limit;
+        let prune = d + goal_lower_bound(j) > limit;
         for &s in net.incident_segments(j) {
             if search.visit_segment(s) {
                 visited_segments += 1;
@@ -524,8 +488,8 @@ fn region_distances_goal(
 /// `d* + diameter` (the expansion bound every answer candidate must lie
 /// within) and prunes junctions whose landmark lower bound to the goal
 /// set overshoots the running budget. Distances of every junction the
-/// answer can read are exactly those of the reference search's final
-/// iteration — without the reference's doubling restarts.
+/// answer can read are exactly those a plain doubling search reads in
+/// its final iteration — without its restarts.
 ///
 /// Returns the segments examined and the exact nearest-POI distance
 /// (∞ when no POI of the category is reachable).
@@ -652,7 +616,8 @@ pub fn range_query(
 ///
 /// Uses the network's landmark table to prune frontier junctions that
 /// provably cannot reach any POI of `category` within `radius`; the
-/// candidate set equals [`range_query_reference_with`] exactly.
+/// candidate set is exactly that of a radius-bounded Dijkstra without
+/// pruning.
 pub fn range_query_with(
     net: &RoadNetwork,
     store: &PoiStore,
@@ -664,37 +629,17 @@ pub fn range_query_with(
     let table = net.landmark_table();
     let SearchScratch { search, landmarks } = scratch;
     if !landmarks.profile(net, table, store, category, region) {
-        // No POI of the category exists: the reference search would
+        // No POI of the category exists: an unpruned search would
         // expand the whole radius ball only to filter everything out.
         return CandidateAnswer::default();
     }
-    let visited = region_distances_goal(net, table, region, radius, landmarks, search);
-    let mut candidates: Vec<Poi> = store
-        .iter()
-        .filter(|p| p.category == category)
-        .filter(|p| poi_distance(net, search, region, p).is_some_and(|d| d <= radius))
-        .copied()
-        .collect();
-    candidates.sort_by_key(|p| p.id);
-    CandidateAnswer {
-        candidates,
-        segments_visited: visited,
-    }
-}
-
-/// The pre-index [`range_query`] search: a radius-bounded multi-source
-/// Dijkstra with no landmark pruning. Kept as the reference
-/// implementation the indexed path is property-tested against.
-pub fn range_query_reference_with(
-    net: &RoadNetwork,
-    store: &PoiStore,
-    region: &[SegmentId],
-    category: PoiCategory,
-    radius: f64,
-    scratch: &mut SearchScratch,
-) -> CandidateAnswer {
-    let search = &mut scratch.search;
-    let visited = region_distances(net, region, radius, search);
+    let visited = region_distances(
+        net,
+        region,
+        radius,
+        |j| landmarks.goal_lower_bound(table, j),
+        search,
+    );
     let mut candidates: Vec<Poi> = store
         .iter()
         .filter(|p| p.category == category)
@@ -730,14 +675,13 @@ pub fn nearest_query(
 /// any scratch state.
 ///
 /// Goal-directed via the network's landmark table: one self-bounding
-/// Dijkstra (see [`region_distances_nearest_goal`]) discovers the
-/// nearest-POI distance as it runs and stops at the exact expansion
-/// bound (instead of the reference's doubling restarts), while landmark
-/// *lower* bounds prune frontier junctions that cannot reach any POI of
-/// the category in budget. The candidate set, the distances and the
-/// tie-breaks equal [`nearest_query_reference_with`] exactly — including
-/// the reference's give-up behavior when its 24-doubling budget would be
-/// exhausted.
+/// Dijkstra discovers the nearest-POI distance as it runs and stops at
+/// the exact expansion bound, while landmark *lower* bounds prune
+/// frontier junctions that cannot reach any POI of the category in
+/// budget. The candidate set, the distances and the tie-breaks equal
+/// those of a plain multi-source Dijkstra whose limit starts at
+/// `max(diameter, 100 m)` and doubles until it covers the bound —
+/// including its empty answer when 24 doublings do not cover it.
 pub fn nearest_query_with(
     net: &RoadNetwork,
     store: &PoiStore,
@@ -748,7 +692,7 @@ pub fn nearest_query_with(
     let table = net.landmark_table();
     let SearchScratch { search, landmarks } = scratch;
     if !landmarks.profile(net, table, store, category, region) {
-        // No POI of the category at all — the reference ends empty.
+        // No POI of the category at all: the answer is empty.
         return CandidateAnswer::default();
     }
     // Region "diameter" upper bound: total road length of the region (a
@@ -759,8 +703,8 @@ pub fn nearest_query_with(
         net, table, store, category, region, diameter, best_seed, landmarks, search,
     );
     if !d_star.is_finite() {
-        // No reachable POI of the category: the reference exhausts its
-        // 24 doublings and answers empty.
+        // No reachable POI of the category: a doubling search exhausts
+        // its 24 doublings and answers empty.
         return CandidateAnswer::default();
     }
     let mut with_d: Vec<(f64, Poi)> = store
@@ -769,9 +713,9 @@ pub fn nearest_query_with(
         .filter_map(|p| poi_distance(net, search, region, p).map(|d| (d, *p)))
         .collect();
     let bound = d_star + diameter;
-    // Mirror the reference's doubling schedule: it only answers once
-    // its growing limit covers `bound`, and gives up (empty answer)
-    // after 24 doublings. The doubling is exact in f64, so the
+    // Keep the doubling schedule's answer: a doubling search answers
+    // only once its growing limit covers `bound`, and gives up (empty
+    // answer) after 24 doublings. The doubling is exact in f64, so the
     // replicated schedule agrees bit for bit.
     let mut limit = diameter.max(100.0);
     let mut covered = false;
@@ -791,46 +735,6 @@ pub fn nearest_query_with(
         candidates: with_d.into_iter().map(|(_, p)| p).collect(),
         segments_visited: visited,
     }
-}
-
-/// The pre-index [`nearest_query`] search: multi-source Dijkstra with a
-/// doubling limit until the expansion bound is covered. Kept as the
-/// reference implementation the indexed path is property-tested
-/// against.
-pub fn nearest_query_reference_with(
-    net: &RoadNetwork,
-    store: &PoiStore,
-    region: &[SegmentId],
-    category: PoiCategory,
-    scratch: &mut SearchScratch,
-) -> CandidateAnswer {
-    let search = &mut scratch.search;
-    // Region "diameter" upper bound: total road length of the region (a
-    // safe overestimate of the longest internal detour).
-    let diameter: f64 = region.iter().map(|&s| net.segment(s).length()).sum();
-    // Grow the search limit until at least one POI is found (doubling).
-    let mut limit = diameter.max(100.0);
-    for _ in 0..24 {
-        let visited = region_distances(net, region, limit, search);
-        let mut with_d: Vec<(f64, Poi)> = store
-            .iter()
-            .filter(|p| p.category == category)
-            .filter_map(|p| poi_distance(net, search, region, p).map(|d| (d, *p)))
-            .collect();
-        if let Some(d_star) = with_d.iter().map(|(d, _)| *d).min_by(|a, b| a.total_cmp(b)) {
-            let bound = d_star + diameter;
-            if bound <= limit {
-                with_d.retain(|(d, _)| *d <= bound);
-                with_d.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.id.cmp(&b.1.id)));
-                return CandidateAnswer {
-                    candidates: with_d.into_iter().map(|(_, p)| p).collect(),
-                    segments_visited: visited,
-                };
-            }
-        }
-        limit *= 2.0;
-    }
-    CandidateAnswer::default()
 }
 
 /// Client-side refinement: given the true segment, pick the actual
@@ -853,7 +757,7 @@ pub fn refine_nearest_with(
     scratch: &mut SearchScratch,
 ) -> Option<Poi> {
     let search = &mut scratch.search;
-    region_distances(net, &[true_segment], f64::INFINITY, search);
+    region_distances(net, &[true_segment], f64::INFINITY, |_| 0.0, search);
     candidates
         .iter()
         .filter_map(|p| poi_distance(net, search, &[true_segment], p).map(|d| (d, *p)))

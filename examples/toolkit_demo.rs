@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example toolkit_demo -- [fig1|fig2|fig3|all]`
 
-use cloak::{RegionState, TransitionTable};
+use cloak::{RegionState, TableView};
 use reversecloak::prelude::*;
 use roadnet::grid_city;
 
@@ -86,9 +86,9 @@ fn fig2() {
     // The paper's state: CloakA = {s8, s9, s11} (rows, by length) and
     // CanA = {s6, s10, s14} (columns, by length); s8 is the last added
     // segment, R_i = 5.
-    let rows = vec![SegmentId(9), SegmentId(8), SegmentId(11)];
-    let cols = vec![SegmentId(6), SegmentId(14), SegmentId(10)];
-    let table = TransitionTable::from_sorted(rows, cols);
+    let rows = [SegmentId(9), SegmentId(8), SegmentId(11)];
+    let cols = [SegmentId(6), SegmentId(14), SegmentId(10)];
+    let table = TableView::new(&rows, &cols);
     println!("transition table (cell = ((i-1)+(j-1)) mod |CanA|):");
     print!("{table}");
     let r_i = 5u64;

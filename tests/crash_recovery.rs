@@ -185,8 +185,8 @@ fn captured_grant_survives_recovery_and_ratchet_continues() {
 
 /// Kill-and-recover under *every* fault plan shape the injector offers:
 /// flaky journal writes absorbed by retries, failing snapshot captures,
-/// injected cloak failures, compaction refusals — each combined with a
-/// mid-run crash, unsharded and over 3 shards. Whatever the plan did
+/// injected cloak failures — each combined with a mid-run crash,
+/// unsharded and over 3 shards. Whatever the plan did
 /// before the kill, recovery must resume every owner strictly forward
 /// from its journaled epoch and the post-recovery run must verify every
 /// receipt.
@@ -208,7 +208,6 @@ fn every_fault_plan_preserves_recovery_invariants() {
         FaultPlan {
             seed: 3,
             cloak_fail: 0.4,
-            compact_fail: 0.5,
             crash_at_tick: Some(4),
             ..Default::default()
         },
@@ -218,7 +217,6 @@ fn every_fault_plan_preserves_recovery_invariants() {
             snapshot_capture_fail: 0.3,
             cloak_fail: 0.2,
             crash_at_tick: Some(3),
-            ..Default::default()
         },
     ];
     for shards in [1, 3] {

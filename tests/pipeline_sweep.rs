@@ -63,7 +63,6 @@ impl Map {
 enum Fault {
     None,
     Journal(f64),
-    Compact(f64),
     Snapshot(f64),
     Cloak(f64),
     /// An injected crash at this tick; with a file store it is the kill.
@@ -123,12 +122,11 @@ impl Case {
         let owners = 1 + pick(48) as usize;
         let cadence = 1 + pick(3) as usize;
         let ticks = 3 + pick(2);
-        let fault = match pick(6) {
+        let fault = match pick(5) {
             0 => Fault::None,
             1 => Fault::Journal(0.1 + pick(40) as f64 / 100.0),
-            2 => Fault::Compact(0.1 + pick(80) as f64 / 100.0),
-            3 => Fault::Snapshot(0.1 + pick(60) as f64 / 100.0),
-            4 => Fault::Cloak(0.05 + pick(30) as f64 / 100.0),
+            2 => Fault::Snapshot(0.1 + pick(60) as f64 / 100.0),
+            3 => Fault::Cloak(0.05 + pick(30) as f64 / 100.0),
             _ => Fault::Crash(2 + pick(ticks - 1)),
         };
         let journal_retries = pick(9) as u32;
@@ -173,10 +171,6 @@ impl Case {
             Fault::None => None,
             Fault::Journal(p) => Some(FaultPlan {
                 journal_write_fail: p,
-                ..plan
-            }),
-            Fault::Compact(p) => Some(FaultPlan {
-                compact_fail: p,
                 ..plan
             }),
             Fault::Snapshot(p) => Some(FaultPlan {
