@@ -179,7 +179,7 @@ pub struct PipelineConfig {
     /// the configured crash; see [`crate::fault`].
     pub fault: Option<FaultPlan>,
     /// How the tick loop degrades under persistence failures:
-    /// retry-with-backoff → skip-owner-and-count → abort.
+    /// retry → skip-owner-and-count → abort.
     pub fault_policy: FaultPolicy,
 }
 
@@ -1226,8 +1226,8 @@ impl<'t> Stages<'t> {
         }
 
         // Degradation ladder for journal write failures, in request
-        // order: retry with backoff, then skip the owner and count it,
-        // then abort once the tick's skip budget is blown. A failed
+        // order: retry, then skip the owner and count it, then abort
+        // once the tick's skip budget is blown. A failed
         // advance never committed the chain, so a successful retry
         // re-derives the same epoch from the same request seed and
         // cloaks against the shard's snapshot — the recovered
