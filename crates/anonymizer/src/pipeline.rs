@@ -67,9 +67,12 @@
 //!   write-once [`Slot`]s, only for what lower-numbered tasks publish: a
 //!   cloak for its requests' keys, the settle task for every cloak, the
 //!   legs for the final results, the peels for pass 1's jobs. The
-//!   fan-out runs on [`AnonymizerConfig::batch_parallelism`] workers, the
-//!   calling thread among them, and each worker keeps its scratch across
-//!   ticks. A leg's state is reached only by its own task. The key pass
+//!   fan-out runs on [`AnonymizerConfig::batch_parallelism`] workers: the
+//!   calling thread and threads the pipeline keeps for its lifetime (a
+//!   [`fanout::Pool`]), each with its scratch kept across ticks. The tick
+//!   moves the shards, the legs and the grant flags into an `Arc` for the
+//!   fan-out, and takes them back once it returns. A leg's state is
+//!   reached only by its own task. The key pass
 //!   ratchets the chains and draws their journal coins in request order,
 //!   the settle task, which waits for all of it, draws the retry ladder's
 //!   and the cloak faults' coins in request order, every leg writes only
@@ -431,7 +434,7 @@ pub struct ContinuousPipeline {
     partition: Partition,
     service: Arc<AnonymizerService>,
     shards: Vec<Shard>,
-    pois: Option<PoiStore>,
+    pois: Option<Arc<PoiStore>>,
     cfg: PipelineConfig,
     tracked: Vec<TrackedOwner>,
     /// Whether each tracked owner's auditor grant is registered.
@@ -441,6 +444,9 @@ pub struct ContinuousPipeline {
     /// One scratch per worker of the tick's fan-out, kept across ticks
     /// (worker 0 is the calling thread).
     scratch: Vec<CloakScratch>,
+    /// The threads of the tick's fan-out after the calling thread, kept
+    /// for the pipeline's lifetime.
+    pool: fanout::Pool,
     /// Scratch for the report leg's LBS queries.
     lbs_scratch: SearchScratch,
     /// The continuous adversarial evaluation (attack leg), when on.
@@ -510,10 +516,10 @@ impl Shard {
 /// State of the pipeline's attack leg: one observer per watched stream
 /// and (optionally) the full observation log.
 struct AttackLeg {
-    /// Watches the engine's receipt stream.
-    engine: Observer,
-    /// Watches the NRE control (when [`AttackConfig::baseline`] is on).
-    nre: Option<Observer>,
+    /// The observers, longest first, as their leg tasks run: the NRE
+    /// control's (when [`AttackConfig::baseline`] is on), then the
+    /// engine's. A tick moves them into its stages and back.
+    observers: Vec<Observer>,
     records: Vec<AttackRecord>,
 }
 
@@ -650,7 +656,11 @@ impl ContinuousPipeline {
             .collect();
         let pois = (cfg.lbs_probes > 0).then(|| {
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x1b5_0001);
-            PoiStore::generate(service.network(), cfg.poi_count.max(1), &mut rng)
+            Arc::new(PoiStore::generate(
+                service.network(),
+                cfg.poi_count.max(1),
+                &mut rng,
+            ))
         });
         let tracked: Vec<TrackedOwner> = (0..cfg.tracked_owners.min(sim.cars().len()))
             .map(|i| {
@@ -690,28 +700,29 @@ impl ContinuousPipeline {
                 crate::config::EngineChoice::Rge => "rge",
                 crate::config::EngineChoice::Rple { .. } => "rple",
             };
+            let nre = attack_cfg.baseline.then(|| {
+                let seeds = (0..owners)
+                    .map(|i| {
+                        // Public per-owner state (the keyless control
+                        // has no secret): derived from the owner index
+                        // alone.
+                        crate::service::splitmix64(0x17e_a5ed ^ (i as u64).wrapping_mul(0x100_0003))
+                    })
+                    .collect();
+                observer(
+                    "nre",
+                    Some(NreControl {
+                        seeds,
+                        failures: 0,
+                        scratch: ExpansionScratch::new(),
+                    }),
+                )
+            });
             AttackLeg {
-                engine: observer(engine_label, None),
-                nre: attack_cfg.baseline.then(|| {
-                    let seeds = (0..owners)
-                        .map(|i| {
-                            // Public per-owner state (the keyless control
-                            // has no secret): derived from the owner index
-                            // alone.
-                            crate::service::splitmix64(
-                                0x17e_a5ed ^ (i as u64).wrapping_mul(0x100_0003),
-                            )
-                        })
-                        .collect();
-                    observer(
-                        "nre",
-                        Some(NreControl {
-                            seeds,
-                            failures: 0,
-                            scratch: ExpansionScratch::new(),
-                        }),
-                    )
-                }),
+                observers: nre
+                    .into_iter()
+                    .chain([observer(engine_label, None)])
+                    .collect(),
                 records: Vec::new(),
             }
         });
@@ -726,6 +737,7 @@ impl ContinuousPipeline {
             tracked,
             capture: OccupancySnapshot::from_counts(Vec::new()),
             scratch: (0..workers).map(|_| CloakScratch::new()).collect(),
+            pool: fanout::Pool::new(workers),
             lbs_scratch: SearchScratch::new(),
             attack,
             injector,
@@ -840,11 +852,11 @@ impl ContinuousPipeline {
                 request.seed = mix_seed(self.cfg.seed, self.tick, i as u64);
             }
         }
-        let mut report = self.blank_report(snapshot_refreshed, handoffs);
-        let (stages, scratch) = self.stages(&mut report, health);
-        let views = fanout::fan_out(scratch, stages.tasks(), |scratch, t| stages.run(scratch, t));
-        let (health, verified, verify_err) = match stages.finish(views) {
-            Ok(settled) => settled,
+        let stages = self.stages(self.blank_report(snapshot_refreshed, handoffs), health);
+        let tasks = stages.tasks();
+        let (stages, views) = self.run_stages(stages, 0..tasks);
+        let (mut report, verify_err) = match self.finish(stages, views) {
+            Ok(finished) => finished,
             Err(abort) => {
                 // The crash, if the plan has one at this tick, is checked
                 // first, so this abort is it.
@@ -855,8 +867,6 @@ impl ContinuousPipeline {
                 return Err(abort);
             }
         };
-        report.health = health;
-        report.verified = verified;
         report.attack = self.attack.as_mut().map(AttackLeg::finish_tick);
         match verify_err {
             Some(e) => Err(e),
@@ -883,22 +893,20 @@ impl ContinuousPipeline {
         }
     }
 
-    /// The tick's stages over the shards' current requests, with the
-    /// legs reporting into `report`, and the workers' kept scratch for
-    /// their fan-out. `health` holds what the tick counted before them.
-    fn stages<'t>(
-        &'t mut self,
-        report: &'t mut TickReport,
-        health: TickHealth,
-    ) -> (Stages<'t>, &'t mut [CloakScratch]) {
+    /// The tick's stages over the shards' current requests, with the legs
+    /// reporting into `report`. `health` holds what the tick counted
+    /// before them. The shards, the legs' state and the grant flags move
+    /// into the stages until [`restore`](Self::restore) takes them back.
+    fn stages(&mut self, report: TickReport, health: TickHealth) -> Stages {
+        let snapshot_refreshed = report.snapshot_refreshed;
+        let mut shards = std::mem::take(&mut self.shards);
         let mut total = 0;
-        for shard in &mut self.shards {
+        for shard in &mut shards {
             shard.start = total;
             total += shard.requests.len();
         }
         let chunk = fanout::chunk_len(total, self.scratch.len());
-        let chunks = self
-            .shards
+        let chunks = shards
             .iter()
             .enumerate()
             .flat_map(|(p, shard)| {
@@ -908,35 +916,89 @@ impl ContinuousPipeline {
                     .map(move |start| (p, start..run.end.min(start + chunk)))
             })
             .collect::<Vec<_>>();
-        let cloaked = chunks.iter().map(|_| Slot::new()).collect();
-        let snapshot_refreshed = report.snapshot_refreshed;
-        let mut legs: Vec<Mutex<Leg<'t>>> = self
+        let observers = self
             .attack
-            .iter_mut()
-            .flat_map(|leg| leg.nre.iter_mut().chain([&mut leg.engine]))
-            .map(|observer| Mutex::new(Leg::Observe(observer)))
-            .collect();
-        legs.push(Mutex::new(Leg::Report(report, &mut self.lbs_scratch)));
-        let stages = Stages {
+            .as_mut()
+            .map_or_else(Vec::new, |leg| std::mem::take(&mut leg.observers));
+        Stages {
             tick: self.tick,
             snapshot_refreshed,
-            cfg: &self.cfg,
-            net: self.sim.network(),
-            profile: &self.service.config().default_profile,
-            service: &self.service,
-            injector: self.injector.as_deref(),
-            pois: self.pois.as_ref(),
-            shards: &self.shards,
-            chunks,
-            legs,
-            registered: Mutex::new(&mut self.registered),
+            verify: self.cfg.verify,
+            lbs_probes: self.cfg.lbs_probes,
+            policy: self.cfg.fault_policy.clone(),
+            service: Arc::clone(&self.service),
+            injector: self.injector.clone(),
+            pois: self.pois.clone(),
+            observers: observers.into_iter().map(Mutex::new).collect(),
+            report: Mutex::new((report, std::mem::take(&mut self.lbs_scratch))),
+            registered: Mutex::new(std::mem::take(&mut self.registered)),
             health,
             keys: (0..total).map(|_| Slot::new()).collect(),
-            cloaked,
+            cloaked: chunks.iter().map(|_| Slot::new()).collect(),
+            chunks,
+            shards,
             settled: Slot::new(),
             checked: Slot::new(),
+        }
+    }
+
+    /// Runs `tasks` of the tick's `stages` on the pipeline's pool, and
+    /// returns the stages with the peel tasks' views.
+    fn run_stages(&mut self, stages: Stages, tasks: Range<usize>) -> (Stages, Vec<Peeled>) {
+        let stages = Arc::new(stages);
+        let run = {
+            let (stages, first) = (Arc::clone(&stages), tasks.start);
+            move |scratch: &mut CloakScratch, t| stages.run(scratch, first + t)
         };
-        (stages, &mut self.scratch)
+        let views = self.pool.fan_out(&mut self.scratch, tasks.len(), run);
+        let stages = Arc::try_unwrap(stages).ok();
+        (stages.expect("the pool let go of the tick's stages"), views)
+    }
+
+    /// Takes the tick's state back from its `stages` and returns the
+    /// report the legs filled in, with the settle task's two slots.
+    fn restore(&mut self, stages: Stages) -> (TickReport, Slot<Settled>, Slot<Checked>) {
+        let Stages {
+            shards,
+            observers,
+            report,
+            registered,
+            settled,
+            checked,
+            ..
+        } = stages;
+        self.shards = shards;
+        // A task that panics fails the fan-out, so no lock is poisoned here.
+        let unpoisoned = "the fan-out returned, so no task panicked";
+        self.registered = registered.into_inner().expect(unpoisoned);
+        if let Some(leg) = &mut self.attack {
+            let observers = observers.into_iter().map(Mutex::into_inner);
+            leg.observers = observers.collect::<Result<_, _>>().expect(unpoisoned);
+        }
+        let (report, lbs_scratch) = report.into_inner().expect(unpoisoned);
+        self.lbs_scratch = lbs_scratch;
+        (report, settled, checked)
+    }
+
+    /// Ends the tick once its fan-out returned the peels' `views`: takes
+    /// its state back, and returns the settle task's abort, or the report
+    /// with the tick's health and verified receipts, and verification's
+    /// first failure.
+    fn finish(
+        &mut self,
+        stages: Stages,
+        views: Vec<Peeled>,
+    ) -> Result<(TickReport, Option<PipelineError>), PipelineError> {
+        let tick = stages.tick;
+        let (mut report, settled, checked) = self.restore(stages);
+        let published = "the settle task publishes before it returns";
+        let (_, health) = settled.into_inner().expect(published)?;
+        let (jobs, pass1_err) = checked.into_inner().expect(published);
+        let views = views.into_iter().flatten();
+        let (verified, err) = check_peeled(tick, &self.shards, &jobs, views, pass1_err);
+        report.health = health;
+        report.verified = verified;
+        Ok((report, err))
     }
 
     /// Moves every owner whose car crossed into another shard's part to
@@ -999,7 +1061,7 @@ impl ContinuousPipeline {
     /// Cumulative attack rollup against the engine's receipt stream
     /// (`None` when the attack leg is off).
     pub fn attack_summary(&self) -> Option<&AttackSummary> {
-        self.attack.as_ref().map(|leg| &leg.engine.summary)
+        self.attack.as_ref().map(|leg| &leg.engine().summary)
     }
 
     /// Cumulative attack rollup against the NRE control stream (`None`
@@ -1028,7 +1090,7 @@ impl ContinuousPipeline {
     /// `rcloak attack` prints exactly that, so index-layer wins show up
     /// in the CLI footer without criterion.
     pub fn attack_observe_time(&self) -> Option<Duration> {
-        self.attack.as_ref().map(|leg| leg.engine.observe_time)
+        self.attack.as_ref().map(|leg| leg.engine().observe_time)
     }
 
     /// Total wall time inside the NRE adversary's `observe` calls,
@@ -1040,7 +1102,7 @@ impl ContinuousPipeline {
 
     /// The attack leg's NRE observer, when the leg and its control are on.
     fn nre_observer(&self) -> Option<&Observer> {
-        self.attack.as_ref().and_then(|leg| leg.nre.as_ref())
+        self.attack.as_ref().and_then(AttackLeg::nre)
     }
 
     /// Runs `ticks` ticks, collecting one report per tick.
@@ -1081,24 +1143,35 @@ impl ContinuousPipeline {
 /// retry ladder's and the cloak faults' coins in request order, each leg
 /// writes only its own outputs and results return in task order, so
 /// reports are identical at any worker count.
-struct Stages<'t> {
+///
+/// The stages own what their tasks read, so that the pipeline's kept
+/// threads can run them: the pipeline moves its shards, its legs' state
+/// and its grant flags in, and takes them back after the fan-out; the
+/// service, the fault injector and the POIs are shared.
+struct Stages {
     tick: u64,
     snapshot_refreshed: bool,
-    cfg: &'t PipelineConfig,
-    net: &'t RoadNetwork,
-    profile: &'t PrivacyProfile,
-    service: &'t AnonymizerService,
-    injector: Option<&'t FaultInjector>,
-    pois: Option<&'t PoiStore>,
-    shards: &'t [Shard],
+    /// [`PipelineConfig::verify`].
+    verify: bool,
+    /// [`PipelineConfig::lbs_probes`].
+    lbs_probes: usize,
+    /// [`PipelineConfig::fault_policy`].
+    policy: FaultPolicy,
+    service: Arc<AnonymizerService>,
+    injector: Option<Arc<FaultInjector>>,
+    pois: Option<Arc<PoiStore>>,
+    shards: Vec<Shard>,
     /// Each cloak task's shard and requests, in the tick's (shard,
     /// request) order.
     chunks: Vec<(usize, Range<usize>)>,
-    /// The legs, longest first.
-    legs: Vec<Mutex<Leg<'t>>>,
+    /// The attack leg's observers, the first legs: the NRE control's,
+    /// then the engine's (none when the attack leg is off).
+    observers: Vec<Mutex<Observer>>,
+    /// The report leg's report and LBS query scratch: the last leg.
+    report: Mutex<(TickReport, SearchScratch)>,
     /// Whether each tracked owner's auditor grant is registered; only the
     /// settle task locks it.
-    registered: Mutex<&'t mut [bool]>,
+    registered: Mutex<Vec<bool>>,
     /// What the tick counted before its stages.
     health: TickHealth,
     /// Each request's keys, in (shard, request) order.
@@ -1106,14 +1179,7 @@ struct Stages<'t> {
     /// Each cloak task's results, in request order.
     cloaked: Vec<Slot<Vec<Issued>>>,
     settled: Slot<Settled>,
-    checked: Slot<Checked<'t>>,
-}
-
-/// One leg of the tick: an attack observer, or the report leg with its
-/// LBS query scratch.
-enum Leg<'t> {
-    Observe(&'t mut Observer),
-    Report(&'t mut TickReport, &'t mut SearchScratch),
+    checked: Slot<Checked>,
 }
 
 /// What the settle task publishes: the results it replaced, by position
@@ -1123,12 +1189,12 @@ type Settled = Result<(BTreeMap<usize, Issued>, TickHealth), PipelineError>;
 
 /// Verification's pass 1: the peel jobs of the receipts before its first
 /// failure, and that failure.
-type Checked<'t> = (Vec<PeelJob<'t>>, Option<PipelineError>);
+type Checked = (Vec<PeelJob>, Option<PipelineError>);
 
 /// What a peel task returns: the view of the receipt it peeled, if any.
 type Peeled = Option<Result<DeanonymizedView, DeanonError>>;
 
-impl<'t> Stages<'t> {
+impl Stages {
     /// The task that settles the tick: the one after the key pass and
     /// the cloak tasks.
     fn settle_task(&self) -> usize {
@@ -1137,15 +1203,15 @@ impl<'t> Stages<'t> {
 
     /// How many tasks the tick's fan-out runs.
     fn tasks(&self) -> usize {
-        let peels = if self.cfg.verify { self.keys.len() } else { 0 };
-        self.settle_task() + 1 + self.legs.len() + peels
+        let peels = if self.verify { self.keys.len() } else { 0 };
+        self.settle_task() + 1 + self.legs() + peels
     }
 
     /// Runs task `task` with the worker's `scratch`; a peel task returns
     /// its view.
     fn run(&self, scratch: &mut CloakScratch, task: usize) -> Peeled {
         let settle = self.settle_task();
-        let peels = settle + 1 + self.legs.len();
+        let peels = settle + 1 + self.legs();
         match task {
             0 => self.derive_keys(),
             t if t < settle => self.cloak(t - 1, scratch),
@@ -1202,7 +1268,7 @@ impl<'t> Stages<'t> {
         );
         self.settled.set(self.retry_and_inject(scratch));
         self.checked.set(match self.results() {
-            Some(results) if self.cfg.verify => self.check_issued(&results),
+            Some(results) if self.verify => self.check_issued(&results),
             _ => (Vec::new(), None),
         });
     }
@@ -1216,7 +1282,11 @@ impl<'t> Stages<'t> {
         // key pass journaled every owner's advance, but no receipt reaches
         // the stream. This is exactly the window the write-ahead journal
         // exists for — recovery must resume past the journaled epochs.
-        if self.injector.is_some_and(|i| i.crash_due(self.tick)) {
+        if self
+            .injector
+            .as_ref()
+            .is_some_and(|i| i.crash_due(self.tick))
+        {
             return Err(PipelineError {
                 message: format!(
                     "tick {}: injected crash between ratchet-advance and receipt-issue",
@@ -1233,10 +1303,10 @@ impl<'t> Stages<'t> {
         // cloaks against the shard's snapshot — the recovered
         // receipt is bit-identical to the one the fault suppressed,
         // keeping the stream digest on its fault-free value.
-        let policy = &self.cfg.fault_policy;
+        let policy = &self.policy;
         let persisted = |result: &Issued| !matches!(result, Err(CloakError::Persistence(_)));
         let (mut health, mut fixes) = (self.health, BTreeMap::new());
-        for shard in self.shards {
+        for shard in &self.shards {
             for (g, request) in shard.range().zip(&shard.requests) {
                 if persisted(cloaks[g]) {
                     continue;
@@ -1272,7 +1342,7 @@ impl<'t> Stages<'t> {
         // Injected per-owner cloak failures: the receipt is dropped as
         // if the walk dead-ended — an availability event, counted in
         // both `failed` and the health rollup.
-        if let Some(injector) = self.injector {
+        if let Some(injector) = &self.injector {
             for (g, &cloak) in cloaks.iter().enumerate() {
                 let issued = fixes.get(&g).unwrap_or(cloak);
                 if issued.is_ok() && injector.cloak_fault() {
@@ -1306,15 +1376,15 @@ impl<'t> Stages<'t> {
     /// preservation (the auditor registers at an owner's first cloak,
     /// then fetches the owner's keys). It stops at its first failure and
     /// returns the peel jobs of the receipts before it, with the failure.
-    fn check_issued(&self, results: &[&Issued]) -> Checked<'t> {
-        let k = self.profile.top_requirement().k as u64;
+    fn check_issued(&self, results: &[&Issued]) -> Checked {
+        let k = self.profile().top_requirement().k as u64;
         let mut registered = self
             .registered
             .lock()
             .expect("only the settle task locks the grant flags");
         let mut jobs = Vec::new();
-        for shard in self.shards {
-            for (i, request, result) in shard.entries(results) {
+        for (p, shard) in self.shards.iter().enumerate() {
+            for (r, (i, request, result)) in shard.entries(results).enumerate() {
                 let Ok(receipt) = result else { continue };
                 let owner = &request.owner;
                 let fail = |what: &str| Some(violation(self.tick, owner, what));
@@ -1345,7 +1415,7 @@ impl<'t> Stages<'t> {
                     registered[i] = true;
                 }
                 match self.service.fetch_keys(owner, AUDITOR) {
-                    Ok(keys) => jobs.push((request, Arc::clone(&receipt.payload), keys)),
+                    Ok(keys) => jobs.push(((p, r), Arc::clone(&receipt.payload), keys)),
                     Err(e) => {
                         let what = format!("grant lost across re-anonymization: {e}");
                         return (jobs, fail(&what));
@@ -1362,9 +1432,10 @@ impl<'t> Stages<'t> {
         let Some(results) = self.results() else {
             return;
         };
-        let (net, profile, shards) = (self.net, self.profile, self.shards);
-        match &mut *self.legs[l].lock().expect("only this task locks its leg") {
-            Leg::Observe(observer) => observer.observe_tick(
+        let (net, profile, shards) = (self.service.network(), self.profile(), &self.shards);
+        let only = "only this task locks its leg";
+        match self.observers.get(l) {
+            Some(observer) => observer.lock().expect(only).observe_tick(
                 net,
                 profile,
                 self.tick,
@@ -1372,17 +1443,26 @@ impl<'t> Stages<'t> {
                 shards,
                 &results,
             ),
-            Leg::Report(report, lbs_scratch) => record_receipts(
-                report,
-                shards,
-                &results,
-                net,
-                profile,
-                self.pois,
-                self.cfg.lbs_probes,
-                lbs_scratch,
-            ),
+            None => {
+                let (report, lbs_scratch) = &mut *self.report.lock().expect(only);
+                record_receipts(
+                    report,
+                    shards,
+                    &results,
+                    net,
+                    profile,
+                    self.pois.as_deref(),
+                    self.lbs_probes,
+                    lbs_scratch,
+                );
+            }
         }
+    }
+
+    /// How many leg tasks the tick runs: the observers, then the report
+    /// leg.
+    fn legs(&self) -> usize {
+        self.observers.len() + 1
     }
 
     /// Peel task `j`: verification's pass 2 for the `j`-th receipt pass 1
@@ -1395,29 +1475,17 @@ impl<'t> Stages<'t> {
         ))
     }
 
-    /// Ends the tick once its fan-out returned the peels' `views`: the
-    /// settle task's abort, or the tick's health, its verified receipts
-    /// and verification's first failure.
-    fn finish(
-        self,
-        views: Vec<Peeled>,
-    ) -> Result<(TickHealth, usize, Option<PipelineError>), PipelineError> {
-        let published = "the settle task publishes before it returns";
-        let (_, health) = self.settled.into_inner().expect(published)?;
-        let (jobs, pass1_err) = self.checked.into_inner().expect(published);
-        let (verified, err) =
-            check_peeled(self.tick, &jobs, views.into_iter().flatten(), pass1_err);
-        Ok((health, verified, err))
+    /// The service's default privacy profile, which every request is
+    /// issued and checked under.
+    fn profile(&self) -> &PrivacyProfile {
+        &self.service.config().default_profile
     }
 }
 
-/// A receipt that passed verification's pass 1: its request, its
-/// payload and the auditor's fetched keys, to be peeled.
-type PeelJob<'a> = (
-    &'a AnonymizeRequest,
-    Arc<CloakPayload>,
-    Vec<(Level, Key256)>,
-);
+/// A receipt that passed verification's pass 1: its request's shard
+/// and position in the shard, its payload and the auditor's fetched
+/// keys, to be peeled.
+type PeelJob = ((usize, usize), Arc<CloakPayload>, Vec<(Level, Key256)>);
 
 /// An invariant violation of `owner`'s receipt at `tick`.
 fn violation(tick: u64, owner: &str, what: &str) -> PipelineError {
@@ -1427,18 +1495,20 @@ fn violation(tick: u64, owner: &str, what: &str) -> PipelineError {
 }
 
 /// Verification's pass 2: checks each job's peeled view for exact
-/// reversibility, in job order. Returns `(verified, error)`: the jobs
-/// before the first failure, and that failure, else `pass1_err`. Every
-/// job precedes pass 1's failure, so the error is the first in (shard,
-/// receipt) order on either pass.
+/// reversibility against its request in `shards`, in job order. Returns
+/// `(verified, error)`: the jobs before the first failure, and that
+/// failure, else `pass1_err`. Every job precedes pass 1's failure, so
+/// the error is the first in (shard, receipt) order on either pass.
 fn check_peeled(
     tick: u64,
-    jobs: &[PeelJob<'_>],
+    shards: &[Shard],
+    jobs: &[PeelJob],
     views: impl IntoIterator<Item = Result<DeanonymizedView, DeanonError>>,
     pass1_err: Option<PipelineError>,
 ) -> (usize, Option<PipelineError>) {
     let mut verified = 0;
-    for ((request, _, _), view) in jobs.iter().zip(views) {
+    for (&((p, r), _, _), view) in jobs.iter().zip(views) {
+        let request = &shards[p].requests[r];
         let what = match view {
             Ok(view) if view.segments == [request.segment] => {
                 verified += 1;
@@ -1515,21 +1585,35 @@ impl AttackLeg {
     /// for each observed receipt in (shard, receipt) order, the engine
     /// record, then the NRE record when the control grew.
     fn finish_tick(&mut self) -> AttackTickSummary {
+        let (engine, nre) = self
+            .observers
+            .split_last_mut()
+            .expect("the engine stream is always watched");
+        let mut nre = nre.first_mut();
         {
-            let mut nre = self.nre.as_mut().map(|o| o.tick_records.drain(..));
-            for record in self.engine.tick_records.drain(..) {
+            let mut nre_records = nre.as_mut().map(|o| o.tick_records.drain(..));
+            for record in engine.tick_records.drain(..) {
                 self.records.extend(record);
                 self.records
-                    .extend(nre.as_mut().and_then(Iterator::next).flatten());
+                    .extend(nre_records.as_mut().and_then(Iterator::next).flatten());
             }
         }
         AttackTickSummary {
-            engine: std::mem::replace(&mut self.engine.tick, AttackSummary::new()),
-            baseline: self
-                .nre
-                .as_mut()
-                .map(|o| std::mem::replace(&mut o.tick, AttackSummary::new())),
+            engine: std::mem::replace(&mut engine.tick, AttackSummary::new()),
+            baseline: nre.map(|o| std::mem::replace(&mut o.tick, AttackSummary::new())),
         }
+    }
+
+    /// The engine stream's observer.
+    fn engine(&self) -> &Observer {
+        self.observers
+            .last()
+            .expect("the engine stream is always watched")
+    }
+
+    /// The NRE control's observer, when the control is on.
+    fn nre(&self) -> Option<&Observer> {
+        self.observers.first().filter(|o| o.control.is_some())
     }
 }
 
@@ -2138,30 +2222,25 @@ mod tests {
 
     /// The tick's stages over `p`'s shards with every request's cloak
     /// already out, as `cloaked` holds them.
-    fn settling<'t>(
-        p: &'t mut ContinuousPipeline,
-        report: &'t mut TickReport,
-        cloaked: &[Issued],
-    ) -> (Stages<'t>, &'t mut [CloakScratch]) {
-        let (stages, scratch) = p.stages(report, TickHealth::default());
+    fn settling(p: &mut ContinuousPipeline, cloaked: &[Issued]) -> Stages {
+        let stages = p.stages(p.blank_report(true, 0), TickHealth::default());
         for (slot, (_, run)) in stages.cloaked.iter().zip(&stages.chunks) {
             slot.set(cloaked[run.clone()].to_vec());
         }
-        (stages, scratch)
+        stages
     }
 
     /// Verification as the settle and peel tasks run it, on the calling
     /// thread: pass 1, then pass 2 over the peeled views.
     fn verify(p: &mut ContinuousPipeline, cloaked: &[Issued]) -> (usize, Option<PipelineError>) {
-        let mut report = p.blank_report(true, 0);
-        let (stages, _) = settling(p, &mut report, cloaked);
+        let stages = settling(p, cloaked);
         let scratch = &mut CloakScratch::new();
         stages.settle(scratch);
         let views = (0..cloaked.len())
             .map(|j| stages.peel(j, scratch))
             .collect();
-        let (_, verified, err) = stages.finish(views).expect("no fault plan, no abort");
-        (verified, err)
+        let (report, err) = p.finish(stages, views).expect("no fault plan, no abort");
+        (report.verified, err)
     }
 
     #[test]
@@ -2221,12 +2300,13 @@ mod tests {
             }
             p.shards = shards;
             let cloaked: Vec<Issued> = {
-                let mut report = p.blank_report(true, 0);
-                let (stages, scratch) = p.stages(&mut report, TickHealth::default());
+                let stages = p.stages(p.blank_report(true, 0), TickHealth::default());
                 let cloaks = stages.settle_task();
-                fanout::fan_out(scratch, cloaks, |scratch, t| stages.run(scratch, t));
-                let cloaked = stages.cloaked.into_iter();
+                let (mut stages, _) = p.run_stages(stages, 0..cloaks);
+                let cloaked = std::mem::take(&mut stages.cloaked);
+                p.restore(stages);
                 cloaked
+                    .into_iter()
                     .flat_map(|c| c.into_inner().expect("cloaked"))
                     .collect()
             };
@@ -2263,13 +2343,10 @@ mod tests {
                 "{err}"
             );
             // The same receipts through the fan-out, from the settle task on.
-            let mut report = p.blank_report(true, 0);
-            let (stages, scratch) = settling(&mut p, &mut report, &cloaked);
-            let first = stages.settle_task();
-            let views = fanout::fan_out(scratch, stages.tasks() - first, |scratch, t| {
-                stages.run(scratch, first + t)
-            });
-            let (_, _, settled) = stages.finish(views).expect("no fault plan, no abort");
+            let stages = settling(&mut p, &cloaked);
+            let tasks = stages.settle_task()..stages.tasks();
+            let (stages, views) = p.run_stages(stages, tasks);
+            let (_, settled) = p.finish(stages, views).expect("no fault plan, no abort");
             assert_eq!(settled, Some(err));
         }
     }

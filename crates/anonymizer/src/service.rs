@@ -491,13 +491,13 @@ impl AnonymizerService {
 
     /// Stores the owner record of a cloak outcome (whose payload carries
     /// its chain epoch) and returns the receipt; record and receipt share
-    /// one payload allocation. Re-anonymizing rotates payload and keys but
-    /// keeps the owner's access-control profile, so existing requester
-    /// grants (and the requester registry audit view) stay consistent.
-    /// A stored record of a later epoch stays: epochs grow in request
-    /// order, so batch workers that finish an owner's requests out of
-    /// order still leave the record of its last successful request, as
-    /// sequential calls do.
+    /// one payload allocation. Re-anonymizing rotates payload and keys in
+    /// the stored record, under its shard's lock, and keeps the owner's
+    /// access-control profile, so existing requester grants (and the
+    /// requester registry audit view) stay consistent. A stored record of
+    /// a later epoch stays: epochs grow in request order, so batch
+    /// workers that finish an owner's requests out of order still leave
+    /// the record of its last successful request, as sequential calls do.
     fn record_receipt(
         &self,
         owner: &str,
@@ -506,18 +506,21 @@ impl AnonymizerService {
     ) -> AnonymizeReceipt {
         let epoch = outcome.payload.epoch;
         let payload = Arc::new(outcome.payload.clone());
-        let record = OwnerRecord {
-            owner: owner.to_string(),
-            payload: Arc::clone(&payload),
-            keys,
-            access: AccessControlProfile::new(),
-        };
         self.records
-            .insert_merging(owner.to_string(), record, |old, new| {
-                if old.payload.epoch > epoch {
-                    *new = old.clone();
-                } else {
-                    new.access = old.access.clone();
+            .with_shard(owner, |records| match records.get_mut(owner) {
+                Some(record) if record.payload.epoch > epoch => {}
+                Some(record) => {
+                    record.payload = Arc::clone(&payload);
+                    record.keys = keys;
+                }
+                None => {
+                    let record = OwnerRecord {
+                        owner: owner.to_string(),
+                        payload: Arc::clone(&payload),
+                        keys,
+                        access: AccessControlProfile::new(),
+                    };
+                    records.insert(owner.to_string(), record);
                 }
             });
         AnonymizeReceipt {

@@ -305,7 +305,13 @@ impl AdaptiveTracker {
             return AttackObservation::empty(obs.tick, peel_frontier);
         }
         let n = self.cfg.particles;
-        let mut ps = self.owners.remove(owner).unwrap_or_default();
+        // The owner's particles are taken out of their entry for the
+        // observation and put back in place after it.
+        let mut ps = self
+            .owners
+            .get_mut(owner)
+            .map(std::mem::take)
+            .unwrap_or_default();
         let mut reset = false;
         let mut movement_fallback = false;
 
@@ -443,7 +449,12 @@ impl AdaptiveTracker {
             }
         }
 
-        self.owners.insert(owner.to_string(), ps);
+        match self.owners.get_mut(owner) {
+            Some(kept) => *kept = ps,
+            None => {
+                self.owners.insert(owner.to_string(), ps);
+            }
+        }
 
         AttackObservation {
             tick: obs.tick,

@@ -793,7 +793,13 @@ impl TemporalAdversary {
             return AttackObservation::empty(obs.tick, peel_frontier);
         }
         let mode = self.cfg.mode;
-        let mut state = self.owners.remove(owner).unwrap_or_default();
+        // The owner's state is taken out of its entry for the observation
+        // and put back in place after it.
+        let mut state = self
+            .owners
+            .get_mut(owner)
+            .map(std::mem::take)
+            .unwrap_or_default();
         let mut reset = false;
         let mut movement_fallback = false;
 
@@ -946,7 +952,12 @@ impl TemporalAdversary {
         );
         state.support.sort_unstable();
         state.warm = true;
-        self.owners.insert(owner.to_string(), state);
+        match self.owners.get_mut(owner) {
+            Some(kept) => *kept = state,
+            None => {
+                self.owners.insert(owner.to_string(), state);
+            }
+        }
 
         AttackObservation {
             tick: obs.tick,

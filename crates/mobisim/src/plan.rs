@@ -14,11 +14,14 @@
 //!    thread reads every trip's route from its start's shortest-path
 //!    tree, in trip order: a read copies a route's few segments, far
 //!    less than a fan-out costs. On any other map the destinations are
-//!    routed in chunks on [`fanout::fan_out`], with up to one worker per
-//!    available core (the calling thread is one of them). Each worker
-//!    has its own [`TripRouter`] labels and heap over the one shared
-//!    router graph. Either way, each worker writes segments into its own
-//!    flat buffer, which the planner keeps from batch to batch.
+//!    routed on the planner's [`fanout::Pool`], about sixteen chunks per
+//!    worker, with up to one worker per available core (the calling
+//!    thread is one of them, and the others are threads the planner
+//!    keeps for its lifetime). The batch's trips move into an `Arc` for
+//!    the pass and back out after it. Each worker has its own
+//!    [`TripRouter`] labels and heap over the one shared router graph.
+//!    Either way, each worker writes segments into its own flat buffer,
+//!    which the planner keeps from batch to batch.
 //! 3. **Commit.** The caller reads the trips back in car order and
 //!    allocates each car's route on the calling thread, so long-lived
 //!    routes never come from a worker thread's allocator arena.
@@ -40,6 +43,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use roadnet::{fanout, JunctionId, RoadNetwork, SegmentId, SourceTrees, TripRouter};
+use std::sync::Arc;
 
 /// Draws per trip before a car gives up and parks until its next step.
 const DRAW_ATTEMPTS: usize = 8;
@@ -114,6 +118,9 @@ pub(crate) struct TripPlanner {
     /// `workers[0]` routes on the calling thread and replays; on a map
     /// with trees it is the only worker.
     workers: Vec<Worker>,
+    /// The threads of every worker after the first, kept for the
+    /// planner's lifetime (none on a map with trees).
+    pool: fanout::Pool,
     /// The map's per-source trees, where they fit: the route pass reads
     /// every route from them.
     trees: Option<SourceTrees>,
@@ -158,6 +165,7 @@ impl TripPlanner {
                     spans: Vec::new(),
                 })
                 .collect(),
+            pool: fanout::Pool::new(workers),
             trees,
             junctions: net.junction_count() as u32,
             route_draw_only,
@@ -271,13 +279,12 @@ impl TripPlanner {
     }
 
     /// The route pass: every trip with a destination whose route is
-    /// needed, read from the trees on the calling thread, or else routed
-    /// on the planner's workers, never more of them than there are trips
-    /// to route.
+    /// needed, read from the trees, or routed, on the calling thread when
+    /// at most one trip needs a route and else on the planner's pool.
     fn route_all(&mut self) {
-        let trips = &self.trips;
         let route_draw_only = self.route_draw_only;
-        let routed = trips
+        let routed = self
+            .trips
             .iter()
             .filter(|t| t.route_to(route_draw_only).is_some())
             .count();
@@ -285,22 +292,29 @@ impl TripPlanner {
         if routed == 0 {
             return;
         }
-        let active = self.workers.len().min(routed);
-        if let Some(trees) = &mut self.trees {
-            self.workers[0].route(trips, 0, trips.len(), route_draw_only, Some(trees));
+        let count = self.trips.len();
+        if self.trees.is_some() || routed == 1 {
+            let trees = self.trees.as_mut();
+            self.workers[0].route(&self.trips, 0, count, route_draw_only, trees);
         } else {
-            let chunk = fanout::chunk_len(trips.len(), active);
-            fanout::fan_out(
-                &mut self.workers[..active],
-                trips.len().div_ceil(chunk),
-                |worker, c| {
+            let trips = Arc::new(std::mem::take(&mut self.trips));
+            // About sixteen chunks per worker, four times `chunk_len`'s
+            // share: a route takes ≈15 µs, so route chunks are long, and
+            // the calling thread waits for the other workers' last chunks.
+            let chunk = fanout::chunk_len(count, 4 * self.workers.len().min(routed));
+            let pass = Arc::clone(&trips);
+            self.pool.fan_out(
+                &mut self.workers,
+                count.div_ceil(chunk),
+                move |worker, c| {
                     let first = c * chunk;
-                    let last = trips.len().min(first + chunk);
-                    worker.route(trips, first, last, route_draw_only, None);
+                    let last = count.min(first + chunk);
+                    worker.route(&pass, first, last, route_draw_only, None);
                 },
             );
+            self.trips = Arc::try_unwrap(trips).expect("the pool let go of the trips");
         }
-        for (w, worker) in self.workers[..active].iter().enumerate() {
+        for (w, worker) in self.workers.iter().enumerate() {
             for &(trip, start, end) in &worker.spans {
                 self.trips[trip as usize].route = Some((w, start, end));
             }

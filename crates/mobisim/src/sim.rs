@@ -19,10 +19,11 @@
 //! in for a route. A batch runs in three passes. The cars advance
 //! and draw their destinations in car order, with the draws they always
 //! made; reachability comes from component labels, not a search. The
-//! drawn trips are then routed on [`roadnet::fanout`], one worker per
-//! available core (the calling thread alone on one core), and the
-//! routes, commuter phases and commuter moves are committed in car
-//! order. Each worker is a
+//! drawn trips are then routed on the planner's [`roadnet::fanout::Pool`],
+//! one worker per available core: the calling thread, and threads the
+//! simulation keeps for its lifetime and joins when it is dropped (none
+//! on one core). The routes, commuter phases and commuter moves are
+//! then committed in car order. Each worker is a
 //! [`roadnet::TripRouter`] over one shared router graph, so every route
 //! is the one [`roadnet::shortest_path`] returns and the simulation is
 //! the same at any worker count. On a map small enough for
