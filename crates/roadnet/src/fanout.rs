@@ -169,18 +169,18 @@ impl Pool {
     }
 
     /// How many workers a call may run on, the calling thread included.
-    pub fn workers(&self) -> usize {
+    fn workers(&self) -> usize {
         self.posts.len() + 1
     }
 
     /// Runs `run(state, task)` for every task in `0..tasks` on up to
-    /// [`workers`](Self::workers) workers, worker `w` with `states[w]`,
-    /// and returns the results in task order, as [`fan_out`] does. Only
-    /// the first `min(states.len(), tasks, self.workers())` states are
-    /// used; each is lent to its kept thread for the call and is back in
-    /// its place when the call returns. By then `run` and what it
-    /// captured are dropped, so a value shared with the tasks through an
-    /// `Arc` can be taken back with `Arc::try_unwrap`.
+    /// the pool's workers, worker `w` with `states[w]`, and returns the
+    /// results in task order, as [`fan_out`] does. Only the first
+    /// `min(states.len(), tasks, workers)` states are used; each is lent
+    /// to its kept thread for the call and is back in its place when the
+    /// call returns. By then `run` and what it captured are dropped, so a
+    /// value shared with the tasks through an `Arc` can be taken back
+    /// with `Arc::try_unwrap`.
     ///
     /// # Panics
     ///
