@@ -67,9 +67,11 @@
 //!   write-once [`Slot`]s, only for what lower-numbered tasks publish: a
 //!   cloak for its requests' keys, the settle task for every cloak, the
 //!   legs for the final results, the peels for pass 1's jobs. The
-//!   fan-out runs on [`AnonymizerConfig::batch_parallelism`] workers: the
-//!   calling thread and threads the pipeline keeps for its lifetime (a
-//!   [`fanout::Pool`]), each with its scratch kept across ticks. The tick
+//!   fan-out runs on [`AnonymizerConfig::batch_parallelism`] workers, each
+//!   with its scratch kept across ticks: the calling thread and the kept
+//!   threads of the simulation's [`fanout::Pool`]
+//!   ([`Simulation::pool`]), the one pool that also runs the trip
+//!   planner's route pass, grown to the wider of the two calls. The tick
 //!   moves the shards, the legs and the grant flags into an `Arc` for the
 //!   fan-out, and takes them back once it returns. A leg's state is
 //!   reached only by its own task. The key pass
@@ -444,9 +446,6 @@ pub struct ContinuousPipeline {
     /// One scratch per worker of the tick's fan-out, kept across ticks
     /// (worker 0 is the calling thread).
     scratch: Vec<CloakScratch>,
-    /// The threads of the tick's fan-out after the calling thread, kept
-    /// for the pipeline's lifetime.
-    pool: fanout::Pool,
     /// Scratch for the report leg's LBS queries.
     lbs_scratch: SearchScratch,
     /// The continuous adversarial evaluation (attack leg), when on.
@@ -462,6 +461,14 @@ pub struct ContinuousPipeline {
     handoffs_total: u64,
     tick: u64,
 }
+
+// A pipeline, and the simulation whose pool its tick runs on, may move
+// to another thread or be shared behind a lock.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<ContinuousPipeline>();
+    send_sync::<Simulation>();
+};
 
 /// One partition's slice of the pipeline: its requests and its masked
 /// snapshot.
@@ -737,7 +744,6 @@ impl ContinuousPipeline {
             tracked,
             capture: OccupancySnapshot::from_counts(Vec::new()),
             scratch: (0..workers).map(|_| CloakScratch::new()).collect(),
-            pool: fanout::Pool::new(workers),
             lbs_scratch: SearchScratch::new(),
             attack,
             injector,
@@ -942,7 +948,7 @@ impl ContinuousPipeline {
         }
     }
 
-    /// Runs `tasks` of the tick's `stages` on the pipeline's pool, and
+    /// Runs `tasks` of the tick's `stages` on the simulation's pool, and
     /// returns the stages with the peel tasks' views.
     fn run_stages(&mut self, stages: Stages, tasks: Range<usize>) -> (Stages, Vec<Peeled>) {
         let stages = Arc::new(stages);
@@ -950,7 +956,7 @@ impl ContinuousPipeline {
             let (stages, first) = (Arc::clone(&stages), tasks.start);
             move |scratch: &mut CloakScratch, t| stages.run(scratch, first + t)
         };
-        let views = self.pool.fan_out(&mut self.scratch, tasks.len(), run);
+        let views = self.sim.pool().fan_out(&mut self.scratch, tasks.len(), run);
         let stages = Arc::try_unwrap(stages).ok();
         (stages.expect("the pool let go of the tick's stages"), views)
     }
@@ -1746,10 +1752,21 @@ mod tests {
         cfg: PipelineConfig,
         shards: usize,
     ) -> ContinuousPipeline {
+        sharded_over(grid_city(7, 7, 100.0), 200, anonymizer, cfg, shards)
+    }
+
+    /// A pipeline over `net` with `cars` cars.
+    fn sharded_over(
+        net: RoadNetwork,
+        cars: usize,
+        anonymizer: AnonymizerConfig,
+        cfg: PipelineConfig,
+        shards: usize,
+    ) -> ContinuousPipeline {
         ContinuousPipeline::sharded(
-            grid_city(7, 7, 100.0),
+            net,
             SimConfig {
-                cars: 200,
+                cars,
                 seed: 11,
                 ..Default::default()
             },
@@ -1846,63 +1863,73 @@ mod tests {
     #[test]
     fn receipt_stream_is_deterministic_across_parallelism() {
         // Whole reports, then the attack leg's log, cumulative rollups and
-        // NRE failure count.
-        let run = |shards: usize, parallelism: usize, fault: Option<FaultPlan>| {
-            let mut p = sharded_on(
-                workers(parallelism),
-                PipelineConfig {
-                    tracked_owners: 24,
-                    attack: Some(AttackConfig::default()),
-                    fault,
-                    fault_policy: FaultPolicy {
-                        journal_retries: 8,
+        // NRE failure count. The simulation reads every route of
+        // `grid_city(7, 7)` from its per-source trees; `city_map(5, 800)`
+        // is too large for them, so there the route pass and the tick
+        // share the simulation's pool at every tick width.
+        let city = roadnet::city_map(5, 800);
+        assert!(roadnet::SourceTrees::new(&city, &roadnet::TripRouter::new(&city)).is_none());
+        for (net, cars) in [(grid_city(7, 7, 100.0), 200), (city, 1_600)] {
+            let run = |shards: usize, parallelism: usize, fault: Option<FaultPlan>| {
+                let mut p = sharded_over(
+                    net.clone(),
+                    cars,
+                    workers(parallelism),
+                    PipelineConfig {
+                        tracked_owners: 24,
+                        attack: Some(AttackConfig::default()),
+                        fault,
+                        fault_policy: FaultPolicy {
+                            journal_retries: 8,
+                            ..Default::default()
+                        },
                         ..Default::default()
                     },
-                    ..Default::default()
-                },
-                shards,
-            );
-            (p.run(5).unwrap(), attack_state(&p))
-        };
-        for shards in [1, 3] {
-            let sequential = run(shards, 1, None);
-            let (reports, (records, ..)) = &sequential;
-            // Ticks differ from each other (cars moved, fresh seeds).
-            assert_ne!(reports[0].digest, reports[1].digest);
-            assert!(reports.iter().all(|r| r.lbs.queries() > 0));
-            assert!(records.iter().any(|r| r.scheme == "rge"));
-            assert!(records.iter().any(|r| r.scheme == "nre"));
+                    shards,
+                );
+                (p.run(5).unwrap(), attack_state(&p))
+            };
+            for shards in [1, 3] {
+                let sequential = run(shards, 1, None);
+                let (reports, (records, ..)) = &sequential;
+                // Ticks differ from each other (cars moved, fresh seeds).
+                assert_ne!(reports[0].digest, reports[1].digest);
+                assert!(reports.iter().all(|r| r.lbs.queries() > 0));
+                assert!(records.iter().any(|r| r.scheme == "rge"));
+                assert!(records.iter().any(|r| r.scheme == "nre"));
+                for parallelism in [2, 3] {
+                    assert_eq!(
+                        sequential,
+                        run(shards, parallelism, None),
+                        "{cars} cars, {shards} shards, {parallelism} workers"
+                    );
+                }
+            }
+            // Journal, snapshot and cloak faults: the key pass and the
+            // later per-shard stages draw every coin in the same order at
+            // any worker count, so the faulty runs match report for report
+            // too.
+            let plan = FaultPlan {
+                seed: 5,
+                journal_write_fail: 0.3,
+                snapshot_capture_fail: 0.3,
+                cloak_fail: 0.1,
+                ..Default::default()
+            };
+            let sequential = run(3, 1, Some(plan.clone()));
+            let total = |pick: fn(&TickHealth) -> u64| -> u64 {
+                sequential.0.iter().map(|r| pick(&r.health)).sum()
+            };
+            assert!(total(|h| h.journal_retries) > 0);
+            assert!(total(|h| h.snapshot_faults) > 0);
+            assert!(total(|h| h.injected_cloak_failures) > 0);
             for parallelism in [2, 3] {
                 assert_eq!(
                     sequential,
-                    run(shards, parallelism, None),
-                    "{shards} shards, {parallelism} workers"
+                    run(3, parallelism, Some(plan.clone())),
+                    "{cars} cars, faulty run, {parallelism} workers"
                 );
             }
-        }
-        // Journal, snapshot and cloak faults: the key pass and the later
-        // per-shard stages draw every coin in the same order at any
-        // worker count, so the faulty runs match report for report too.
-        let plan = FaultPlan {
-            seed: 5,
-            journal_write_fail: 0.3,
-            snapshot_capture_fail: 0.3,
-            cloak_fail: 0.1,
-            ..Default::default()
-        };
-        let sequential = run(3, 1, Some(plan.clone()));
-        let total = |pick: fn(&TickHealth) -> u64| -> u64 {
-            sequential.0.iter().map(|r| pick(&r.health)).sum()
-        };
-        assert!(total(|h| h.journal_retries) > 0);
-        assert!(total(|h| h.snapshot_faults) > 0);
-        assert!(total(|h| h.injected_cloak_failures) > 0);
-        for parallelism in [2, 3] {
-            assert_eq!(
-                sequential,
-                run(3, parallelism, Some(plan.clone())),
-                "faulty run, {parallelism} workers"
-            );
         }
     }
 

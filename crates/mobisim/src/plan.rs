@@ -16,9 +16,10 @@
 //!    less than a fan-out costs. On any other map the destinations are
 //!    routed on the planner's [`fanout::Pool`], about sixteen chunks per
 //!    worker, with up to one worker per available core (the calling
-//!    thread is one of them, and the others are threads the planner
-//!    keeps for its lifetime). The batch's trips move into an `Arc` for
-//!    the pass and back out after it. Each worker has its own
+//!    thread is one of them, and the others are the pool's kept
+//!    threads, which the simulation also lends its other callers through
+//!    `Simulation::pool`). The batch's trips move into an `Arc` for the
+//!    pass and back out after it. Each worker has its own
 //!    [`TripRouter`] labels and heap over the one shared router graph.
 //!    Either way, each worker writes segments into its own flat buffer,
 //!    which the planner keeps from batch to batch.
@@ -118,9 +119,9 @@ pub(crate) struct TripPlanner {
     /// `workers[0]` routes on the calling thread and replays; on a map
     /// with trees it is the only worker.
     workers: Vec<Worker>,
-    /// The threads of every worker after the first, kept for the
-    /// planner's lifetime (none on a map with trees).
-    pool: fanout::Pool,
+    /// The route pass's kept threads, which the simulation lends to its
+    /// other callers too (the route pass uses none on a map with trees).
+    pub(crate) pool: fanout::Pool,
     /// The map's per-source trees, where they fit: the route pass reads
     /// every route from them.
     trees: Option<SourceTrees>,
@@ -165,7 +166,7 @@ impl TripPlanner {
                     spans: Vec::new(),
                 })
                 .collect(),
-            pool: fanout::Pool::new(workers),
+            pool: fanout::Pool::default(),
             trees,
             junctions: net.junction_count() as u32,
             route_draw_only,

@@ -19,14 +19,17 @@
 //! in for a route. A batch runs in three passes. The cars advance
 //! and draw their destinations in car order, with the draws they always
 //! made; reachability comes from component labels, not a search. The
-//! drawn trips are then routed on the planner's [`roadnet::fanout::Pool`],
-//! one worker per available core: the calling thread, and threads the
-//! simulation keeps for its lifetime and joins when it is dropped (none
-//! on one core). The routes, commuter phases and commuter moves are
-//! then committed in car order. Each worker is a
-//! [`roadnet::TripRouter`] over one shared router graph, so every route
-//! is the one [`roadnet::shortest_path`] returns and the simulation is
-//! the same at any worker count. On a map small enough for
+//! drawn trips are then routed on the simulation's
+//! [`roadnet::fanout::Pool`], one worker per available core: the calling
+//! thread, and the pool's threads, which the simulation keeps for its
+//! lifetime and joins when it is dropped (the route pass spawns none on
+//! one core). A caller that fans out between steps, like a continuous
+//! pipeline's tick, runs on the same pool ([`Simulation::pool`]), which
+//! then keeps threads for the wider of the two. The routes, commuter
+//! phases and commuter moves are then committed in car order. Each
+//! worker is a [`roadnet::TripRouter`] over one shared router graph, so
+//! every route is the one [`roadnet::shortest_path`] returns and the
+//! simulation is the same at any worker count. On a map small enough for
 //! [`roadnet::SourceTrees`] the calling thread reads every route from
 //! its start's shortest-path tree instead, the same routes without a
 //! search or a fan-out. Where a route's float length overflows
@@ -220,6 +223,12 @@ impl Simulation {
     /// its true location (`None` for unknown ids).
     pub fn car_segment(&self, id: CarId) -> Option<SegmentId> {
         self.car(id).map(|c| c.segment())
+    }
+
+    /// The pool the simulation routes its trips on, for a caller that
+    /// fans out between steps: one set of kept threads then serves both.
+    pub fn pool(&mut self) -> &mut roadnet::fanout::Pool {
+        &mut self.planner.pool
     }
 
     /// Simulation time in seconds.

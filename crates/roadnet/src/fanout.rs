@@ -17,27 +17,30 @@
 //!   row, and `anonymizer`'s `AnonymizerService::anonymize_batch`, whose
 //!   `&self` signature leaves it nothing to keep threads in.
 //! * [`Pool`] keeps its threads for as long as it lives, and a call
-//!   wakes them instead of spawning new ones. Its tasks must own what
-//!   they read (`'static`): a caller moves its state into an `Arc` for
-//!   the call and takes it back with `Arc::try_unwrap` once the call
+//!   wakes them instead of spawning new ones. A pool starts with no
+//!   threads and grows to its widest call: a call that lends more states
+//!   than the pool has threads spawns the missing ones. Its tasks must own
+//!   what they read (`'static`): a caller moves its state into an `Arc`
+//!   for the call and takes it back with `Arc::try_unwrap` once the call
 //!   returns, because a kept worker drops its part of the call before it
-//!   hands its state back. The per-tick callers own one each: `mobisim`'s
-//!   trip planner, whose route pass routes one chunk of a batch's trips
-//!   per task on maps too large for [`SourceTrees`](crate::SourceTrees),
-//!   and the continuous pipeline's tick, whose tasks are its stages in
-//!   order: the key pass, one cloak task per chunk of a shard's requests,
-//!   the settle task (retry ladder, injected faults and verification's
-//!   first pass), the report and attack legs, each reaching its own state
-//!   through a lock no other task takes, and one peel task per request;
-//!   each waits through slots for what it reads.
+//!   hands its state back. A continuous pipeline has one pool, its
+//!   simulation's, for both of its per-tick callers: `mobisim`'s trip
+//!   planner, whose route pass routes one chunk of a batch's trips per
+//!   task on maps too large for [`SourceTrees`](crate::SourceTrees), and
+//!   the pipeline's tick, whose tasks are its stages in order: the key
+//!   pass, one cloak task per chunk of a shard's requests, the settle
+//!   task (retry ladder, injected faults and verification's first pass),
+//!   the report and attack legs, each reaching its own state through a
+//!   lock no other task takes, and one peel task per request; each waits
+//!   through slots for what it reads.
 //!
-//! A pool's waits spin before they block, which is where its gain over
-//! spawning comes from: a kept worker that finished its part spins for
-//! the next call for `WORKER_SPIN`, and the calling thread, done with
-//! its own share, spins for the other workers' parts for `CALLER_SPIN`.
-//! Both spin only when the available parallelism covers the call's
-//! workers; on one CPU every wait blocks at once, so a spinning thread
-//! never holds the only core another worker needs.
+//! A pool's waits spin for 500 µs before they block, which is where its
+//! gain over spawning comes from: a kept worker that finished its part
+//! spins for its part of the next call, and the calling thread, done
+//! with its own share, spins for the other workers' parts. Both spin
+//! only when the available parallelism covers the call's workers; on one
+//! CPU every wait blocks at once, so a spinning thread never holds the
+//! only core another worker needs.
 //!
 //! Tasks of one call may hand values to each other through [`Slot`]s: a
 //! task writes a slot once, and any later task may wait for it. The
@@ -112,35 +115,29 @@ where
     gather(tasks, shares)
 }
 
-/// How long a kept worker of a [`Pool`] that finished its part of a call
-/// spins for its part of the next call before it blocks. Long enough for
-/// a call that follows closely, short enough that the worker has blocked
-/// before another pool's call needs its core: a pipeline's tick and its
-/// simulation's route pass each own a pool, and spins of 200 µs and 1 ms
-/// made two-CPU `city` ticks slower.
-const WORKER_SPIN: Duration = Duration::from_micros(50);
-
-/// How long the calling thread of a [`Pool`] call, done with its own
-/// share, spins for the kept workers' parts before it blocks: for the
-/// last tasks of a tick or of a route pass. Spins of 150 µs and 2 ms both
-/// made two-CPU `city` ticks slower.
-const CALLER_SPIN: Duration = Duration::from_micros(500);
+/// How long a wait of a [`Pool`] call spins before it blocks: a kept
+/// worker that finished its part, for its part of the next call, and the
+/// calling thread, done with its own share, for the kept workers' parts.
+/// Long enough for a call that follows closely: with the tick's and the
+/// route pass's calls on one pool, two-CPU `city` ticks read faster with
+/// a 500 µs worker spin than with a 50 µs one, and, with a pool per
+/// caller, caller spins of 150 µs and 2 ms read slower than 500 µs.
+const SPIN: Duration = Duration::from_micros(500);
 
 /// Threads kept for many fan-outs: the workers of every call after the
-/// calling thread. Dropping the pool ends and joins them.
+/// calling thread. A pool starts with none, and a call that lends more
+/// states than the pool has threads spawns the missing ones, so it keeps
+/// one thread fewer than its widest call's workers. Dropping the pool
+/// ends and joins them.
 ///
 /// Calls run [`fan_out`]'s task loop and return results in task order,
 /// with the same [`Slot`] rule and the same panics, but their tasks and
 /// states must be `'static` (see the module docs).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Pool {
-    /// Posts each kept thread its part of a call, kept thread `t` being
-    /// worker `t + 1`.
-    posts: Vec<SyncSender<Part>>,
-    threads: Vec<JoinHandle<()>>,
-    /// The available parallelism (1 for a pool without kept threads): a
-    /// call on no more workers than this spins while it waits.
-    cores: usize,
+    /// Each kept thread and the post that hands it its part of a call,
+    /// kept thread `t` being worker `t + 1`.
+    threads: Vec<(SyncSender<Part>, JoinHandle<()>)>,
 }
 
 /// A kept worker's part of a call, and whether the worker spins for its
@@ -151,36 +148,14 @@ struct Part {
 }
 
 impl Pool {
-    /// A pool of `workers` workers (at least one): the calling thread and
-    /// `workers - 1` threads, spawned now.
-    pub fn new(workers: usize) -> Pool {
-        let (posts, threads): (Vec<_>, _) = (1..workers.max(1))
-            .map(|_| {
-                let (post, parts) = mpsc::sync_channel(1);
-                (post, thread::spawn(move || serve(&parts)))
-            })
-            .unzip();
-        let cores = if posts.is_empty() { 1 } else { cores() };
-        Pool {
-            posts,
-            threads,
-            cores,
-        }
-    }
-
-    /// How many workers a call may run on, the calling thread included.
-    fn workers(&self) -> usize {
-        self.posts.len() + 1
-    }
-
-    /// Runs `run(state, task)` for every task in `0..tasks` on up to
-    /// the pool's workers, worker `w` with `states[w]`, and returns the
-    /// results in task order, as [`fan_out`] does. Only the first
-    /// `min(states.len(), tasks, workers)` states are used; each is lent
-    /// to its kept thread for the call and is back in its place when the
-    /// call returns. By then `run` and what it captured are dropped, so a
-    /// value shared with the tasks through an `Arc` can be taken back
-    /// with `Arc::try_unwrap`.
+    /// Runs `run(state, task)` for every task in `0..tasks` on
+    /// `min(states.len(), tasks)` workers, worker `w` with `states[w]`,
+    /// and returns the results in task order, as [`fan_out`] does. The
+    /// pool first spawns the kept threads the call lacks. Each state
+    /// after the first is lent to its kept thread for the call and is
+    /// back in its place when the call returns. By then `run` and what it
+    /// captured are dropped, so a value shared with the tasks through an
+    /// `Arc` can be taken back with `Arc::try_unwrap`.
     ///
     /// # Panics
     ///
@@ -192,15 +167,20 @@ impl Pool {
         T: Send + 'static,
         F: Fn(&mut S, usize) -> T + Send + Sync + 'static,
     {
-        let active = states.len().min(tasks).min(self.workers());
+        let active = states.len().min(tasks);
         if active == 0 {
             assert_eq!(tasks, 0, "tasks need at least one worker state");
             return Vec::new();
         }
-        let spin = active <= self.cores;
+        for _ in self.threads.len()..active - 1 {
+            let (post, parts) = mpsc::sync_channel(1);
+            let kept = thread::spawn(move || serve(&parts));
+            self.threads.push((post, kept));
+        }
+        let spin = active <= cores();
         let call = Arc::new(Call::new(tasks, run));
         let (deliver, delivered) = mpsc::sync_channel(active - 1);
-        for (w, (mut state, post)) in states.drain(1..active).zip(&self.posts).enumerate() {
+        for (w, (mut state, (post, _))) in states.drain(1..active).zip(&self.threads).enumerate() {
             let (call, deliver) = (Arc::clone(&call), deliver.clone());
             let run = Box::new(move || {
                 let share = call.share(&mut state);
@@ -218,7 +198,7 @@ impl Pool {
         drop(call);
         let mut parts: Vec<Option<(S, Share<T>)>> = (1..active).map(|_| None).collect();
         for _ in 1..active {
-            let (w, state, share) = receive(&delivered, spin.then_some(CALLER_SPIN))
+            let (w, state, share) = receive(&delivered, spin.then_some(SPIN))
                 .expect("every kept thread of the call delivers its part");
             parts[w] = Some((state, share));
         }
@@ -233,10 +213,10 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        // A closed post ends its thread's loop.
-        self.posts.clear();
-        for thread in self.threads.drain(..) {
-            // The loop catches its tasks' panics, so the join cannot fail.
+        for (post, thread) in self.threads.drain(..) {
+            // A closed post ends its thread's loop, which catches its
+            // tasks' panics, so the join cannot fail.
+            drop(post);
             let _ = thread.join();
         }
     }
@@ -247,7 +227,7 @@ impl Drop for Pool {
 /// when its pool closes the post.
 fn serve(parts: &Receiver<Part>) {
     let mut spin = false;
-    while let Some(part) = receive(parts, spin.then_some(WORKER_SPIN)) {
+    while let Some(part) = receive(parts, spin.then_some(SPIN)) {
         (part.run)();
         spin = part.spin;
     }
@@ -638,7 +618,7 @@ mod tests {
                                 *slot.wait()
                             }
                         };
-                        let mut pool = Pool::new(workers);
+                        let mut pool = Pool::default();
                         let mut states = vec![(); workers];
                         let failed = panic::catch_unwind(AssertUnwindSafe(|| {
                             if pooled {
@@ -676,56 +656,61 @@ mod tests {
     #[test]
     fn one_pool_returns_task_order_over_many_calls() {
         // Plain calls of 0 to 8 tasks alternate with calls whose tasks
-        // read two earlier tasks' slots. Each state names its worker and
-        // counts its tasks, so a state lent out and put back in the wrong
-        // place, or a task run twice, shows.
+        // read two earlier tasks' slots, and one pool serves them all,
+        // lent 1 to 4 states: plain calls 1, 2, 3, 4 in turn, chained
+        // calls 3, 4, 1, 2. Each state names its worker and counts its
+        // tasks, so a state lent out and put back in the wrong place, or
+        // a task run twice, shows; and the pool keeps one thread fewer
+        // than its widest call so far.
         let mut chained = vec![1u64];
         for t in 1..64 {
             chained.push(chained[t / 2] + chained[t - 1]);
         }
-        for workers in 1..=4 {
-            let mut pool = Pool::new(workers);
-            assert_eq!(pool.workers(), workers);
-            let mut states: Vec<(usize, usize)> = (0..workers).map(|w| (w, 0)).collect();
-            let mut ran = 0;
-            for call in 0..60 {
-                let at = format!("{workers} workers, call {call}");
-                if call % 2 == 0 {
-                    let tasks = call / 2 % 9;
-                    let squares = pool.fan_out(&mut states, tasks, |(_, runs), task| {
-                        *runs += 1;
-                        task * task
-                    });
-                    assert_eq!(
-                        squares,
-                        (0..tasks).map(|t| t * t).collect::<Vec<_>>(),
-                        "{at}"
-                    );
-                    ran += tasks;
-                } else {
-                    let slots: Arc<Vec<Slot<u64>>> =
-                        Arc::new((0..chained.len()).map(|_| Slot::new()).collect());
-                    let out = pool.fan_out(&mut states, slots.len(), move |(_, runs), t| {
-                        *runs += 1;
-                        let _guard = Slot::guard(&slots[t..=t]);
-                        let value = match t {
-                            0 => 1,
-                            t => slots[t / 2].wait() + slots[t - 1].wait(),
-                        };
-                        slots[t].set(value);
-                        value
-                    });
-                    assert_eq!(out, chained, "{at}");
-                    ran += chained.len();
-                }
-                let named: Vec<usize> = states.iter().map(|&(w, _)| w).collect();
-                assert_eq!(named, (0..workers).collect::<Vec<_>>(), "{at}");
+        let mut pool = Pool::default();
+        let mut states: Vec<Vec<(usize, usize)>> = (1..=4)
+            .map(|workers| (0..workers).map(|w| (w, 0)).collect())
+            .collect();
+        let mut ran = [0; 4];
+        let mut widest = 1;
+        for call in 0..120 {
+            let width = 1 + (call / 2 + call % 2 * 2) % 4;
+            let at = format!("call {call}, {width} states");
+            let lent = &mut states[width - 1];
+            let tasks = if call % 2 == 0 {
+                let tasks = call / 2 % 9;
+                let squares = pool.fan_out(lent, tasks, |(_, runs), task| {
+                    *runs += 1;
+                    task * task
+                });
                 assert_eq!(
-                    states.iter().map(|&(_, runs)| runs).sum::<usize>(),
-                    ran,
+                    squares,
+                    (0..tasks).map(|t| t * t).collect::<Vec<_>>(),
                     "{at}"
                 );
-            }
+                tasks
+            } else {
+                let slots: Arc<Vec<Slot<u64>>> =
+                    Arc::new((0..chained.len()).map(|_| Slot::new()).collect());
+                let out = pool.fan_out(lent, slots.len(), move |(_, runs), t| {
+                    *runs += 1;
+                    let _guard = Slot::guard(&slots[t..=t]);
+                    let value = match t {
+                        0 => 1,
+                        t => slots[t / 2].wait() + slots[t - 1].wait(),
+                    };
+                    slots[t].set(value);
+                    value
+                });
+                assert_eq!(out, chained, "{at}");
+                chained.len()
+            };
+            ran[width - 1] += tasks;
+            widest = widest.max(width.min(tasks));
+            assert_eq!(pool.threads.len(), widest - 1, "{at}");
+            let named: Vec<usize> = lent.iter().map(|&(w, _)| w).collect();
+            assert_eq!(named, (0..width).collect::<Vec<_>>(), "{at}");
+            let runs = lent.iter().map(|&(_, runs)| runs).sum::<usize>();
+            assert_eq!(runs, ran[width - 1], "{at}");
         }
     }
 
@@ -740,7 +725,7 @@ mod tests {
         let marker = Arc::new(());
         let caller = thread::current().id();
         for workers in 1..=4 {
-            let mut pool = Pool::new(workers);
+            let mut pool = Pool::default();
             let (meet, held) = (Arc::new(Barrier::new(workers)), Arc::clone(&marker));
             pool.fan_out(&mut vec![(); workers], workers, move |_, _| {
                 meet.wait();

@@ -22,8 +22,7 @@
 use crate::fanout;
 use crate::geometry::{point_segment_distance, BoundingBox, Point};
 use crate::graph::{JunctionId, RoadNetwork, SegmentId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::path::{dijkstra, Heap};
 use std::sync::{Arc, OnceLock};
 
 /// Most grid cells a [`SegmentIndex`] holds per road: the cell size is
@@ -544,27 +543,13 @@ impl Adjacency {
     }
 
     /// Length-weighted Dijkstra distances from `src`, one slot per
-    /// junction (unreachable = ∞). Keys are `(f64 bits, junction)`:
-    /// non-negative finite `f64`s order like their bits, and only finite
-    /// distances are queued.
+    /// junction (unreachable = ∞), by [`shortest_path`]'s own loop.
+    ///
+    /// [`shortest_path`]: crate::shortest_path
     fn distances_from(&self, src: JunctionId) -> Vec<f64> {
         let mut out = vec![f64::INFINITY; self.len()];
-        out[src.index()] = 0.0;
-        let mut heap = BinaryHeap::new();
-        heap.push(Reverse((0.0f64.to_bits(), src.0)));
-        while let Some(Reverse((key, j))) = heap.pop() {
-            let d = f64::from_bits(key);
-            if d > out[j as usize] {
-                continue;
-            }
-            for &(to, length) in self.roads(j) {
-                let nd = d + length;
-                if nd < out[to as usize] {
-                    out[to as usize] = nd;
-                    heap.push(Reverse((nd.to_bits(), to)));
-                }
-            }
-        }
+        let roads = |j| self.roads(j).iter().copied();
+        dijkstra(&mut Heap::new(), &mut out, src.0, None, roads, |_, _, _| {});
         out
     }
 }

@@ -12,7 +12,7 @@ use crate::geometry::{BoundingBox, Point};
 use crate::graph::{JunctionId, RoadNetwork, SegmentId};
 use crate::index::GraphIndex;
 use radix::RadixHeap;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
@@ -42,32 +42,6 @@ impl Route {
     /// Whether the route is a single point (source == destination).
     pub fn is_trivial(&self) -> bool {
         self.segments.is_empty()
-    }
-}
-
-#[derive(PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    junction: u32,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for a min-heap; distances are finite non-NaN by
-        // construction (segment lengths are finite and non-negative).
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.junction.cmp(&self.junction))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
     }
 }
 
@@ -102,7 +76,7 @@ pub fn shortest_path(net: &RoadNetwork, src: JunctionId, dst: JunctionId) -> Opt
         prev[w as usize] = Some((v, net.incident_segments(v)[i]));
     };
     dijkstra(
-        &mut BinaryHeap::new(),
+        &mut Heap::new(),
         &mut dist,
         src.0,
         Some(dst.0),
@@ -131,20 +105,28 @@ pub fn shortest_path(net: &RoadNetwork, src: JunctionId, dst: JunctionId) -> Opt
     })
 }
 
-/// Dijkstra's loop from `src`, shared by [`shortest_path`] and
-/// [`SourceTrees`]: it pops `(distance, junction)` entries from a binary
-/// heap, skips stale ones, stops when `dst` pops (with `None`, when the
-/// heap is empty), and relaxes each popped junction's roads strictly, in
-/// the order `roads` lists them as `(neighbour, length)`. `reached(w, v,
-/// i)` records that `v`'s `i`-th road now gives `w` its distance. `dist`
-/// must read `f64::INFINITY` for every junction.
+/// [`dijkstra`]'s queue: `(distance bits, junction)` keys, least first.
+/// Non-negative finite `f64`s order like their bits, and a tie goes to
+/// the lower junction.
+pub(crate) type Heap = BinaryHeap<Reverse<(u64, u32)>>;
+
+/// Dijkstra's loop from `src`, shared by [`shortest_path`],
+/// [`SourceTrees`] and the landmark rows of
+/// [`LandmarkTable`](crate::LandmarkTable): it pops `(distance,
+/// junction)` entries from `heap`, skips stale ones, stops when `dst`
+/// pops (with `None`, when the heap is empty), and relaxes each popped
+/// junction's roads strictly, in the order `roads` lists them as
+/// `(neighbour, length)`. `reached(w, v, i)` records that `v`'s `i`-th
+/// road now gives `w` its distance. `dist` must read `f64::INFINITY` for
+/// every junction.
 ///
 /// A junction's distance and predecessor are final once it pops: every
 /// later key is at least its distance, lengths are never negative, and
 /// an equal distance does not relax. A road of infinite length, or one
-/// whose sum overflows, never relaxes.
-fn dijkstra<R: Iterator<Item = (u32, f64)>>(
-    heap: &mut BinaryHeap<HeapEntry>,
+/// whose sum overflows, never relaxes, so only finite distances are
+/// queued.
+pub(crate) fn dijkstra<R: Iterator<Item = (u32, f64)>>(
+    heap: &mut Heap,
     dist: &mut [f64],
     src: u32,
     dst: Option<u32>,
@@ -153,11 +135,9 @@ fn dijkstra<R: Iterator<Item = (u32, f64)>>(
 ) {
     heap.clear();
     dist[src as usize] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        junction: src,
-    });
-    while let Some(HeapEntry { dist: d, junction }) = heap.pop() {
+    heap.push(Reverse((0.0f64.to_bits(), src)));
+    while let Some(Reverse((key, junction))) = heap.pop() {
+        let d = f64::from_bits(key);
         if d > dist[junction as usize] {
             continue;
         }
@@ -169,10 +149,7 @@ fn dijkstra<R: Iterator<Item = (u32, f64)>>(
             if nd < dist[other as usize] {
                 dist[other as usize] = nd;
                 reached(other, junction, i);
-                heap.push(HeapEntry {
-                    dist: nd,
-                    junction: other,
-                });
+                heap.push(Reverse((nd.to_bits(), other)));
             }
         }
     }

@@ -1,8 +1,7 @@
 //! Per-source shortest-path trees for maps small enough to keep them all.
 
-use super::{dijkstra, HeapEntry, RouterGraph, TripRouter};
+use super::{dijkstra, Heap, RouterGraph, TripRouter};
 use crate::graph::{JunctionId, RoadNetwork, SegmentId};
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -66,7 +65,7 @@ pub struct SourceTrees {
     /// During a build, the packed edge that last gave each junction its
     /// distance.
     reached_by: Vec<u32>,
-    heap: BinaryHeap<HeapEntry>,
+    heap: Heap,
 }
 
 impl SourceTrees {
@@ -105,7 +104,7 @@ impl SourceTrees {
             trees: vec![UNREACHED; n * n],
             dist: vec![f64::INFINITY; n],
             reached_by: vec![0; n],
-            heap: BinaryHeap::new(),
+            heap: Heap::new(),
         })
     }
 
